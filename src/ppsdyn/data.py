@@ -50,14 +50,17 @@ class Dataset:
             raise TooFewSamples(f"need at least 3 samples, got {self.times.size}")
         if self.observations.shape != (self.times.size, 3):
             raise ValueError("observations must have shape (T, 3)")
+        if self.mins.shape != (3,) or self.maxs.shape != (3,):
+            raise ValueError("mins and maxs must have 3 entries")
+        parts = (self.times, self.observations, self.mins, self.maxs, [self.t_start, self.t_end])
+        if not all(np.all(np.isfinite(v)) for v in parts):
+            raise ValueError("dataset values must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         lo = min(self.times.min(), self.observations.min())
         hi = max(self.times.max(), self.observations.max())
         if lo < -_EPS or hi > 1.0 + _EPS:
             raise ValueError("normalized values must lie in [0, 1]")
-        if self.mins.shape != (3,) or self.maxs.shape != (3,):
-            raise ValueError("mins and maxs must have 3 entries")
         if np.any(self.maxs - self.mins <= 0):
             raise ConstantColumn("raw column range must be positive")
         if not self.t_end > self.t_start:
@@ -199,6 +202,8 @@ def ingest(csv_path, species_map: SpeciesMap) -> Dataset:
             vals = [float(c) for c in row]
         except ValueError as exc:
             raise NonNumericCell(f"row {line}: {exc}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise NonNumericCell(f"row {line}: non-finite cell in {row}")
         years.append(vals[0])
         sums.append([sum(vals[1 + ci] for ci in group_cols[grp]) for grp in GROUPS])
     order = np.argsort(years)

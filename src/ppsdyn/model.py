@@ -10,7 +10,9 @@ h*y*z term and is itself consumed by the predator.
     dz/dt = g x^2 z / (1 + b0 x^2) + h y z - i y z^2 / (1 + i0 z^2) - j z
 
 All fourteen parameters are strictly positive.  The exponent in the type-III
-response is fixed at 2.
+response is fixed at 2.  make_rhs gives the right-hand side and make_jacobian
+its derivatives with respect to the state and to the parameters, the terms of
+the variational equations the solver integrates for exact gradients.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class ModelParams:
     def __post_init__(self):
         for fld in fields(self):
             v = getattr(self, fld.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (ok and math.isfinite(v) and v > 0):
                 raise ValueError(f"parameter {fld.name} must be a positive finite number, got {v!r}")
             object.__setattr__(self, fld.name, float(v))
 
@@ -86,7 +89,7 @@ class ModelParams:
         missing = set(PARAM_ORDER) - set(d)
         if missing:
             raise ValueError(f"missing parameter keys: {sorted(missing)}")
-        return cls(**{n: float(d[n]) for n in PARAM_ORDER})
+        return cls(**{n: d[n] for n in PARAM_ORDER})
 
     @classmethod
     def load(cls, path) -> "ModelParams":
@@ -204,3 +207,47 @@ def make_rhs(p: ModelParams, mask: Subsystem = Subsystem.FULL):
         )
 
     return deriv
+
+
+# row length of the matrix make_jacobian's closure returns: 3 state columns,
+# then one column per parameter in PARAM_ORDER
+JACOBIAN_COLUMNS = 3 + len(PARAM_ORDER)
+
+
+def make_jacobian(p: ModelParams):
+    """Closure giving the derivatives of the full system's right-hand side at (x, y, z).
+
+    It returns the 3 x JACOBIAN_COLUMNS matrix [df/d(x, y, z) | df/dp],
+    parameters in PARAM_ORDER, flattened row-major into a tuple of plain
+    floats, so the solver can evaluate it at every stage of a step and build
+    one array from all of them.
+    """
+    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = (getattr(p, n) for n in PARAM_ORDER)
+
+    def jac(x: float, y: float, z: float):
+        x2 = x * x
+        z2 = z * z
+        qa = 1.0 + a0 * x2
+        qb = 1.0 + b0 * x2
+        qi = 1.0 + i0 * z2
+        # the three type-III shapes, their state derivatives 2u/(1 + c u^2)^2,
+        # and their handling-time derivatives -u^4/(1 + c u^2)^2 = -shape^2
+        ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
+        dua, dub, dui = 2.0 * x / (qa * qa), 2.0 * x / (qb * qb), 2.0 * z / (qi * qi)
+        ua2, ub2, ui2 = ua * ua, ub * ub, ui * ui
+        return (
+            # prey row: x, y, z | r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j
+            r * (1.0 - 2.0 * x / k) - a * dua * y - b * dub * z, -a * ua, -b * ub,
+            x * (1.0 - x / k), r * x2 / (k * k), -ua * y, a * ua2 * y, -ub * z, b * ub2 * z,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            # predator row
+            d * dua * y, d * ua + f * ui - e, f * dui * y,
+            0.0, 0.0, 0.0, -d * ua2 * y, 0.0, 0.0,
+            ua * y, -y, ui * y, 0.0, 0.0, 0.0, -f * ui2 * y, 0.0,
+            # scavenger row
+            g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j,
+            0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2 * z,
+            0.0, 0.0, 0.0, ub * z, y * z, -y * ui, i * y * ui2, -z,
+        )
+
+    return jac

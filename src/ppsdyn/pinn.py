@@ -5,11 +5,14 @@ The network maps a fixed lognormal-initialized 14-vector to a predicted
 parameter vector.  Its weights are trained by Adam on total_loss = MSE + PIE,
 where the MSE compares the integrated trajectory against the observations and
 the PIE compares finite-difference data derivatives against the model
-right-hand side evaluated at the observed states.  Gradients reach the
-weights by chaining an outer finite-difference gradient in parameter space
-through ordinary backpropagation.  A second stage runs BFGS directly on the
-parameters with an MSE-only objective and keeps whichever iterate fits
-better.
+right-hand side evaluated at the observed states.  Both stages use exact
+parameter gradients: the MSE gradient comes from the forward sensitivities
+dx/dp that the solver integrates alongside the trajectory, in the same
+integration that gives the loss, and the PIE gradient from the closed-form
+df/dp at the observed states, with no integration.  The network stage chains
+d(total)/dp through ordinary backpropagation to the weights.  A second stage
+runs BFGS directly on the parameters with an MSE-only objective and keeps
+whichever iterate fits better.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
@@ -27,7 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
-from .model import ModelParams, State, make_rhs
+from .model import ModelParams, State, make_jacobian, make_rhs
 from .optimize import AdamConfig, AdamState, BfgsConfig, Objective, adam_step, bfgs_run
 from .solver import SolverConfig, integrate
 
@@ -156,13 +159,17 @@ def data_derivative(ds: Dataset) -> np.ndarray:
     return grid_derivative(ds.times, ds.observations)
 
 
-def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEPS):
+def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEPS,
+               gradient: bool = False):
     """(total, mse, pie) for parameter vector p against a normalized dataset.
 
     The trajectory starts from the first (denormalized) observation.  The
     physics term evaluates the right-hand side at the observed states, not
-    the simulated ones.  Raises IntegrationFailed, with the offending
-    parameters attached, when p cannot be integrated over the data horizon.
+    the simulated ones.  With gradient=True the result is
+    (total, mse, pie, d mse/dp, d pie/dp): the same three values, bit for
+    bit, and the exact gradients of the last two.  Raises IntegrationFailed,
+    with the offending parameters attached, when p cannot be integrated over
+    the data horizon.
     """
     pv = np.asarray(p, dtype=float)
     params = ModelParams.from_array(pv)
@@ -178,7 +185,7 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEP
     try:
         traj = integrate(
             params, State(float(s0[0]), float(s0[1]), float(s0[2]), float(raw_grid[0])), cfg,
-            t_eval=raw_grid,
+            t_eval=raw_grid, sensitivities=gradient,
         )
     except IntegrationFailed as exc:
         if exc.params is None:
@@ -188,18 +195,32 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEP
     mse = float(np.mean(np.sum((pred - ds.observations) ** 2, axis=1)))
     span = ds.t_end - ds.t_start
     rhs = make_rhs(params)
-    model_deriv = np.array([rhs(*row) for row in ds.raw_observations]) * (span / ds.ranges)
-    pie = float(np.mean(np.sum((data_derivative(ds) - model_deriv) ** 2, axis=1)))
-    return mse + pie, mse, pie
+    scale = span / ds.ranges
+    model_deriv = np.array([rhs(*row) for row in ds.raw_observations]) * scale
+    pie_resid = data_derivative(ds) - model_deriv
+    pie = float(np.mean(np.sum(pie_resid ** 2, axis=1)))
+    if not gradient:
+        return mse + pie, mse, pie
+    n = len(ds.times)
+    # d pred / dp is dx/dp over the column range; d model_deriv / dp is
+    # df/dp at the observed state times the same scale as the values
+    g_mse = (2.0 / n) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
+                                  traj.sensitivities)
+    jac = make_jacobian(params)
+    dfdp = np.array([jac(*row) for row in ds.raw_observations]).reshape(n, 3, -1)[:, :, 3:]
+    g_pie = (-2.0 / n) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
+    return mse + pie, mse, pie, g_mse, g_pie
 
 
-def _loss_or_inf(p, ds, tol, max_steps=LOSS_MAX_STEPS):
+def _loss_or_inf(p, ds, tol, gradient=False):
+    """total_loss, with every value (and gradient) infinite where p cannot be integrated."""
+    failed = (math.inf,) * 3 + ((np.full(14, math.inf),) * 2 if gradient else ())
     if not np.all(np.isfinite(p)) or np.any(np.asarray(p) <= 0):
-        return math.inf, math.inf, math.inf
+        return failed
     try:
-        return total_loss(p, ds, tol=tol, max_steps=max_steps)
+        return total_loss(p, ds, tol=tol, gradient=gradient)
     except IntegrationFailed:
-        return math.inf, math.inf, math.inf
+        return failed
 
 
 class TraceRow(NamedTuple):
@@ -213,16 +234,16 @@ def train_pinn(
     seed,
     epochs: int = 100,
     alpha: float = 1e-4,
-    fd_step: float = 1e-4,
     loss_tol: float = 1e-6,
 ):
     """Adam-train the network weights; returns (net, predicted params, trace).
 
     One generator, threaded: the input vector is drawn first, then the
     hidden-layer weights, so the run is reproducible from the seed alone.
-    The trace has one TraceRow per epoch.  A non-finite loss aborts with
-    NonFiniteLoss carrying the partial trace and the best finite prediction
-    seen so far.
+    Each epoch integrates once, for the loss and its exact gradient in the
+    predicted parameters.  The trace has one TraceRow per epoch.  A
+    non-finite loss or gradient aborts with NonFiniteLoss carrying the
+    partial trace and the best finite prediction seen so far.
     """
     rng = np.random.default_rng(seed)
     inp = np.exp(rng.standard_normal(14))
@@ -236,27 +257,17 @@ def train_pinn(
     for _ in range(epochs):
         p_raw, caches = _forward_cached(net, inp)
         pf = np.maximum(p_raw, PARAM_FLOOR)
-        total, mse, pie = _loss_or_inf(pf, ds, loss_tol)
-        if not math.isfinite(total):
+        total, mse, pie, g_mse, g_pie = _loss_or_inf(pf, ds, loss_tol, gradient=True)
+        dEdp = g_mse + g_pie
+        if not (math.isfinite(total) and np.all(np.isfinite(dEdp))):
             raise NonFiniteLoss(
-                f"training loss non-finite at epoch {len(trace)}",
+                f"training loss or gradient non-finite at epoch {len(trace)}",
                 history=trace,
                 best=best_p,
             )
         trace.append(TraceRow(total, mse, pie))
         if total < best_total:
             best_total, best_p = total, pf.copy()
-        dEdp = np.zeros(14)
-        for ci in range(14):
-            h = fd_step * (1.0 + abs(pf[ci]))
-            up = pf.copy()
-            up[ci] += h
-            dn = pf.copy()
-            dn[ci] = max(dn[ci] - h, PARAM_FLOOR)
-            fu = _loss_or_inf(up, ds, loss_tol)[0]
-            fd = _loss_or_inf(dn, ds, loss_tol)[0]
-            if math.isfinite(fu) and math.isfinite(fd) and up[ci] > dn[ci]:
-                dEdp[ci] = (fu - fd) / (up[ci] - dn[ci])
         grads = _pack(backward(net, caches, dEdp))
         adam_state, theta = adam_step(adam_state, grads, theta, adam_cfg)
         _unpack_into(net, theta)
@@ -327,9 +338,15 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
             p_nn = np.asarray(exc.best, dtype=float)
     p_nn = _floor_projection(p_nn)
 
-    # the polish stage integrates at a tighter tolerance so finite-difference
-    # gradients are not dominated by solver error
-    obj = Objective(lambda p: _loss_or_inf(p, ds, 1e-9)[1])
+    # the polish gradients are exact forward sensitivities of the computed
+    # trajectory, but the line search and the curvature pairs compare nearby
+    # iterates, and the computed MSE jumps at the level of the tolerance as
+    # the step sequence changes with p; at 1e-9 those jumps sit far below
+    # the differences BFGS measures
+    obj = Objective(
+        lambda p: _loss_or_inf(p, ds, 1e-9)[1],
+        grad=lambda p: _loss_or_inf(p, ds, 1e-9, gradient=True)[3],
+    )
     post_nn_mse = obj.value(p_nn)
     p_polish, bfgs_trace = p_nn, []
     try:

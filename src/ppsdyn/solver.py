@@ -2,19 +2,29 @@
 
 The stepping core works on plain floats rather than numpy arrays; for a
 3-component system the array overhead dominates runtime, and the estimation
-pipeline performs tens of thousands of short integrations.
+pipeline performs hundreds of short integrations per fit.
+
+On request the adaptive method also returns the forward sensitivities
+S = dx/dp of the state with respect to the 14 parameters.  After each
+accepted step, S is advanced through the same Dormand-Prince stages applied
+to the variational equations dS/dt = J(x) S + df/dp, with J and df/dp taken
+at the stage states that step already computed.  That makes S the exact
+derivative of the computed trajectory for its step sequence, at no cost to
+rejected steps.  Error control looks at the state only, so the steps and
+states are bitwise the same with or without sensitivities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import IntegrationFailed, MaskViolation, NumericalOverflow, StepUnderflow
-from .model import ModelParams, State, Subsystem, make_rhs
+from .model import JACOBIAN_COLUMNS, ModelParams, State, Subsystem, make_jacobian, make_rhs
 
 OVERFLOW_LIMIT = 1e12
 MIN_STEP = 1e-12
@@ -29,6 +39,17 @@ _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+# the same tableau as arrays, for the sensitivity stages; stage 7 has zero
+# 5th-order weight and is left out
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [_A21, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [_A31, _A32, 0.0, 0.0, 0.0, 0.0],
+    [_A41, _A42, _A43, 0.0, 0.0, 0.0],
+    [_A51, _A52, _A53, _A54, 0.0, 0.0],
+    [_A61, _A62, _A63, _A64, _A65, 0.0],
+])
+_B = np.array([_B1, 0.0, _B3, _B4, _B5, _B6])
 
 
 @dataclass(frozen=True)
@@ -72,7 +93,6 @@ class Diagnostics:
     steps: int = 0
     min_component: float = math.inf
     clamped: int = 0
-    termination: str = "completed"
 
 
 @dataclass
@@ -80,6 +100,8 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (len(times), 3)
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
+    # dx/dp at each of times, shape (len(times), 3, 14), when requested
+    sensitivities: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if len(self.times) != len(self.states):
@@ -102,8 +124,10 @@ class Trajectory:
             header = fh.readline().strip()
             if header != "t,x,y,z":
                 raise ValueError(f"unexpected trajectory header {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 vals = [float(v) for v in line.split(",")]
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError(f"line {lineno}: non-finite value in {line.strip()!r}")
                 times.append(vals[0])
                 states.append(vals[1:4])
         return cls(np.array(times), np.array(states))
@@ -121,12 +145,16 @@ def integrate(
     cfg: SolverConfig,
     mask: Subsystem = Subsystem.FULL,
     t_eval: Optional[Sequence[float]] = None,
+    sensitivities: bool = False,
 ) -> Trajectory:
     """Integrate from s0 (time taken from s0.t if present, else 0) to cfg.t_end.
 
     Output is sampled at every accepted step, or exactly at t_eval if given
     (t_eval must start at the initial time and be monotone toward t_end).
     Backward integration (t_end < t0) is supported for both methods.
+    With sensitivities=True (rk45, t_eval and the full system only) the
+    trajectory also carries dx/dp at the t_eval points, s0 taken as
+    independent of p.
     """
     x, y, z = (float(v) for v in s0[:3])
     t0 = float(s0[3]) if len(s0) > 3 else 0.0
@@ -143,12 +171,38 @@ def integrate(
     else:
         targets = None
 
-    if cfg.method == "rk4":
-        return _run_rk4(rhs, x, y, z, t0, cfg, targets)
-    return _run_rk45(rhs, x, y, z, t0, cfg, targets)
+    if not sensitivities:
+        if cfg.method == "rk4":
+            return _run_rk4(rhs, x, y, z, t0, cfg, targets)
+        return _run_rk45(rhs, x, y, z, t0, cfg, targets)
+    if cfg.method != "rk45" or targets is None or mask is not Subsystem.FULL:
+        raise ValueError("sensitivities need the rk45 method, t_eval and the full system")
+    # dx/dp can overflow where the trajectory stays finite (seen at loose
+    # tolerances); it then reads inf or nan for the caller to check, without
+    # a warning per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run_rk45(rhs, x, y, z, t0, cfg, targets, make_jacobian(p))
 
 
-def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:
+def _sens_step(jac, S, hs, stage_states):
+    """S = dx/dp, flattened, after an accepted step of size hs: the
+    Dormand-Prince stages applied to dS/dt = J S + df/dp, with both
+    derivatives evaluated at the step's own first six stage states."""
+    m = np.fromiter(chain.from_iterable(jac(*u) for u in stage_states), float, 18 * JACOBIAN_COLUMNS)
+    m = m.reshape(6, 3, JACOBIAN_COLUMNS)
+    jx, jp = m[:, :, :3], m[:, :, 3:]
+    # the stage slopes K_i = J_i (S + hs sum_j a_ij K_j) + jp_i, stacked, are
+    # K = R + N K with N block strictly lower triangular; five sweeps of that
+    # fixed point are the forward substitution, in a few array operations
+    N = ((hs * _A)[:, None, :, None] * jx[:, :, None, :]).reshape(18, 18)
+    R = (jx @ S.reshape(3, -1) + jp).reshape(18, -1)
+    K = R
+    for _ in range(5):
+        K = R + N @ K
+    return S + (hs * _B) @ K.reshape(6, -1)
+
+
+def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Trajectory:
     t_end = float(cfg.t_end)
     dirn = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
@@ -158,6 +212,9 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:
     states = [(x, y, z)]
     record_all = targets is None
     queue = list(targets) if targets is not None else [t_end]
+    # flat dx/dp and its value at every recorded time, or None throughout
+    S = np.zeros(3 * (JACOBIAN_COLUMNS - 3)) if jac is not None else None
+    sens = [S]
 
     t = t0
     k1 = rhs(x, y, z)
@@ -165,7 +222,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:
         raise NumericalOverflow("non-finite derivative at the initial state", t=t0)
     h = cfg.step if cfg.step is not None else max(min(0.1, span / 100.0), MIN_STEP)
     if span == 0:
-        return Trajectory(np.array(times), np.array(states), diag)
+        return _trajectory(times, states, diag, sens)
 
     for target in queue:
         while (target - t) * dirn > 0:
@@ -177,24 +234,24 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:
             bad = False
             err = math.inf
             try:
-                u = (x + hs * _A21 * f1x, y + hs * _A21 * f1y, z + hs * _A21 * f1z)
-                f2 = rhs(*u)
-                u = (x + hs * (_A31 * f1x + _A32 * f2[0]),
-                     y + hs * (_A31 * f1y + _A32 * f2[1]),
-                     z + hs * (_A31 * f1z + _A32 * f2[2]))
-                f3 = rhs(*u)
-                u = (x + hs * (_A41 * f1x + _A42 * f2[0] + _A43 * f3[0]),
-                     y + hs * (_A41 * f1y + _A42 * f2[1] + _A43 * f3[1]),
-                     z + hs * (_A41 * f1z + _A42 * f2[2] + _A43 * f3[2]))
-                f4 = rhs(*u)
-                u = (x + hs * (_A51 * f1x + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
-                     y + hs * (_A51 * f1y + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
-                     z + hs * (_A51 * f1z + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2]))
-                f5 = rhs(*u)
-                u = (x + hs * (_A61 * f1x + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
-                     y + hs * (_A61 * f1y + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
-                     z + hs * (_A61 * f1z + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2]))
-                f6 = rhs(*u)
+                u2 = (x + hs * _A21 * f1x, y + hs * _A21 * f1y, z + hs * _A21 * f1z)
+                f2 = rhs(*u2)
+                u3 = (x + hs * (_A31 * f1x + _A32 * f2[0]),
+                      y + hs * (_A31 * f1y + _A32 * f2[1]),
+                      z + hs * (_A31 * f1z + _A32 * f2[2]))
+                f3 = rhs(*u3)
+                u4 = (x + hs * (_A41 * f1x + _A42 * f2[0] + _A43 * f3[0]),
+                      y + hs * (_A41 * f1y + _A42 * f2[1] + _A43 * f3[1]),
+                      z + hs * (_A41 * f1z + _A42 * f2[2] + _A43 * f3[2]))
+                f4 = rhs(*u4)
+                u5 = (x + hs * (_A51 * f1x + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
+                      y + hs * (_A51 * f1y + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
+                      z + hs * (_A51 * f1z + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2]))
+                f5 = rhs(*u5)
+                u6 = (x + hs * (_A61 * f1x + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
+                      y + hs * (_A61 * f1y + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
+                      z + hs * (_A61 * f1z + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2]))
+                f6 = rhs(*u6)
                 xn = x + hs * (_B1 * f1x + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
                 yn = y + hs * (_B1 * f1y + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
                 zn = z + hs * (_B1 * f1z + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
@@ -225,12 +282,17 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:
                 continue
 
             if err <= 1.0:
+                if S is not None:
+                    S = _sens_step(jac, S, hs, ((x, y, z), u2, u3, u4, u5, u6))
                 t = t + hs
                 x, y, z = xn, yn, zn
                 if clamp:
                     cx, cy, cz = max(x, 0.0), max(y, 0.0), max(z, 0.0)
                     if (cx, cy, cz) != (x, y, z):
                         diag.clamped += 1
+                        if S is not None:
+                            # max(v, 0) has derivative 0 where it clips
+                            S = S * np.repeat((x >= 0.0, y >= 0.0, z >= 0.0), S.size // 3)
                         x, y, z = cx, cy, cz
                         k7 = rhs(x, y, z)  # FSAL stage is stale after clamping
                 diag.min_component = min(diag.min_component, x, y, z)
@@ -249,7 +311,13 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:
         if not record_all or times[-1] != t:
             times.append(t)
             states.append((x, y, z))
-    return Trajectory(np.array(times), np.array(states), diag)
+            sens.append(S)
+    return _trajectory(times, states, diag, sens)
+
+
+def _trajectory(times, states, diag, sens) -> Trajectory:
+    sensitivities = None if sens[0] is None else np.array(sens).reshape(len(times), 3, -1)
+    return Trajectory(np.array(times), np.array(states), diag, sensitivities)
 
 
 def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:

@@ -175,3 +175,18 @@ def test_estimate_from_survey_csv(tmp_path):
                  "--bfgs-iterations", "4", "--out", str(out)])
     assert code == 0
     assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_estimate_rejects_nonfinite_survey_cell_as_data_error(tmp_path, capsys, bad):
+    survey = tmp_path / "survey.csv"
+    survey.write_text("year,hare,lynx,crow\n2001,10,3,2\n"
+                      f"2002,{bad},4,4\n2003,30,5,6\n2004,25,6,3\n")
+    smap = tmp_path / "map.json"
+    smap.write_text(json.dumps({"hare": "prey", "lynx": "predator",
+                                "crow": "scavenger"}))
+    code = main(["estimate", "--dataset", str(survey), "--species-map", str(smap),
+                 "--epochs", "2", "--bfgs-iterations", "2", "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "report.json").exists()

@@ -103,6 +103,31 @@ def test_csv_rejects_corrupt_cells(tmp_path, reference_dataset):
         Dataset.from_csv(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_csv_rejects_nonfinite_cells(tmp_path, reference_dataset, bad):
+    path = tmp_path / "ds.csv"
+    reference_dataset.to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        Dataset.from_csv(path)
+
+
+@pytest.mark.parametrize("field", ["times", "observations", "mins", "t_end"])
+def test_dataset_rejects_nonfinite_values(reference_dataset, field):
+    ds = reference_dataset
+    kw = dict(times=ds.times.copy(), observations=ds.observations.copy(),
+              mins=ds.mins.copy(), maxs=ds.maxs.copy(),
+              t_start=ds.t_start, t_end=ds.t_end)
+    if field == "t_end":
+        kw["t_end"] = float("inf")
+    else:
+        kw[field].flat[1] = float("nan")
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(**kw)
+
+
 def test_dataset_requires_three_samples():
     with pytest.raises(TooFewSamples):
         Dataset(times=np.array([0.0, 1.0]),
@@ -206,6 +231,19 @@ def test_ingest_rejects_constant_group(tmp_path):
     ])
     smap = SpeciesMap({"hare": "prey", "lynx": "predator", "crow": "scavenger"})
     with pytest.raises(ConstantColumn):
+        ingest(csv, smap)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_ingest_rejects_nonfinite_cell(tmp_path, bad):
+    csv = tmp_path / "survey.csv"
+    _write_survey(csv, ["year", "hare", "lynx", "crow"], [
+        [2001, 10.0, 3.0, 2.0],
+        [2002, bad, 4.0, 4.0],
+        [2003, 30.0, 5.0, 6.0],
+    ])
+    smap = SpeciesMap({"hare": "prey", "lynx": "predator", "crow": "scavenger"})
+    with pytest.raises(NonNumericCell, match="row 3"):
         ingest(csv, smap)
 
 

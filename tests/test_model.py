@@ -5,8 +5,10 @@ import pytest
 
 from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import MaskViolation
-from ppsdyn.model import (PARAM_ORDER, Derivative, ModelParams, State,
-                          Subsystem, holling3, make_rhs, rhs, rhs_subsystem)
+from ppsdyn.model import (JACOBIAN_COLUMNS, PARAM_ORDER, Derivative,
+                          ModelParams, State, Subsystem, holling3,
+                          make_jacobian, make_rhs, rhs, rhs_subsystem)
+from ppsdyn.stability import jacobian
 
 
 def test_param_order_matches_fields():
@@ -43,6 +45,16 @@ def test_params_must_be_positive_finite(bad):
     kw["h"] = bad
     with pytest.raises(ValueError):
         ModelParams(**kw)
+
+
+def test_params_reject_bools():
+    for flag in (True, False):
+        kw = dict(INTERIOR_STABLE)
+        kw["r"] = flag
+        with pytest.raises(ValueError):
+            ModelParams(**kw)
+    with pytest.raises(ValueError):
+        ModelParams.from_dict({**INTERIOR_STABLE, "j": True})
 
 
 def test_params_coerced_to_python_float():
@@ -135,3 +147,41 @@ def test_make_rhs_matches_rhs():
         want = rhs(State(x, y, z), p)
         assert got == pytest.approx(tuple(want), rel=1e-15)
         assert all(isinstance(v, float) and math.isfinite(v) for v in got)
+
+
+def _jacobian_matrix(p, s):
+    return np.array(make_jacobian(p)(*s)).reshape(3, JACOBIAN_COLUMNS)
+
+
+def test_jacobian_closure_state_block_matches_stability_jacobian():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = rand_params(rng, 0.1, 3.0)
+        s = rng.uniform(0.0, 4.0, 3)
+        assert np.allclose(_jacobian_matrix(p, s)[:, :3], jacobian(p, s),
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_jacobian_closure_matches_central_differences_of_rhs():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        p = rand_params(rng, 0.1, 3.0)
+        s = rng.uniform(0.05, 4.0, 3)
+        m = _jacobian_matrix(p, s)
+        fd = np.empty((3, JACOBIAN_COLUMNS))
+        for col in range(3):
+            h = 1e-6 * (1.0 + abs(s[col]))
+            up, dn = s.copy(), s.copy()
+            up[col] += h
+            dn[col] -= h
+            fd[:, col] = (np.array(make_rhs(p)(*up)) - np.array(make_rhs(p)(*dn))) / (2.0 * h)
+        pv = p.as_array()
+        for col in range(len(PARAM_ORDER)):
+            h = 1e-6 * pv[col]
+            up, dn = pv.copy(), pv.copy()
+            up[col] += h
+            dn[col] -= h
+            fu = make_rhs(ModelParams.from_array(up))(*s)
+            fdn = make_rhs(ModelParams.from_array(dn))(*s)
+            fd[:, 3 + col] = (np.array(fu) - np.array(fdn)) / (2.0 * h)
+        assert np.max(np.abs(m - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))

@@ -153,6 +153,44 @@ def test_total_loss_raises_with_params_attached(reference_dataset):
     assert info.value.params[0] == 1e9
 
 
+def _central_differences(fn, p, rel=1e-5):
+    grad = np.empty(p.size)
+    for col in range(p.size):
+        h = rel * p[col]
+        up, dn = p.copy(), p.copy()
+        up[col] += h
+        dn[col] -= h
+        grad[col] = (fn(up) - fn(dn)) / (2.0 * h)
+    return grad
+
+
+def _agree(exact, fd, rel):
+    return np.max(np.abs(exact - fd)) <= rel * np.max(np.abs(fd))
+
+
+def test_exact_loss_gradients_match_central_differences(reference_dataset):
+    # the all-ones network start plus seeded log-normal perturbations of the
+    # reference parameters; tolerances as in training (1e-6, total loss) and
+    # in the polish stage (1e-9, MSE only)
+    ds = reference_dataset
+    rng = np.random.default_rng(2024)
+    ref = ModelParams(**REFERENCE).as_array()
+    points = [np.ones(14)] + [ref * np.exp(0.3 * rng.standard_normal(14)) for _ in range(20)]
+    for p in points:
+        total, mse, pie, g_mse, g_pie = total_loss(p, ds, tol=1e-6, gradient=True)
+        assert (total, mse, pie) == total_loss(p, ds, tol=1e-6)  # bit for bit
+        fd = _central_differences(lambda q: total_loss(q, ds, tol=1e-6)[0], p)
+        assert _agree(g_mse + g_pie, fd, 1e-5)
+        # the physics term needs no integration, so its check is tighter
+        fd_pie = _central_differences(lambda q: total_loss(q, ds, tol=1e-6)[2], p)
+        assert _agree(g_pie, fd_pie, 1e-7)
+
+        total, mse, pie, g_mse, _ = total_loss(p, ds, tol=1e-9, gradient=True)
+        assert (total, mse, pie) == total_loss(p, ds, tol=1e-9)
+        fd = _central_differences(lambda q: total_loss(q, ds, tol=1e-9)[1], p)
+        assert _agree(g_mse, fd, 1e-5)
+
+
 # ---------------------------------------------------------------- training
 
 def test_zero_epoch_training_returns_unit_params(reference_dataset):
