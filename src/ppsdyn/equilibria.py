@@ -8,8 +8,9 @@ checks and their numeric values.
 
 The interior point is located two independent ways: a 1-D scan-and-bisect
 over x (authoritative), and the positive real roots of a degree-12
-polynomial whose coefficients are transcribed in interior_poly_coeffs.  The
-two routes are cross-checked but never collapsed into one.
+polynomial that interior_poly_coeffs derives from the model equations by
+eliminating y and z.  The two routes are cross-checked but never collapsed
+into one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 
 from .errors import MultipleRoots, NoRoot
 from .model import ModelParams, Subsystem
@@ -245,545 +247,35 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
 # --- interior point, route 2: degree-12 polynomial in x ------------------------
 
 
+def _add(*terms) -> np.ndarray:
+    # sum of ascending coefficient arrays of unequal lengths
+    out = np.zeros(max(len(t) for t in terms))
+    for t in terms:
+        out[: len(t)] += t
+    return out
+
+
 def interior_poly_coeffs(p: ModelParams) -> np.ndarray:
     """Coefficients p_0..p_12 (ascending) of the interior-point polynomial in x.
 
-    Obtained by eliminating y and z from the steady-state equations.  Each
-    coefficient is one transcribed sum-of-monomials expression; one term per
-    line so the table can be proofread.
+    Derived by eliminating y and z from the steady-state equations.  The
+    predator equation gives z^2 = N/D with N = e + (a0 e - d) x^2 and
+    D = f(1 + a0 x^2) - i0 N, so 1 + i0 z^2 = f(1 + a0 x^2)/D.  Putting y from
+    the scavenger equation into the prey equation (divided by x), multiplying
+    through by k(1 + b0 x^2)(h f(1 + a0 x^2) - i z D) and replacing z^2 D by N
+    leaves A + B z = 0.  Squaring and substituting z^2 = N/D gives B^2 N - A^2 D.
     """
-    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = (
-        p.r, p.k, p.a, p.a0, p.b, p.b0, p.d, p.e, p.f, p.g, p.h, p.i, p.i0, p.j,
-    )
-    p0 = (
-        + e**3*i**2*i0**2*k**2*r**2
-        - 2*e**2*f*i**2*i0*k**2*r**2
-        + e*f**2*h**2*i0*k**2*r**2
-        + e*f**2*i**2*k**2*r**2
-        - f**3*h**2*k**2*r**2
-    )
-    p1 = (
-        - 2*a*e*f**2*h*i0*j*k**2*r
-        - 2*e**3*i**2*i0**2*k*r**2
-        + 2*a*f**3*h*j*k**2*r
-        + 4*e**2*f*i**2*i0*k*r**2
-        - 2*e*f**2*h**2*i0*k*r**2
-        - 2*e*f**2*i**2*k*r**2
-        + 2*f**3*h**2*k*r**2
-    )
-    p2 = (
-        + 3*a0*e**3*i**2*i0**2*k**2*r**2
-        + 2*b0*e**3*i**2*i0**2*k**2*r**2
-        - 6*a0*e**2*f*i**2*i0*k**2*r**2
-        + 3*a0*e*f**2*h**2*i0*k**2*r**2
-        - 4*b0*e**2*f*i**2*i0*k**2*r**2
-        + 2*b0*e*f**2*h**2*i0*k**2*r**2
-        - 3*d*e**2*i**2*i0**2*k**2*r**2
-        + a**2*e*f**2*i0*j**2*k**2
-        - 2*a*b*e**2*f*i*i0*j*k**2
-        + 3*a0*e*f**2*i**2*k**2*r**2
-        - 3*a0*f**3*h**2*k**2*r**2
-        + b**2*e**3*i**2*i0*k**2
-        + 2*b0*e*f**2*i**2*k**2*r**2
-        - 2*b0*f**3*h**2*k**2*r**2
-        + 4*d*e*f*i**2*i0*k**2*r**2
-        - d*f**2*h**2*i0*k**2*r**2
-        - a**2*f**3*j**2*k**2
-        + 2*a*b*e*f**2*i*j*k**2
-        + 2*a*e*f**2*h*i0*j*k*r
-        - b**2*e**2*f*i**2*k**2
-        + b**2*e*f**2*h**2*k**2
-        - d*f**2*i**2*k**2*r**2
-        + e**3*i**2*i0**2*r**2
-        - 2*a*f**3*h*j*k*r
-        - 2*e**2*f*i**2*i0*r**2
-        + e*f**2*h**2*i0*r**2
-        + e*f**2*i**2*r**2
-        - f**3*h**2*r**2
-    )
-    p3 = (
-        - 4*a*a0*e*f**2*h*i0*j*k**2*r
-        - 4*a*b0*e*f**2*h*i0*j*k**2*r
-        - 6*a0*e**3*i**2*i0**2*k*r**2
-        - 4*b0*e**3*i**2*i0**2*k*r**2
-        + 4*a*a0*f**3*h*j*k**2*r
-        + 4*a*b0*f**3*h*j*k**2*r
-        + 2*a*d*f**2*h*i0*j*k**2*r
-        + 2*a*e*f**2*g*h*i0*k**2*r
-        + 12*a0*e**2*f*i**2*i0*k*r**2
-        - 6*a0*e*f**2*h**2*i0*k*r**2
-        + 8*b0*e**2*f*i**2*i0*k*r**2
-        - 4*b0*e*f**2*h**2*i0*k*r**2
-        + 6*d*e**2*i**2*i0**2*k*r**2
-        - 2*a*f**3*g*h*k**2*r
-        - 6*a0*e*f**2*i**2*k*r**2
-        + 6*a0*f**3*h**2*k*r**2
-        - 4*b0*e*f**2*i**2*k*r**2
-        + 4*b0*f**3*h**2*k*r**2
-        - 8*d*e*f*i**2*i0*k*r**2
-        + 2*d*f**2*h**2*i0*k*r**2
-        + 2*d*f**2*i**2*k*r**2
-    )
-    p4 = (
-        + 3*a0**2*e**3*i**2*i0**2*k**2*r**2
-        + 6*a0*b0*e**3*i**2*i0**2*k**2*r**2
-        + b0**2*e**3*i**2*i0**2*k**2*r**2
-        - 6*a0**2*e**2*f*i**2*i0*k**2*r**2
-        + 3*a0**2*e*f**2*h**2*i0*k**2*r**2
-        - 12*a0*b0*e**2*f*i**2*i0*k**2*r**2
-        + 6*a0*b0*e*f**2*h**2*i0*k**2*r**2
-        - 6*a0*d*e**2*i**2*i0**2*k**2*r**2
-        - 2*b0**2*e**2*f*i**2*i0*k**2*r**2
-        + b0**2*e*f**2*h**2*i0*k**2*r**2
-        - 6*b0*d*e**2*i**2*i0**2*k**2*r**2
-        + a**2*a0*e*f**2*i0*j**2*k**2
-        + 2*a**2*b0*e*f**2*i0*j**2*k**2
-        - 4*a*a0*b*e**2*f*i*i0*j*k**2
-        - 2*a*b*b0*e**2*f*i*i0*j*k**2
-        + 3*a0**2*e*f**2*i**2*k**2*r**2
-        - 3*a0**2*f**3*h**2*k**2*r**2
-        + 3*a0*b**2*e**3*i**2*i0*k**2
-        + 6*a0*b0*e*f**2*i**2*k**2*r**2
-        - 6*a0*b0*f**3*h**2*k**2*r**2
-        + 8*a0*d*e*f*i**2*i0*k**2*r**2
-        - 2*a0*d*f**2*h**2*i0*k**2*r**2
-        + b0**2*e*f**2*i**2*k**2*r**2
-        - b0**2*f**3*h**2*k**2*r**2
-        + 8*b0*d*e*f*i**2*i0*k**2*r**2
-        - 2*b0*d*f**2*h**2*i0*k**2*r**2
-        + 3*d**2*e*i**2*i0**2*k**2*r**2
-        - a**2*a0*f**3*j**2*k**2
-        - 2*a**2*b0*f**3*j**2*k**2
-        - a**2*d*f**2*i0*j**2*k**2
-        - 2*a**2*e*f**2*g*i0*j*k**2
-        + 4*a*a0*b*e*f**2*i*j*k**2
-        + 4*a*a0*e*f**2*h*i0*j*k*r
-        + 2*a*b*b0*e*f**2*i*j*k**2
-        + 4*a*b*d*e*f*i*i0*j*k**2
-        + 2*a*b*e**2*f*g*i*i0*k**2
-        + 4*a*b0*e*f**2*h*i0*j*k*r
-        - 3*a0*b**2*e**2*f*i**2*k**2
-        + 3*a0*b**2*e*f**2*h**2*k**2
-        - 2*a0*d*f**2*i**2*k**2*r**2
-        + 3*a0*e**3*i**2*i0**2*r**2
-        - 3*b**2*d*e**2*i**2*i0*k**2
-        - 2*b0*d*f**2*i**2*k**2*r**2
-        + 2*b0*e**3*i**2*i0**2*r**2
-        - 2*d**2*f*i**2*i0*k**2*r**2
-        + 2*a**2*f**3*g*j*k**2
-        - 4*a*a0*f**3*h*j*k*r
-        - 2*a*b*d*f**2*i*j*k**2
-        - 2*a*b*e*f**2*g*i*k**2
-        - 4*a*b0*f**3*h*j*k*r
-        - 2*a*d*f**2*h*i0*j*k*r
-        - 2*a*e*f**2*g*h*i0*k*r
-        - 6*a0*e**2*f*i**2*i0*r**2
-        + 3*a0*e*f**2*h**2*i0*r**2
-        + 2*b**2*d*e*f*i**2*k**2
-        - b**2*d*f**2*h**2*k**2
-        - 4*b0*e**2*f*i**2*i0*r**2
-        + 2*b0*e*f**2*h**2*i0*r**2
-        - 3*d*e**2*i**2*i0**2*r**2
-        + 2*a*f**3*g*h*k*r
-        + 3*a0*e*f**2*i**2*r**2
-        - 3*a0*f**3*h**2*r**2
-        + 2*b0*e*f**2*i**2*r**2
-        - 2*b0*f**3*h**2*r**2
-        + 4*d*e*f*i**2*i0*r**2
-        - d*f**2*h**2*i0*r**2
-        - d*f**2*i**2*r**2
-    )
-    p5 = (
-        - 2*a*a0**2*e*f**2*h*i0*j*k**2*r
-        - 8*a*a0*b0*e*f**2*h*i0*j*k**2*r
-        - 2*a*b0**2*e*f**2*h*i0*j*k**2*r
-        - 6*a0**2*e**3*i**2*i0**2*k*r**2
-        - 12*a0*b0*e**3*i**2*i0**2*k*r**2
-        - 2*b0**2*e**3*i**2*i0**2*k*r**2
-        + 2*a*a0**2*f**3*h*j*k**2*r
-        + 8*a*a0*b0*f**3*h*j*k**2*r
-        + 2*a*a0*d*f**2*h*i0*j*k**2*r
-        + 4*a*a0*e*f**2*g*h*i0*k**2*r
-        + 2*a*b0**2*f**3*h*j*k**2*r
-        + 4*a*b0*d*f**2*h*i0*j*k**2*r
-        + 2*a*b0*e*f**2*g*h*i0*k**2*r
-        + 12*a0**2*e**2*f*i**2*i0*k*r**2
-        - 6*a0**2*e*f**2*h**2*i0*k*r**2
-        + 24*a0*b0*e**2*f*i**2*i0*k*r**2
-        - 12*a0*b0*e*f**2*h**2*i0*k*r**2
-        + 12*a0*d*e**2*i**2*i0**2*k*r**2
-        + 4*b0**2*e**2*f*i**2*i0*k*r**2
-        - 2*b0**2*e*f**2*h**2*i0*k*r**2
-        + 12*b0*d*e**2*i**2*i0**2*k*r**2
-        - 4*a*a0*f**3*g*h*k**2*r
-        - 2*a*b0*f**3*g*h*k**2*r
-        - 2*a*d*f**2*g*h*i0*k**2*r
-        - 6*a0**2*e*f**2*i**2*k*r**2
-        + 6*a0**2*f**3*h**2*k*r**2
-        - 12*a0*b0*e*f**2*i**2*k*r**2
-        + 12*a0*b0*f**3*h**2*k*r**2
-        - 16*a0*d*e*f*i**2*i0*k*r**2
-        + 4*a0*d*f**2*h**2*i0*k*r**2
-        - 2*b0**2*e*f**2*i**2*k*r**2
-        + 2*b0**2*f**3*h**2*k*r**2
-        - 16*b0*d*e*f*i**2*i0*k*r**2
-        + 4*b0*d*f**2*h**2*i0*k*r**2
-        - 6*d**2*e*i**2*i0**2*k*r**2
-        + 4*a0*d*f**2*i**2*k*r**2
-        + 4*b0*d*f**2*i**2*k*r**2
-        + 4*d**2*f*i**2*i0*k*r**2
-    )
-    p6 = (
-        + a0**3*e**3*i**2*i0**2*k**2*r**2
-        + 6*a0**2*b0*e**3*i**2*i0**2*k**2*r**2
-        + 3*a0*b0**2*e**3*i**2*i0**2*k**2*r**2
-        - 2*a0**3*e**2*f*i**2*i0*k**2*r**2
-        + a0**3*e*f**2*h**2*i0*k**2*r**2
-        - 12*a0**2*b0*e**2*f*i**2*i0*k**2*r**2
-        + 6*a0**2*b0*e*f**2*h**2*i0*k**2*r**2
-        - 3*a0**2*d*e**2*i**2*i0**2*k**2*r**2
-        - 6*a0*b0**2*e**2*f*i**2*i0*k**2*r**2
-        + 3*a0*b0**2*e*f**2*h**2*i0*k**2*r**2
-        - 12*a0*b0*d*e**2*i**2*i0**2*k**2*r**2
-        - 3*b0**2*d*e**2*i**2*i0**2*k**2*r**2
-        + 2*a**2*a0*b0*e*f**2*i0*j**2*k**2
-        + a**2*b0**2*e*f**2*i0*j**2*k**2
-        - 2*a*a0**2*b*e**2*f*i*i0*j*k**2
-        - 4*a*a0*b*b0*e**2*f*i*i0*j*k**2
-        + a0**3*e*f**2*i**2*k**2*r**2
-        - a0**3*f**3*h**2*k**2*r**2
-        + 3*a0**2*b**2*e**3*i**2*i0*k**2
-        + 6*a0**2*b0*e*f**2*i**2*k**2*r**2
-        - 6*a0**2*b0*f**3*h**2*k**2*r**2
-        + 4*a0**2*d*e*f*i**2*i0*k**2*r**2
-        - a0**2*d*f**2*h**2*i0*k**2*r**2
-        + 3*a0*b0**2*e*f**2*i**2*k**2*r**2
-        - 3*a0*b0**2*f**3*h**2*k**2*r**2
-        + 16*a0*b0*d*e*f*i**2*i0*k**2*r**2
-        - 4*a0*b0*d*f**2*h**2*i0*k**2*r**2
-        + 3*a0*d**2*e*i**2*i0**2*k**2*r**2
-        + 4*b0**2*d*e*f*i**2*i0*k**2*r**2
-        - b0**2*d*f**2*h**2*i0*k**2*r**2
-        + 6*b0*d**2*e*i**2*i0**2*k**2*r**2
-        - 2*a**2*a0*b0*f**3*j**2*k**2
-        - 2*a**2*a0*e*f**2*g*i0*j*k**2
-        - a**2*b0**2*f**3*j**2*k**2
-        - 2*a**2*b0*d*f**2*i0*j**2*k**2
-        - 2*a**2*b0*e*f**2*g*i0*j*k**2
-        + 2*a*a0**2*b*e*f**2*i*j*k**2
-        + 2*a*a0**2*e*f**2*h*i0*j*k*r
-        + 4*a*a0*b*b0*e*f**2*i*j*k**2
-        + 4*a*a0*b*d*e*f*i*i0*j*k**2
-        + 4*a*a0*b*e**2*f*g*i*i0*k**2
-        + 8*a*a0*b0*e*f**2*h*i0*j*k*r
-        + 4*a*b*b0*d*e*f*i*i0*j*k**2
-        + 2*a*b0**2*e*f**2*h*i0*j*k*r
-        - 3*a0**2*b**2*e**2*f*i**2*k**2
-        + 3*a0**2*b**2*e*f**2*h**2*k**2
-        - a0**2*d*f**2*i**2*k**2*r**2
-        + 3*a0**2*e**3*i**2*i0**2*r**2
-        - 6*a0*b**2*d*e**2*i**2*i0*k**2
-        - 4*a0*b0*d*f**2*i**2*k**2*r**2
-        + 6*a0*b0*e**3*i**2*i0**2*r**2
-        - 2*a0*d**2*f*i**2*i0*k**2*r**2
-        - b0**2*d*f**2*i**2*k**2*r**2
-        + b0**2*e**3*i**2*i0**2*r**2
-        - 4*b0*d**2*f*i**2*i0*k**2*r**2
-        - d**3*i**2*i0**2*k**2*r**2
-        + 2*a**2*a0*f**3*g*j*k**2
-        + 2*a**2*b0*f**3*g*j*k**2
-        + 2*a**2*d*f**2*g*i0*j*k**2
-        + a**2*e*f**2*g**2*i0*k**2
-        - 2*a*a0**2*f**3*h*j*k*r
-        - 2*a*a0*b*d*f**2*i*j*k**2
-        - 4*a*a0*b*e*f**2*g*i*k**2
-        - 8*a*a0*b0*f**3*h*j*k*r
-        - 2*a*a0*d*f**2*h*i0*j*k*r
-        - 4*a*a0*e*f**2*g*h*i0*k*r
-        - 2*a*b*b0*d*f**2*i*j*k**2
-        - 2*a*b*d**2*f*i*i0*j*k**2
-        - 4*a*b*d*e*f*g*i*i0*k**2
-        - 2*a*b0**2*f**3*h*j*k*r
-        - 4*a*b0*d*f**2*h*i0*j*k*r
-        - 2*a*b0*e*f**2*g*h*i0*k*r
-        - 6*a0**2*e**2*f*i**2*i0*r**2
-        + 3*a0**2*e*f**2*h**2*i0*r**2
-        + 4*a0*b**2*d*e*f*i**2*k**2
-        - 2*a0*b**2*d*f**2*h**2*k**2
-        - 12*a0*b0*e**2*f*i**2*i0*r**2
-        + 6*a0*b0*e*f**2*h**2*i0*r**2
-        - 6*a0*d*e**2*i**2*i0**2*r**2
-        + 3*b**2*d**2*e*i**2*i0*k**2
-        - 2*b0**2*e**2*f*i**2*i0*r**2
-        + b0**2*e*f**2*h**2*i0*r**2
-        - 6*b0*d*e**2*i**2*i0**2*r**2
-        - a**2*f**3*g**2*k**2
-        + 4*a*a0*f**3*g*h*k*r
-        + 2*a*b*d*f**2*g*i*k**2
-        + 2*a*b0*f**3*g*h*k*r
-        + 2*a*d*f**2*g*h*i0*k*r
-        + 3*a0**2*e*f**2*i**2*r**2
-        - 3*a0**2*f**3*h**2*r**2
-        + 6*a0*b0*e*f**2*i**2*r**2
-        - 6*a0*b0*f**3*h**2*r**2
-        + 8*a0*d*e*f*i**2*i0*r**2
-        - 2*a0*d*f**2*h**2*i0*r**2
-        - b**2*d**2*f*i**2*k**2
-        + b0**2*e*f**2*i**2*r**2
-        - b0**2*f**3*h**2*r**2
-        + 8*b0*d*e*f*i**2*i0*r**2
-        - 2*b0*d*f**2*h**2*i0*r**2
-        + 3*d**2*e*i**2*i0**2*r**2
-        - 2*a0*d*f**2*i**2*r**2
-        - 2*b0*d*f**2*i**2*r**2
-        - 2*d**2*f*i**2*i0*r**2
-    )
-    p7 = (
-        - 4*a*a0**2*b0*e*f**2*h*i0*j*k**2*r
-        - 4*a*a0*b0**2*e*f**2*h*i0*j*k**2*r
-        - 2*a0**3*e**3*i**2*i0**2*k*r**2
-        - 12*a0**2*b0*e**3*i**2*i0**2*k*r**2
-        - 6*a0*b0**2*e**3*i**2*i0**2*k*r**2
-        + 4*a*a0**2*b0*f**3*h*j*k**2*r
-        + 2*a*a0**2*e*f**2*g*h*i0*k**2*r
-        + 4*a*a0*b0**2*f**3*h*j*k**2*r
-        + 4*a*a0*b0*d*f**2*h*i0*j*k**2*r
-        + 4*a*a0*b0*e*f**2*g*h*i0*k**2*r
-        + 2*a*b0**2*d*f**2*h*i0*j*k**2*r
-        + 4*a0**3*e**2*f*i**2*i0*k*r**2
-        - 2*a0**3*e*f**2*h**2*i0*k*r**2
-        + 24*a0**2*b0*e**2*f*i**2*i0*k*r**2
-        - 12*a0**2*b0*e*f**2*h**2*i0*k*r**2
-        + 6*a0**2*d*e**2*i**2*i0**2*k*r**2
-        + 12*a0*b0**2*e**2*f*i**2*i0*k*r**2
-        - 6*a0*b0**2*e*f**2*h**2*i0*k*r**2
-        + 24*a0*b0*d*e**2*i**2*i0**2*k*r**2
-        + 6*b0**2*d*e**2*i**2*i0**2*k*r**2
-        - 2*a*a0**2*f**3*g*h*k**2*r
-        - 4*a*a0*b0*f**3*g*h*k**2*r
-        - 2*a*a0*d*f**2*g*h*i0*k**2*r
-        - 2*a*b0*d*f**2*g*h*i0*k**2*r
-        - 2*a0**3*e*f**2*i**2*k*r**2
-        + 2*a0**3*f**3*h**2*k*r**2
-        - 12*a0**2*b0*e*f**2*i**2*k*r**2
-        + 12*a0**2*b0*f**3*h**2*k*r**2
-        - 8*a0**2*d*e*f*i**2*i0*k*r**2
-        + 2*a0**2*d*f**2*h**2*i0*k*r**2
-        - 6*a0*b0**2*e*f**2*i**2*k*r**2
-        + 6*a0*b0**2*f**3*h**2*k*r**2
-        - 32*a0*b0*d*e*f*i**2*i0*k*r**2
-        + 8*a0*b0*d*f**2*h**2*i0*k*r**2
-        - 6*a0*d**2*e*i**2*i0**2*k*r**2
-        - 8*b0**2*d*e*f*i**2*i0*k*r**2
-        + 2*b0**2*d*f**2*h**2*i0*k*r**2
-        - 12*b0*d**2*e*i**2*i0**2*k*r**2
-        + 2*a0**2*d*f**2*i**2*k*r**2
-        + 8*a0*b0*d*f**2*i**2*k*r**2
-        + 4*a0*d**2*f*i**2*i0*k*r**2
-        + 2*b0**2*d*f**2*i**2*k*r**2
-        + 8*b0*d**2*f*i**2*i0*k*r**2
-        + 2*d**3*i**2*i0**2*k*r**2
-    )
-    p8 = (
-        + 2*a0**3*b0*e**3*i**2*i0**2*k**2*r**2
-        + 3*a0**2*b0**2*e**3*i**2*i0**2*k**2*r**2
-        - 4*a0**3*b0*e**2*f*i**2*i0*k**2*r**2
-        + 2*a0**3*b0*e*f**2*h**2*i0*k**2*r**2
-        - 6*a0**2*b0**2*e**2*f*i**2*i0*k**2*r**2
-        + 3*a0**2*b0**2*e*f**2*h**2*i0*k**2*r**2
-        - 6*a0**2*b0*d*e**2*i**2*i0**2*k**2*r**2
-        - 6*a0*b0**2*d*e**2*i**2*i0**2*k**2*r**2
-        + a**2*a0*b0**2*e*f**2*i0*j**2*k**2
-        - 2*a*a0**2*b*b0*e**2*f*i*i0*j*k**2
-        + a0**3*b**2*e**3*i**2*i0*k**2
-        + 2*a0**3*b0*e*f**2*i**2*k**2*r**2
-        - 2*a0**3*b0*f**3*h**2*k**2*r**2
-        + 3*a0**2*b0**2*e*f**2*i**2*k**2*r**2
-        - 3*a0**2*b0**2*f**3*h**2*k**2*r**2
-        + 8*a0**2*b0*d*e*f*i**2*i0*k**2*r**2
-        - 2*a0**2*b0*d*f**2*h**2*i0*k**2*r**2
-        + 8*a0*b0**2*d*e*f*i**2*i0*k**2*r**2
-        - 2*a0*b0**2*d*f**2*h**2*i0*k**2*r**2
-        + 6*a0*b0*d**2*e*i**2*i0**2*k**2*r**2
-        + 3*b0**2*d**2*e*i**2*i0**2*k**2*r**2
-        - a**2*a0*b0**2*f**3*j**2*k**2
-        - 2*a**2*a0*b0*e*f**2*g*i0*j*k**2
-        - a**2*b0**2*d*f**2*i0*j**2*k**2
-        + 2*a*a0**2*b*b0*e*f**2*i*j*k**2
-        + 2*a*a0**2*b*e**2*f*g*i*i0*k**2
-        + 4*a*a0**2*b0*e*f**2*h*i0*j*k*r
-        + 4*a*a0*b*b0*d*e*f*i*i0*j*k**2
-        + 4*a*a0*b0**2*e*f**2*h*i0*j*k*r
-        - a0**3*b**2*e**2*f*i**2*k**2
-        + a0**3*b**2*e*f**2*h**2*k**2
-        + a0**3*e**3*i**2*i0**2*r**2
-        - 3*a0**2*b**2*d*e**2*i**2*i0*k**2
-        - 2*a0**2*b0*d*f**2*i**2*k**2*r**2
-        + 6*a0**2*b0*e**3*i**2*i0**2*r**2
-        - 2*a0*b0**2*d*f**2*i**2*k**2*r**2
-        + 3*a0*b0**2*e**3*i**2*i0**2*r**2
-        - 4*a0*b0*d**2*f*i**2*i0*k**2*r**2
-        - 2*b0**2*d**2*f*i**2*i0*k**2*r**2
-        - 2*b0*d**3*i**2*i0**2*k**2*r**2
-        + 2*a**2*a0*b0*f**3*g*j*k**2
-        + a**2*a0*e*f**2*g**2*i0*k**2
-        + 2*a**2*b0*d*f**2*g*i0*j*k**2
-        - 2*a*a0**2*b*e*f**2*g*i*k**2
-        - 4*a*a0**2*b0*f**3*h*j*k*r
-        - 2*a*a0**2*e*f**2*g*h*i0*k*r
-        - 2*a*a0*b*b0*d*f**2*i*j*k**2
-        - 4*a*a0*b*d*e*f*g*i*i0*k**2
-        - 4*a*a0*b0**2*f**3*h*j*k*r
-        - 4*a*a0*b0*d*f**2*h*i0*j*k*r
-        - 4*a*a0*b0*e*f**2*g*h*i0*k*r
-        - 2*a*b*b0*d**2*f*i*i0*j*k**2
-        - 2*a*b0**2*d*f**2*h*i0*j*k*r
-        - 2*a0**3*e**2*f*i**2*i0*r**2
-        + a0**3*e*f**2*h**2*i0*r**2
-        + 2*a0**2*b**2*d*e*f*i**2*k**2
-        - a0**2*b**2*d*f**2*h**2*k**2
-        - 12*a0**2*b0*e**2*f*i**2*i0*r**2
-        + 6*a0**2*b0*e*f**2*h**2*i0*r**2
-        - 3*a0**2*d*e**2*i**2*i0**2*r**2
-        + 3*a0*b**2*d**2*e*i**2*i0*k**2
-        - 6*a0*b0**2*e**2*f*i**2*i0*r**2
-        + 3*a0*b0**2*e*f**2*h**2*i0*r**2
-        - 12*a0*b0*d*e**2*i**2*i0**2*r**2
-        - 3*b0**2*d*e**2*i**2*i0**2*r**2
-        - a**2*a0*f**3*g**2*k**2
-        - a**2*d*f**2*g**2*i0*k**2
-        + 2*a*a0**2*f**3*g*h*k*r
-        + 2*a*a0*b*d*f**2*g*i*k**2
-        + 4*a*a0*b0*f**3*g*h*k*r
-        + 2*a*a0*d*f**2*g*h*i0*k*r
-        + 2*a*b*d**2*f*g*i*i0*k**2
-        + 2*a*b0*d*f**2*g*h*i0*k*r
-        + a0**3*e*f**2*i**2*r**2
-        - a0**3*f**3*h**2*r**2
-        + 6*a0**2*b0*e*f**2*i**2*r**2
-        - 6*a0**2*b0*f**3*h**2*r**2
-        + 4*a0**2*d*e*f*i**2*i0*r**2
-        - a0**2*d*f**2*h**2*i0*r**2
-        - a0*b**2*d**2*f*i**2*k**2
-        + 3*a0*b0**2*e*f**2*i**2*r**2
-        - 3*a0*b0**2*f**3*h**2*r**2
-        + 16*a0*b0*d*e*f*i**2*i0*r**2
-        - 4*a0*b0*d*f**2*h**2*i0*r**2
-        + 3*a0*d**2*e*i**2*i0**2*r**2
-        - b**2*d**3*i**2*i0*k**2
-        + 4*b0**2*d*e*f*i**2*i0*r**2
-        - b0**2*d*f**2*h**2*i0*r**2
-        + 6*b0*d**2*e*i**2*i0**2*r**2
-        - a0**2*d*f**2*i**2*r**2
-        - 4*a0*b0*d*f**2*i**2*r**2
-        - 2*a0*d**2*f*i**2*i0*r**2
-        - b0**2*d*f**2*i**2*r**2
-        - 4*b0*d**2*f*i**2*i0*r**2
-        - d**3*i**2*i0**2*r**2
-    )
-    p9 = (
-        - 2*a*a0**2*b0**2*e*f**2*h*i0*j*k**2*r
-        - 4*a0**3*b0*e**3*i**2*i0**2*k*r**2
-        - 6*a0**2*b0**2*e**3*i**2*i0**2*k*r**2
-        + 2*a*a0**2*b0**2*f**3*h*j*k**2*r
-        + 2*a*a0**2*b0*e*f**2*g*h*i0*k**2*r
-        + 2*a*a0*b0**2*d*f**2*h*i0*j*k**2*r
-        + 8*a0**3*b0*e**2*f*i**2*i0*k*r**2
-        - 4*a0**3*b0*e*f**2*h**2*i0*k*r**2
-        + 12*a0**2*b0**2*e**2*f*i**2*i0*k*r**2
-        - 6*a0**2*b0**2*e*f**2*h**2*i0*k*r**2
-        + 12*a0**2*b0*d*e**2*i**2*i0**2*k*r**2
-        + 12*a0*b0**2*d*e**2*i**2*i0**2*k*r**2
-        - 2*a*a0**2*b0*f**3*g*h*k**2*r
-        - 2*a*a0*b0*d*f**2*g*h*i0*k**2*r
-        - 4*a0**3*b0*e*f**2*i**2*k*r**2
-        + 4*a0**3*b0*f**3*h**2*k*r**2
-        - 6*a0**2*b0**2*e*f**2*i**2*k*r**2
-        + 6*a0**2*b0**2*f**3*h**2*k*r**2
-        - 16*a0**2*b0*d*e*f*i**2*i0*k*r**2
-        + 4*a0**2*b0*d*f**2*h**2*i0*k*r**2
-        - 16*a0*b0**2*d*e*f*i**2*i0*k*r**2
-        + 4*a0*b0**2*d*f**2*h**2*i0*k*r**2
-        - 12*a0*b0*d**2*e*i**2*i0**2*k*r**2
-        - 6*b0**2*d**2*e*i**2*i0**2*k*r**2
-        + 4*a0**2*b0*d*f**2*i**2*k*r**2
-        + 4*a0*b0**2*d*f**2*i**2*k*r**2
-        + 8*a0*b0*d**2*f*i**2*i0*k*r**2
-        + 4*b0**2*d**2*f*i**2*i0*k*r**2
-        + 4*b0*d**3*i**2*i0**2*k*r**2
-    )
-    p10 = (
-        + a0**3*b0**2*e**3*i**2*i0**2*k**2*r**2
-        - 2*a0**3*b0**2*e**2*f*i**2*i0*k**2*r**2
-        + a0**3*b0**2*e*f**2*h**2*i0*k**2*r**2
-        - 3*a0**2*b0**2*d*e**2*i**2*i0**2*k**2*r**2
-        + a0**3*b0**2*e*f**2*i**2*k**2*r**2
-        - a0**3*b0**2*f**3*h**2*k**2*r**2
-        + 4*a0**2*b0**2*d*e*f*i**2*i0*k**2*r**2
-        - a0**2*b0**2*d*f**2*h**2*i0*k**2*r**2
-        + 3*a0*b0**2*d**2*e*i**2*i0**2*k**2*r**2
-        + 2*a*a0**2*b0**2*e*f**2*h*i0*j*k*r
-        + 2*a0**3*b0*e**3*i**2*i0**2*r**2
-        - a0**2*b0**2*d*f**2*i**2*k**2*r**2
-        + 3*a0**2*b0**2*e**3*i**2*i0**2*r**2
-        - 2*a0*b0**2*d**2*f*i**2*i0*k**2*r**2
-        - b0**2*d**3*i**2*i0**2*k**2*r**2
-        - 2*a*a0**2*b0**2*f**3*h*j*k*r
-        - 2*a*a0**2*b0*e*f**2*g*h*i0*k*r
-        - 2*a*a0*b0**2*d*f**2*h*i0*j*k*r
-        - 4*a0**3*b0*e**2*f*i**2*i0*r**2
-        + 2*a0**3*b0*e*f**2*h**2*i0*r**2
-        - 6*a0**2*b0**2*e**2*f*i**2*i0*r**2
-        + 3*a0**2*b0**2*e*f**2*h**2*i0*r**2
-        - 6*a0**2*b0*d*e**2*i**2*i0**2*r**2
-        - 6*a0*b0**2*d*e**2*i**2*i0**2*r**2
-        + 2*a*a0**2*b0*f**3*g*h*k*r
-        + 2*a*a0*b0*d*f**2*g*h*i0*k*r
-        + 2*a0**3*b0*e*f**2*i**2*r**2
-        - 2*a0**3*b0*f**3*h**2*r**2
-        + 3*a0**2*b0**2*e*f**2*i**2*r**2
-        - 3*a0**2*b0**2*f**3*h**2*r**2
-        + 8*a0**2*b0*d*e*f*i**2*i0*r**2
-        - 2*a0**2*b0*d*f**2*h**2*i0*r**2
-        + 8*a0*b0**2*d*e*f*i**2*i0*r**2
-        - 2*a0*b0**2*d*f**2*h**2*i0*r**2
-        + 6*a0*b0*d**2*e*i**2*i0**2*r**2
-        + 3*b0**2*d**2*e*i**2*i0**2*r**2
-        - 2*a0**2*b0*d*f**2*i**2*r**2
-        - 2*a0*b0**2*d*f**2*i**2*r**2
-        - 4*a0*b0*d**2*f*i**2*i0*r**2
-        - 2*b0**2*d**2*f*i**2*i0*r**2
-        - 2*b0*d**3*i**2*i0**2*r**2
-    )
-    p11 = (
-        - 2*a0**3*b0**2*e**3*i**2*i0**2*k*r**2
-        + 4*a0**3*b0**2*e**2*f*i**2*i0*k*r**2
-        - 2*a0**3*b0**2*e*f**2*h**2*i0*k*r**2
-        + 6*a0**2*b0**2*d*e**2*i**2*i0**2*k*r**2
-        - 2*a0**3*b0**2*e*f**2*i**2*k*r**2
-        + 2*a0**3*b0**2*f**3*h**2*k*r**2
-        - 8*a0**2*b0**2*d*e*f*i**2*i0*k*r**2
-        + 2*a0**2*b0**2*d*f**2*h**2*i0*k*r**2
-        - 6*a0*b0**2*d**2*e*i**2*i0**2*k*r**2
-        + 2*a0**2*b0**2*d*f**2*i**2*k*r**2
-        + 4*a0*b0**2*d**2*f*i**2*i0*k*r**2
-        + 2*b0**2*d**3*i**2*i0**2*k*r**2
-    )
-    p12 = (
-        + a0**3*b0**2*e**3*i**2*i0**2*r**2
-        - 2*a0**3*b0**2*e**2*f*i**2*i0*r**2
-        + a0**3*b0**2*e*f**2*h**2*i0*r**2
-        - 3*a0**2*b0**2*d*e**2*i**2*i0**2*r**2
-        + a0**3*b0**2*e*f**2*i**2*r**2
-        - a0**3*b0**2*f**3*h**2*r**2
-        + 4*a0**2*b0**2*d*e*f*i**2*i0*r**2
-        - a0**2*b0**2*d*f**2*h**2*i0*r**2
-        + 3*a0*b0**2*d**2*e*i**2*i0**2*r**2
-        - a0**2*b0**2*d*f**2*i**2*r**2
-        - 2*a0*b0**2*d**2*f*i**2*i0*r**2
-        - b0**2*d**3*i**2*i0**2*r**2
-    )
-    return np.array([p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12])
+    mul = np.convolve
+    x = np.array([0.0, 1.0])
+    qa = np.array([1.0, 0.0, p.a0])  # 1 + a0 x^2
+    qb = np.array([1.0, 0.0, p.b0])  # 1 + b0 x^2
+    N = np.array([p.e, 0.0, p.a0 * p.e - p.d])
+    D = p.f * qa - p.i0 * N
+    M = p.j * qb - np.array([0.0, 0.0, p.g])  # j(1 + b0 x^2) - g x^2
+    prey = mul([p.k, -1.0], qb)  # (k - x)(1 + b0 x^2)
+    A = _add(p.r * p.h * p.f * mul(prey, qa), p.k * mul(x, p.b * p.i * N - p.a * p.f * M))
+    B = _add(-p.r * p.i * mul(prey, D), -p.k * p.b * p.h * p.f * mul(x, qa))
+    return mul(mul(B, B), N) - mul(mul(A, A), D)
 
 
 def positive_real_roots(coeffs) -> list:
@@ -793,19 +285,10 @@ def positive_real_roots(coeffs) -> list:
     1e-9*max(1, |Re|) and its real part exceeds 1e-9*(1 + |Re|).
     """
     c = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(np.abs(c) > 0)[0]
-    if len(nz) == 0:
+    if not np.any(np.abs(c) > 0):
         raise ValueError("zero polynomial")
-    deg = nz[-1]
-    if deg == 0:
-        return []
-    monic = c[: deg + 1] / c[deg]
-    comp = np.zeros((deg, deg))
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -monic[:-1]
-    roots = np.linalg.eigvals(comp)
     out = []
-    for rt in roots:
+    for rt in polyroots(c):
         re, im = rt.real, rt.imag
         if abs(im) < 1e-9 * max(1.0, abs(re)) and re > 1e-9 * (1.0 + abs(re)):
             out.append(float(re))
@@ -816,7 +299,7 @@ def interior_poly_crosscheck(p: ModelParams) -> dict:
     """Compare the polynomial route against the direct solve.
 
     Returns a report dict; never raises on disagreement.  The direct solve is
-    authoritative; the polynomial is a transcription cross-check.
+    authoritative; the derived polynomial is an independent cross-check.
     """
     roots = positive_real_roots(interior_poly_coeffs(p))
     report = {"poly_positive_roots": roots, "direct_x": None, "agrees": None, "rel_err": None}

@@ -1,12 +1,7 @@
 """Adam and BFGS minimizers over real parameter vectors.
 
 Both optimizers are deterministic given their inputs and know nothing about
-the model; objectives are supplied as callables.  BFGS supports two forms of
-the rank-two update for the matrix B used in the direction p = -B g:
-"inverse" (the standard inverse-Hessian update) and "direct" (the
-direct-Hessian-shaped update applied to B as-is).  The direct form converges
-noticeably slower and can stall on ill-conditioned problems, so inverse is
-the default; the switch exists because both behaviours are wanted in tests.
+the model; objectives are supplied as callables.
 """
 
 from __future__ import annotations
@@ -20,6 +15,8 @@ import numpy as np
 from .errors import LineSearchFailed, NonFiniteLoss
 
 CURVATURE_FLOOR = 1e-12
+# relative central-difference step of Objective's fallback gradient
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class BfgsConfig:
     shrink: float = 0.5
     sufficient_decrease: float = 1e-4
     max_halvings: int = 60
-    update_form: str = "inverse"
     # applied to every line-search candidate; lets callers keep iterates in a
     # feasible set (e.g. positivity floors) without the optimizer knowing why
     project: Optional[Callable] = None
@@ -70,8 +66,6 @@ class BfgsConfig:
             raise ValueError("tolerances and initial step must be positive")
         if not (0.0 < self.shrink < 1.0 and 0.0 < self.sufficient_decrease < 1.0):
             raise ValueError("shrink and sufficient_decrease must lie in (0, 1)")
-        if self.update_form not in ("inverse", "direct"):
-            raise ValueError("update_form must be 'inverse' or 'direct'")
 
 
 @dataclass
@@ -79,13 +73,12 @@ class Objective:
     """Evaluation contract: value(theta) -> scalar, gradient(theta) -> vector.
 
     Without an analytic gradient, central differences with per-coordinate
-    step fd_step*(1+|theta_i|) are used; if one side of a stencil is
+    step FD_STEP*(1+|theta_i|) are used; if one side of a stencil is
     non-finite the gradient falls back to the one-sided difference.
     """
 
     fn: Callable
     grad: Optional[Callable] = None
-    fd_step: float = 1e-6
 
     def value(self, theta) -> float:
         return float(self.fn(np.asarray(theta, dtype=float)))
@@ -97,7 +90,7 @@ class Objective:
         g = np.empty(theta.size)
         base = None
         for idx in range(theta.size):
-            h = self.fd_step * (1.0 + abs(theta[idx]))
+            h = FD_STEP * (1.0 + abs(theta[idx]))
             up = theta.copy()
             up[idx] += h
             dn = theta.copy()
@@ -167,11 +160,6 @@ def _update_inverse(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return V @ B @ V.T + rho * np.outer(s, s)
 
 
-def _update_direct(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    Bs = B @ s
-    return B + np.outer(y, y) / float(y @ s) - np.outer(Bs, Bs) / float(s @ Bs)
-
-
 def _line_search(obj, x, fx, g, p, cfg):
     # backtracking Armijo; returns (candidate, value) or None after the
     # halving budget is spent
@@ -238,10 +226,7 @@ def bfgs_run(obj: Objective, x0, B0=None, cfg: Optional[BfgsConfig] = None):
                     # the first rank-two update
                     B = B * (ys / yy)
                 await_rescale = False
-            if cfg.update_form == "inverse":
-                B = _update_inverse(B, s, y)
-            else:
-                B = _update_direct(B, s, y)
+            B = _update_inverse(B, s, y)
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
         if np.linalg.norm(g) < cfg.gradient_tolerance:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import MULTI2_CASE, MULTI3_CASE, NOROOT_CASE, rand_params
+from conftest import (INTERIOR_STABLE, INTERIOR_UNSTABLE, MULTI2_CASE,
+                      MULTI3_CASE, NOROOT_CASE, PREDPREY_CASE, PREDSCAV_CASE,
+                      REFERENCE, rand_params)
 from ppsdyn.equilibria import (LABEL_INTERIOR, LABEL_ORIGIN, LABEL_PRED_PREY,
                                LABEL_PRED_SCAV, LABEL_PREY_ONLY,
                                LABEL_SCAV_PREY, all_equilibria,
@@ -156,6 +158,63 @@ def test_positive_real_roots_on_known_cubic():
     assert positive_real_roots([5.0]) == []
     with pytest.raises(ValueError):
         positive_real_roots([0.0, 0.0])
+
+
+# coefficients of the hand-transcribed monomial table that the derivation
+# replaced, evaluated on each parameter set before the table was deleted
+TABLE_COEFFS = [
+    (PREDSCAV_CASE, [
+        -0.005859375, 0.15234375, -0.265625, 0.67578125, -1.138671875,
+        1.1953125, -1.78125, 1.1484375, -1.267578125, 0.65234375, -0.453125,
+        0.17578125, -0.087890625]),
+    (PREDPREY_CASE, [
+        0.0, 0.0, 0.0, 12.0, -12.0, 16.0, -11.0, 5.25, -8.75, 4.5, -4.375,
+        3.25, -0.8125]),
+    (INTERIOR_UNSTABLE, [
+        0.6000000000000001, -0.7620000000000001, -0.24244000000000018, 0.26,
+        0.04432499999999647, 0.1565625, 0.05702968749999913,
+        -0.01710937500000002, -0.006672265624999901, -0.006777343750000001,
+        -0.003008105468749999, 6.152343750000005e-05,
+        -3.076171875000003e-07]),
+    (INTERIOR_STABLE, [
+        2.0625, -0.5625, 1.78125, -1.265625, -0.64453125, 0.0859375,
+        -1.09765625, 0.826171875, -0.502197265625, 0.328857421875,
+        -0.1082763671875, 0.03631591796875, -0.0090789794921875]),
+    (REFERENCE, [
+        42220.109294741065, 3332.863251471354, 28585.37926636836,
+        3318.0079327591316, 3242.057554506572, 689.3531958431015,
+        628.0309610791963, -73.23095224813106, 0.4891958169123404,
+        -5.341030566871282, -0.6176587314652353, 0.002187257058172623,
+        -1.9077537744137947e-06]),
+    (MULTI2_CASE, [
+        -0.506471989674574, 22.99339713579118, -142.70327821078024,
+        182.0017680967664, -173.8286548264051, 206.62370896391823,
+        1583.685506040395, -800.0762141256757, -2219.168412728743,
+        -616.6122484872125, 552.1469247665655, 53.59665671023263,
+        -22.326110024108846]),
+]
+
+
+@pytest.mark.parametrize("case, expected", TABLE_COEFFS)
+def test_derived_poly_matches_transcribed_table(case, expected):
+    coeffs = interior_poly_coeffs(ModelParams(**case))
+    expected = np.array(expected)
+    assert coeffs.shape == (13,)
+    assert np.max(np.abs(coeffs - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_poly_crosscheck_agrees_on_every_unique_root():
+    rng = np.random.default_rng(11)
+    unique = 0
+    for _ in range(300):
+        p = rand_params(rng, 0.1, 3.0)
+        try:
+            interior_equilibrium_direct(p)
+        except (NoRoot, MultipleRoots):
+            continue
+        unique += 1
+        assert interior_poly_crosscheck(p)["agrees"], p
+    assert unique > 50
 
 
 def test_poly_crosscheck_agreement(request):

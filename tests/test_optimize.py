@@ -5,8 +5,8 @@ import pytest
 
 from ppsdyn.errors import LineSearchFailed, NonFiniteLoss
 from ppsdyn.optimize import (AdamConfig, AdamState, BfgsConfig, Objective,
-                             _update_direct, _update_inverse, adam_run,
-                             adam_step, bfgs_run, write_loss_csv)
+                             _update_inverse, adam_run, adam_step, bfgs_run,
+                             write_loss_csv)
 
 
 def rand_quad(rng, n, lo, hi):
@@ -212,13 +212,6 @@ def test_bfgs_projection_keeps_iterates_feasible():
     assert all(v[0] >= lower - 1e-12 for v in seen)
 
 
-def test_bfgs_direct_update_form_on_sphere():
-    obj = Objective(lambda x: float(0.5 * x @ x), lambda x: np.asarray(x))
-    cfg = BfgsConfig(update_form="direct")
-    x, _ = bfgs_run(obj, np.array([3.0, -1.0]), cfg=cfg)
-    assert np.linalg.norm(x) < 1e-6
-
-
 def test_update_forms_preserve_symmetry():
     rng = np.random.default_rng(91)
     for _ in range(20):
@@ -226,14 +219,11 @@ def test_update_forms_preserve_symmetry():
         M = rng.standard_normal((n, n))
         A = M @ M.T + n * np.eye(n)
         B_inv = np.eye(n)
-        B_dir = np.eye(n)
         for _ in range(15):
             s = rng.standard_normal(n)
             y = A @ s  # quadratic curvature pair, y.s > 0
             B_inv = _update_inverse(B_inv, s, y)
-            B_dir = _update_direct(B_dir, s, y)
             assert np.max(np.abs(B_inv - B_inv.T)) < 1e-10
-            assert np.max(np.abs(B_dir - B_dir.T)) < 1e-10
 
 
 def test_inverse_update_satisfies_secant_equation():
@@ -249,8 +239,6 @@ def test_inverse_update_satisfies_secant_equation():
 
 
 def test_bfgs_config_validation():
-    with pytest.raises(ValueError):
-        BfgsConfig(update_form="banana")
     with pytest.raises(ValueError):
         BfgsConfig(max_iterations=0)
     with pytest.raises(ValueError):
