@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .data import Dataset, SpeciesMap, ingest, synthesize
-from .equilibria import all_equilibria, interior_poly_crosscheck
+from .equilibria import LABEL_INTERIOR, all_equilibria, interior_poly_crosscheck
 from .errors import (
     ConstantColumn,
     IntegrationFailed,
@@ -241,10 +241,13 @@ def cmd_analyze(args) -> int:
             for note in rec["stability"]["notes"]:
                 print(f"{'':10s}   note: {note}")
         entries.append(rec)
+    # the entry is missing only if it merged with a boundary point; the
+    # cross-check then runs its own scan
+    interior = next((eq for eq in points if eq.label == LABEL_INTERIOR), None)
     report = {
         "parameters": p.to_dict(),
         "equilibria": entries,
-        "interior_crosscheck": _jsonable(interior_poly_crosscheck(p)),
+        "interior_crosscheck": _jsonable(interior_poly_crosscheck(p, interior)),
     }
     out = _outdir(args)
     _write(os.path.join(out, "equilibria.json"), json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")

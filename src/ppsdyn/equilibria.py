@@ -295,19 +295,25 @@ def positive_real_roots(coeffs) -> list:
     return sorted(out)
 
 
-def interior_poly_crosscheck(p: ModelParams) -> dict:
+def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = None) -> dict:
     """Compare the polynomial route against the direct solve.
 
-    Returns a report dict; never raises on disagreement.  The direct solve is
-    authoritative; the derived polynomial is an independent cross-check.
+    interior is the interior entry that all_equilibria returned for p, so
+    the caller's scan is not run again; without it the direct solve runs
+    here.  Returns a report dict; never raises on disagreement.  The direct
+    solve is authoritative; the derived polynomial is an independent
+    cross-check.
     """
     roots = positive_real_roots(interior_poly_coeffs(p))
     report = {"poly_positive_roots": roots, "direct_x": None, "agrees": None, "rel_err": None}
-    try:
-        eq = interior_equilibrium_direct(p)
-    except (NoRoot, MultipleRoots):
+    if interior is None:
+        try:
+            interior = interior_equilibrium_direct(p)
+        except (NoRoot, MultipleRoots):
+            return report
+    if interior.point is None:
         return report
-    x = eq.point[0]
+    x = interior.point[0]
     report["direct_x"] = x
     if roots:
         # the polynomial also picks up roots whose y or z would be

@@ -251,3 +251,21 @@ def make_jacobian(p: ModelParams):
         )
 
     return jac
+
+
+def jacobian_matrices(jac, x, y, z):
+    """A make_jacobian closure evaluated once on equal-length arrays of states.
+
+    Returns the matrices as an array of shape (len(x), 3, JACOBIAN_COLUMNS),
+    bitwise equal to one call per state: the closure's arithmetic is
+    elementwise, and its constant entries are broadcast here.
+    """
+    import numpy as np
+
+    vals = jac(x, y, z)
+    # C order, as one matrix per call would stack: numpy's reductions may
+    # sum in another order over another memory layout
+    out = np.empty((len(x), len(vals)))
+    for col, v in enumerate(vals):
+        out[:, col] = v
+    return out.reshape(-1, 3, JACOBIAN_COLUMNS)

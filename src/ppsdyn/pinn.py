@@ -5,14 +5,16 @@ The network maps a fixed lognormal-initialized 14-vector to a predicted
 parameter vector.  Its weights are trained by Adam on total_loss = MSE + PIE,
 where the MSE compares the integrated trajectory against the observations and
 the PIE compares finite-difference data derivatives against the model
-right-hand side evaluated at the observed states.  Both stages use exact
-parameter gradients: the MSE gradient comes from the forward sensitivities
-dx/dp that the solver integrates alongside the trajectory, in the same
-integration that gives the loss, and the PIE gradient from the closed-form
-df/dp at the observed states, with no integration.  The network stage chains
-d(total)/dp through ordinary backpropagation to the weights.  A second stage
-runs BFGS directly on the parameters with an MSE-only objective and keeps
-whichever iterate fits better.
+right-hand side evaluated at the observed states.  The solver steps freely
+over the data grid and interpolates the observation times by its continuous
+extension.  Both stages use exact parameter gradients: the MSE gradient
+comes from the forward sensitivities dx/dp that the solver computes from the
+same steps, interpolated at the same times, in the integration that gives
+the loss, and the PIE gradient from the closed-form df/dp at the observed
+states, evaluated on all of them at once, with no integration.  The network
+stage chains d(total)/dp through ordinary backpropagation to the weights.
+A second stage runs BFGS directly on the parameters with an MSE-only
+objective and keeps whichever iterate fits better.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
@@ -30,7 +32,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
-from .model import ModelParams, State, make_jacobian, make_rhs
+from .model import ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
 from .optimize import AdamConfig, AdamState, BfgsConfig, Objective, adam_step, bfgs_run
 from .solver import SolverConfig, integrate
 
@@ -194,9 +196,11 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEP
     pred = (np.asarray(traj.states) - ds.mins) / ds.ranges
     mse = float(np.mean(np.sum((pred - ds.observations) ** 2, axis=1)))
     span = ds.t_end - ds.t_start
-    rhs = make_rhs(params)
     scale = span / ds.ranges
-    model_deriv = np.array([rhs(*row) for row in ds.raw_observations]) * scale
+    # the closures are elementwise, so one call on the observation columns
+    # equals one call per observed state, bit for bit
+    observed = ds.raw_observations.T
+    model_deriv = np.array(make_rhs(params)(*observed)).T * scale
     pie_resid = data_derivative(ds) - model_deriv
     pie = float(np.mean(np.sum(pie_resid ** 2, axis=1)))
     if not gradient:
@@ -206,8 +210,7 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEP
     # df/dp at the observed state times the same scale as the values
     g_mse = (2.0 / n) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
                                   traj.sensitivities)
-    jac = make_jacobian(params)
-    dfdp = np.array([jac(*row) for row in ds.raw_observations]).reshape(n, 3, -1)[:, :, 3:]
+    dfdp = jacobian_matrices(make_jacobian(params), *observed)[:, :, 3:]
     g_pie = (-2.0 / n) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
     return mse + pie, mse, pie, g_mse, g_pie
 

@@ -4,14 +4,21 @@ The stepping core works on plain floats rather than numpy arrays; for a
 3-component system the array overhead dominates runtime, and the estimation
 pipeline performs hundreds of short integrations per fit.
 
+With t_eval the adaptive method does not shorten its steps to land on each
+requested point; only the last point is landed on.  The points in between
+are interpolated by the 4th-order continuous extension that the seven stages
+of each step already define (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6), so the step sequence is the one of a free-running integration.
+
 On request the adaptive method also returns the forward sensitivities
-S = dx/dp of the state with respect to the 14 parameters.  After each
-accepted step, S is advanced through the same Dormand-Prince stages applied
-to the variational equations dS/dt = J(x) S + df/dp, with J and df/dp taken
-at the stage states that step already computed.  That makes S the exact
-derivative of the computed trajectory for its step sequence, at no cost to
-rejected steps.  Error control looks at the state only, so the steps and
-states are bitwise the same with or without sensitivities.
+S = dx/dp of the state with respect to the 14 parameters: the same
+Dormand-Prince stages applied to the variational equations
+dS/dt = J(x) S + df/dp, with J and df/dp taken at the stage states of each
+accepted step, and the same interpolation weights at the t_eval points.
+That makes S the exact derivative of the computed output for its step
+sequence.  Error control never reads S, so S is computed after the step loop
+from a log of the accepted steps, batched over the steps, at no cost to
+rejected steps; the steps and states are bitwise the same with or without it.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import IntegrationFailed, MaskViolation, NumericalOverflow, StepUnderflow
-from .model import JACOBIAN_COLUMNS, ModelParams, State, Subsystem, make_jacobian, make_rhs
+from .model import (JACOBIAN_COLUMNS, ModelParams, State, Subsystem, jacobian_matrices,
+                    make_jacobian, make_rhs)
 
 OVERFLOW_LIMIT = 1e12
 MIN_STEP = 1e-12
@@ -39,8 +47,8 @@ _A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
 _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = 71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
-# the same tableau as arrays, for the sensitivity stages; stage 7 has zero
-# 5th-order weight and is left out
+# the same tableau as arrays, for the batched sensitivity stages; stage 7
+# has zero 5th-order weight and is left out
 _A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [_A21, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -50,6 +58,19 @@ _A = np.array([
     [_A61, _A62, _A63, _A64, _A65, 0.0],
 ])
 _B = np.array([_B1, 0.0, _B3, _B4, _B5, _B6])
+# continuous extension: the output at t + theta*h weights the seven stage
+# slopes by _P @ (theta, theta^2, theta^3, theta^4); _D is its theta^4 column
+# as Hairer and Wanner give it, and the other columns follow from matching
+# the state and slope at both ends of the step
+_D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+               -10690763975 / 1880347072, 701980252875 / 199316789632,
+               -1453857185 / 822651844, 69997945 / 29380423])
+_B7, _FIRST, _LAST = np.append(_B, 0.0), np.eye(7)[0], np.eye(7)[6]
+_P = np.stack([_FIRST, 3 * _B7 - 2 * _FIRST - _LAST + _D,
+               -2 * _B7 + _FIRST + _LAST - 2 * _D, _D], axis=1)
+# accepted steps per batch of the dense-output and sensitivity pass
+_BLOCK = 128
+_NP = JACOBIAN_COLUMNS - 3  # parameters
 
 
 @dataclass(frozen=True)
@@ -149,12 +170,15 @@ def integrate(
 ) -> Trajectory:
     """Integrate from s0 (time taken from s0.t if present, else 0) to cfg.t_end.
 
-    Output is sampled at every accepted step, or exactly at t_eval if given
-    (t_eval must start at the initial time and be monotone toward t_end).
-    Backward integration (t_end < t0) is supported for both methods.
-    With sensitivities=True (rk45, t_eval and the full system only) the
-    trajectory also carries dx/dp at the t_eval points, s0 taken as
-    independent of p.
+    Output is sampled at every accepted step, or at t_eval if given (t_eval
+    must start at the initial time and be monotone toward t_end; the run
+    ends at its last point).  rk45 interpolates the t_eval points by the
+    continuous extension; steps are not clipped.  rk4 clips its steps to
+    land on each point.  Backward integration (t_end < t0) is supported for
+    both methods.  With sensitivities=True (rk45, t_eval and the full system
+    only) the trajectory also carries dx/dp at the t_eval points, s0 taken
+    as independent of p.  Under the clamp policy an output sample below zero
+    is clipped to zero and its row of dx/dp zeroed, as after a step.
     """
     x, y, z = (float(v) for v in s0[:3])
     t0 = float(s0[3]) if len(s0) > 3 else 0.0
@@ -167,6 +191,9 @@ def integrate(
         targets = [float(v) for v in t_eval]
         if not targets or abs(targets[0] - t0) > 1e-12:
             raise ValueError("t_eval must start at the initial time")
+        dirn = 1.0 if cfg.t_end >= t0 else -1.0
+        if any((b - a) * dirn < 0 for a, b in zip(targets, targets[1:])):
+            raise ValueError("t_eval must be monotone toward t_end")
         targets = targets[1:]
     else:
         targets = None
@@ -179,27 +206,106 @@ def integrate(
         raise ValueError("sensitivities need the rk45 method, t_eval and the full system")
     # dx/dp can overflow where the trajectory stays finite (seen at loose
     # tolerances); it then reads inf or nan for the caller to check, without
-    # a warning per step
+    # a warning
     with np.errstate(over="ignore", invalid="ignore"):
         return _run_rk45(rhs, x, y, z, t0, cfg, targets, make_jacobian(p))
 
 
-def _sens_step(jac, S, hs, stage_states):
-    """S = dx/dp, flattened, after an accepted step of size hs: the
-    Dormand-Prince stages applied to dS/dt = J S + df/dp, with both
-    derivatives evaluated at the step's own first six stage states."""
-    m = np.fromiter(chain.from_iterable(jac(*u) for u in stage_states), float, 18 * JACOBIAN_COLUMNS)
-    m = m.reshape(6, 3, JACOBIAN_COLUMNS)
-    jx, jp = m[:, :, :3], m[:, :, 3:]
-    # the stage slopes K_i = J_i (S + hs sum_j a_ij K_j) + jp_i, stacked, are
-    # K = R + N K with N block strictly lower triangular; five sweeps of that
-    # fixed point are the forward substitution, in a few array operations
-    N = ((hs * _A)[:, None, :, None] * jx[:, :, None, :]).reshape(18, 18)
-    R = (jx @ S.reshape(3, -1) + jp).reshape(18, -1)
-    K = R
-    for _ in range(5):
-        K = R + N @ K
-    return S + (hs * _B) @ K.reshape(6, -1)
+class _DenseOutput:
+    """States, and dx/dp on request, at the t_eval points before the last one.
+
+    The step loop logs one row per accepted step: its start time and size,
+    its start state and its seven stage slopes, the last one taken at the
+    unclamped endpoint.  Each block of rows is turned into output in a few
+    array operations.  States come from the 4th-order continuous extension
+    of the step.  For dx/dp, the Jacobian closure is evaluated once on the
+    block's stage states; a forward substitution over the six stages, batched
+    over the steps, gives each step's sensitivity stages as an affine function
+    of its start value S, so the step maps S to A S + c; a short loop runs
+    that recursion, and the output points use the same interpolation weights
+    on the sensitivity stages.  S is carried from one block to the next.
+    """
+
+    def __init__(self, points, dirn, clamp, jac):
+        self.key = dirn * np.array(points, dtype=float)  # increasing
+        self.dirn = dirn
+        self.clamp = clamp
+        self.jac = jac
+        self.states = np.empty((len(points), 3))
+        self.S = np.zeros((3, _NP)) if jac is not None else None
+        self.sens = np.empty((len(points), 3, _NP)) if jac is not None else None
+        self.done = 0
+
+    def flush(self, log):
+        m, width = len(log), len(log[0])
+        rows = np.fromiter(chain.from_iterable(log), float, m * width).reshape(m, width)
+        log.clear()
+        t, hs, y0 = rows[:, 0], rows[:, 1], rows[:, 2:5]
+        K = rows[:, 5:].reshape(m, 7, 3)
+        key = self.dirn * (t + hs)  # step ends
+        lo = self.done
+        hi = lo + int(np.searchsorted(self.key[lo:], key[-1], side="right"))
+        self.done = hi
+        # the step each point falls in, and the interpolation weights there
+        n = np.searchsorted(key, self.key[lo:hi], side="left")
+        hn = hs[n, None]
+        theta = (self.key[lo:hi] - self.dirn * t[n]) / np.abs(hs[n])
+        W = (theta[:, None] ** np.arange(1, 5)) @ _P.T
+        out = y0[n] + hn * (W[:, None, :] @ K[n])[:, 0]
+        clipped = (out < 0.0) & self.clamp
+        out[clipped] = 0.0
+        self.states[lo:hi] = out
+        if self.jac is None:
+            return
+
+        h = hs[:, None]
+        # the unclamped endpoints, in the loop's order of operations, so the
+        # signs that decided each clamp agree bit for bit
+        ends = y0 + h * (_B1 * K[:, 0] + _B3 * K[:, 2] + _B4 * K[:, 3] + _B5 * K[:, 4] + _B6 * K[:, 5])
+        stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
+        M = jacobian_matrices(self.jac, *np.concatenate([stage_states.reshape(-1, 3), ends[n]]).T)
+        M, M_end = M[: 6 * m].reshape(m, 6, 3, JACOBIAN_COLUMNS), M[6 * m:]
+        # X[:, i] = [dK_i/dS | dK_i/dp] from K_i = J_i (S + hs sum_j a_ij K_j) + jp_i,
+        # by forward substitution over the stages
+        X = np.empty((m, 6, 3 * JACOBIAN_COLUMNS))
+        X[:, 0] = M[:, 0].reshape(m, -1)
+        for i in range(1, 6):
+            acc = (_A[i, :i] @ X[:, :i]).reshape(m, 3, JACOBIAN_COLUMNS)
+            X[:, i] = (M[:, i] + h[:, None] * (M[:, i, :, :3] @ acc)).reshape(m, -1)
+        G = (h * (_B @ X)).reshape(m, 3, JACOBIAN_COLUMNS)
+        # each step maps S to a S + c; max(v, 0) has derivative 0 where it clips
+        keep = (ends >= 0.0)[:, :, None] if self.clamp else 1.0
+        S = self.S
+        starts = [S]
+        for a, c in zip(keep * (np.eye(3) + G[:, :, :3]), keep * G[:, :, 3:]):
+            S = a @ S + c
+            starts.append(S)
+        self.S = S
+
+        # the sensitivity stages of the steps with output points; the 7th is
+        # taken at the unclamped endpoint
+        Sn = np.array(starts)[n]
+        X = X[n].reshape(-1, 6, 3, JACOBIAN_COLUMNS)
+        KS = X[..., :3] @ Sn[:, None] + X[..., 3:]
+        end_s = Sn + hn[:, None] * (_B @ KS.reshape(-1, 6, 3 * _NP)).reshape(-1, 3, _NP)
+        K7 = M_end[..., :3] @ end_s + M_end[..., 3:]
+        KS = np.concatenate([KS, K7[:, None]], axis=1).reshape(-1, 7, 3 * _NP)
+        out_s = Sn + hn[:, None] * (W[:, None, :] @ KS).reshape(-1, 3, _NP)
+        out_s[clipped] = 0.0
+        self.sens[lo:hi] = out_s
+
+    def finish(self, t0, s0, targets, final, diag) -> Trajectory:
+        """The trajectory at t0 and at the targets; the last target, and any
+        point no logged step reached (all at the final time), take the final
+        state."""
+        self.states[self.done:] = final
+        diag.min_component = min(diag.min_component, float(self.states.min(initial=math.inf)))
+        states = np.concatenate([[s0], self.states, [final]])
+        sens = None
+        if self.jac is not None:
+            self.sens[self.done:] = self.S
+            sens = np.concatenate([np.zeros((1, 3, _NP)), self.sens, [self.S]])
+        return Trajectory(np.array([t0] + targets), states, diag, sens)
 
 
 def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Trajectory:
@@ -210,114 +316,110 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
     diag = Diagnostics(min_component=min(x, y, z))
     times = [t0]
     states = [(x, y, z)]
-    record_all = targets is None
-    queue = list(targets) if targets is not None else [t_end]
-    # flat dx/dp and its value at every recorded time, or None throughout
-    S = np.zeros(3 * (JACOBIAN_COLUMNS - 3)) if jac is not None else None
-    sens = [S]
+    if targets is None:
+        # record every accepted step
+        target, log, dense = t_end, None, None
+    else:
+        # steps are clipped only to land on the last point
+        target = targets[-1] if targets else t0
+        log, dense = [], _DenseOutput(targets[:-1], dirn, clamp, jac)
 
     t = t0
     k1 = rhs(x, y, z)
     if not all(map(math.isfinite, k1)):
         raise NumericalOverflow("non-finite derivative at the initial state", t=t0)
     h = cfg.step if cfg.step is not None else max(min(0.1, span / 100.0), MIN_STEP)
-    if span == 0:
-        return _trajectory(times, states, diag, sens)
+    if span == 0 or targets == []:
+        sens = None if jac is None else np.zeros((1, 3, _NP))
+        return Trajectory(np.array(times), np.array(states), diag, sens)
 
-    for target in queue:
-        while (target - t) * dirn > 0:
-            if diag.steps >= cfg.max_steps:
-                raise IntegrationFailed(f"step limit {cfg.max_steps} reached", t=t)
-            diag.steps += 1
-            hs = min(h, abs(target - t)) * dirn
-            f1x, f1y, f1z = k1
-            bad = False
-            err = math.inf
-            try:
-                u2 = (x + hs * _A21 * f1x, y + hs * _A21 * f1y, z + hs * _A21 * f1z)
-                f2 = rhs(*u2)
-                u3 = (x + hs * (_A31 * f1x + _A32 * f2[0]),
-                      y + hs * (_A31 * f1y + _A32 * f2[1]),
-                      z + hs * (_A31 * f1z + _A32 * f2[2]))
-                f3 = rhs(*u3)
-                u4 = (x + hs * (_A41 * f1x + _A42 * f2[0] + _A43 * f3[0]),
-                      y + hs * (_A41 * f1y + _A42 * f2[1] + _A43 * f3[1]),
-                      z + hs * (_A41 * f1z + _A42 * f2[2] + _A43 * f3[2]))
-                f4 = rhs(*u4)
-                u5 = (x + hs * (_A51 * f1x + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
-                      y + hs * (_A51 * f1y + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
-                      z + hs * (_A51 * f1z + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2]))
-                f5 = rhs(*u5)
-                u6 = (x + hs * (_A61 * f1x + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
-                      y + hs * (_A61 * f1y + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
-                      z + hs * (_A61 * f1z + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2]))
-                f6 = rhs(*u6)
-                xn = x + hs * (_B1 * f1x + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
-                yn = y + hs * (_B1 * f1y + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
-                zn = z + hs * (_B1 * f1z + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
-                k7 = rhs(xn, yn, zn)
-                ex = hs * (_E1 * f1x + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * k7[0])
-                ey = hs * (_E1 * f1y + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * k7[1])
-                ez = hs * (_E1 * f1z + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * k7[2])
-                if not all(map(math.isfinite, (xn, yn, zn, ex, ey, ez))):
+    while (target - t) * dirn > 0:
+        if diag.steps >= cfg.max_steps:
+            raise IntegrationFailed(f"step limit {cfg.max_steps} reached", t=t)
+        diag.steps += 1
+        hs = min(h, abs(target - t)) * dirn
+        f1x, f1y, f1z = k1
+        bad = False
+        err = math.inf
+        try:
+            u2 = (x + hs * _A21 * f1x, y + hs * _A21 * f1y, z + hs * _A21 * f1z)
+            f2 = rhs(*u2)
+            u3 = (x + hs * (_A31 * f1x + _A32 * f2[0]),
+                  y + hs * (_A31 * f1y + _A32 * f2[1]),
+                  z + hs * (_A31 * f1z + _A32 * f2[2]))
+            f3 = rhs(*u3)
+            u4 = (x + hs * (_A41 * f1x + _A42 * f2[0] + _A43 * f3[0]),
+                  y + hs * (_A41 * f1y + _A42 * f2[1] + _A43 * f3[1]),
+                  z + hs * (_A41 * f1z + _A42 * f2[2] + _A43 * f3[2]))
+            f4 = rhs(*u4)
+            u5 = (x + hs * (_A51 * f1x + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
+                  y + hs * (_A51 * f1y + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
+                  z + hs * (_A51 * f1z + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2]))
+            f5 = rhs(*u5)
+            u6 = (x + hs * (_A61 * f1x + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
+                  y + hs * (_A61 * f1y + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
+                  z + hs * (_A61 * f1z + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2]))
+            f6 = rhs(*u6)
+            xn = x + hs * (_B1 * f1x + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
+            yn = y + hs * (_B1 * f1y + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
+            zn = z + hs * (_B1 * f1z + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
+            k7 = rhs(xn, yn, zn)
+            ex = hs * (_E1 * f1x + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * k7[0])
+            ey = hs * (_E1 * f1y + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * k7[1])
+            ez = hs * (_E1 * f1z + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * k7[2])
+            if not all(map(math.isfinite, (xn, yn, zn, ex, ey, ez))):
+                bad = True
+            else:
+                sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(xn))
+                sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(yn))
+                sz = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(zn))
+                # guard the squaring: pure-float ** raises OverflowError
+                # where an array would saturate to inf
+                if max(abs(ex) / sx, abs(ey) / sy, abs(ez) / sz) > 1e100:
                     bad = True
                 else:
-                    sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(xn))
-                    sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(yn))
-                    sz = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(zn))
-                    # guard the squaring: pure-float ** raises OverflowError
-                    # where an array would saturate to inf
-                    if max(abs(ex) / sx, abs(ey) / sy, abs(ez) / sz) > 1e100:
-                        bad = True
-                    else:
-                        err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2 + (ez / sz) ** 2) / 3.0)
-            except (OverflowError, ZeroDivisionError, ValueError):
-                bad = True
+                    err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2 + (ez / sz) ** 2) / 3.0)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            bad = True
 
-            if bad:
-                h = abs(hs) * 0.2
-                if h < MIN_STEP:
-                    raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
-                k1 = rhs(x, y, z)
-                continue
+        if bad:
+            h = abs(hs) * 0.2
+            if h < MIN_STEP:
+                raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
+            k1 = rhs(x, y, z)
+            continue
 
-            if err <= 1.0:
-                if S is not None:
-                    S = _sens_step(jac, S, hs, ((x, y, z), u2, u3, u4, u5, u6))
-                t = t + hs
-                x, y, z = xn, yn, zn
-                if clamp:
-                    cx, cy, cz = max(x, 0.0), max(y, 0.0), max(z, 0.0)
-                    if (cx, cy, cz) != (x, y, z):
-                        diag.clamped += 1
-                        if S is not None:
-                            # max(v, 0) has derivative 0 where it clips
-                            S = S * np.repeat((x >= 0.0, y >= 0.0, z >= 0.0), S.size // 3)
-                        x, y, z = cx, cy, cz
-                        k7 = rhs(x, y, z)  # FSAL stage is stale after clamping
-                diag.min_component = min(diag.min_component, x, y, z)
-                if max(abs(x), abs(y), abs(z)) > OVERFLOW_LIMIT:
-                    raise NumericalOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at t={t}", t=t)
-                k1 = k7
-                fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                h = max(abs(hs) * fac, MIN_STEP)
-                if record_all:
-                    times.append(t)
-                    states.append((x, y, z))
-            else:
-                h = abs(hs) * max(0.2, 0.9 * err ** -0.2)
-                if h < MIN_STEP:
-                    raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
-        if not record_all or times[-1] != t:
-            times.append(t)
-            states.append((x, y, z))
-            sens.append(S)
-    return _trajectory(times, states, diag, sens)
-
-
-def _trajectory(times, states, diag, sens) -> Trajectory:
-    sensitivities = None if sens[0] is None else np.array(sens).reshape(len(times), 3, -1)
-    return Trajectory(np.array(times), np.array(states), diag, sensitivities)
+        if err <= 1.0:
+            if log is not None:
+                log.append((t, hs, x, y, z, *k1, *f2, *f3, *f4, *f5, *f6, *k7))
+                if len(log) == _BLOCK:
+                    dense.flush(log)
+            t = t + hs
+            x, y, z = xn, yn, zn
+            if clamp:
+                cx, cy, cz = max(x, 0.0), max(y, 0.0), max(z, 0.0)
+                if (cx, cy, cz) != (x, y, z):
+                    diag.clamped += 1
+                    x, y, z = cx, cy, cz
+                    k7 = rhs(x, y, z)  # FSAL stage is stale after clamping
+            diag.min_component = min(diag.min_component, x, y, z)
+            if max(abs(x), abs(y), abs(z)) > OVERFLOW_LIMIT:
+                raise NumericalOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at t={t}", t=t)
+            k1 = k7
+            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h = max(abs(hs) * fac, MIN_STEP)
+            if dense is None:
+                times.append(t)
+                states.append((x, y, z))
+        else:
+            h = abs(hs) * max(0.2, 0.9 * err ** -0.2)
+            if h < MIN_STEP:
+                raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
+    if dense is None:
+        return Trajectory(np.array(times), np.array(states), diag)
+    if log:
+        dense.flush(log)
+    return dense.finish(t0, states[0], targets, (x, y, z), diag)
 
 
 def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:

@@ -244,3 +244,14 @@ def test_poly_crosscheck_survives_multiple_roots():
     assert report["direct_x"] is None
     assert report["agrees"] is None
     assert len(report["poly_positive_roots"]) >= 2
+
+
+def test_poly_crosscheck_reuses_the_interior_entry(request):
+    # analyze passes the entry all_equilibria already holds; the report must
+    # equal the one from the cross-check's own scan, flagged cases included
+    cases = [request.getfixturevalue(name) for name in
+             ("stable_params", "unstable_params", "predscav_params")]
+    cases += [ModelParams(**MULTI2_CASE), ModelParams(**NOROOT_CASE)]
+    for p in cases:
+        entry = next(eq for eq in all_equilibria(p) if eq.label == LABEL_INTERIOR)
+        assert interior_poly_crosscheck(p, entry) == interior_poly_crosscheck(p)

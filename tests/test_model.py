@@ -7,7 +7,8 @@ from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import MaskViolation
 from ppsdyn.model import (JACOBIAN_COLUMNS, PARAM_ORDER, Derivative,
                           ModelParams, State, Subsystem, holling3,
-                          make_jacobian, make_rhs, rhs, rhs_subsystem)
+                          jacobian_matrices, make_jacobian, make_rhs, rhs,
+                          rhs_subsystem)
 from ppsdyn.stability import jacobian
 
 
@@ -185,3 +186,19 @@ def test_jacobian_closure_matches_central_differences_of_rhs():
             fdn = make_rhs(ModelParams.from_array(dn))(*s)
             fd[:, 3 + col] = (np.array(fu) - np.array(fdn)) / (2.0 * h)
         assert np.max(np.abs(m - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_closures_on_arrays_equal_one_call_per_state():
+    # the loss and the solver evaluate both closures once on columns of
+    # states; that must be bit for bit the per-state loop it replaces
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        p = rand_params(rng, 0.1, 3.0)
+        states = rng.uniform(0.0, 4.0, (40, 3))
+        per_state = np.array([make_rhs(p)(*s) for s in states])
+        assert np.array_equal(np.array(make_rhs(p)(*states.T)).T, per_state)
+        per_state = np.array([_jacobian_matrix(p, s) for s in states])
+        got = jacobian_matrices(make_jacobian(p), *states.T)
+        assert got.shape == (40, 3, JACOBIAN_COLUMNS)
+        assert np.array_equal(got, per_state)
+

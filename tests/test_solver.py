@@ -4,7 +4,7 @@ import pytest
 from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import IntegrationFailed, MaskViolation, NumericalOverflow
 from ppsdyn.model import ModelParams, State, Subsystem
-from ppsdyn.solver import SolverConfig, Trajectory, detect_settling, integrate
+from ppsdyn.solver import _BLOCK, SolverConfig, Trajectory, detect_settling, integrate
 
 S0 = State(4.0, 3.0, 2.0)
 
@@ -108,6 +108,21 @@ def test_t_eval_lands_exactly(stable_params):
 def test_t_eval_must_start_at_t0(stable_params):
     with pytest.raises(ValueError):
         integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=[0.5, 1.0])
+    with pytest.raises(ValueError, match="monotone"):
+        integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=[0.0, 2.0, 1.0])
+
+
+def test_interpolated_states_match_tight_reference(stable_params, reference_params):
+    # the t_eval points between steps come from the continuous extension; its
+    # error stays at the level of the tolerance (a few tol here)
+    ones = ModelParams.from_array(np.ones(14))
+    for p in (stable_params, reference_params, ones):
+        ref = integrate(p, README_S0, SolverConfig(t_end=5.0, abs_tol=1e-12, rel_tol=1e-12),
+                        t_eval=GRID).states
+        for tol in (1e-6, 1e-9):
+            traj = integrate(p, README_S0, SolverConfig(t_end=5.0, abs_tol=tol, rel_tol=tol),
+                             t_eval=GRID)
+            assert np.all(np.abs(traj.states - ref) <= 20 * tol * (1.0 + np.abs(ref)))
 
 
 def test_settling_detected_for_damped_case(stable_params):
@@ -190,24 +205,31 @@ def test_sensitivities_leave_steps_and_states_bitwise_unchanged(reference_params
 
 def test_sensitivities_match_central_differences(reference_params):
     pv = reference_params.as_array()
-    cfg = _loss_cfg(1e-10)
-    got = integrate(reference_params, README_S0, cfg, t_eval=GRID,
-                    sensitivities=True).sensitivities
-    for col in range(14):
-        h = 1e-5 * pv[col]
-        up, dn = pv.copy(), pv.copy()
-        up[col] += h
-        dn[col] -= h
-        fd = (integrate(ModelParams.from_array(up), README_S0, cfg, t_eval=GRID).states
-              - integrate(ModelParams.from_array(dn), README_S0, cfg, t_eval=GRID).states) / (2 * h)
-        assert np.max(np.abs(got[:, :, col] - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
+    # the README horizon, and one long enough that dx/dp is carried across
+    # batches of logged steps
+    long_grid = np.linspace(0.0, 20.0, 60)
+    for grid, cfg in ((GRID, _loss_cfg(1e-10)),
+                      (long_grid, SolverConfig(t_end=20.0, abs_tol=1e-10, rel_tol=1e-10))):
+        traj = integrate(reference_params, README_S0, cfg, t_eval=grid, sensitivities=True)
+        if grid is long_grid:
+            assert traj.diagnostics.steps > _BLOCK
+        got = traj.sensitivities
+        for col in range(14):
+            h = 1e-5 * pv[col]
+            up, dn = pv.copy(), pv.copy()
+            up[col] += h
+            dn[col] -= h
+            fd = (integrate(ModelParams.from_array(up), README_S0, cfg, t_eval=grid).states
+                  - integrate(ModelParams.from_array(dn), README_S0, cfg, t_eval=grid).states) / (2 * h)
+            assert np.max(np.abs(got[:, :, col] - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
 def test_single_step_sensitivity_is_exact_derivative_of_the_step(stable_params):
     # one long step (loose tolerances accept it), so dx/dp must be the exact
-    # derivative of the Dormand-Prince step map, every stage coupling included
+    # derivative of the Dormand-Prince step map, every stage coupling included,
+    # and at 0.1 that of its continuous extension, 7th stage included
     cfg = SolverConfig(t_end=0.3, step=0.3, abs_tol=10.0, rel_tol=10.0)
-    grid = [0.0, 0.3]
+    grid = [0.0, 0.1, 0.3]
     traj = integrate(stable_params, S0, cfg, t_eval=grid, sensitivities=True)
     assert traj.diagnostics.steps == 1
     pv = stable_params.as_array()
@@ -219,23 +241,57 @@ def test_single_step_sensitivity_is_exact_derivative_of_the_step(stable_params):
         fu = integrate(ModelParams.from_array(up), S0, cfg, t_eval=grid)
         fdn = integrate(ModelParams.from_array(dn), S0, cfg, t_eval=grid)
         assert fu.diagnostics.steps == fdn.diagnostics.steps == 1
-        fd = (fu.states[-1] - fdn.states[-1]) / (2 * h)
-        assert np.max(np.abs(traj.sensitivities[-1, :, col] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+        fd = (fu.states[1:] - fdn.states[1:]) / (2 * h)
+        assert np.max(np.abs(traj.sensitivities[1:, :, col] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+
+# at this loose tolerance a step overshoots the collapsing prey below zero
+COLLAPSE = ModelParams(r=0.72, k=2.03, a=2.23, a0=0.85, b=2.03, b0=0.76, d=2.67,
+                       e=1.26, f=1.47, g=0.59, h=1.45, i=0.90, i0=2.37, j=0.49)
+COLLAPSE_S0 = State(1.62, 1.24, 2.74)
+COLLAPSE_CFG = SolverConfig(t_end=2.0, abs_tol=1e-2, rel_tol=1e-2, negativity_policy="clamp")
 
 
 def test_clamped_component_has_zero_sensitivity():
-    # at this loose tolerance the first step overshoots the collapsing prey
-    # below zero; clamped to zero it stays there, and so must its row of dx/dp
-    p = ModelParams(r=0.72, k=2.03, a=2.23, a0=0.85, b=2.03, b0=0.76, d=2.67,
-                    e=1.26, f=1.47, g=0.59, h=1.45, i=0.90, i0=2.37, j=0.49)
+    # clamped to zero the prey stays there, and so must its row of dx/dp
+    p, cfg = COLLAPSE, COLLAPSE_CFG
     grid = np.linspace(0.0, 2.0, 5)
-    cfg = SolverConfig(t_end=2.0, abs_tol=1e-2, rel_tol=1e-2, negativity_policy="clamp")
-    traj = integrate(p, State(1.62, 1.24, 2.74), cfg, t_eval=grid, sensitivities=True)
+    traj = integrate(p, COLLAPSE_S0, cfg, t_eval=grid, sensitivities=True)
     assert traj.diagnostics.clamped > 0
     pinned = traj.states[:, 0] == 0.0
     assert pinned.sum() >= 3
     assert np.all(traj.sensitivities[pinned, 0, :] == 0.0)
     assert np.any(traj.sensitivities[pinned, 1:, :] != 0.0)
+
+
+def test_clamped_interpolated_sample_is_clipped_with_zero_sensitivity():
+    # on a fine grid, the interpolated prey crosses zero inside the step whose
+    # end is clamped; the samples after the crossing are clipped, and their
+    # row of dx/dp zeroed, by the rule of a clamped step end
+    steps = integrate(COLLAPSE, COLLAPSE_S0, COLLAPSE_CFG)  # the same steps, recorded
+    k = np.argmax(steps.states[:, 0] == 0.0)  # the first clamped step ends at times[k]
+    grid = np.linspace(0.0, 2.0, 41)
+    traj = integrate(COLLAPSE, COLLAPSE_S0, COLLAPSE_CFG, t_eval=grid, sensitivities=True)
+    assert np.all(traj.states >= 0.0)
+    inside = (traj.states[:, 0] == 0.0) & (grid > steps.times[k - 1]) & (grid < steps.times[k])
+    assert inside.sum() >= 2
+    assert np.all(traj.sensitivities[inside, 0, :] == 0.0)
+    assert np.any(traj.sensitivities[inside, 1:, :] != 0.0)
+
+
+def test_t_eval_keeps_the_free_running_step_sequence(reference_params):
+    # t_eval points are interpolated, so a run on the README grid takes
+    # exactly the steps of a run without it; clipping a step at each point
+    # took 40, 45, 49 and 96 steps here
+    ones = ModelParams.from_array(np.ones(14))
+    expected = {(0, 1e-6): 11, (0, 1e-9): 35, (1, 1e-6): 24, (1, 1e-9): 81}
+    for (which, tol), steps in expected.items():
+        p = (reference_params, ones)[which]
+        with_grid = integrate(p, README_S0, _loss_cfg(tol), t_eval=GRID)
+        free = integrate(p, README_S0, _loss_cfg(tol))
+        assert with_grid.diagnostics.steps == free.diagnostics.steps == steps
+        assert with_grid.diagnostics.clamped == free.diagnostics.clamped
+        assert np.array_equal(with_grid.states[-1], free.states[-1])
 
 
 def test_sensitivities_need_rk45_t_eval_and_full_system(stable_params):
