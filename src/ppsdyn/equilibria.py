@@ -10,7 +10,9 @@ The interior point is located two independent ways: a 1-D scan-and-bisect
 over x (authoritative), and the positive real roots of a degree-12
 polynomial that interior_poly_coeffs derives from the model equations by
 eliminating y and z.  The two routes are cross-checked but never collapsed
-into one.
+into one.  The scan evaluates its residual on the whole grid in one numpy
+pass; only the few sign-change brackets it finds are refined by scalar
+bisection.
 """
 
 from __future__ import annotations
@@ -188,23 +190,49 @@ def _prey_residual(x: float, p: ModelParams) -> float:
     )
 
 
+def _prey_residuals(xs: np.ndarray, p: ModelParams) -> np.ndarray:
+    """_prey_residual at every point of xs, bitwise equal to the scalar calls.
+
+    Each line repeats the scalar arithmetic in the same order, and ok marks
+    the points where the scalar does not return NaN early.  A zero D or den
+    makes w or y infinite or NaN, which the finiteness tests reject as the
+    scalar's D == 0 and den == 0 returns do.
+    """
+    with np.errstate(all="ignore"):
+        N = p.e + (p.a0 * p.e - p.d) * xs * xs
+        D = p.f * (1.0 + p.a0 * xs * xs) - p.i0 * N
+        w = N / D
+        ok = np.isfinite(w) & (w > 0)
+        z = np.sqrt(w)
+        M = p.j - p.g * xs * xs / (1.0 + p.b0 * xs * xs)
+        qi = 1.0 + p.i0 * z * z
+        y = M * qi / (p.h * qi - p.i * z)
+        ok &= np.isfinite(y) & (y > 0)
+        res = (
+            p.r * (1.0 - xs / p.k)
+            - p.a * xs * y / (1.0 + p.a0 * xs * xs)
+            - p.b * xs * z / (1.0 + p.b0 * xs * xs)
+        )
+    return np.where(ok, res, np.nan)
+
+
 def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
     """Locate the interior coexistence point by scanning x over (0, k).
 
     For each x the predator equation fixes z, the scavenger equation fixes y,
-    and the prey equation supplies a scalar residual; its unique admissible
-    sign change is refined by bisection.  Raises NoRoot / MultipleRoots when
-    the count is not exactly one.
+    and the prey equation supplies a scalar residual.  The residual is
+    evaluated on the whole grid at once; each sign change between two
+    non-NaN neighbours is refined by scalar bisection, and the admissible
+    root must be unique.  Raises NoRoot / MultipleRoots when the count is
+    not exactly one.
     """
     xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
-    vals = [_prey_residual(float(x), p) for x in xs]
+    vals = _prey_residuals(xs, p)
     roots = []
-    for idx in range(len(xs) - 1):
-        f0, f1 = vals[idx], vals[idx + 1]
-        if math.isnan(f0) or math.isnan(f1) or f0 * f1 > 0:
-            continue
+    # a NaN at either end makes the product NaN, so that bracket is skipped
+    for idx in np.flatnonzero(vals[:-1] * vals[1:] <= 0).tolist():
         lo, hi = float(xs[idx]), float(xs[idx + 1])
-        flo = f0
+        flo = float(vals[idx])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             fm = _prey_residual(mid, p)

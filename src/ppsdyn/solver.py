@@ -135,8 +135,8 @@ class Trajectory:
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("t,x,y,z\n")
-            for t, (x, y, z) in zip(self.times, self.states):
-                fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+            for t, (x, y, z) in zip(self.times.tolist(), self.states.tolist()):
+                fh.write(f"{t!r},{x!r},{y!r},{z!r}\n")
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

@@ -3,8 +3,10 @@
 For a cubic characteristic polynomial lambda^3 + m1 lambda^2 + m2 lambda + m3
 the coefficients come from the trace, the principal 2x2 minors, and the
 determinant; all eigenvalue real parts are negative iff m1, m2, m3 > 0 and
-m1*m2 - m3 > 0.  Eigenvalues are computed independently (companion matrix,
-QR) and are authoritative when the two routes disagree near a margin.
+m1*m2 - m3 > 0.  classify computes the 3x3 eigenvalues independently, from
+the Jacobian itself (np.linalg.eigvals, QR), never from m1, m2, m3, so an
+error in the coefficients cannot reach both routes; the eigenvalues are
+authoritative when the two disagree near a margin.
 """
 
 from __future__ import annotations
@@ -94,12 +96,14 @@ class StabilityVerdict:
         }
 
 
+def _sorted_eigenvalues(A: np.ndarray) -> tuple:
+    # QR-based eigenvalues sidestep the branch pitfalls of the closed-form cubic
+    return tuple(sorted((complex(v) for v in np.linalg.eigvals(A)), key=lambda v: (v.real, v.imag)))
+
+
 def _cubic_roots(m1: float, m2: float, m3: float) -> tuple:
-    # companion matrix of lambda^3 + m1 l^2 + m2 l + m3; QR-based eigenvalues
-    # sidestep the branch pitfalls of the closed-form cubic
-    comp = np.array([[0.0, 0.0, -m3], [1.0, 0.0, -m2], [0.0, 1.0, -m1]])
-    ev = np.linalg.eigvals(comp)
-    return tuple(sorted((complex(v) for v in ev), key=lambda v: (v.real, v.imag)))
+    # companion matrix of lambda^3 + m1 l^2 + m2 l + m3
+    return _sorted_eigenvalues(np.array([[0.0, 0.0, -m3], [1.0, 0.0, -m2], [0.0, 1.0, -m1]]))
 
 
 def _quadratic_roots(tr: float, det: float) -> tuple:
@@ -118,14 +122,18 @@ def _verdict_from_eigenvalues(eigenvalues) -> str:
     return STABLE if max(res) < 0 else UNSTABLE
 
 
-def routh_hurwitz_cubic(m1: float, m2: float, m3: float) -> StabilityVerdict:
-    """Verdict for lambda^3 + m1 lambda^2 + m2 lambda + m3 from the sign tests alone."""
-    tests = [
+def _routh_hurwitz_criteria(m1: float, m2: float, m3: float) -> list:
+    return [
         ExistenceCheck("m1 > 0", m1 > RH_MARGIN, m1),
         ExistenceCheck("m2 > 0", m2 > RH_MARGIN, m2),
         ExistenceCheck("m3 > 0", m3 > RH_MARGIN, m3),
         ExistenceCheck("m1*m2 - m3 > 0", m1 * m2 - m3 > RH_MARGIN, m1 * m2 - m3),
     ]
+
+
+def routh_hurwitz_cubic(m1: float, m2: float, m3: float) -> StabilityVerdict:
+    """Verdict for lambda^3 + m1 lambda^2 + m2 lambda + m3 from the sign tests alone."""
+    tests = _routh_hurwitz_criteria(m1, m2, m3)
     if any(abs(c.value) <= RH_MARGIN for c in tests):
         cls = MARGINAL
     elif all(c.satisfied for c in tests):
@@ -213,7 +221,8 @@ def classify(p: ModelParams, eq: Equilibrium) -> StabilityVerdict:
 
     Eigenvalue real parts decide the classification; the label's closed-form
     criteria are evaluated alongside and a disagreement is noted, not
-    silently resolved.
+    silently resolved.  3x3 eigenvalues come from J itself; m1, m2, m3 feed
+    only the Routh-Hurwitz criteria and the report.
     """
     if not eq.exists or eq.point is None:
         raise ExistenceViolated(f"{eq.label} does not exist for these parameters")
@@ -221,9 +230,9 @@ def classify(p: ModelParams, eq: Equilibrium) -> StabilityVerdict:
     criteria = _named_criteria(p, eq)
     if J.shape == (3, 3):
         m1, m2, m3 = _char_coeffs_3(J)
-        eigenvalues = _cubic_roots(m1, m2, m3)
+        eigenvalues = _sorted_eigenvalues(J)
         if eq.label == LABEL_INTERIOR:
-            criteria.extend(routh_hurwitz_cubic(m1, m2, m3).criteria)
+            criteria.extend(_routh_hurwitz_criteria(m1, m2, m3))
     else:
         m1 = m2 = m3 = None
         tr = float(np.trace(J))

@@ -6,7 +6,8 @@ from conftest import (INTERIOR_STABLE, INTERIOR_UNSTABLE, MULTI2_CASE,
                       REFERENCE, rand_params)
 from ppsdyn.equilibria import (LABEL_INTERIOR, LABEL_ORIGIN, LABEL_PRED_PREY,
                                LABEL_PRED_SCAV, LABEL_PREY_ONLY,
-                               LABEL_SCAV_PREY, all_equilibria,
+                               LABEL_SCAV_PREY, SCAN_POINTS, _prey_residual,
+                               _prey_residuals, all_equilibria,
                                interior_equilibrium_direct,
                                interior_poly_coeffs, interior_poly_crosscheck,
                                positive_real_roots, predprey_equilibria,
@@ -86,6 +87,50 @@ def test_interior_bound_values(stable_params):
 def test_no_admissible_root_raises():
     with pytest.raises(NoRoot):
         interior_equilibrium_direct(ModelParams(**NOROOT_CASE))
+
+
+# Degenerate sets.  Tiny a0, d, i0 make N, D and qi exact constants on the
+# scan grid: D = f - i0*e = 0 everywhere, or z = 2 and den = h*qi - i*z = 0
+# everywhere.  With k = 4097 the grid is 1, 2, ..., 4096 and N = 1 - x^2/4
+# is exactly 0 at x = 2, so w = 0 there.  The scalar residual is NaN at
+# these points; an array residual that lets them through is finite there.
+_TINY = dict(r=1.0, k=1.0, a=1.0, b=1.0, a0=1e-300, d=1e-300, i0=1e-300, b0=1.0, g=1.0, j=3.0)
+DEGENERATE = {
+    "D=0": (dict(_TINY, e=2.0, f=2.0, i0=1.0, h=1.0, i=1.0), slice(None)),
+    "den=0": (dict(_TINY, e=4.0, f=1.0, h=2.0, i=1.0), slice(None)),
+    "w=0": (dict(_TINY, k=4097.0, a0=0.25, d=0.5, e=1.0, f=1.0, i0=1.0, h=1.0, i=1.0),
+            slice(1, 2)),
+}
+
+
+def _scalar_and_array_residuals(p):
+    xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
+    scalar = np.array([_prey_residual(float(x), p) for x in xs])
+    return scalar, _prey_residuals(xs, p)
+
+
+def test_array_residual_is_bitwise_equal_to_scalar():
+    cases = [INTERIOR_STABLE, INTERIOR_UNSTABLE, PREDPREY_CASE, PREDSCAV_CASE,
+             REFERENCE, MULTI2_CASE, NOROOT_CASE]
+    rng = np.random.default_rng(61)
+    params = [ModelParams(**c) for c in cases] + [rand_params(rng, 0.1, 3.0) for _ in range(300)]
+    nan_points = finite_points = 0
+    for p in params:
+        scalar, array = _scalar_and_array_residuals(p)
+        # tobytes compares bit patterns, NaN positions included
+        assert array.tobytes() == scalar.tobytes()
+        nan_points += int(np.isnan(scalar).sum())
+        finite_points += int(np.isfinite(scalar).sum())
+    assert nan_points > 0 and finite_points > 0
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_array_residual_masks_degenerate_points(name):
+    case, degenerate = DEGENERATE[name]
+    p = ModelParams(**case)
+    scalar, array = _scalar_and_array_residuals(p)
+    assert np.isnan(scalar[degenerate]).all()
+    assert array.tobytes() == scalar.tobytes()
 
 
 def test_two_roots_raise_with_locations():

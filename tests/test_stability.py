@@ -6,6 +6,7 @@ from ppsdyn.equilibria import (all_equilibria, interior_equilibrium_direct,
                                predprey_equilibria, predscav_equilibria)
 from ppsdyn.errors import ExistenceViolated, MultipleRoots, NoRoot
 from ppsdyn.model import ModelParams, State, Subsystem, rhs_subsystem
+from ppsdyn import stability
 from ppsdyn.stability import (MARGINAL, STABLE, UNSTABLE, classify, jacobian,
                               routh_hurwitz_cubic)
 
@@ -79,6 +80,19 @@ def test_eigenvalues_satisfy_characteristic_polynomial(stable_params):
     for lam in v.eigenvalues:
         residual = lam**3 + v.m1 * lam**2 + v.m2 * lam + v.m3
         assert abs(residual) < 1e-10
+
+
+def test_eigenvalues_do_not_depend_on_char_coeffs(stable_params, monkeypatch):
+    # the eigenvalues come from the Jacobian itself, so a wrong m1, m2, m3
+    # reaches only the Routh-Hurwitz criteria, never the verdict
+    eq = interior_equilibrium_direct(stable_params)
+    good = classify(stable_params, eq)
+    monkeypatch.setattr(stability, "_char_coeffs_3", lambda J: (-1.0, -2.0, -3.0))
+    bad = classify(stable_params, eq)
+    assert bad.eigenvalues == good.eigenvalues
+    assert bad.classification == good.classification == STABLE
+    assert (bad.m1, bad.m2, bad.m3) == (-1.0, -2.0, -3.0)
+    assert any("eigenvalues are authoritative" in note for note in bad.notes)
 
 
 def test_two_species_verdicts(predscav_params):
