@@ -194,8 +194,7 @@ def cmd_simulate(args) -> int:
         t_end=args.t_end,
         method=args.method,
         step=args.step,
-        abs_tol=args.tol,
-        rel_tol=args.tol,
+        tol=args.tol,
         negativity_policy="clamp" if args.clamp else "diagnose",
     )
     traj = integrate(p, s0, cfg, mask=mask)
@@ -274,8 +273,7 @@ def cmd_estimate(args) -> int:
         raw = ds.raw_times
         dense = np.linspace(raw[0], raw[-1], 201)
         s0 = ds.mins + ds.observations[0] * ds.ranges
-        cfg = SolverConfig(t_end=float(dense[-1]), abs_tol=1e-9, rel_tol=1e-9,
-                           negativity_policy="clamp")
+        cfg = SolverConfig(t_end=float(dense[-1]), tol=1e-9, negativity_policy="clamp")
         try:
             traj = integrate(p, State(float(s0[0]), float(s0[1]), float(s0[2]), float(dense[0])),
                              cfg, t_eval=dense)

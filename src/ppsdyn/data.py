@@ -237,11 +237,13 @@ def synthesize(
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise TooFewSamples("t_grid needs at least 3 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("t_grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
-    cfg = SolverConfig(t_end=float(grid[-1]), abs_tol=1e-9, rel_tol=1e-9)
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError("noise_sigma must be finite and nonnegative")
+    cfg = SolverConfig(t_end=float(grid[-1]), tol=1e-9)
     start = State(float(s0[0]), float(s0[1]), float(s0[2]), float(grid[0]))
     traj = integrate(p, start, cfg, t_eval=grid)
     raw = np.array(traj.states, dtype=float)

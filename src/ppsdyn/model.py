@@ -167,10 +167,7 @@ def rhs(s, p: ModelParams) -> Derivative:
 
     Raises NumericalOverflow if the result is non-finite.
     """
-    d = make_rhs(p)(float(s[0]), float(s[1]), float(s[2]))
-    if not all(map(math.isfinite, d)):
-        raise NumericalOverflow(f"non-finite derivative at state {tuple(s[:3])}")
-    return Derivative(*d)
+    return rhs_subsystem(s, p, Subsystem.FULL)
 
 
 def rhs_subsystem(s, p: ModelParams, mask: Subsystem) -> Derivative:

@@ -15,23 +15,23 @@ import numpy as np
 from .errors import LineSearchFailed, NonFiniteLoss
 
 CURVATURE_FLOOR = 1e-12
-# relative central-difference step of Objective's fallback gradient
-FD_STEP = 1e-6
+# Adam's moment decay rates and the term inside its square root
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+# BFGS stops when the gradient norm or the accepted step falls below these
+GRADIENT_TOLERANCE, STEP_TOLERANCE = 1e-6, 1e-10
+# backtracking Armijo line search: the first trial step, the factor each
+# halving applies, the sufficient-decrease constant and the halving budget
+INITIAL_STEP, SHRINK, SUFFICIENT_DECREASE, MAX_HALVINGS = 1.0, 0.5, 1e-4, 60
 
 
 @dataclass(frozen=True)
 class AdamConfig:
     alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     num_steps: int = 100
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.alpha <= 0 or self.epsilon <= 0:
-            raise ValueError("alpha and epsilon must be positive")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
         if self.num_steps < 0:
             raise ValueError("num_steps must be nonnegative")
 
@@ -49,68 +49,27 @@ class AdamState(NamedTuple):
 @dataclass(frozen=True)
 class BfgsConfig:
     max_iterations: int = 200
-    gradient_tolerance: float = 1e-6
-    step_tolerance: float = 1e-10
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_halvings: int = 60
     # applied to every line-search candidate; lets callers keep iterates in a
     # feasible set (e.g. positivity floors) without the optimizer knowing why
     project: Optional[Callable] = None
 
     def __post_init__(self):
-        if min(self.max_iterations, self.max_halvings) <= 0:
-            raise ValueError("iteration budgets must be positive")
-        if min(self.gradient_tolerance, self.step_tolerance, self.initial_step) <= 0:
-            raise ValueError("tolerances and initial step must be positive")
-        if not (0.0 < self.shrink < 1.0 and 0.0 < self.sufficient_decrease < 1.0):
-            raise ValueError("shrink and sufficient_decrease must lie in (0, 1)")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass
 class Objective:
-    """Evaluation contract: value(theta) -> scalar, gradient(theta) -> vector.
-
-    Without an analytic gradient, central differences with per-coordinate
-    step FD_STEP*(1+|theta_i|) are used; if one side of a stencil is
-    non-finite the gradient falls back to the one-sided difference.
-    """
+    """Evaluation contract: value(theta) -> scalar, gradient(theta) -> vector."""
 
     fn: Callable
-    grad: Optional[Callable] = None
+    grad: Callable
 
     def value(self, theta) -> float:
         return float(self.fn(np.asarray(theta, dtype=float)))
 
     def gradient(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self.grad is not None:
-            return np.asarray(self.grad(theta), dtype=float)
-        g = np.empty(theta.size)
-        base = None
-        for idx in range(theta.size):
-            h = FD_STEP * (1.0 + abs(theta[idx]))
-            up = theta.copy()
-            up[idx] += h
-            dn = theta.copy()
-            dn[idx] -= h
-            fu = self.value(up)
-            fd = self.value(dn)
-            if math.isfinite(fu) and math.isfinite(fd):
-                g[idx] = (fu - fd) / (2.0 * h)
-                continue
-            if base is None:
-                base = self.value(theta)
-            if math.isfinite(fu) and math.isfinite(base):
-                g[idx] = (fu - base) / h
-            elif math.isfinite(fd) and math.isfinite(base):
-                g[idx] = (base - fd) / h
-            else:
-                # both sides blew up; drop the coordinate rather than poison
-                # the whole direction
-                g[idx] = 0.0
-        return g
+        return np.asarray(self.grad(np.asarray(theta, dtype=float)), dtype=float)
 
 
 def adam_step(state: AdamState, grad, theta, cfg: AdamConfig):
@@ -122,11 +81,11 @@ def adam_step(state: AdamState, grad, theta, cfg: AdamConfig):
     g = np.asarray(grad, dtype=float)
     theta = np.asarray(theta, dtype=float)
     t = state.t + 1
-    m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    return AdamState(m, v, t), theta - cfg.alpha * m_hat / np.sqrt(v_hat + cfg.epsilon)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return AdamState(m, v, t), theta - cfg.alpha * m_hat / np.sqrt(v_hat + ADAM_EPSILON)
 
 
 def adam_run(obj: Objective, theta0, cfg: AdamConfig):
@@ -164,19 +123,19 @@ def _line_search(obj, x, fx, g, p, cfg):
     # backtracking Armijo; returns (candidate, value) or None after the
     # halving budget is spent
     slope = float(g @ p)
-    t = cfg.initial_step
-    for _ in range(cfg.max_halvings + 1):
+    t = INITIAL_STEP
+    for _ in range(MAX_HALVINGS + 1):
         cand = x + t * p
         if cfg.project is not None:
             cand = np.asarray(cfg.project(cand), dtype=float)
         f_new = obj.value(cand)
-        if math.isfinite(f_new) and f_new <= fx + cfg.sufficient_decrease * t * slope:
+        if math.isfinite(f_new) and f_new <= fx + SUFFICIENT_DECREASE * t * slope:
             return cand, f_new
-        t *= cfg.shrink
+        t *= SHRINK
     return None
 
 
-def bfgs_run(obj: Objective, x0, B0=None, cfg: Optional[BfgsConfig] = None):
+def bfgs_run(obj: Objective, x0, cfg: Optional[BfgsConfig] = None):
     """Quasi-Newton minimization from x0; returns (x, loss history).
 
     history[0] is the loss at x0 and one entry is appended per accepted
@@ -189,13 +148,13 @@ def bfgs_run(obj: Objective, x0, B0=None, cfg: Optional[BfgsConfig] = None):
     cfg = cfg or BfgsConfig()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    B = np.eye(n) if B0 is None else np.array(B0, dtype=float)
+    B = np.eye(n)
     fx = obj.value(x)
     if not math.isfinite(fx):
         raise NonFiniteLoss("objective non-finite at x0", history=[])
     g = obj.gradient(x)
     history = [fx]
-    if np.linalg.norm(g) < cfg.gradient_tolerance:
+    if np.linalg.norm(g) < GRADIENT_TOLERANCE:
         return x, history
     await_rescale = True
     for _ in range(cfg.max_iterations):
@@ -209,7 +168,7 @@ def bfgs_run(obj: Objective, x0, B0=None, cfg: Optional[BfgsConfig] = None):
             trial = _line_search(obj, x, fx, g, -g, cfg)
             if trial is None:
                 raise LineSearchFailed(
-                    f"no acceptable step after {cfg.max_halvings} halvings",
+                    f"no acceptable step after {MAX_HALVINGS} halvings",
                     x=x,
                     history=history,
                 )
@@ -229,9 +188,9 @@ def bfgs_run(obj: Objective, x0, B0=None, cfg: Optional[BfgsConfig] = None):
             B = _update_inverse(B, s, y)
         x, fx, g = x_new, f_new, g_new
         history.append(fx)
-        if np.linalg.norm(g) < cfg.gradient_tolerance:
+        if np.linalg.norm(g) < GRADIENT_TOLERANCE:
             break
-        if np.linalg.norm(s) < cfg.step_tolerance:
+        if np.linalg.norm(s) < STEP_TOLERANCE:
             break
     return x, history
 

@@ -161,8 +161,7 @@ def data_derivative(ds: Dataset) -> np.ndarray:
     return grid_derivative(ds.times, ds.observations)
 
 
-def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEPS,
-               gradient: bool = False):
+def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
     """(total, mse, pie) for parameter vector p against a normalized dataset.
 
     The trajectory starts from the first (denormalized) observation.  The
@@ -177,13 +176,8 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, max_steps: int = LOSS_MAX_STEP
     params = ModelParams.from_array(pv)
     raw_grid = ds.raw_times
     s0 = ds.mins + ds.observations[0] * ds.ranges
-    cfg = SolverConfig(
-        t_end=float(raw_grid[-1]),
-        abs_tol=tol,
-        rel_tol=tol,
-        negativity_policy="clamp",
-        max_steps=max_steps,
-    )
+    cfg = SolverConfig(t_end=float(raw_grid[-1]), tol=tol, negativity_policy="clamp",
+                       max_steps=LOSS_MAX_STEPS)
     try:
         traj = integrate(
             params, State(float(s0[0]), float(s0[1]), float(s0[2]), float(raw_grid[0])), cfg,
@@ -232,19 +226,13 @@ class TraceRow(NamedTuple):
     pie: float
 
 
-def train_pinn(
-    ds: Dataset,
-    seed,
-    epochs: int = 100,
-    alpha: float = 1e-4,
-    loss_tol: float = 1e-6,
-):
+def train_pinn(ds: Dataset, seed, epochs: int = 100):
     """Adam-train the network weights; returns (net, predicted params, trace).
 
     One generator, threaded: the input vector is drawn first, then the
     hidden-layer weights, so the run is reproducible from the seed alone.
-    Each epoch integrates once, for the loss and its exact gradient in the
-    predicted parameters.  The trace has one TraceRow per epoch.  A
+    Each epoch integrates once, at tolerance 1e-6, for the loss and its exact
+    gradient in the predicted parameters; Adam steps by 1e-4.  The trace has one TraceRow per epoch.  A
     non-finite loss or gradient aborts with NonFiniteLoss carrying the
     partial trace and the best finite prediction seen so far.
     """
@@ -253,14 +241,14 @@ def train_pinn(
     net = init_mlp(rng)
     theta = _pack(zip(net.weights, net.biases))
     adam_state = AdamState.fresh(theta.size)
-    adam_cfg = AdamConfig(alpha=alpha, num_steps=max(epochs, 1))
+    adam_cfg = AdamConfig(alpha=1e-4, num_steps=max(epochs, 1))
     trace: list = []
     best_total = math.inf
     best_p: Optional[np.ndarray] = None
     for _ in range(epochs):
         p_raw, caches = _forward_cached(net, inp)
         pf = np.maximum(p_raw, PARAM_FLOOR)
-        total, mse, pie, g_mse, g_pie = _loss_or_inf(pf, ds, loss_tol, gradient=True)
+        total, mse, pie, g_mse, g_pie = _loss_or_inf(pf, ds, 1e-6, gradient=True)
         dEdp = g_mse + g_pie
         if not (math.isfinite(total) and np.all(np.isfinite(dEdp))):
             raise NonFiniteLoss(

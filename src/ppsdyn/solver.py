@@ -79,6 +79,9 @@ class SolverConfig:
 
     method: "rk45" (adaptive, default) or "rk4" (fixed step).
     step: fixed step for rk4; initial step for rk45 (auto-chosen if None).
+    tol: absolute and relative tolerance of rk45's error control; a step is
+    accepted when the RMS of its component error estimates, each divided by
+    tol + tol*max(|start|, |end|) of that component, is at most 1.
     negativity_policy: "diagnose" records the minimum component seen and lets
     the state go negative; "clamp" pins negative components to zero after
     each accepted step (changes the dynamics; off by default).
@@ -89,20 +92,21 @@ class SolverConfig:
     t_end: float
     method: str = "rk45"
     step: Optional[float] = None
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+    tol: float = 1e-9
     negativity_policy: str = "diagnose"
     max_steps: int = 100_000
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t_end, self.tol, self.step or 0.0))):
+            raise ValueError("t_end, step and tol must be finite")
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "rk4" and (self.step is None or self.step <= 0):
             raise ValueError("rk4 requires a positive fixed step")
         if self.step is not None and self.step <= 0:
             raise ValueError("step must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
         if self.negativity_policy not in ("diagnose", "clamp"):
             raise ValueError(f"unknown negativity policy {self.negativity_policy!r}")
         if self.max_steps < 1:
@@ -168,7 +172,8 @@ def integrate(
     t_eval: Optional[Sequence[float]] = None,
     sensitivities: bool = False,
 ) -> Trajectory:
-    """Integrate from s0 (time taken from s0.t if present, else 0) to cfg.t_end.
+    """Integrate from s0 (finite and nonnegative; time taken from s0.t if
+    present, else 0) to cfg.t_end.
 
     Output is sampled at every accepted step, or at t_eval if given (t_eval
     must start at the initial time and be monotone toward t_end; the run
@@ -182,8 +187,8 @@ def integrate(
     """
     x, y, z = (float(v) for v in s0[:3])
     t0 = float(s0[3]) if len(s0) > 3 else 0.0
-    if min(x, y, z) < 0:
-        raise ValueError(f"initial state must be nonnegative, got {(x, y, z)}")
+    if not (min(x, y, z) >= 0 and math.isfinite(x + y + z)):
+        raise ValueError(f"initial state must be finite and nonnegative, got {(x, y, z)}")
     _check_mask((x, y, z), mask)
     rhs = make_rhs(p, mask)
 
@@ -370,9 +375,9 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
             if not all(map(math.isfinite, (xn, yn, zn, ex, ey, ez))):
                 bad = True
             else:
-                sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(xn))
-                sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(yn))
-                sz = cfg.abs_tol + cfg.rel_tol * max(abs(z), abs(zn))
+                sx = cfg.tol + cfg.tol * max(abs(x), abs(xn))
+                sy = cfg.tol + cfg.tol * max(abs(y), abs(yn))
+                sz = cfg.tol + cfg.tol * max(abs(z), abs(zn))
                 # guard the squaring: pure-float ** raises OverflowError
                 # where an array would saturate to inf
                 if max(abs(ex) / sx, abs(ey) / sy, abs(ez) / sz) > 1e100:

@@ -28,7 +28,7 @@ from .equilibria import (
     LABEL_SCAV_PREY,
 )
 from .errors import ExistenceViolated
-from .model import ModelParams, Subsystem
+from .model import JACOBIAN_COLUMNS, ModelParams, Subsystem, make_jacobian
 
 # eigenvalues with |Re| at or below this band get a Marginal verdict instead
 # of a binary call; hyperbolicity is not decidable numerically at the margin
@@ -42,22 +42,11 @@ MARGINAL = "Marginal"
 
 def jacobian(p: ModelParams, s, mask: Subsystem = Subsystem.FULL) -> np.ndarray:
     """Analytic Jacobian of the (masked) system at s; 3x3 for the full system,
-    2x2 restricted to the active components for a subsystem."""
+    2x2 restricted to the active components for a subsystem.  It is the state
+    block of make_jacobian's matrix."""
     x, y, z = (float(v) for v in s[:3])
-    qa = 1.0 + p.a0 * x * x
-    qb = 1.0 + p.b0 * x * x
-    qi = 1.0 + p.i0 * z * z
-    J = np.empty((3, 3))
-    # d/dx of u^2/(1+c u^2) is 2u/(1+c u^2)^2
-    J[0, 0] = p.r * (1.0 - 2.0 * x / p.k) - 2.0 * p.a * x * y / qa**2 - 2.0 * p.b * x * z / qb**2
-    J[0, 1] = -p.a * x * x / qa
-    J[0, 2] = -p.b * x * x / qb
-    J[1, 0] = 2.0 * p.d * x * y / qa**2
-    J[1, 1] = p.d * x * x / qa + p.f * z * z / qi - p.e
-    J[1, 2] = 2.0 * p.f * z * y / qi**2
-    J[2, 0] = 2.0 * p.g * x * z / qb**2
-    J[2, 1] = p.h * z - p.i * z * z / qi
-    J[2, 2] = p.g * x * x / qb + p.h * y - 2.0 * p.i * y * z / qi**2 - p.j
+    vals = make_jacobian(p)(x, y, z)
+    J = np.array([vals[row * JACOBIAN_COLUMNS:row * JACOBIAN_COLUMNS + 3] for row in range(3)])
     if mask is Subsystem.FULL:
         return J
     active = [idx for idx, on in enumerate(mask.mask) if on]

@@ -190,3 +190,27 @@ def test_estimate_rejects_nonfinite_survey_cell_as_data_error(tmp_path, capsys, 
     assert code == 1
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "fit" / "report.json").exists()
+
+
+NONFINITE_ARGS = {
+    "simulate-t-end-nan": ["simulate", "--s0", "4,3,2", "--t-end", "nan"],
+    "simulate-t-end-inf": ["simulate", "--s0", "4,3,2", "--t-end", "inf"],
+    "simulate-tol-nan": ["simulate", "--s0", "4,3,2", "--t-end", "5", "--tol", "nan"],
+    "simulate-s0-nan": ["simulate", "--s0", "nan,1,1", "--t-end", "5"],
+    "simulate-s0-inf": ["simulate", "--s0", "inf,1,1", "--t-end", "5"],
+    "simulate-rk4-step-nan": ["simulate", "--s0", "4,3,2", "--t-end", "5",
+                              "--method", "rk4", "--step", "nan"],
+    "synth-noise-nan": ["synth", "--s0", "4.991,1.178,0.577", "--t-end", "5", "--noise", "nan"],
+    "synth-s0-nan": ["synth", "--s0", "nan,3,2", "--t-end", "5"],
+    "synth-t-end-nan": ["synth", "--s0", "4.991,1.178,0.577", "--t-end", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", NONFINITE_ARGS.values(), ids=NONFINITE_ARGS.keys())
+def test_nonfinite_numeric_argument_is_usage_error(tmp_path, capsys, reference_file, argv):
+    out = tmp_path / "run"
+    code = main(argv[:1] + ["--params", reference_file, "--out", str(out)] + argv[1:])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not out.exists() or not any(out.iterdir())

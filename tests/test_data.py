@@ -30,6 +30,18 @@ def test_synthesize_normalizes_to_unit_interval(reference_dataset):
     assert ds.t_start == 0.0 and ds.t_end == 5.0
 
 
+def test_synthesize_rejects_nonfinite_grid_and_noise(reference_params):
+    s0 = State(4.991, 1.178, 0.577)
+    grid = np.linspace(0.0, 5.0, 25)
+    holed = grid.copy()
+    holed[7] = np.nan
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        synthesize(reference_params, s0, holed)
+    for noise in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            synthesize(reference_params, s0, grid, noise_sigma=noise)
+
+
 def test_noise_is_seed_deterministic(reference_params):
     grid = np.linspace(0.0, 5.0, 25)
     s0 = State(4.991, 1.178, 0.577)

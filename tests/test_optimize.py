@@ -85,8 +85,6 @@ def test_adam_config_validation():
     with pytest.raises(ValueError):
         AdamConfig(alpha=0.0)
     with pytest.raises(ValueError):
-        AdamConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         AdamConfig(num_steps=-1)
     assert AdamConfig(num_steps=0).num_steps == 0  # zero-length runs allowed
 
@@ -141,30 +139,9 @@ def test_bfgs_stationary_start_returns_immediately():
     assert np.all(x == 0.0)
 
 
-def test_bfgs_finite_difference_gradient():
-    obj = Objective(lambda x: float((x[0] - 2.0) ** 2 + (x[1] + 1.0) ** 2))
-    g = obj.gradient(np.array([0.0, 0.0]))
-    assert g == pytest.approx([-4.0, 2.0], abs=1e-5)
-    x, _ = bfgs_run(obj, np.array([0.0, 0.0]))
-    assert x == pytest.approx([2.0, -1.0], abs=1e-4)
-
-
-def test_gradient_one_sided_fallback():
-    def fn(x):
-        return float(x[0]) if x[0] >= 0.0 else float("nan")
-
-    obj = Objective(fn)
-    g = obj.gradient(np.array([0.0]))
-    assert math.isfinite(g[0])
-    assert g[0] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_gradient_zero_when_both_sides_nonfinite():
-    def fn(x):
-        return 0.0 if x[0] == 0.0 else float("nan")
-
-    obj = Objective(fn)
-    assert obj.gradient(np.array([0.0]))[0] == 0.0
+def test_objective_requires_a_gradient():
+    with pytest.raises(TypeError):
+        Objective(lambda x: float(x @ x))
 
 
 def test_bfgs_rejects_nonfinite_start():
@@ -241,8 +218,6 @@ def test_inverse_update_satisfies_secant_equation():
 def test_bfgs_config_validation():
     with pytest.raises(ValueError):
         BfgsConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        BfgsConfig(shrink=1.5)
 
 
 def test_write_loss_csv(tmp_path):

@@ -1,0 +1,118 @@
+"""Property tests: the parameter, dataset and trajectory formats round-trip
+exactly, and malformed or invalid parameter input is rejected."""
+
+import math
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppsdyn.data import Dataset
+from ppsdyn.model import PARAM_ORDER, ModelParams
+from ppsdyn.solver import Trajectory
+
+# derandomized, so every run of the suite draws the same examples
+FEW = settings(max_examples=30, deadline=None, derandomize=True)
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+params = st.lists(positive, min_size=14, max_size=14).map(ModelParams.from_array)
+# explicit alphabets: a full-unicode text strategy spends seconds building
+# its character table on first use
+words = st.text(alphabet=string.ascii_letters + string.digits + ' _"\\é', max_size=8)
+json_values = st.one_of(st.integers(), finite, words, st.booleans())
+
+
+@st.composite
+def datasets(draw):
+    times = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12, unique=True))
+    n = len(times)
+    unit = st.floats(0.0, 1.0)
+    obs = draw(st.lists(st.tuples(unit, unit, unit), min_size=n, max_size=n))
+    bounds = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True).map(sorted)
+    lo_hi = [draw(bounds) for _ in range(3)]
+    t_start, t_end = draw(bounds)
+    meta = draw(st.dictionaries(words, json_values, max_size=4))
+    return Dataset(sorted(times), obs, [b[0] for b in lo_hi], [b[1] for b in lo_hi],
+                   t_start, t_end, meta)
+
+
+@FEW
+@given(p=params)
+def test_params_save_load_round_trip(tmp_path_factory, p):
+    path = tmp_path_factory.mktemp("params") / "p.params"
+    p.save(path)
+    assert ModelParams.load(path) == p
+
+
+@FEW
+@given(p=params)
+def test_params_dict_and_array_round_trips(p):
+    assert ModelParams.from_dict(p.to_dict()) == p
+    assert ModelParams.from_array(p.as_array()) == p
+
+
+@FEW
+@given(ds=datasets())
+def test_dataset_csv_round_trip_with_sidecar(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("ds") / "ds.csv"
+    ds.to_csv(path)
+    back = Dataset.from_csv(path)
+    for name in ("times", "observations", "mins", "maxs"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name))
+    assert (back.t_start, back.t_end, back.meta) == (ds.t_start, ds.t_end, ds.meta)
+
+
+@FEW
+@given(rows=st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=20))
+def test_trajectory_csv_round_trip(tmp_path_factory, rows):
+    arr = np.array(rows, dtype=float)
+    traj = Trajectory(arr[:, 0], arr[:, 1:])
+    path = tmp_path_factory.mktemp("traj") / "traj.csv"
+    traj.to_csv(path)
+    back = Trajectory.from_csv(path)
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.states, traj.states)
+
+
+def _not_a_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# a line without '=', or a key with a value float() rejects; neither may
+# carry a comment or a line break
+line_text = st.text(alphabet=string.printable.translate({ord(c): None for c in "#\n\r"}),
+                    max_size=12)
+malformed = st.one_of(
+    line_text.filter(lambda s: "=" not in s and s.strip()),
+    st.tuples(st.sampled_from(PARAM_ORDER), line_text.filter(_not_a_float))
+    .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+)
+
+
+@FEW
+@given(p=params, bad=malformed, at=st.integers(0, 14))
+def test_params_load_rejects_a_malformed_line(tmp_path_factory, p, bad, at):
+    lines = [f"{name} = {value!r}" for name, value in p.to_dict().items()]
+    lines.insert(at, bad)
+    path = tmp_path_factory.mktemp("bad") / "p.params"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        ModelParams.load(path)
+
+
+invalid = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+                    st.floats(max_value=0.0))
+
+
+@FEW
+@given(p=params, name=st.sampled_from(PARAM_ORDER), bad=invalid)
+def test_params_reject_invalid_values(p, name, bad):
+    with pytest.raises(ValueError):
+        ModelParams.from_dict({**p.to_dict(), name: bad})

@@ -15,7 +15,7 @@ def _final(p, cfg, s0=S0, **kw):
 
 def test_rk4_error_scales_as_fourth_order(stable_params):
     # halving the step should shrink the global error by about 2^4
-    ref = _final(stable_params, SolverConfig(t_end=10.0, abs_tol=1e-12, rel_tol=1e-12))
+    ref = _final(stable_params, SolverConfig(t_end=10.0, tol=1e-12))
     coarse = _final(stable_params, SolverConfig(t_end=10.0, method="rk4", step=0.1))
     fine = _final(stable_params, SolverConfig(t_end=10.0, method="rk4", step=0.05))
     ratio = np.linalg.norm(coarse - ref) / np.linalg.norm(fine - ref)
@@ -117,10 +117,10 @@ def test_interpolated_states_match_tight_reference(stable_params, reference_para
     # error stays at the level of the tolerance (a few tol here)
     ones = ModelParams.from_array(np.ones(14))
     for p in (stable_params, reference_params, ones):
-        ref = integrate(p, README_S0, SolverConfig(t_end=5.0, abs_tol=1e-12, rel_tol=1e-12),
+        ref = integrate(p, README_S0, SolverConfig(t_end=5.0, tol=1e-12),
                         t_eval=GRID).states
         for tol in (1e-6, 1e-9):
-            traj = integrate(p, README_S0, SolverConfig(t_end=5.0, abs_tol=tol, rel_tol=tol),
+            traj = integrate(p, README_S0, SolverConfig(t_end=5.0, tol=tol),
                              t_eval=GRID)
             assert np.all(np.abs(traj.states - ref) <= 20 * tol * (1.0 + np.abs(ref)))
 
@@ -144,6 +144,9 @@ def test_config_validation():
         SolverConfig(t_end=10.0, method="euler")
     with pytest.raises(ValueError):
         SolverConfig(t_end=10.0, negativity_policy="ignore")
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SolverConfig(t_end=10.0, tol=tol)
 
 
 def test_trajectory_csv_round_trip(tmp_path, stable_params):
@@ -183,7 +186,7 @@ README_S0 = State(4.991, 1.178, 0.577)
 
 
 def _loss_cfg(tol, **kw):
-    return SolverConfig(t_end=5.0, abs_tol=tol, rel_tol=tol, negativity_policy="clamp", **kw)
+    return SolverConfig(t_end=5.0, tol=tol, negativity_policy="clamp", **kw)
 
 
 def test_sensitivities_leave_steps_and_states_bitwise_unchanged(reference_params):
@@ -209,7 +212,7 @@ def test_sensitivities_match_central_differences(reference_params):
     # batches of logged steps
     long_grid = np.linspace(0.0, 20.0, 60)
     for grid, cfg in ((GRID, _loss_cfg(1e-10)),
-                      (long_grid, SolverConfig(t_end=20.0, abs_tol=1e-10, rel_tol=1e-10))):
+                      (long_grid, SolverConfig(t_end=20.0, tol=1e-10))):
         traj = integrate(reference_params, README_S0, cfg, t_eval=grid, sensitivities=True)
         if grid is long_grid:
             assert traj.diagnostics.steps > _BLOCK
@@ -228,7 +231,7 @@ def test_single_step_sensitivity_is_exact_derivative_of_the_step(stable_params):
     # one long step (loose tolerances accept it), so dx/dp must be the exact
     # derivative of the Dormand-Prince step map, every stage coupling included,
     # and at 0.1 that of its continuous extension, 7th stage included
-    cfg = SolverConfig(t_end=0.3, step=0.3, abs_tol=10.0, rel_tol=10.0)
+    cfg = SolverConfig(t_end=0.3, step=0.3, tol=10.0)
     grid = [0.0, 0.1, 0.3]
     traj = integrate(stable_params, S0, cfg, t_eval=grid, sensitivities=True)
     assert traj.diagnostics.steps == 1
@@ -249,7 +252,7 @@ def test_single_step_sensitivity_is_exact_derivative_of_the_step(stable_params):
 COLLAPSE = ModelParams(r=0.72, k=2.03, a=2.23, a0=0.85, b=2.03, b0=0.76, d=2.67,
                        e=1.26, f=1.47, g=0.59, h=1.45, i=0.90, i0=2.37, j=0.49)
 COLLAPSE_S0 = State(1.62, 1.24, 2.74)
-COLLAPSE_CFG = SolverConfig(t_end=2.0, abs_tol=1e-2, rel_tol=1e-2, negativity_policy="clamp")
+COLLAPSE_CFG = SolverConfig(t_end=2.0, tol=1e-2, negativity_policy="clamp")
 
 
 def test_clamped_component_has_zero_sensitivity():
