@@ -41,16 +41,7 @@ from .model import (
     rhs,
     rhs_subsystem,
 )
-from .optimize import (
-    AdamConfig,
-    AdamState,
-    BfgsConfig,
-    Objective,
-    adam_run,
-    adam_step,
-    bfgs_run,
-    write_loss_csv,
-)
+from .optimize import AdamState, adam_run, adam_step, bfgs_run, write_loss_csv
 from .pinn import (
     EstimationReport,
     Mlp,

@@ -73,10 +73,14 @@ class ModelParams:
 
     @classmethod
     def from_array(cls, values) -> "ModelParams":
+        import numpy as np
+
         vals = list(values)
         if len(vals) != len(PARAM_ORDER):
             raise ValueError(f"expected {len(PARAM_ORDER)} parameters, got {len(vals)}")
-        return cls(**{n: float(v) for n, v in zip(PARAM_ORDER, vals)})
+        # bools, Python or numpy, pass through unconverted so the constructor rejects them
+        return cls(**{n: v if isinstance(v, (bool, np.bool_)) else float(v)
+                      for n, v in zip(PARAM_ORDER, vals)})
 
     def to_dict(self) -> dict:
         return {n: getattr(self, n) for n in PARAM_ORDER}

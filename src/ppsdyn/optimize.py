@@ -1,14 +1,15 @@
 """Adam and BFGS minimizers over real parameter vectors.
 
 Both optimizers are deterministic given their inputs and know nothing about
-the model; objectives are supplied as callables.
+the model.  An objective is one callable, fun(theta) -> (value, gradient),
+so a caller whose value and gradient come from the same computation pays
+for it once per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,18 +25,6 @@ GRADIENT_TOLERANCE, STEP_TOLERANCE = 1e-6, 1e-10
 INITIAL_STEP, SHRINK, SUFFICIENT_DECREASE, MAX_HALVINGS = 1.0, 0.5, 1e-4, 60
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    alpha: float = 0.001
-    num_steps: int = 100
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.num_steps < 0:
-            raise ValueError("num_steps must be nonnegative")
-
-
 class AdamState(NamedTuple):
     m: np.ndarray
     v: np.ndarray
@@ -46,34 +35,13 @@ class AdamState(NamedTuple):
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-@dataclass(frozen=True)
-class BfgsConfig:
-    max_iterations: int = 200
-    # applied to every line-search candidate; lets callers keep iterates in a
-    # feasible set (e.g. positivity floors) without the optimizer knowing why
-    project: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
+def _evaluate(fun, theta):
+    value, grad = fun(theta)
+    return float(value), np.asarray(grad, dtype=float)
 
 
-@dataclass
-class Objective:
-    """Evaluation contract: value(theta) -> scalar, gradient(theta) -> vector."""
-
-    fn: Callable
-    grad: Callable
-
-    def value(self, theta) -> float:
-        return float(self.fn(np.asarray(theta, dtype=float)))
-
-    def gradient(self, theta) -> np.ndarray:
-        return np.asarray(self.grad(np.asarray(theta, dtype=float)), dtype=float)
-
-
-def adam_step(state: AdamState, grad, theta, cfg: AdamConfig):
-    """One Adam update; returns (new state, new theta).
+def adam_step(state: AdamState, grad, theta, alpha: float):
+    """One Adam update of step size alpha; returns (new state, new theta).
 
     The step counter increments before the bias corrections, and epsilon
     sits inside the square root.
@@ -85,31 +53,34 @@ def adam_step(state: AdamState, grad, theta, cfg: AdamConfig):
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    return AdamState(m, v, t), theta - cfg.alpha * m_hat / np.sqrt(v_hat + ADAM_EPSILON)
+    return AdamState(m, v, t), theta - alpha * m_hat / np.sqrt(v_hat + ADAM_EPSILON)
 
 
-def adam_run(obj: Objective, theta0, cfg: AdamConfig):
-    """Run cfg.num_steps Adam updates; returns (theta, per-step loss history).
+def adam_run(fun, theta0, alpha: float = 0.001, num_steps: int = 100):
+    """Run num_steps Adam updates; returns (theta, per-step loss history).
 
     The loss is recorded at the pre-update iterate, so the history has
     exactly num_steps entries and history[0] is the loss at theta0.
     """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if num_steps < 0:
+        raise ValueError("num_steps must be nonnegative")
     theta = np.asarray(theta0, dtype=float).copy()
     state = AdamState.fresh(theta.size)
     history: list = []
-    for _ in range(cfg.num_steps):
-        loss = obj.value(theta)
+    for _ in range(num_steps):
+        loss, g = _evaluate(fun, theta)
         if not math.isfinite(loss):
             raise NonFiniteLoss(
                 f"objective non-finite at step {len(history)}", history=history
             )
         history.append(loss)
-        g = obj.gradient(theta)
         if not np.all(np.isfinite(g)):
             raise NonFiniteLoss(
                 f"gradient non-finite at step {len(history) - 1}", history=history
             )
-        state, theta = adam_step(state, g, theta, cfg)
+        state, theta = adam_step(state, g, theta, alpha)
     return theta, history
 
 
@@ -119,25 +90,26 @@ def _update_inverse(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return V @ B @ V.T + rho * np.outer(s, s)
 
 
-def _line_search(obj, x, fx, g, p, cfg):
-    # backtracking Armijo; returns (candidate, value) or None after the
-    # halving budget is spent
+def _line_search(fun, x, fx, g, p):
+    # backtracking Armijo; returns (candidate, value, gradient) or None after
+    # the halving budget is spent.  A candidate whose value or gradient is
+    # non-finite is rejected like one that fails the decrease test.
     slope = float(g @ p)
     t = INITIAL_STEP
     for _ in range(MAX_HALVINGS + 1):
         cand = x + t * p
-        if cfg.project is not None:
-            cand = np.asarray(cfg.project(cand), dtype=float)
-        f_new = obj.value(cand)
-        if math.isfinite(f_new) and f_new <= fx + SUFFICIENT_DECREASE * t * slope:
-            return cand, f_new
+        f_new, g_new = _evaluate(fun, cand)
+        if (math.isfinite(f_new) and f_new <= fx + SUFFICIENT_DECREASE * t * slope
+                and np.all(np.isfinite(g_new))):
+            return cand, f_new, g_new
         t *= SHRINK
     return None
 
 
-def bfgs_run(obj: Objective, x0, cfg: Optional[BfgsConfig] = None):
+def bfgs_run(fun, x0, max_iterations: int = 200):
     """Quasi-Newton minimization from x0; returns (x, loss history).
 
+    fun is called once per point: at x0 and at each line-search candidate.
     history[0] is the loss at x0 and one entry is appended per accepted
     iterate, so the history is nonincreasing.  Stops on gradient norm,
     step size, or the iteration budget.  If the BFGS direction fails the
@@ -145,35 +117,36 @@ def bfgs_run(obj: Objective, x0, cfg: Optional[BfgsConfig] = None):
     once; LineSearchFailed (carrying the last iterate and history) is
     raised only if that also finds no acceptable step.
     """
-    cfg = cfg or BfgsConfig()
+    if max_iterations <= 0:
+        raise ValueError("max_iterations must be positive")
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     B = np.eye(n)
-    fx = obj.value(x)
+    fx, g = _evaluate(fun, x)
     if not math.isfinite(fx):
         raise NonFiniteLoss("objective non-finite at x0", history=[])
-    g = obj.gradient(x)
     history = [fx]
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteLoss("gradient non-finite at x0", history=history)
     if np.linalg.norm(g) < GRADIENT_TOLERANCE:
         return x, history
     await_rescale = True
-    for _ in range(cfg.max_iterations):
+    for _ in range(max_iterations):
         p = -B @ g
         if float(g @ p) >= 0.0:
             p = -g
-        trial = _line_search(obj, x, fx, g, p, cfg)
+        trial = _line_search(fun, x, fx, g, p)
         if trial is None:
             B = np.eye(n)
             await_rescale = True
-            trial = _line_search(obj, x, fx, g, -g, cfg)
+            trial = _line_search(fun, x, fx, g, -g)
             if trial is None:
                 raise LineSearchFailed(
                     f"no acceptable step after {MAX_HALVINGS} halvings",
                     x=x,
                     history=history,
                 )
-        x_new, f_new = trial
-        g_new = obj.gradient(x_new)
+        x_new, f_new, g_new = trial
         s = x_new - x
         y = g_new - g
         ys = float(y @ s)

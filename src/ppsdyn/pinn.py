@@ -13,8 +13,9 @@ same steps, interpolated at the same times, in the integration that gives
 the loss, and the PIE gradient from the closed-form df/dp at the observed
 states, evaluated on all of them at once, with no integration.  The network
 stage chains d(total)/dp through ordinary backpropagation to the weights.
-A second stage runs BFGS directly on the parameters with an MSE-only
-objective and keeps whichever iterate fits better.
+A second stage runs BFGS on the log-parameters u = log p with an MSE-only
+objective, whose gradient is d mse/dp * p; positivity then holds without a
+projection, and BFGS never leaves a point worse than where it started.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
@@ -33,7 +34,7 @@ import numpy as np
 from .data import Dataset
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from .model import ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
-from .optimize import AdamConfig, AdamState, BfgsConfig, Objective, adam_step, bfgs_run
+from .optimize import AdamState, adam_step, bfgs_run
 from .solver import SolverConfig, integrate
 
 MLP_SIZES = [14, 32, 32, 32, 14]
@@ -241,7 +242,6 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
     net = init_mlp(rng)
     theta = _pack(zip(net.weights, net.biases))
     adam_state = AdamState.fresh(theta.size)
-    adam_cfg = AdamConfig(alpha=1e-4, num_steps=max(epochs, 1))
     trace: list = []
     best_total = math.inf
     best_p: Optional[np.ndarray] = None
@@ -260,7 +260,7 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
         if total < best_total:
             best_total, best_p = total, pf.copy()
         grads = _pack(backward(net, caches, dEdp))
-        adam_state, theta = adam_step(adam_state, grads, theta, adam_cfg)
+        adam_state, theta = adam_step(adam_state, grads, theta, 1e-4)
         _unpack_into(net, theta)
     p_final = np.maximum(forward(net, inp), PARAM_FLOOR)
     return net, p_final, trace
@@ -305,16 +305,34 @@ class EstimationReport:
                 fh.write(f"bfgs,{step},{float(val)!r},{float(val)!r},\n")
 
 
-def _floor_projection(v):
-    return np.maximum(v, PARAM_FLOOR)
+def _log_mse(ds: Dataset):
+    """The polish objective over u = log p: u -> (mse, d mse/du = d mse/dp * p),
+    from one integration at tolerance 1e-9.  An exp(u) that overflows or
+    underflows gives an infinite value, which the line search rejects.
+
+    The gradients are exact forward sensitivities of the computed
+    trajectory, but the line search and the curvature pairs compare nearby
+    iterates, and the computed MSE jumps at the level of the tolerance as
+    the step sequence changes with p; at 1e-9 those jumps sit far below the
+    differences BFGS measures.
+    """
+
+    def fun(u):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.exp(u)
+            _, mse, _, g_mse, _ = _loss_or_inf(p, ds, 1e-9, gradient=True)
+            return mse, g_mse * p
+
+    return fun
 
 
 def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -> EstimationReport:
     """Two-stage pipeline; deterministic given (ds, seed).
 
     Stage errors are recorded in the report rather than raised: a failed
-    polish stage falls back to the network's prediction, and the final
-    parameters are whichever iterate has the lower MSE.
+    polish stage keeps its last accepted iterate.  post_nn_mse is the MSE at
+    the start of the polish, exp(log p_nn), and the final parameters are
+    the polish's last iterate, which never fits worse.
     """
     stage_errors: list = []
     initial = init_params(seed)
@@ -327,37 +345,20 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
         trace = list(exc.history or [])
         if exc.best is not None:
             p_nn = np.asarray(exc.best, dtype=float)
-    p_nn = _floor_projection(p_nn)
 
-    # the polish gradients are exact forward sensitivities of the computed
-    # trajectory, but the line search and the curvature pairs compare nearby
-    # iterates, and the computed MSE jumps at the level of the tolerance as
-    # the step sequence changes with p; at 1e-9 those jumps sit far below
-    # the differences BFGS measures
-    obj = Objective(
-        lambda p: _loss_or_inf(p, ds, 1e-9)[1],
-        grad=lambda p: _loss_or_inf(p, ds, 1e-9, gradient=True)[3],
-    )
-    post_nn_mse = obj.value(p_nn)
-    p_polish, bfgs_trace = p_nn, []
+    u_polish, bfgs_trace = np.log(p_nn), []
     try:
-        p_polish, bfgs_trace = bfgs_run(
-            obj,
-            p_nn,
-            cfg=BfgsConfig(max_iterations=bfgs_iterations, project=_floor_projection),
-        )
+        u_polish, bfgs_trace = bfgs_run(_log_mse(ds), u_polish, max_iterations=bfgs_iterations)
     except LineSearchFailed as exc:
         stage_errors.append(f"polish stage: {exc}")
-        p_polish = np.asarray(exc.x, dtype=float)
+        u_polish = np.asarray(exc.x, dtype=float)
         bfgs_trace = list(exc.history or [])
     except NonFiniteLoss as exc:
         stage_errors.append(f"polish stage: {exc}")
+        bfgs_trace = list(exc.history or [])
 
-    polish_mse = float(bfgs_trace[-1]) if bfgs_trace else math.inf
-    if polish_mse <= post_nn_mse:
-        final, final_mse = np.asarray(p_polish, dtype=float).copy(), polish_mse
-    else:
-        final, final_mse = p_nn.copy(), float(post_nn_mse)
+    final = np.exp(u_polish)
+    post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
     _, _, final_pie = _loss_or_inf(final, ds, 1e-9)
     return EstimationReport(
         seed=int(seed),

@@ -151,10 +151,12 @@ class Trajectory:
                 raise ValueError(f"unexpected trajectory header {header!r}")
             for lineno, line in enumerate(fh, start=2):
                 vals = [float(v) for v in line.split(",")]
+                if len(vals) != 4:
+                    raise ValueError(f"line {lineno}: expected 4 cells, got {len(vals)}")
                 if not all(map(math.isfinite, vals)):
                     raise ValueError(f"line {lineno}: non-finite value in {line.strip()!r}")
                 times.append(vals[0])
-                states.append(vals[1:4])
+                states.append(vals[1:])
         return cls(np.array(times), np.array(states))
 
 

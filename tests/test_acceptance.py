@@ -22,8 +22,7 @@ from ppsdyn.equilibria import (interior_equilibrium_direct,
                                interior_poly_crosscheck, predprey_equilibria,
                                predscav_equilibria)
 from ppsdyn.model import ModelParams, State, Subsystem
-from ppsdyn.optimize import (AdamConfig, BfgsConfig, Objective, adam_run,
-                             bfgs_run)
+from ppsdyn.optimize import adam_run, bfgs_run
 from ppsdyn.pinn import (backward, estimate, forward, init_mlp, total_loss,
                          _forward_cached, _pack, _unpack_into)
 from ppsdyn.solver import SolverConfig, detect_settling, integrate
@@ -168,39 +167,34 @@ def test_optimizer_benchmarks():
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         A = Q @ np.diag(rng.uniform(lo, hi, n)) @ Q.T
         c = rng.uniform(-1.0, 1.0, n)
-        return A, c
+
+        def fun(x):
+            return float(0.5 * (x - c) @ A @ (x - c)), A @ (x - c)
+        return A, c, fun
 
     for s in range(5):
         rng = np.random.default_rng(2000 + s)
-        A, c = rand_quad(rng, 10, 1.0, 10.0)
-        obj = Objective(lambda x, A=A, c=c: float(0.5 * (x - c) @ A @ (x - c)),
-                        lambda x, A=A, c=c: A @ (x - c))
-        x, hist = bfgs_run(obj, rng.uniform(-2.0, 2.0, 10))
+        A, c, fun = rand_quad(rng, 10, 1.0, 10.0)
+        x, hist = bfgs_run(fun, rng.uniform(-2.0, 2.0, 10))
         assert len(hist) - 1 <= 30
         assert float(np.linalg.norm(A @ (x - c))) < 1e-6
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
     def rosen(x):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-
-    def rosen_grad(x):
-        return np.array([
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2), np.array([
             -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
             200.0 * (x[1] - x[0] ** 2),
         ])
 
-    x, hist = bfgs_run(Objective(rosen, rosen_grad), np.array([-1.2, 1.0]))
+    x, hist = bfgs_run(rosen, np.array([-1.2, 1.0]))
     assert len(hist) - 1 <= 200
     assert x == pytest.approx([1.0, 1.0], abs=1e-5)
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
     for s in range(5):
         rng = np.random.default_rng(1000 + s)
-        A, c = rand_quad(rng, 14, 0.5, 3.0)
-        obj = Objective(lambda x, A=A, c=c: float(0.5 * (x - c) @ A @ (x - c)),
-                        lambda x, A=A, c=c: A @ (x - c))
-        theta, hist = adam_run(obj, rng.uniform(-2.0, 2.0, 14),
-                               AdamConfig(alpha=0.05, num_steps=500))
+        A, c, fun = rand_quad(rng, 14, 0.5, 3.0)
+        theta, hist = adam_run(fun, rng.uniform(-2.0, 2.0, 14), alpha=0.05, num_steps=500)
         assert float(np.linalg.norm(theta - c)) < 0.1
         assert len(hist) == 500
 

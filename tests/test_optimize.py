@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ppsdyn.errors import LineSearchFailed, NonFiniteLoss
-from ppsdyn.optimize import (AdamConfig, AdamState, BfgsConfig, Objective,
-                             _update_inverse, adam_run, adam_step, bfgs_run,
-                             write_loss_csv)
+from ppsdyn.optimize import (AdamState, _update_inverse, adam_run, adam_step,
+                             bfgs_run, write_loss_csv)
 
 
 def rand_quad(rng, n, lo, hi):
@@ -15,42 +14,42 @@ def rand_quad(rng, n, lo, hi):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = Q @ np.diag(rng.uniform(lo, hi, n)) @ Q.T
     c = rng.uniform(-1.0, 1.0, n)
-    obj = Objective(lambda x, A=A, c=c: float(0.5 * (x - c) @ A @ (x - c)),
-                    lambda x, A=A, c=c: A @ (x - c))
-    return obj, A, c
+    def fun(x):
+        return float(0.5 * (x - c) @ A @ (x - c)), A @ (x - c)
+    return fun, A, c
 
 
 # ---------------------------------------------------------------- Adam
 
+def square(x):
+    return float(x[0] ** 2), 2.0 * x
+
+
 def test_adam_scalar_quadratic_converges():
-    obj = Objective(lambda x: float(x[0] ** 2), lambda x: 2.0 * x)
-    theta, hist = adam_run(obj, np.array([1.0]),
-                           AdamConfig(alpha=0.1, num_steps=100))
+    theta, hist = adam_run(square, np.array([1.0]), alpha=0.1, num_steps=100)
     assert abs(theta[0]) < 0.05
     assert len(hist) == 100
     assert hist[0] == 1.0  # loss recorded before the first update
 
 
 def test_adam_first_step_moves_by_alpha():
-    cfg = AdamConfig()
+    alpha = 0.001
     state = AdamState.fresh(2)
-    _, theta = adam_step(state, np.array([3.0, -7.0]), np.zeros(2), cfg)
+    _, theta = adam_step(state, np.array([3.0, -7.0]), np.zeros(2), alpha)
     # bias correction makes the first step alpha * sign(g) up to epsilon
-    assert theta == pytest.approx([-cfg.alpha, cfg.alpha], rel=1e-6)
+    assert theta == pytest.approx([-alpha, alpha], rel=1e-6)
 
 
 def test_adam_sign_symmetry():
-    obj_pos = Objective(lambda x: float(x[0] ** 2), lambda x: 2.0 * x)
-    cfg = AdamConfig(alpha=0.05, num_steps=50)
-    theta_pos, hist_pos = adam_run(obj_pos, np.array([1.0]), cfg)
-    theta_neg, hist_neg = adam_run(obj_pos, np.array([-1.0]), cfg)
+    theta_pos, hist_pos = adam_run(square, np.array([1.0]), alpha=0.05, num_steps=50)
+    theta_neg, hist_neg = adam_run(square, np.array([-1.0]), alpha=0.05, num_steps=50)
     assert theta_pos[0] == -theta_neg[0]
     assert hist_pos == hist_neg
 
 
 def test_adam_zero_gradient_is_a_fixed_point():
-    obj = Objective(lambda x: 1.0, lambda x: np.zeros_like(x))
-    theta, hist = adam_run(obj, np.array([2.0, -3.0]), AdamConfig(num_steps=20))
+    theta, hist = adam_run(lambda x: (1.0, np.zeros_like(x)), np.array([2.0, -3.0]),
+                           num_steps=20)
     assert theta == pytest.approx([2.0, -3.0], abs=0.0)
     assert hist == [1.0] * 20
 
@@ -58,10 +57,9 @@ def test_adam_zero_gradient_is_a_fixed_point():
 def test_adam_benchmark_quadratics():
     for s in range(3):
         rng = np.random.default_rng(1000 + s)
-        obj, _, c = rand_quad(rng, 14, 0.5, 3.0)
+        fun, _, c = rand_quad(rng, 14, 0.5, 3.0)
         theta0 = rng.uniform(-2.0, 2.0, 14)
-        theta, hist = adam_run(obj, theta0,
-                               AdamConfig(alpha=0.05, num_steps=500))
+        theta, hist = adam_run(fun, theta0, alpha=0.05, num_steps=500)
         assert np.linalg.norm(theta - c) < 0.1
         assert len(hist) == 500
         assert all(math.isfinite(v) for v in hist)
@@ -70,30 +68,33 @@ def test_adam_benchmark_quadratics():
 def test_adam_raises_on_nonfinite_loss_with_partial_history():
     calls = {"n": 0}
 
-    def fn(x):
+    def fun(x):
         calls["n"] += 1
-        return float("nan") if calls["n"] > 3 else float(x[0] ** 2)
+        return (float("nan") if calls["n"] > 3 else float(x[0] ** 2)), 2.0 * x
 
-    obj = Objective(fn, lambda x: 2.0 * x)
     with pytest.raises(NonFiniteLoss) as info:
-        adam_run(obj, np.array([1.0]), AdamConfig(num_steps=50))
+        adam_run(fun, np.array([1.0]), num_steps=50)
     assert info.value.history is not None
     assert 0 < len(info.value.history) < 50
 
 
 def test_adam_config_validation():
     with pytest.raises(ValueError):
-        AdamConfig(alpha=0.0)
+        adam_run(square, np.array([1.0]), alpha=0.0)
     with pytest.raises(ValueError):
-        AdamConfig(num_steps=-1)
-    assert AdamConfig(num_steps=0).num_steps == 0  # zero-length runs allowed
+        adam_run(square, np.array([1.0]), num_steps=-1)
+    # zero-length runs allowed
+    assert adam_run(square, np.array([1.0]), num_steps=0)[1] == []
 
 
 # ---------------------------------------------------------------- BFGS
 
+def sphere(x):
+    return float(0.5 * x @ x), np.asarray(x)
+
+
 def test_bfgs_sphere_single_step():
-    obj = Objective(lambda x: float(0.5 * x @ x), lambda x: np.asarray(x))
-    x, hist = bfgs_run(obj, np.array([3.0, 4.0]))
+    x, hist = bfgs_run(sphere, np.array([3.0, 4.0]))
     assert hist == [12.5, 0.0]
     assert np.all(x == 0.0)
 
@@ -101,24 +102,21 @@ def test_bfgs_sphere_single_step():
 def test_bfgs_benchmark_quadratics():
     for s in range(3):
         rng = np.random.default_rng(2000 + s)
-        obj, _, c = rand_quad(rng, 10, 1.0, 10.0)
+        fun, _, c = rand_quad(rng, 10, 1.0, 10.0)
         x0 = rng.uniform(-2.0, 2.0, 10)
-        x, hist = bfgs_run(obj, x0)
+        x, hist = bfgs_run(fun, x0)
         assert len(hist) - 1 <= 30
         assert np.linalg.norm(x - c) < 1e-5
 
 
 def test_bfgs_rosenbrock():
-    def fn(x):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
-
-    def grad(x):
-        return np.array([
+    def fun(x):
+        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2), np.array([
             -400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
             200.0 * (x[1] - x[0] ** 2),
         ])
 
-    x, hist = bfgs_run(Objective(fn, grad), np.array([-1.2, 1.0]))
+    x, hist = bfgs_run(fun, np.array([-1.2, 1.0]))
     assert len(hist) - 1 <= 200
     assert x == pytest.approx([1.0, 1.0], abs=1e-5)
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
@@ -127,35 +125,55 @@ def test_bfgs_rosenbrock():
 def test_bfgs_history_nonincreasing_on_random_quadratics():
     for s in range(5):
         rng = np.random.default_rng(300 + s)
-        obj, _, _ = rand_quad(rng, 6, 0.5, 5.0)
-        _, hist = bfgs_run(obj, rng.uniform(-2.0, 2.0, 6))
+        fun, _, _ = rand_quad(rng, 6, 0.5, 5.0)
+        _, hist = bfgs_run(fun, rng.uniform(-2.0, 2.0, 6))
         assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
 
 def test_bfgs_stationary_start_returns_immediately():
-    obj = Objective(lambda x: float(0.5 * x @ x), lambda x: np.asarray(x))
-    x, hist = bfgs_run(obj, np.zeros(3))
+    x, hist = bfgs_run(sphere, np.zeros(3))
     assert hist == [0.0]
     assert np.all(x == 0.0)
 
 
 def test_objective_requires_a_gradient():
+    # an objective returns (value, gradient); a bare value cannot be unpacked
     with pytest.raises(TypeError):
-        Objective(lambda x: float(x @ x))
+        bfgs_run(lambda x: float(x @ x), np.ones(2))
+    with pytest.raises(TypeError):
+        adam_run(lambda x: float(x @ x), np.ones(2))
 
 
 def test_bfgs_rejects_nonfinite_start():
-    obj = Objective(lambda x: float("inf"), lambda x: np.zeros_like(x))
     with pytest.raises(NonFiniteLoss):
-        bfgs_run(obj, np.array([1.0]))
+        bfgs_run(lambda x: (float("inf"), np.zeros_like(x)), np.array([1.0]))
+    with pytest.raises(NonFiniteLoss) as info:
+        bfgs_run(lambda x: (1.0, np.full_like(x, np.nan)), np.array([1.0]))
+    assert info.value.history == [1.0]
+
+
+def test_bfgs_rejects_candidates_with_nonfinite_gradient():
+    # the first full step lands at 0.5, where the value is finite and passes
+    # the decrease test but the gradient is NaN; the line search must reject
+    # it like an infinite value instead of feeding the NaN into B
+    seen = []
+
+    def fun(x):
+        seen.append(float(x[0]))
+        return float(0.75 * (x[0] - 1.0) ** 2), np.where(x < 0.9, np.nan, 1.5 * (x - 1.0))
+
+    x, hist = bfgs_run(fun, np.array([2.0]))
+    assert seen[:3] == [2.0, 0.5, 1.25]
+    assert x == pytest.approx([1.0], abs=1e-12)
+    assert hist[-1] == pytest.approx(0.0, abs=1e-24)
+    assert all(math.isfinite(v) for v in hist)
 
 
 def test_bfgs_line_search_failure_carries_last_iterate():
     # gradient deliberately points away from descent: every Armijo trial
     # fails and so does the steepest-descent retry
-    obj = Objective(lambda x: float(x[0]), lambda x: np.array([-1.0]))
     with pytest.raises(LineSearchFailed) as info:
-        bfgs_run(obj, np.array([0.0]))
+        bfgs_run(lambda x: (float(x[0]), np.array([-1.0])), np.array([0.0]))
     assert info.value.x is not None
     assert info.value.history is not None
     assert info.value.history[0] == 0.0
@@ -164,29 +182,9 @@ def test_bfgs_line_search_failure_carries_last_iterate():
 def test_bfgs_constant_objective_stops_on_step_tolerance():
     # Armijo accepts once the trial threshold underflows, so a flat
     # objective terminates by the step-size test instead of failing
-    obj = Objective(lambda x: 5.0, lambda x: np.array([1.0]))
-    x, hist = bfgs_run(obj, np.array([1.0]))
+    x, hist = bfgs_run(lambda x: (5.0, np.array([1.0])), np.array([1.0]))
     assert hist[-1] == 5.0
     assert abs(x[0] - 1.0) < 1e-9
-
-
-def test_bfgs_projection_keeps_iterates_feasible():
-    lower = 0.5
-
-    def project(v):
-        return np.maximum(v, lower)
-
-    seen = []
-
-    def fn(x):
-        seen.append(x.copy())
-        return float((x[0] - 0.1) ** 2)  # unconstrained optimum below bound
-
-    obj = Objective(fn, lambda x: np.array([2.0 * (x[0] - 0.1)]))
-    cfg = BfgsConfig(project=project)
-    x, _ = bfgs_run(obj, np.array([2.0]), cfg=cfg)
-    assert x[0] == pytest.approx(lower, abs=1e-9)
-    assert all(v[0] >= lower - 1e-12 for v in seen)
 
 
 def test_update_forms_preserve_symmetry():
@@ -217,7 +215,7 @@ def test_inverse_update_satisfies_secant_equation():
 
 def test_bfgs_config_validation():
     with pytest.raises(ValueError):
-        BfgsConfig(max_iterations=0)
+        bfgs_run(sphere, np.ones(2), max_iterations=0)
 
 
 def test_write_loss_csv(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from conftest import REFERENCE
 from ppsdyn.data import synthesize
 from ppsdyn.errors import IntegrationFailed, TooFewSamples
 from ppsdyn.model import ModelParams, State
+import ppsdyn.optimize
+import ppsdyn.pinn
+from ppsdyn.optimize import bfgs_run
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
-                         total_loss, train_pinn, _forward_cached, _pack,
-                         _unpack_into)
+                         total_loss, train_pinn, _forward_cached, _log_mse,
+                         _pack, _unpack_into)
 
 
 def _tiny_net(seed=0, sizes=(2, 3, 2)):
@@ -254,6 +258,73 @@ def test_estimate_polish_never_hurts(reference_dataset):
         report = estimate(reference_dataset, seed=seed, epochs=30,
                           bfgs_iterations=50)
         assert report.final_mse <= report.post_nn_mse
+
+
+@pytest.fixture(scope="module")
+def readme_dataset():
+    """The README's noisy data: 40 points on [0, 5], noise 0.02, noise seed 0."""
+    return synthesize(ModelParams(**REFERENCE), State(4.991, 1.178, 0.577),
+                      np.linspace(0.0, 5.0, 40), noise_sigma=0.02, seed=0)
+
+
+def test_estimate_reaches_the_noise_floor(readme_dataset):
+    # the log-parameter polish ends within 1.5x of the MSE the generating
+    # parameters themselves reach on the noisy data (0.00120)
+    _, truth_mse, _ = total_loss(ModelParams(**REFERENCE).as_array(), readme_dataset)
+    report = estimate(readme_dataset, seed=0)
+    assert report.stage_errors == []
+    assert report.final_mse <= 1.5 * truth_mse
+
+
+def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
+    # every polish evaluation is one total_loss call with its gradient, at
+    # x0 and at each line-search candidate; the accepted point is not
+    # integrated a second time
+    calls, candidates = [], [0]
+    real_total_loss, real_line_search = ppsdyn.pinn.total_loss, ppsdyn.optimize._line_search
+
+    def counting_total_loss(p, ds, tol=1e-6, gradient=False):
+        calls.append((tol, gradient))
+        return real_total_loss(p, ds, tol=tol, gradient=gradient)
+
+    def counting_line_search(fun, *args):
+        def counted(u):
+            candidates[0] += 1
+            return fun(u)
+        return real_line_search(counted, *args)
+
+    monkeypatch.setattr(ppsdyn.pinn, "total_loss", counting_total_loss)
+    monkeypatch.setattr(ppsdyn.optimize, "_line_search", counting_line_search)
+    report = estimate(readme_dataset, seed=0, epochs=3, bfgs_iterations=15)
+    assert len(report.bfgs_trace) == 16
+    assert calls[:3] == [(1e-6, True)] * 3  # the network stage
+    assert calls[-1] == (1e-9, False)  # the physics term at the final parameters
+    polish = calls[3:-1]
+    assert polish == [(1e-9, True)] * (1 + candidates[0])
+    assert candidates[0] >= 15
+
+
+def test_log_polish_survives_overflowing_candidates(readme_dataset):
+    # from k = e with every other parameter at 1 the first BFGS step has
+    # components past log(float max); exp(u) overflows to inf there, the
+    # objective must come back infinite without a warning, and the line
+    # search must halve past it
+    fun = _log_mse(readme_dataset)
+    seen = []
+
+    def recording(u):
+        seen.append(u.copy())
+        return fun(u)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = fun(np.full(14, 800.0))
+        assert value == math.inf
+        u, hist = bfgs_run(recording, np.eye(14)[1], max_iterations=5)
+    assert any(np.max(v) > math.log(np.finfo(float).max) for v in seen)
+    assert all(math.isfinite(v) for v in hist)
+    assert hist[-1] < hist[0]
+    assert np.all(np.isfinite(np.exp(u)))
 
 
 def test_estimation_distinguishes_competing_parameter_sets():

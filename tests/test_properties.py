@@ -116,3 +116,10 @@ invalid = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, True, False]
 def test_params_reject_invalid_values(p, name, bad):
     with pytest.raises(ValueError):
         ModelParams.from_dict({**p.to_dict(), name: bad})
+    values = [bad if n == name else v for n, v in p.to_dict().items()]
+    with pytest.raises(ValueError):
+        ModelParams.from_array(values)
+    if isinstance(bad, bool):
+        with pytest.raises(ValueError):
+            ModelParams.from_array([np.bool_(bad) if n == name else v
+                                    for n, v in p.to_dict().items()])

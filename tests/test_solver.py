@@ -165,6 +165,18 @@ def test_trajectory_csv_rejects_nonfinite(tmp_path):
         Trajectory.from_csv(path)
 
 
+@pytest.mark.parametrize("body, line", [
+    ("0.0,1.0,2.0,3.0,99.0\n", 2),  # an extra cell used to be dropped
+    ("0.0,1.0,2.0\n", 2),  # used to load as states of shape (1, 2)
+    ("0.0,1.0,2.0,3.0\n0.5,1.0,2.0\n", 3),
+])
+def test_trajectory_csv_rejects_rows_without_four_cells(tmp_path, body, line):
+    path = tmp_path / "traj.csv"
+    path.write_text("t,x,y,z\n" + body)
+    with pytest.raises(ValueError, match=f"line {line}: expected 4 cells"):
+        Trajectory.from_csv(path)
+
+
 def test_random_params_never_return_nonfinite():
     # draws may legitimately blow up; the contract is a clean exception,
     # never a trajectory containing NaN or inf
