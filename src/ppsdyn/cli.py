@@ -168,22 +168,6 @@ def _write(path, text) -> None:
     print(f"wrote {path}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # bool subclasses int, check first
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_simulate(args) -> int:
@@ -246,10 +230,10 @@ def cmd_analyze(args) -> int:
     report = {
         "parameters": p.to_dict(),
         "equilibria": entries,
-        "interior_crosscheck": _jsonable(interior_poly_crosscheck(p, interior)),
+        "interior_crosscheck": interior_poly_crosscheck(p, interior),
     }
     out = _outdir(args)
-    _write(os.path.join(out, "equilibria.json"), json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
+    _write(os.path.join(out, "equilibria.json"), json.dumps(report, sort_keys=True, indent=2) + "\n")
     if flagged:
         print("interior solve found multiple roots; see report", file=sys.stderr)
         return 2

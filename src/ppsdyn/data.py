@@ -23,7 +23,7 @@ from .errors import (
     UnmappedSpecies,
 )
 from .model import ModelParams, State
-from .solver import SolverConfig, integrate
+from .solver import SolverConfig, integrate, write_rows_csv
 
 GROUPS = ("prey", "predator", "scavenger")
 _EPS = 1e-12
@@ -85,10 +85,7 @@ class Dataset:
     def to_csv(self, path) -> None:
         """Write normalized rows as `t,x,y,z`; raw ranges and metadata go to a
         .provenance.json sidecar so from_csv can rebuild the dataset exactly."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,y,z\n")
-            for t, row in zip(self.times, self.observations):
-                fh.write(f"{float(t)!r},{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
+        write_rows_csv(path, self.times, self.observations)
         sidecar = {
             "t_start": self.t_start,
             "t_end": self.t_end,

@@ -6,6 +6,9 @@ absent), and the interior coexistence point.  Nonexistence is a finding, not
 a failure: every candidate is returned together with its named existence
 checks and their numeric values.
 
+The scavenger-prey pair is the predator-prey pair with (g, b, b0, j) in
+place of (d, a, a0, e); one routine builds both from the PREY_CONSUMERS table.
+
 The interior point is located two independent ways: a 1-D scan-and-bisect
 over x (authoritative), and the positive real roots of a degree-12
 polynomial that interior_poly_coeffs derives from the model equations by
@@ -57,10 +60,13 @@ class Equilibrium:
     label: str
     subsystem: Subsystem
     point: Optional[tuple]
-    exists: bool
     existence: list = field(default_factory=list)
     aux: dict = field(default_factory=dict)
     flag: Optional[str] = None
+
+    @property
+    def exists(self) -> bool:
+        return self.point is not None
 
     def record(self) -> dict:
         """Plain-dict form for JSON reports; stability verdict attached by the caller."""
@@ -77,12 +83,27 @@ class Equilibrium:
         }
 
 
+class PreyConsumer(NamedTuple):
+    """The label of a consumer's coexistence point with the prey, the names of
+    its (conversion, attack, handling, death) parameters, and its index in (x, y, z)."""
+
+    label: str
+    params: tuple
+    index: int
+
+
+PREY_CONSUMERS = {
+    Subsystem.PRED_PREY: PreyConsumer(LABEL_PRED_PREY, ("d", "a", "a0", "e"), 1),
+    Subsystem.SCAV_PREY: PreyConsumer(LABEL_SCAV_PREY, ("g", "b", "b0", "j"), 2),
+}
+
+
 def _origin(sub: Subsystem) -> Equilibrium:
-    return Equilibrium(LABEL_ORIGIN, sub, (0.0, 0.0, 0.0), True)
+    return Equilibrium(LABEL_ORIGIN, sub, (0.0, 0.0, 0.0))
 
 
 def _prey_only(p: ModelParams, sub: Subsystem) -> Equilibrium:
-    return Equilibrium(LABEL_PREY_ONLY, sub, (p.k, 0.0, 0.0), True)
+    return Equilibrium(LABEL_PREY_ONLY, sub, (p.k, 0.0, 0.0))
 
 
 def predscav_equilibria(p: ModelParams) -> list:
@@ -96,54 +117,49 @@ def predscav_equilibria(p: ModelParams) -> list:
     c1 = p.f - p.i0 * p.e
     checks = [ExistenceCheck("f - i0*e > 0", c1 > 0, c1)]
     aux = {}
+    point = None
     if c1 > 0:
         z0 = math.sqrt(p.e / c1)
         aux["z0"] = z0
         c2 = p.h * p.f * z0 - p.i * p.e
         checks.append(ExistenceCheck("h*f*z0 - i*e > 0", c2 > 0, c2))
         if c2 > 0:
-            y = p.f * p.j * z0 / c2
-            out.append(Equilibrium(LABEL_PRED_SCAV, Subsystem.PRED_SCAV, (0.0, y, z0), True, checks, aux))
-            return out
-    out.append(Equilibrium(LABEL_PRED_SCAV, Subsystem.PRED_SCAV, None, False, checks, aux))
+            point = (0.0, p.f * p.j * z0 / c2, z0)
+    out.append(Equilibrium(LABEL_PRED_SCAV, Subsystem.PRED_SCAV, point, checks, aux))
+    return out
+
+
+def _prey_consumer_equilibria(p: ModelParams, sub: Subsystem) -> list:
+    """(0,0), (k,0) and the coexistence point of the prey and the consumer of sub."""
+    role = PREY_CONSUMERS[sub]
+    conv, attack, handle, death = (getattr(p, n) for n in role.params)
+    c, _, q, m = role.params
+    out = [_origin(sub), _prey_only(p, sub)]
+    c1 = conv - handle * death
+    checks = [ExistenceCheck(f"{c} - {q}*{m} > 0", c1 > 0, c1)]
+    aux = {}
+    point = None
+    if c1 > 0:
+        x0 = math.sqrt(death / c1)
+        aux["x0"] = x0
+        checks.append(ExistenceCheck("0 < x0 < k", 0 < x0 < p.k, x0))
+        if 0 < x0 < p.k:
+            point = [x0, 0.0, 0.0]
+            point[role.index] = conv * p.r * x0 * (p.k - x0) / (attack * death * p.k)
+            point = tuple(point)
+    out.append(Equilibrium(role.label, sub, point, checks, aux))
     return out
 
 
 def predprey_equilibria(p: ModelParams) -> list:
     """Steady states with the scavenger absent: (0,0), (k,0), and the interior pair."""
-    out = [_origin(Subsystem.PRED_PREY), _prey_only(p, Subsystem.PRED_PREY)]
-    c1 = p.d - p.a0 * p.e
-    checks = [ExistenceCheck("d - a0*e > 0", c1 > 0, c1)]
-    aux = {}
-    if c1 > 0:
-        x0 = math.sqrt(p.e / c1)
-        aux["x0"] = x0
-        checks.append(ExistenceCheck("0 < x0 < k", 0 < x0 < p.k, x0))
-        if 0 < x0 < p.k:
-            y = p.d * p.r * x0 * (p.k - x0) / (p.a * p.e * p.k)
-            out.append(Equilibrium(LABEL_PRED_PREY, Subsystem.PRED_PREY, (x0, y, 0.0), True, checks, aux))
-            return out
-    out.append(Equilibrium(LABEL_PRED_PREY, Subsystem.PRED_PREY, None, False, checks, aux))
-    return out
+    return _prey_consumer_equilibria(p, Subsystem.PRED_PREY)
 
 
 def scavprey_equilibria(p: ModelParams) -> list:
     """Steady states with the predator absent; mirrors the predator-prey case
     with (g, b, b0, j) in place of (d, a, a0, e)."""
-    out = [_origin(Subsystem.SCAV_PREY), _prey_only(p, Subsystem.SCAV_PREY)]
-    c1 = p.g - p.b0 * p.j
-    checks = [ExistenceCheck("g - b0*j > 0", c1 > 0, c1)]
-    aux = {}
-    if c1 > 0:
-        x0 = math.sqrt(p.j / c1)
-        aux["x0"] = x0
-        checks.append(ExistenceCheck("0 < x0 < k", 0 < x0 < p.k, x0))
-        if 0 < x0 < p.k:
-            z = p.g * p.r * x0 * (p.k - x0) / (p.b * p.j * p.k)
-            out.append(Equilibrium(LABEL_SCAV_PREY, Subsystem.SCAV_PREY, (x0, 0.0, z), True, checks, aux))
-            return out
-    out.append(Equilibrium(LABEL_SCAV_PREY, Subsystem.SCAV_PREY, None, False, checks, aux))
-    return out
+    return _prey_consumer_equilibria(p, Subsystem.SCAV_PREY)
 
 
 # --- interior point, route 1: 1-D scan and bisect -----------------------------
@@ -269,7 +285,7 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
         ExistenceCheck("z* < min(r(1+b0 x*^2)(k-x*)/(b x*), i*e/(h*f))", z < bound, bound),
     ]
     aux = {"x_star": x, "bound_prey": bound_prey, "bound_pred": bound_pred}
-    return Equilibrium(LABEL_INTERIOR, Subsystem.FULL, (x, y, z), True, checks, aux)
+    return Equilibrium(LABEL_INTERIOR, Subsystem.FULL, (x, y, z), checks, aux)
 
 
 # --- interior point, route 2: degree-12 polynomial in x ------------------------
@@ -363,8 +379,8 @@ def all_equilibria(p: ModelParams) -> list:
     # boundary points keep their label but are re-tagged FULL: in the full
     # system their verdict needs the 3x3 Jacobian, not the 2-D restriction
     out = [
-        Equilibrium(LABEL_ORIGIN, Subsystem.FULL, (0.0, 0.0, 0.0), True),
-        Equilibrium(LABEL_PREY_ONLY, Subsystem.FULL, (p.k, 0.0, 0.0), True),
+        _origin(Subsystem.FULL),
+        _prey_only(p, Subsystem.FULL),
         replace(predscav_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(predprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(scavprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
@@ -374,14 +390,14 @@ def all_equilibria(p: ModelParams) -> list:
     except NoRoot:
         out.append(
             Equilibrium(
-                LABEL_INTERIOR, Subsystem.FULL, None, False,
+                LABEL_INTERIOR, Subsystem.FULL, None,
                 [ExistenceCheck("unique positive real root", False, 0.0)],
             )
         )
     except MultipleRoots as exc:
         out.append(
             Equilibrium(
-                LABEL_INTERIOR, Subsystem.FULL, None, False,
+                LABEL_INTERIOR, Subsystem.FULL, None,
                 [ExistenceCheck("unique positive real root", False, float(len(exc.roots)))],
                 {"roots": list(exc.roots)},
                 flag="multiple_roots",

@@ -146,6 +146,12 @@ class Subsystem(enum.Enum):
     def mask(self):
         return self.value
 
+    def check_state(self, s) -> None:
+        """Raise MaskViolation when a masked-out component of s = (x, y, z[, t]) is nonzero."""
+        for comp, active, name in zip(s, self.mask, "xyz"):
+            if not active and comp != 0:
+                raise MaskViolation(f"{name}0 = {comp} but {name} is masked out in {self.name}")
+
     @classmethod
     def parse(cls, name: str) -> "Subsystem":
         table = {
@@ -176,9 +182,7 @@ def rhs(s, p: ModelParams) -> Derivative:
 
 def rhs_subsystem(s, p: ModelParams, mask: Subsystem) -> Derivative:
     """Derivative of the selected subsystem; the masked species must sit at zero."""
-    mx, my, mz = mask.mask
-    if (not mx and s[0] != 0) or (not my and s[1] != 0) or (not mz and s[2] != 0):
-        raise MaskViolation(f"state {tuple(s[:3])} has a nonzero masked component for {mask.name}")
+    mask.check_state(s)
     d = make_rhs(p, mask)(float(s[0]), float(s[1]), float(s[2]))
     if not all(map(math.isfinite, d)):
         raise NumericalOverflow(f"non-finite derivative at state {tuple(s[:3])}")

@@ -190,8 +190,20 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
         raise
     pred = (np.asarray(traj.states) - ds.mins) / ds.ranges
     mse = float(np.mean(np.sum((pred - ds.observations) ** 2, axis=1)))
-    span = ds.t_end - ds.t_start
-    scale = span / ds.ranges
+    if not gradient:
+        pie = _physics_term(params, ds)
+        return mse + pie, mse, pie
+    pie, g_pie = _physics_term(params, ds, gradient=True)
+    # d pred / dp is dx/dp over the column range
+    g_mse = (2.0 / len(ds.times)) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
+                                              traj.sensitivities)
+    return mse + pie, mse, pie, g_mse, g_pie
+
+
+def _physics_term(params: ModelParams, ds: Dataset, gradient: bool = False):
+    """The PIE of total_loss, from the observed states alone, with no
+    integration; with gradient=True, (pie, d pie/dp)."""
+    scale = (ds.t_end - ds.t_start) / ds.ranges
     # the closures are elementwise, so one call on the observation columns
     # equals one call per observed state, bit for bit
     observed = ds.raw_observations.T
@@ -199,15 +211,11 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
     pie_resid = data_derivative(ds) - model_deriv
     pie = float(np.mean(np.sum(pie_resid ** 2, axis=1)))
     if not gradient:
-        return mse + pie, mse, pie
-    n = len(ds.times)
-    # d pred / dp is dx/dp over the column range; d model_deriv / dp is
-    # df/dp at the observed state times the same scale as the values
-    g_mse = (2.0 / n) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
-                                  traj.sensitivities)
+        return pie
+    # d model_deriv / dp is df/dp at the observed state times the same
+    # scale as the values
     dfdp = jacobian_matrices(make_jacobian(params), *observed)[:, :, 3:]
-    g_pie = (-2.0 / n) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
-    return mse + pie, mse, pie, g_mse, g_pie
+    return pie, (-2.0 / len(ds.times)) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
 
 
 def _loss_or_inf(p, ds, tol, gradient=False):
@@ -359,7 +367,10 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
 
     final = np.exp(u_polish)
     post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
-    _, _, final_pie = _loss_or_inf(final, ds, 1e-9)
+    try:
+        final_pie = _physics_term(ModelParams.from_array(final), ds)
+    except ValueError:  # exp(u) overflowed or underflowed
+        final_pie = math.inf
     return EstimationReport(
         seed=int(seed),
         initial_params=initial,

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import IntegrationFailed, MaskViolation, NumericalOverflow, StepUnderflow
+from .errors import IntegrationFailed, NumericalOverflow, StepUnderflow
 from .model import (JACOBIAN_COLUMNS, ModelParams, State, Subsystem, jacobian_matrices,
                     make_jacobian, make_rhs)
 
@@ -120,6 +120,15 @@ class Diagnostics:
     clamped: int = 0
 
 
+def write_rows_csv(path, times, states) -> None:
+    """Write a `t,x,y,z` header and one row per time, each value as its
+    shortest round-tripping repr, so reading the file back is exact."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,y,z\n")
+        for t, (x, y, z) in zip(times.tolist(), states.tolist()):
+            fh.write(f"{t!r},{x!r},{y!r},{z!r}\n")
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -137,10 +146,7 @@ class Trajectory:
         return State(*self.states[-1], t=float(self.times[-1]))
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,x,y,z\n")
-            for t, (x, y, z) in zip(self.times.tolist(), self.states.tolist()):
-                fh.write(f"{t!r},{x!r},{y!r},{z!r}\n")
+        write_rows_csv(path, self.times, self.states)
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -158,12 +164,6 @@ class Trajectory:
                 times.append(vals[0])
                 states.append(vals[1:])
         return cls(np.array(times), np.array(states))
-
-
-def _check_mask(s0, mask: Subsystem):
-    for comp, active, name in zip(s0, mask.mask, "xyz"):
-        if not active and comp != 0:
-            raise MaskViolation(f"{name}0 = {comp} but {name} is masked out in {mask.name}")
 
 
 def integrate(
@@ -191,7 +191,7 @@ def integrate(
     t0 = float(s0[3]) if len(s0) > 3 else 0.0
     if not (min(x, y, z) >= 0 and math.isfinite(x + y + z)):
         raise ValueError(f"initial state must be finite and nonnegative, got {(x, y, z)}")
-    _check_mask((x, y, z), mask)
+    mask.check_state((x, y, z))
     rhs = make_rhs(p, mask)
 
     if t_eval is not None:
@@ -393,7 +393,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
             h = abs(hs) * 0.2
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
-            k1 = rhs(x, y, z)
+            # the state is unchanged, so k1 is still its slope
             continue
 
         if err <= 1.0:

@@ -3,10 +3,11 @@
 For a cubic characteristic polynomial lambda^3 + m1 lambda^2 + m2 lambda + m3
 the coefficients come from the trace, the principal 2x2 minors, and the
 determinant; all eigenvalue real parts are negative iff m1, m2, m3 > 0 and
-m1*m2 - m3 > 0.  classify computes the 3x3 eigenvalues independently, from
-the Jacobian itself (np.linalg.eigvals, QR), never from m1, m2, m3, so an
+m1*m2 - m3 > 0.  classify computes the eigenvalues, 2x2 or 3x3, from the
+Jacobian itself (np.linalg.eigvals, QR), never from m1, m2, m3, so an
 error in the coefficients cannot reach both routes; the eigenvalues are
-authoritative when the two disagree near a margin.
+authoritative when the two disagree near a margin.  The predator-prey and
+scavenger-prey criteria are built from equilibria.PREY_CONSUMERS.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import (
+    PREY_CONSUMERS,
     Equilibrium,
     ExistenceCheck,
     LABEL_INTERIOR,
@@ -25,7 +27,6 @@ from .equilibria import (
     LABEL_PRED_PREY,
     LABEL_PRED_SCAV,
     LABEL_PREY_ONLY,
-    LABEL_SCAV_PREY,
 )
 from .errors import ExistenceViolated
 from .model import JACOBIAN_COLUMNS, ModelParams, Subsystem, make_jacobian
@@ -95,15 +96,6 @@ def _cubic_roots(m1: float, m2: float, m3: float) -> tuple:
     return _sorted_eigenvalues(np.array([[0.0, 0.0, -m3], [1.0, 0.0, -m2], [0.0, 1.0, -m1]]))
 
 
-def _quadratic_roots(tr: float, det: float) -> tuple:
-    disc = tr * tr - 4.0 * det
-    if disc >= 0:
-        rt = math.sqrt(disc)
-        return tuple(sorted((complex(v) for v in ((tr - rt) / 2.0, (tr + rt) / 2.0)), key=lambda v: v.real))
-    rt = math.sqrt(-disc)
-    return (complex(tr / 2.0, -rt / 2.0), complex(tr / 2.0, rt / 2.0))
-
-
 def _verdict_from_eigenvalues(eigenvalues) -> str:
     res = [ev.real for ev in eigenvalues]
     if any(abs(re) <= MARGINAL_BAND for re in res):
@@ -151,6 +143,10 @@ def _threshold_check(name: str, ksq: float, num: float, den: float) -> Existence
     return ExistenceCheck(name, ksq < num / den, num / den)
 
 
+# the prey-consumer pair of each coexistence label
+_PAIRS = {role.label: role for role in PREY_CONSUMERS.values()}
+
+
 def _named_criteria(p: ModelParams, eq: Equilibrium) -> list:
     label, sub = eq.label, eq.subsystem
     full = sub is Subsystem.FULL
@@ -162,10 +158,12 @@ def _named_criteria(p: ModelParams, eq: Equilibrium) -> list:
             checks.append(ExistenceCheck("eigenvalues -e, -j < 0", True, max(-p.e, -p.j)))
     elif label == LABEL_PREY_ONLY:
         ksq = p.k * p.k
-        if sub in (Subsystem.FULL, Subsystem.PRED_PREY):
-            checks.append(_threshold_check("k^2 < e/(d - a0*e)", ksq, p.e, p.d - p.a0 * p.e))
-        if sub in (Subsystem.FULL, Subsystem.SCAV_PREY):
-            checks.append(_threshold_check("k^2 < j/(g - b0*j)", ksq, p.j, p.g - p.b0 * p.j))
+        # one consumer direction per pair the point belongs to
+        for pair, role in PREY_CONSUMERS.items():
+            if sub in (Subsystem.FULL, pair):
+                conv, _, handle, death = (getattr(p, n) for n in role.params)
+                c, _, q, m = role.params
+                checks.append(_threshold_check(f"k^2 < {m}/({c} - {q}*{m})", ksq, death, conv - handle * death))
     elif label == LABEL_PRED_SCAV:
         if full:
             checks.append(ExistenceCheck("prey eigenvalue r < 0", False, p.r))
@@ -174,29 +172,18 @@ def _named_criteria(p: ModelParams, eq: Equilibrium) -> list:
             # exists, so the 2-D point is a saddle
             prod = -2.0 * p.j * p.e * (p.f - p.i0 * p.e) / p.f
             checks.append(ExistenceCheck("eigenvalue product > 0", prod > 0, prod))
-    elif label == LABEL_PRED_PREY:
+    elif label in _PAIRS:
+        conv, _, handle, death = (getattr(p, n) for n in _PAIRS[label].params)
+        c, _, q, m = _PAIRS[label].params
         x0 = eq.point[0]
-        checks.append(
-            ExistenceCheck(
-                "2*a0*e*(k - x0)/(d*k) < 1",
-                2.0 * p.a0 * p.e * (p.k - x0) / (p.d * p.k) < 1.0,
-                2.0 * p.a0 * p.e * (p.k - x0) / (p.d * p.k),
-            )
-        )
-        if full:
+        ratio = 2.0 * handle * death * (p.k - x0) / (conv * p.k)
+        checks.append(ExistenceCheck(f"2*{q}*{m}*(k - x0)/({c}*k) < 1", ratio < 1.0, ratio))
+        # the direction of the absent species differs between the pairs
+        if full and label == LABEL_PRED_PREY:
             dd = p.d + (p.b0 - p.a0) * p.e
             v = p.h * p.d * p.r * x0 * (1.0 - x0 / p.k) * dd + p.a * p.e * (p.g * p.e - p.j * dd)
             checks.append(ExistenceCheck("scavenger-direction eigenvalue term < 0", v < 0, v))
-    elif label == LABEL_SCAV_PREY:
-        x0 = eq.point[0]
-        checks.append(
-            ExistenceCheck(
-                "2*b0*j*(k - x0)/(g*k) < 1",
-                2.0 * p.b0 * p.j * (p.k - x0) / (p.g * p.k) < 1.0,
-                2.0 * p.b0 * p.j * (p.k - x0) / (p.g * p.k),
-            )
-        )
-        if full:
+        elif full:
             z0 = eq.point[2]
             gg = p.g + p.j * (p.a0 - p.b0)
             t = (p.e * gg - p.d * p.j) / gg if gg != 0 else math.nan
@@ -210,23 +197,22 @@ def classify(p: ModelParams, eq: Equilibrium) -> StabilityVerdict:
 
     Eigenvalue real parts decide the classification; the label's closed-form
     criteria are evaluated alongside and a disagreement is noted, not
-    silently resolved.  3x3 eigenvalues come from J itself; m1, m2, m3 feed
-    only the Routh-Hurwitz criteria and the report.
+    silently resolved.  Eigenvalues come from J itself; m1, m2, m3 or the
+    trace and determinant feed only the criteria and the report.
     """
-    if not eq.exists or eq.point is None:
+    if not eq.exists:
         raise ExistenceViolated(f"{eq.label} does not exist for these parameters")
     J = jacobian(p, eq.point, eq.subsystem)
     criteria = _named_criteria(p, eq)
+    eigenvalues = _sorted_eigenvalues(J)
     if J.shape == (3, 3):
         m1, m2, m3 = _char_coeffs_3(J)
-        eigenvalues = _sorted_eigenvalues(J)
         if eq.label == LABEL_INTERIOR:
             criteria.extend(_routh_hurwitz_criteria(m1, m2, m3))
     else:
         m1 = m2 = m3 = None
         tr = float(np.trace(J))
         det = float(np.linalg.det(J))
-        eigenvalues = _quadratic_roots(tr, det)
         criteria.extend(
             [
                 ExistenceCheck("-trace > 0", -tr > RH_MARGIN, -tr),

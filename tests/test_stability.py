@@ -1,9 +1,13 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import rand_params
-from ppsdyn.equilibria import (all_equilibria, interior_equilibrium_direct,
-                               predprey_equilibria, predscav_equilibria)
+from ppsdyn.equilibria import (LABEL_PRED_PREY, LABEL_SCAV_PREY, all_equilibria,
+                               interior_equilibrium_direct, predprey_equilibria,
+                               predscav_equilibria, scavprey_equilibria)
 from ppsdyn.errors import ExistenceViolated, MultipleRoots, NoRoot
 from ppsdyn.model import ModelParams, State, Subsystem, rhs_subsystem
 from ppsdyn import stability
@@ -171,6 +175,54 @@ def test_predprey_closed_form_criterion_tracks_eigenvalues():
         assert crit.satisfied == (v.classification == STABLE)
         checked += 1
     assert checked > 50
+
+
+_MIRROR = {"d": "g", "a": "b", "a0": "b0", "e": "j"}
+_MIRROR.update({v: k for k, v in _MIRROR.items()})
+
+
+def _mirrored_name(name):
+    return re.sub(r"\b(a0|b0|[abdegj])\b", lambda m: _MIRROR[m.group(1)], name)
+
+
+def _criteria(verdict, mirror=False):
+    return [(_mirrored_name(c.name) if mirror else c.name, c.satisfied, c.value)
+            for c in verdict.criteria]
+
+
+def test_scavprey_mirrors_predprey():
+    # the scavenger-prey pair is the predator-prey pair with (g, b, b0, j) in
+    # place of (d, a, a0, e): swapping those parameters must swap the two
+    # pairs' steady states, with y and z exchanged, and their named criteria
+    rng = np.random.default_rng(2412)
+    coexisting = 0
+    for _ in range(300):
+        p = rand_params(rng, 0.1, 3.0)
+        q = ModelParams(**{**p.to_dict(), **{_MIRROR[n]: getattr(p, n) for n in _MIRROR}})
+        for pp, sp in zip(predprey_equilibria(p), scavprey_equilibria(q)):
+            assert sp.subsystem is Subsystem.SCAV_PREY
+            assert sp.label == {LABEL_PRED_PREY: LABEL_SCAV_PREY}.get(pp.label, pp.label)
+            mirrored = None if pp.point is None else (pp.point[0], pp.point[2], pp.point[1])
+            assert sp.point == mirrored
+            assert [(c.name, c.satisfied, c.value) for c in sp.existence] == [
+                (_mirrored_name(c.name), c.satisfied, c.value) for c in pp.existence]
+            assert sp.aux == pp.aux
+            if not pp.exists:
+                continue
+            coexisting += pp.label == LABEL_PRED_PREY
+            v_pp, v_sp = classify(p, pp), classify(q, sp)
+            assert _criteria(v_sp) == _criteria(v_pp, mirror=True)
+            assert v_sp.classification == v_pp.classification
+            assert v_sp.eigenvalues == v_pp.eigenvalues
+            # in the full system the pairs share only their first criterion;
+            # the prey-only point lists both consumers, in table order
+            f_pp, f_sp = (classify(*arg) for arg in ((p, replace(pp, subsystem=Subsystem.FULL)),
+                                                     (q, replace(sp, subsystem=Subsystem.FULL))))
+            if pp.label == LABEL_PRED_PREY:
+                assert _criteria(f_sp)[0] == _criteria(f_pp, mirror=True)[0]
+            else:
+                assert _criteria(f_sp) == _criteria(f_pp, mirror=True)[::-1]
+    assert coexisting > 30
 
 
 def test_classify_requires_existing_point(reference_params):
