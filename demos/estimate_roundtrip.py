@@ -2,7 +2,7 @@
 
 Generates a noiseless 40-point series from the reference parameter set,
 runs the two-stage estimator on it, and compares the errors before and
-after the polishing stage. Takes about half a minute.
+after the polishing stage. Takes a few seconds.
 
 Run from the repository root:
 

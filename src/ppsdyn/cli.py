@@ -18,34 +18,14 @@ import numpy as np
 
 from .data import Dataset, SpeciesMap, ingest, synthesize
 from .equilibria import LABEL_INTERIOR, all_equilibria, interior_poly_crosscheck
-from .errors import (
-    ConstantColumn,
-    IntegrationFailed,
-    LineSearchFailed,
-    MaskViolation,
-    MissingColumn,
-    MultipleRoots,
-    NonFiniteLoss,
-    NonNumericCell,
-    NoRoot,
-    TooFewSamples,
-    UnmappedSpecies,
-)
+from .errors import IntegrationFailed, LineSearchFailed, MultipleRoots, NonFiniteLoss, NoRoot
 from .model import ModelParams, State, Subsystem
-from .pinn import estimate as run_estimate
+from .pinn import estimate as run_estimate, simulate_on_data
 from .solver import SolverConfig, integrate
 from .stability import classify
 
-_USAGE_ERRORS = (
-    ValueError,
-    OSError,
-    TooFewSamples,
-    MissingColumn,
-    NonNumericCell,
-    UnmappedSpecies,
-    ConstantColumn,
-    MaskViolation,
-)
+# every rejected input is a ValueError, the package's input errors included
+_USAGE_ERRORS = (ValueError, OSError)
 _NUMERICAL_ERRORS = (IntegrationFailed, NoRoot, MultipleRoots, NonFiniteLoss, LineSearchFailed)
 
 _SPECIES = ("prey", "predator", "scavenger")
@@ -253,19 +233,14 @@ def cmd_estimate(args) -> int:
     report.write_trace_csv(trace_path)
     print(f"wrote {trace_path}")
     if math.isfinite(report.final_mse):
-        p = ModelParams.from_array(report.final_params)
         raw = ds.raw_times
         dense = np.linspace(raw[0], raw[-1], 201)
-        s0 = ds.mins + ds.observations[0] * ds.ranges
-        cfg = SolverConfig(t_end=float(dense[-1]), tol=1e-9, negativity_policy="clamp")
         try:
-            traj = integrate(p, State(float(s0[0]), float(s0[1]), float(s0[2]), float(dense[0])),
-                             cfg, t_eval=dense)
+            traj, sn = simulate_on_data(ModelParams.from_array(report.final_params), ds, dense, 1e-9)
         except IntegrationFailed:
-            traj = None
-        if traj is not None:
-            tn = (np.asarray(traj.times) - raw[0]) / (raw[-1] - raw[0])
-            sn = (np.asarray(traj.states) - ds.mins) / ds.ranges
+            pass  # the report stands without the plot
+        else:
+            tn = (traj.times - raw[0]) / (raw[-1] - raw[0])
             _write(os.path.join(out, "fit.svg"), _fit_svg(ds, tn, sn))
     print(
         f"seed {report.seed}: post-network MSE {report.post_nn_mse:.6g}, "

@@ -23,7 +23,7 @@ from .errors import (
     UnmappedSpecies,
 )
 from .model import ModelParams, State
-from .solver import SolverConfig, integrate, write_rows_csv
+from .solver import SolverConfig, integrate, read_rows_csv, write_rows_csv
 
 GROUPS = ("prey", "predator", "scavenger")
 _EPS = 1e-12
@@ -99,35 +99,31 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        times, obs = [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["t", "x", "y", "z"]:
-                raise MissingColumn("expected header t,x,y,z")
-            for line, row in enumerate(reader, start=2):
-                if len(row) != 4:
-                    raise NonNumericCell(f"row {line}: expected 4 cells")
-                try:
-                    vals = [float(c) for c in row]
-                except ValueError as exc:
-                    raise NonNumericCell(f"row {line}: {exc}") from exc
-                times.append(vals[0])
-                obs.append(vals[1:])
+        times, obs = read_rows_csv(path)
         side = provenance_path(path)
         if not os.path.exists(side):
             raise MissingColumn(f"provenance sidecar not found: {side}")
         with open(side, encoding="utf-8") as fh:
             info = json.load(fh)
-        return cls(
-            np.array(times),
-            np.array(obs),
-            np.array(info["mins"]),
-            np.array(info["maxs"]),
-            float(info["t_start"]),
-            float(info["t_end"]),
-            info.get("meta", {}),
-        )
+        keys = ("mins", "maxs", "t_start", "t_end")
+        if not (isinstance(info, dict) and all(k in info for k in keys)):
+            raise MissingColumn(f"provenance sidecar {side} needs the keys {', '.join(keys)}")
+        try:
+            mins, maxs = (np.array(info[k], dtype=float) for k in keys[:2])
+            t_start, t_end = (float(info[k]) for k in keys[2:])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"provenance sidecar {side}: {exc}") from None
+        return cls(times, obs, mins, maxs, t_start, t_end, info.get("meta", {}))
+
+    @classmethod
+    def from_raw(cls, raw_times, raw, meta, what="") -> "Dataset":
+        """Min-max normalize the raw times (T,) and each group column of
+        raw (T, 3), then construct; `what` prefixes the column names in
+        errors."""
+        tnorm, t0, t1 = _normalize_column(raw_times, f"{what}time column")
+        cols, mins, maxs = zip(*(_normalize_column(raw[:, gi], f"{what}{grp} column")
+                                 for gi, grp in enumerate(GROUPS)))
+        return cls(tnorm, np.column_stack(cols), np.array(mins), np.array(maxs), t0, t1, meta)
 
 
 def provenance_path(csv_path) -> str:
@@ -152,6 +148,8 @@ class SpeciesMap:
     def load(cls, path) -> "SpeciesMap":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"species map {path} must be a JSON object of column -> group")
         return cls({str(k): str(v).strip().lower() for k, v in raw.items()})
 
 
@@ -208,22 +206,7 @@ def ingest(csv_path, species_map: SpeciesMap) -> Dataset:
     raw = np.array(sums)[order]
     if np.any(np.diff(years) <= 0):
         raise ValueError("year column contains duplicates")
-    tnorm, t0, t1 = _normalize_column(years, "year column")
-    cols, mins, maxs = [], [], []
-    for gi, grp in enumerate(GROUPS):
-        col, lo, hi = _normalize_column(raw[:, gi], f"{grp} column")
-        cols.append(col)
-        mins.append(lo)
-        maxs.append(hi)
-    return Dataset(
-        tnorm,
-        np.column_stack(cols),
-        np.array(mins),
-        np.array(maxs),
-        t0,
-        t1,
-        {"source": os.path.basename(str(csv_path))},
-    )
+    return Dataset.from_raw(years, raw, {"source": os.path.basename(str(csv_path))})
 
 
 def synthesize(
@@ -249,13 +232,6 @@ def synthesize(
         span = raw.max(axis=0) - raw.min(axis=0)
         raw = raw + noise_sigma * span * rng.standard_normal(raw.shape)
         raw = np.maximum(raw, 0.0)
-    tnorm = (grid - grid[0]) / (grid[-1] - grid[0])
-    cols, mins, maxs = [], [], []
-    for gi, grp in enumerate(GROUPS):
-        col, lo, hi = _normalize_column(raw[:, gi], f"synthesized {grp} column")
-        cols.append(col)
-        mins.append(lo)
-        maxs.append(hi)
     meta = {
         "generator": {
             "params": p.to_dict(),
@@ -264,15 +240,7 @@ def synthesize(
             "seed": int(seed),
         }
     }
-    return Dataset(
-        tnorm,
-        np.column_stack(cols),
-        np.array(mins),
-        np.array(maxs),
-        float(grid[0]),
-        float(grid[-1]),
-        meta,
-    )
+    return Dataset.from_raw(grid, raw, meta, what="synthesized ")
 
 
 def denormalize(ds: Dataset, s: State) -> State:

@@ -2,7 +2,10 @@
 
 Integration failures form a small hierarchy under IntegrationFailed so
 callers can catch the family without caring whether the step controller
-underflowed or a state blew up.
+underflowed or a state blew up.  The input errors (MaskViolation,
+TooFewSamples, MissingColumn, NonNumericCell, UnmappedSpecies,
+ConstantColumn) are also ValueErrors, so one `except ValueError` catches
+every rejected input, whether the package or numpy raised it.
 """
 
 
@@ -10,7 +13,7 @@ class PpsdynError(Exception):
     """Base class for all package errors."""
 
 
-class MaskViolation(PpsdynError):
+class MaskViolation(PpsdynError, ValueError):
     """A subsystem was selected but the masked-out component is nonzero."""
 
 
@@ -67,21 +70,21 @@ class LineSearchFailed(PpsdynError):
         self.history = history if history is not None else []
 
 
-class TooFewSamples(PpsdynError):
+class TooFewSamples(PpsdynError, ValueError):
     """Derivative estimation needs at least three samples."""
 
 
-class MissingColumn(PpsdynError):
+class MissingColumn(PpsdynError, ValueError):
     """A required CSV column is absent."""
 
 
-class NonNumericCell(PpsdynError):
+class NonNumericCell(PpsdynError, ValueError):
     """A CSV cell could not be parsed as a number."""
 
 
-class UnmappedSpecies(PpsdynError):
+class UnmappedSpecies(PpsdynError, ValueError):
     """A species column has no group assignment."""
 
 
-class ConstantColumn(PpsdynError):
+class ConstantColumn(PpsdynError, ValueError):
     """A column is constant, so min-max scaling is undefined."""

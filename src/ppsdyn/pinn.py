@@ -173,22 +173,8 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
     with the offending parameters attached, when p cannot be integrated over
     the data horizon.
     """
-    pv = np.asarray(p, dtype=float)
-    params = ModelParams.from_array(pv)
-    raw_grid = ds.raw_times
-    s0 = ds.mins + ds.observations[0] * ds.ranges
-    cfg = SolverConfig(t_end=float(raw_grid[-1]), tol=tol, negativity_policy="clamp",
-                       max_steps=LOSS_MAX_STEPS)
-    try:
-        traj = integrate(
-            params, State(float(s0[0]), float(s0[1]), float(s0[2]), float(raw_grid[0])), cfg,
-            t_eval=raw_grid, sensitivities=gradient,
-        )
-    except IntegrationFailed as exc:
-        if exc.params is None:
-            exc.params = [float(v) for v in pv]
-        raise
-    pred = (np.asarray(traj.states) - ds.mins) / ds.ranges
+    params = ModelParams.from_array(np.asarray(p, dtype=float))
+    traj, pred = simulate_on_data(params, ds, ds.raw_times, tol, sensitivities=gradient)
     mse = float(np.mean(np.sum((pred - ds.observations) ** 2, axis=1)))
     if not gradient:
         pie = _physics_term(params, ds)
@@ -198,6 +184,28 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
     g_mse = (2.0 / len(ds.times)) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
                                               traj.sensitivities)
     return mse + pie, mse, pie, g_mse, g_pie
+
+
+def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
+                     sensitivities: bool = False):
+    """(trajectory, normalized states): the model run from the first
+    observation, in raw units, over raw_grid (its first point the first
+    observation's raw time), clamped at zero and behind LOSS_MAX_STEPS; the
+    states are mapped back into the dataset's normalized units.  Raises
+    IntegrationFailed, with the parameters attached, when params cannot be
+    integrated over the grid.
+    """
+    x0, y0, z0 = ds.raw_observations[0]
+    cfg = SolverConfig(t_end=float(raw_grid[-1]), tol=tol, negativity_policy="clamp",
+                       max_steps=LOSS_MAX_STEPS)
+    try:
+        traj = integrate(params, State(float(x0), float(y0), float(z0), float(raw_grid[0])), cfg,
+                         t_eval=raw_grid, sensitivities=sensitivities)
+    except IntegrationFailed as exc:
+        if exc.params is None:
+            exc.params = [float(v) for v in params.as_array()]
+        raise
+    return traj, (traj.states - ds.mins) / ds.ranges
 
 
 def _physics_term(params: ModelParams, ds: Dataset, gradient: bool = False):

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import IntegrationFailed, NumericalOverflow, StepUnderflow
+from .errors import (IntegrationFailed, MissingColumn, NonNumericCell, NumericalOverflow,
+                     StepUnderflow)
 from .model import (JACOBIAN_COLUMNS, ModelParams, State, Subsystem, jacobian_matrices,
                     make_jacobian, make_rhs)
 
@@ -129,6 +130,29 @@ def write_rows_csv(path, times, states) -> None:
             fh.write(f"{t!r},{x!r},{y!r},{z!r}\n")
 
 
+def read_rows_csv(path):
+    """(times, states) from a `t,x,y,z` file: the header is compared cell by
+    cell, each cell stripped; every row must hold 4 finite numbers."""
+    times, states = [], []
+    with open(path, encoding="utf-8") as fh:
+        if [h.strip() for h in fh.readline().split(",")] != ["t", "x", "y", "z"]:
+            raise MissingColumn("expected header t,x,y,z")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            cells = line.split(",")
+            if len(cells) != 4:
+                raise NonNumericCell(f"line {lineno}: expected 4 cells, got {len(cells)}")
+            try:
+                vals = [float(c) for c in cells]
+            except ValueError as exc:
+                raise NonNumericCell(f"line {lineno}: {exc}") from None
+            if not all(map(math.isfinite, vals)):
+                raise NonNumericCell(f"line {lineno}: non-finite value in {line!r}")
+            times.append(vals[0])
+            states.append(vals[1:])
+    return np.array(times), np.array(states)
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -150,20 +174,7 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
-        times, states = [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "t,x,y,z":
-                raise ValueError(f"unexpected trajectory header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                vals = [float(v) for v in line.split(",")]
-                if len(vals) != 4:
-                    raise ValueError(f"line {lineno}: expected 4 cells, got {len(vals)}")
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError(f"line {lineno}: non-finite value in {line.strip()!r}")
-                times.append(vals[0])
-                states.append(vals[1:])
-        return cls(np.array(times), np.array(states))
+        return cls(*read_rows_csv(path))
 
 
 def integrate(
@@ -177,15 +188,16 @@ def integrate(
     """Integrate from s0 (finite and nonnegative; time taken from s0.t if
     present, else 0) to cfg.t_end.
 
-    Output is sampled at every accepted step, or at t_eval if given (t_eval
-    must start at the initial time and be monotone toward t_end; the run
-    ends at its last point).  rk45 interpolates the t_eval points by the
-    continuous extension; steps are not clipped.  rk4 clips its steps to
-    land on each point.  Backward integration (t_end < t0) is supported for
-    both methods.  With sensitivities=True (rk45, t_eval and the full system
-    only) the trajectory also carries dx/dp at the t_eval points, s0 taken
-    as independent of p.  Under the clamp policy an output sample below zero
-    is clipped to zero and its row of dx/dp zeroed, as after a step.
+    Output is sampled at every accepted step, or, for rk45 only, at t_eval
+    if given (t_eval must start at the initial time and be monotone toward
+    t_end; the run ends at its last point).  rk45 interpolates the t_eval
+    points by the continuous extension; steps are not clipped.  rk4 has no
+    t_eval: it records every step, the last one shortened to end on t_end.
+    Backward integration (t_end < t0) is supported for both methods.  With
+    sensitivities=True (rk45, t_eval and the full system only) the
+    trajectory also carries dx/dp at the t_eval points, s0 taken as
+    independent of p.  Under the clamp policy an output sample below zero is
+    clipped to zero and its row of dx/dp zeroed, as after a step.
     """
     x, y, z = (float(v) for v in s0[:3])
     t0 = float(s0[3]) if len(s0) > 3 else 0.0
@@ -195,6 +207,8 @@ def integrate(
     rhs = make_rhs(p, mask)
 
     if t_eval is not None:
+        if cfg.method == "rk4":
+            raise ValueError("t_eval needs the rk45 method; rk4 records every step")
         targets = [float(v) for v in t_eval]
         if not targets or abs(targets[0] - t0) > 1e-12:
             raise ValueError("t_eval must start at the initial time")
@@ -207,9 +221,9 @@ def integrate(
 
     if not sensitivities:
         if cfg.method == "rk4":
-            return _run_rk4(rhs, x, y, z, t0, cfg, targets)
+            return _run_rk4(rhs, x, y, z, t0, cfg)
         return _run_rk45(rhs, x, y, z, t0, cfg, targets)
-    if cfg.method != "rk45" or targets is None or mask is not Subsystem.FULL:
+    if targets is None or mask is not Subsystem.FULL:  # rk4 never has targets
         raise ValueError("sensitivities need the rk45 method, t_eval and the full system")
     # dx/dp can overflow where the trajectory stays finite (seen at loose
     # tolerances); it then reads inf or nan for the caller to check, without
@@ -429,47 +443,40 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
     return dense.finish(t0, states[0], targets, (x, y, z), diag)
 
 
-def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig, targets) -> Trajectory:
+def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
     t_end = float(cfg.t_end)
     dirn = 1.0 if t_end >= t0 else -1.0
     clamp = cfg.negativity_policy == "clamp"
     diag = Diagnostics(min_component=min(x, y, z))
     times = [t0]
     states = [(x, y, z)]
-    record_all = targets is None
-    queue = list(targets) if targets is not None else [t_end]
 
     t = t0
-    for target in queue:
-        while (target - t) * dirn > 1e-15 * max(1.0, abs(t)):
-            if diag.steps >= cfg.max_steps:
-                raise IntegrationFailed(f"step limit {cfg.max_steps} reached", t=t)
-            diag.steps += 1
-            hs = min(cfg.step, abs(target - t)) * dirn
-            f1 = rhs(x, y, z)
-            f2 = rhs(x + 0.5 * hs * f1[0], y + 0.5 * hs * f1[1], z + 0.5 * hs * f1[2])
-            f3 = rhs(x + 0.5 * hs * f2[0], y + 0.5 * hs * f2[1], z + 0.5 * hs * f2[2])
-            f4 = rhs(x + hs * f3[0], y + hs * f3[1], z + hs * f3[2])
-            x = x + hs / 6.0 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0])
-            y = y + hs / 6.0 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1])
-            z = z + hs / 6.0 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2])
-            t = t + hs
-            if not all(map(math.isfinite, (x, y, z))):
-                raise NumericalOverflow(f"non-finite state at t={t}", t=t)
-            if clamp:
-                cx, cy, cz = max(x, 0.0), max(y, 0.0), max(z, 0.0)
-                if (cx, cy, cz) != (x, y, z):
-                    diag.clamped += 1
-                    x, y, z = cx, cy, cz
-            diag.min_component = min(diag.min_component, x, y, z)
-            if max(abs(x), abs(y), abs(z)) > OVERFLOW_LIMIT:
-                raise NumericalOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at t={t}", t=t)
-            if record_all:
-                times.append(t)
-                states.append((x, y, z))
-        if not record_all or times[-1] != t:
-            times.append(t)
-            states.append((x, y, z))
+    while (t_end - t) * dirn > 1e-15 * max(1.0, abs(t)):
+        if diag.steps >= cfg.max_steps:
+            raise IntegrationFailed(f"step limit {cfg.max_steps} reached", t=t)
+        diag.steps += 1
+        hs = min(cfg.step, abs(t_end - t)) * dirn
+        f1 = rhs(x, y, z)
+        f2 = rhs(x + 0.5 * hs * f1[0], y + 0.5 * hs * f1[1], z + 0.5 * hs * f1[2])
+        f3 = rhs(x + 0.5 * hs * f2[0], y + 0.5 * hs * f2[1], z + 0.5 * hs * f2[2])
+        f4 = rhs(x + hs * f3[0], y + hs * f3[1], z + hs * f3[2])
+        x = x + hs / 6.0 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0])
+        y = y + hs / 6.0 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1])
+        z = z + hs / 6.0 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2])
+        t = t + hs
+        if not all(map(math.isfinite, (x, y, z))):
+            raise NumericalOverflow(f"non-finite state at t={t}", t=t)
+        if clamp:
+            cx, cy, cz = max(x, 0.0), max(y, 0.0), max(z, 0.0)
+            if (cx, cy, cz) != (x, y, z):
+                diag.clamped += 1
+                x, y, z = cx, cy, cz
+        diag.min_component = min(diag.min_component, x, y, z)
+        if max(abs(x), abs(y), abs(z)) > OVERFLOW_LIMIT:
+            raise NumericalOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at t={t}", t=t)
+        times.append(t)
+        states.append((x, y, z))
     return Trajectory(np.array(times), np.array(states), diag)
 
 

@@ -214,3 +214,58 @@ def test_nonfinite_numeric_argument_is_usage_error(tmp_path, capsys, reference_f
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def _synth_dataset(tmp_path, reference_file):
+    out = tmp_path / "data"
+    assert main(["synth", "--params", reference_file, "--s0", "4.991,1.178,0.577",
+                 "--t-end", "5", "--points", "12", "--out", str(out)]) == 0
+    return out / "dataset.csv"
+
+
+def _drop_mins(info):
+    del info["mins"]
+    return info
+
+
+BAD_SIDECARS = {
+    "no-mins": _drop_mins,
+    "t_start-null": lambda info: {**info, "t_start": None},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
+def test_estimate_rejects_bad_sidecar_as_usage_error(tmp_path, capsys, reference_file, edit):
+    csv = _synth_dataset(tmp_path, reference_file)
+    side = csv.with_name("dataset.provenance.json")
+    side.write_text(json.dumps(edit(json.loads(side.read_text()))))
+    capsys.readouterr()
+    code = main(["estimate", "--dataset", str(csv), "--epochs", "1",
+                 "--bfgs-iterations", "1", "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: provenance sidecar")
+
+
+def test_estimate_rejects_species_map_that_is_not_an_object(tmp_path, capsys):
+    survey = tmp_path / "survey.csv"
+    survey.write_text("year,hare,lynx,crow\n2001,10,3,2\n2002,20,4,4\n2003,30,5,6\n")
+    smap = tmp_path / "map.json"
+    smap.write_text(json.dumps(["hare", "lynx", "crow"]))
+    code = main(["estimate", "--dataset", str(survey), "--species-map", str(smap),
+                 "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: species map")
+
+
+@pytest.mark.parametrize("bad", ["nan", "oops"])
+def test_estimate_names_the_line_of_a_bad_dataset_cell(tmp_path, capsys, reference_file, bad):
+    csv = _synth_dataset(tmp_path, reference_file)
+    lines = csv.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + bad
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["estimate", "--dataset", str(csv), "--epochs", "1",
+                 "--bfgs-iterations", "1", "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 6: ")
+    assert not (tmp_path / "fit" / "report.json").exists()

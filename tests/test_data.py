@@ -9,6 +9,7 @@ from ppsdyn.data import (GROUPS, Dataset, SpeciesMap, denormalize, ingest,
 from ppsdyn.errors import (ConstantColumn, MissingColumn, NonNumericCell,
                            TooFewSamples, UnmappedSpecies)
 from ppsdyn.model import State
+from ppsdyn.solver import Trajectory
 
 
 def test_synthesize_matches_regression_ranges(reference_dataset):
@@ -124,6 +125,34 @@ def test_csv_rejects_nonfinite_cells(tmp_path, reference_dataset, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         Dataset.from_csv(path)
+
+
+MALFORMED_ROWS = {
+    "bad-header": lambda lines: ["t,x,y,w"] + lines[1:],
+    "3-cells": lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:],
+    "5-cells": lambda lines: lines[:3] + [lines[3] + ",1.0"] + lines[4:],
+    "oops": lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",oops"] + lines[4:],
+    "nan": lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",nan"] + lines[4:],
+    "inf": lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",inf"] + lines[4:],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_both_readers_reject_a_malformed_file_alike(tmp_path, reference_dataset, edit):
+    # a dataset file, sidecar and all, is also a trajectory file; both
+    # readers must turn down the same rows with the same error
+    path = tmp_path / "ds.csv"
+    reference_dataset.to_csv(path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    errors = []
+    for reader in (Trajectory.from_csv, Dataset.from_csv):
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] in (MissingColumn, NonNumericCell)
+    if errors[0][0] is NonNumericCell:
+        assert errors[0][1].startswith("line 4: ")
 
 
 @pytest.mark.parametrize("field", ["times", "observations", "mins", "t_end"])

@@ -14,7 +14,7 @@ import ppsdyn.pinn
 from ppsdyn.optimize import bfgs_run
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
-                         total_loss, train_pinn, _forward_cached, _log_mse,
+                         simulate_on_data, total_loss, train_pinn, _forward_cached, _log_mse,
                          _pack, _unpack_into)
 
 
@@ -343,3 +343,10 @@ def test_estimation_distinguishes_competing_parameter_sets():
         if mse_true < mse_alt:
             wins += 1
     assert wins >= 95
+
+
+def test_simulate_on_data_reproduces_clean_data(reference_params, reference_dataset):
+    ds = reference_dataset
+    traj, pred = simulate_on_data(reference_params, ds, ds.raw_times, 1e-9)
+    assert np.array_equal(traj.times, ds.raw_times)
+    assert np.max(np.abs(pred - ds.observations)) < 1e-6

@@ -309,6 +309,19 @@ def test_t_eval_keeps_the_free_running_step_sequence(reference_params):
         assert np.array_equal(with_grid.states[-1], free.states[-1])
 
 
+def test_rk4_rejects_t_eval(stable_params):
+    with pytest.raises(ValueError, match="t_eval needs the rk45 method"):
+        integrate(stable_params, S0, SolverConfig(t_end=1.0, method="rk4", step=0.1),
+                  t_eval=[0.0, 0.5, 1.0])
+
+
+def test_rk4_records_every_step_and_lands_on_t_end(stable_params):
+    traj = integrate(stable_params, S0, SolverConfig(t_end=1.05, method="rk4", step=0.1))
+    assert traj.diagnostics.steps == len(traj.times) - 1 == 11
+    assert traj.times[-1] == pytest.approx(1.05, abs=1e-12)
+    assert np.allclose(np.diff(traj.times), [0.1] * 10 + [0.05])
+
+
 def test_sensitivities_need_rk45_t_eval_and_full_system(stable_params):
     with pytest.raises(ValueError):
         integrate(stable_params, S0, SolverConfig(t_end=1.0), sensitivities=True)
