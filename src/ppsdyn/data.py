@@ -18,12 +18,11 @@ import numpy as np
 from .errors import (
     ConstantColumn,
     MissingColumn,
-    NonNumericCell,
     TooFewSamples,
     UnmappedSpecies,
 )
 from .model import ModelParams, State
-from .solver import SolverConfig, integrate, read_rows_csv, write_rows_csv
+from .solver import SolverConfig, integrate, parse_row, read_rows_csv, write_rows_csv
 
 GROUPS = ("prey", "predator", "scavenger")
 _EPS = 1e-12
@@ -111,6 +110,9 @@ class Dataset:
         try:
             mins, maxs = (np.array(info[k], dtype=float) for k in keys[:2])
             t_start, t_end = (float(info[k]) for k in keys[2:])
+            leaves = np.concatenate([np.ravel(np.array(info[k], dtype=object)) for k in keys])
+            if any(isinstance(v, bool) for v in leaves):
+                raise TypeError(f"{', '.join(keys)} must be numbers, not booleans")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"provenance sidecar {side}: {exc}") from None
         return cls(times, obs, mins, maxs, t_start, t_end, info.get("meta", {}))
@@ -190,15 +192,8 @@ def ingest(csv_path, species_map: SpeciesMap) -> Dataset:
             raise MissingColumn(f"no CSV column mapped to {grp}")
     years = []
     sums = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise NonNumericCell(f"row {line}: expected {len(header)} cells, got {len(row)}")
-        try:
-            vals = [float(c) for c in row]
-        except ValueError as exc:
-            raise NonNumericCell(f"row {line}: {exc}") from exc
-        if not all(map(math.isfinite, vals)):
-            raise NonNumericCell(f"row {line}: non-finite cell in {row}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        vals = parse_row(row, lineno, len(header))
         years.append(vals[0])
         sums.append([sum(vals[1 + ci] for ci in group_cols[grp]) for grp in GROUPS])
     order = np.argsort(years)

@@ -2,20 +2,20 @@
 quasi-Newton polish on the parameters themselves.
 
 The network maps a fixed lognormal-initialized 14-vector to a predicted
-parameter vector.  Its weights are trained by Adam on total_loss = MSE + PIE,
-where the MSE compares the integrated trajectory against the observations and
-the PIE compares finite-difference data derivatives against the model
-right-hand side evaluated at the observed states.  The solver steps freely
-over the data grid and interpolates the observation times by its continuous
-extension.  Both stages use exact parameter gradients: the MSE gradient
-comes from the forward sensitivities dx/dp that the solver computes from the
-same steps, interpolated at the same times, in the integration that gives
-the loss, and the PIE gradient from the closed-form df/dp at the observed
-states, evaluated on all of them at once, with no integration.  The network
-stage chains d(total)/dp through ordinary backpropagation to the weights.
-A second stage runs BFGS on the log-parameters u = log p with an MSE-only
-objective, whose gradient is d mse/dp * p; positivity then holds without a
-projection, and BFGS never leaves a point worse than where it started.
+parameter vector.  optimize.adam_run trains its weights on total_loss =
+MSE + PIE.  The MSE, the misfit, compares the trajectory integrated from the
+first observation against the observations; the PIE, the physics term,
+compares finite-difference data derivatives against the model right-hand
+side at the observed states.  Each term is one function that returns its
+value and exact gradient in p: the misfit's from the forward sensitivities
+dx/dp of the same integration (the solver steps freely over the data grid
+and interpolates the observation times by its continuous extension), the
+physics term's from the closed-form df/dp at the observed states, with no
+integration.  Backpropagation chains d(total)/dp to the weights.  BFGS then
+polishes the log-parameters u = log p on the misfit alone, with gradient
+d mse/dp * p, so positivity holds without a projection and the polish never
+ends worse than it starts.  One guard turns a non-positive, non-finite or
+unintegrable p into an infinite value and gradient for either stage.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
@@ -27,14 +27,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from .model import ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
-from .optimize import AdamState, adam_step, bfgs_run
+from .optimize import adam_run, bfgs_run
 from .solver import SolverConfig, integrate
 
 MLP_SIZES = [14, 32, 32, 32, 14]
@@ -163,27 +163,31 @@ def data_derivative(ds: Dataset) -> np.ndarray:
 
 
 def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
-    """(total, mse, pie) for parameter vector p against a normalized dataset.
-
-    The trajectory starts from the first (denormalized) observation.  The
-    physics term evaluates the right-hand side at the observed states, not
-    the simulated ones.  With gradient=True the result is
+    """(total, mse, pie) for parameter vector p against a normalized dataset:
+    the misfit plus the physics term.  With gradient=True the result is
     (total, mse, pie, d mse/dp, d pie/dp): the same three values, bit for
     bit, and the exact gradients of the last two.  Raises IntegrationFailed,
     with the offending parameters attached, when p cannot be integrated over
     the data horizon.
     """
-    params = ModelParams.from_array(np.asarray(p, dtype=float))
-    traj, pred = simulate_on_data(params, ds, ds.raw_times, tol, sensitivities=gradient)
+    p = np.asarray(p, dtype=float)
+    mse, g_mse = _misfit(p, ds, tol, gradient)
+    pie, g_pie = _physics_term(p, ds)
+    return (mse + pie, mse, pie, g_mse, g_pie) if gradient else (mse + pie, mse, pie)
+
+
+def _misfit(p, ds: Dataset, tol: float, gradient: bool):
+    """(mse, d mse/dp) of the model run from the first observation against
+    the observations, from one integration; d mse/dp is None unless
+    gradient is set."""
+    traj, pred = simulate_on_data(ModelParams.from_array(p), ds, ds.raw_times, tol,
+                                  sensitivities=gradient)
     mse = float(np.mean(np.sum((pred - ds.observations) ** 2, axis=1)))
     if not gradient:
-        pie = _physics_term(params, ds)
-        return mse + pie, mse, pie
-    pie, g_pie = _physics_term(params, ds, gradient=True)
+        return mse, None
     # d pred / dp is dx/dp over the column range
-    g_mse = (2.0 / len(ds.times)) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
-                                              traj.sensitivities)
-    return mse + pie, mse, pie, g_mse, g_pie
+    return mse, (2.0 / len(ds.times)) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
+                                                  traj.sensitivities)
 
 
 def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
@@ -208,9 +212,10 @@ def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
     return traj, (traj.states - ds.mins) / ds.ranges
 
 
-def _physics_term(params: ModelParams, ds: Dataset, gradient: bool = False):
-    """The PIE of total_loss, from the observed states alone, with no
-    integration; with gradient=True, (pie, d pie/dp)."""
+def _physics_term(p, ds: Dataset):
+    """(pie, d pie/dp): the mean squared gap between the data derivative and
+    the right-hand side at the observed states, with no integration."""
+    params = ModelParams.from_array(p)
     scale = (ds.t_end - ds.t_start) / ds.ranges
     # the closures are elementwise, so one call on the observation columns
     # equals one call per observed state, bit for bit
@@ -218,23 +223,21 @@ def _physics_term(params: ModelParams, ds: Dataset, gradient: bool = False):
     model_deriv = np.array(make_rhs(params)(*observed)).T * scale
     pie_resid = data_derivative(ds) - model_deriv
     pie = float(np.mean(np.sum(pie_resid ** 2, axis=1)))
-    if not gradient:
-        return pie
     # d model_deriv / dp is df/dp at the observed state times the same
     # scale as the values
     dfdp = jacobian_matrices(make_jacobian(params), *observed)[:, :, 3:]
     return pie, (-2.0 / len(ds.times)) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
 
 
-def _loss_or_inf(p, ds, tol, gradient=False):
-    """total_loss, with every value (and gradient) infinite where p cannot be integrated."""
-    failed = (math.inf,) * 3 + ((np.full(14, math.inf),) * 2 if gradient else ())
-    if not np.all(np.isfinite(p)) or np.any(np.asarray(p) <= 0):
-        return failed
-    try:
-        return total_loss(p, ds, tol=tol, gradient=gradient)
-    except IntegrationFailed:
-        return failed
+def _loss_or_inf(term, p, *args):
+    """term(p, *args), a (value, gradient) pair, or an infinite value and
+    gradient where p is non-positive or non-finite or cannot be integrated."""
+    if np.all(np.isfinite(p)) and np.all(p > 0):
+        try:
+            return term(p, *args)
+        except IntegrationFailed:
+            pass
+    return math.inf, np.full(14, math.inf)
 
 
 class TraceRow(NamedTuple):
@@ -243,43 +246,46 @@ class TraceRow(NamedTuple):
     pie: float
 
 
+def _network_term(p, ds: Dataset):
+    """(TraceRow, d total/dp) at tolerance 1e-6, the network stage's loss."""
+    total, mse, pie, g_mse, g_pie = total_loss(p, ds, 1e-6, gradient=True)
+    return TraceRow(total, mse, pie), g_mse + g_pie
+
+
 def train_pinn(ds: Dataset, seed, epochs: int = 100):
     """Adam-train the network weights; returns (net, predicted params, trace).
 
     One generator, threaded: the input vector is drawn first, then the
     hidden-layer weights, so the run is reproducible from the seed alone.
     Each epoch integrates once, at tolerance 1e-6, for the loss and its exact
-    gradient in the predicted parameters; Adam steps by 1e-4.  The trace has one TraceRow per epoch.  A
-    non-finite loss or gradient aborts with NonFiniteLoss carrying the
-    partial trace and the best finite prediction seen so far.
+    gradient in the predicted parameters; optimize.adam_run steps by 1e-4.
+    The trace has one TraceRow per epoch.  A non-finite loss or gradient aborts with
+    NonFiniteLoss carrying the partial trace and the best finite prediction
+    seen so far.
     """
     rng = np.random.default_rng(seed)
     inp = np.exp(rng.standard_normal(14))
     net = init_mlp(rng)
-    theta = _pack(zip(net.weights, net.biases))
-    adam_state = AdamState.fresh(theta.size)
     trace: list = []
-    best_total = math.inf
-    best_p: Optional[np.ndarray] = None
-    for _ in range(epochs):
+    best_total, best_p = math.inf, None
+
+    def loss(theta):
+        nonlocal best_total, best_p
+        _unpack_into(net, theta)
         p_raw, caches = _forward_cached(net, inp)
         pf = np.maximum(p_raw, PARAM_FLOOR)
-        total, mse, pie, g_mse, g_pie = _loss_or_inf(pf, ds, 1e-6, gradient=True)
-        dEdp = g_mse + g_pie
-        if not (math.isfinite(total) and np.all(np.isfinite(dEdp))):
-            raise NonFiniteLoss(
-                f"training loss or gradient non-finite at epoch {len(trace)}",
-                history=trace,
-                best=best_p,
-            )
-        trace.append(TraceRow(total, mse, pie))
-        if total < best_total:
-            best_total, best_p = total, pf.copy()
-        grads = _pack(backward(net, caches, dEdp))
-        adam_state, theta = adam_step(adam_state, grads, theta, 1e-4)
-        _unpack_into(net, theta)
-    p_final = np.maximum(forward(net, inp), PARAM_FLOOR)
-    return net, p_final, trace
+        row, dEdp = _loss_or_inf(_network_term, pf, ds)
+        if not (np.all(np.isfinite(row)) and np.all(np.isfinite(dEdp))):
+            raise NonFiniteLoss(f"training loss or gradient non-finite at epoch {len(trace)}",
+                                history=trace, best=best_p)
+        trace.append(row)
+        if row.total < best_total:
+            best_total, best_p = row.total, pf
+        return row.total, _pack(backward(net, caches, dEdp))
+
+    theta, _ = adam_run(loss, _pack(zip(net.weights, net.biases)), alpha=1e-4, num_steps=epochs)
+    _unpack_into(net, theta)
+    return net, np.maximum(forward(net, inp), PARAM_FLOOR), trace
 
 
 @dataclass
@@ -296,18 +302,8 @@ class EstimationReport:
     stage_errors: list = field(default_factory=list)
 
     def record(self) -> dict:
-        return {
-            "seed": self.seed,
-            "initial_params": [float(v) for v in self.initial_params],
-            "post_nn_params": [float(v) for v in self.post_nn_params],
-            "final_params": [float(v) for v in self.final_params],
-            "adam_trace": [[row.total, row.mse, row.pie] for row in self.adam_trace],
-            "bfgs_trace": [float(v) for v in self.bfgs_trace],
-            "post_nn_mse": self.post_nn_mse,
-            "final_mse": self.final_mse,
-            "final_pie": self.final_pie,
-            "stage_errors": list(self.stage_errors),
-        }
+        """Every field as plain JSON: arrays and traces become nested lists."""
+        return {name: np.asarray(value).tolist() for name, value in vars(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.record(), sort_keys=True, indent=2) + "\n"
@@ -323,8 +319,9 @@ class EstimationReport:
 
 def _log_mse(ds: Dataset):
     """The polish objective over u = log p: u -> (mse, d mse/du = d mse/dp * p),
-    from one integration at tolerance 1e-9.  An exp(u) that overflows or
-    underflows gives an infinite value, which the line search rejects.
+    the misfit alone from one integration at tolerance 1e-9, behind the same
+    guard as the network stage.  An exp(u) that overflows or underflows
+    gives an infinite value, which the line search rejects.
 
     The gradients are exact forward sensitivities of the computed
     trajectory, but the line search and the curvature pairs compare nearby
@@ -336,7 +333,7 @@ def _log_mse(ds: Dataset):
     def fun(u):
         with np.errstate(over="ignore", invalid="ignore"):
             p = np.exp(u)
-            _, mse, _, g_mse, _ = _loss_or_inf(p, ds, 1e-9, gradient=True)
+            mse, g_mse = _loss_or_inf(_misfit, p, ds, 1e-9, True)
             return mse, g_mse * p
 
     return fun
@@ -352,7 +349,6 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     """
     stage_errors: list = []
     initial = init_params(seed)
-    trace: list = []
     p_nn = np.full(14, 1.0)
     try:
         _, p_nn, trace = train_pinn(ds, seed, epochs=epochs)
@@ -365,18 +361,16 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     u_polish, bfgs_trace = np.log(p_nn), []
     try:
         u_polish, bfgs_trace = bfgs_run(_log_mse(ds), u_polish, max_iterations=bfgs_iterations)
-    except LineSearchFailed as exc:
+    except (LineSearchFailed, NonFiniteLoss) as exc:
         stage_errors.append(f"polish stage: {exc}")
-        u_polish = np.asarray(exc.x, dtype=float)
-        bfgs_trace = list(exc.history or [])
-    except NonFiniteLoss as exc:
-        stage_errors.append(f"polish stage: {exc}")
+        # a line-search failure carries its last iterate; a non-finite start has none
+        u_polish = np.asarray(getattr(exc, "x", u_polish), dtype=float)
         bfgs_trace = list(exc.history or [])
 
     final = np.exp(u_polish)
     post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
     try:
-        final_pie = _physics_term(ModelParams.from_array(final), ds)
+        final_pie = _physics_term(final, ds)[0]
     except ValueError:  # exp(u) overflowed or underflowed
         final_pie = math.inf
     return EstimationReport(

@@ -130,27 +130,29 @@ def write_rows_csv(path, times, states) -> None:
             fh.write(f"{t!r},{x!r},{y!r},{z!r}\n")
 
 
+def parse_row(cells, lineno: int, width: int) -> list:
+    """The floats of one CSV row, which must hold `width` finite numbers;
+    NonNumericCell names the line otherwise."""
+    if len(cells) != width:
+        raise NonNumericCell(f"line {lineno}: expected {width} cells, got {len(cells)}")
+    try:
+        vals = [float(c) for c in cells]
+    except ValueError as exc:
+        raise NonNumericCell(f"line {lineno}: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise NonNumericCell(f"line {lineno}: non-finite value in {','.join(cells)!r}")
+    return vals
+
+
 def read_rows_csv(path):
     """(times, states) from a `t,x,y,z` file: the header is compared cell by
     cell, each cell stripped; every row must hold 4 finite numbers."""
-    times, states = [], []
     with open(path, encoding="utf-8") as fh:
         if [h.strip() for h in fh.readline().split(",")] != ["t", "x", "y", "z"]:
             raise MissingColumn("expected header t,x,y,z")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            cells = line.split(",")
-            if len(cells) != 4:
-                raise NonNumericCell(f"line {lineno}: expected 4 cells, got {len(cells)}")
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError as exc:
-                raise NonNumericCell(f"line {lineno}: {exc}") from None
-            if not all(map(math.isfinite, vals)):
-                raise NonNumericCell(f"line {lineno}: non-finite value in {line!r}")
-            times.append(vals[0])
-            states.append(vals[1:])
-    return np.array(times), np.array(states)
+        rows = [parse_row(line.strip().split(","), lineno, 4)
+                for lineno, line in enumerate(fh, start=2)]
+    return np.array([row[0] for row in rows]), np.array([row[1:] for row in rows])
 
 
 @dataclass
@@ -189,8 +191,8 @@ def integrate(
     present, else 0) to cfg.t_end.
 
     Output is sampled at every accepted step, or, for rk45 only, at t_eval
-    if given (t_eval must start at the initial time and be monotone toward
-    t_end; the run ends at its last point).  rk45 interpolates the t_eval
+    if given (t_eval must start at the initial time, be monotone toward
+    t_end and end on it; one row per point).  rk45 interpolates the t_eval
     points by the continuous extension; steps are not clipped.  rk4 has no
     t_eval: it records every step, the last one shortened to end on t_end.
     Backward integration (t_end < t0) is supported for both methods.  With
@@ -215,6 +217,8 @@ def integrate(
         dirn = 1.0 if cfg.t_end >= t0 else -1.0
         if any((b - a) * dirn < 0 for a, b in zip(targets, targets[1:])):
             raise ValueError("t_eval must be monotone toward t_end")
+        if abs(targets[-1] - cfg.t_end) > 1e-12:
+            raise ValueError("t_eval must end at t_end")
         targets = targets[1:]
     else:
         targets = None
@@ -351,8 +355,10 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
         raise NumericalOverflow("non-finite derivative at the initial state", t=t0)
     h = cfg.step if cfg.step is not None else max(min(0.1, span / 100.0), MIN_STEP)
     if span == 0 or targets == []:
-        sens = None if jac is None else np.zeros((1, 3, _NP))
-        return Trajectory(np.array(times), np.array(states), diag, sens)
+        # every requested point is the initial one
+        times += targets or []
+        sens = None if jac is None else np.zeros((len(times), 3, _NP))
+        return Trajectory(np.array(times), np.array(states * len(times)), diag, sens)
 
     while (target - t) * dirn > 0:
         if diag.steps >= cfg.max_steps:

@@ -231,6 +231,8 @@ def _drop_mins(info):
 BAD_SIDECARS = {
     "no-mins": _drop_mins,
     "t_start-null": lambda info: {**info, "t_start": None},
+    "t-bools": lambda info: {**info, "t_start": False, "t_end": True},
+    "mins-bool": lambda info: {**info, "mins": [info["mins"][0], True, info["mins"][2]]},
 }
 
 
@@ -257,15 +259,39 @@ def test_estimate_rejects_species_map_that_is_not_an_object(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: species map")
 
 
-@pytest.mark.parametrize("bad", ["nan", "oops"])
-def test_estimate_names_the_line_of_a_bad_dataset_cell(tmp_path, capsys, reference_file, bad):
-    csv = _synth_dataset(tmp_path, reference_file)
-    lines = csv.read_text().splitlines()
-    lines[5] = lines[5].rsplit(",", 1)[0] + "," + bad
-    csv.write_text("\n".join(lines) + "\n")
+def _dataset_with_bad_cell(bad):
+    def make(tmp_path, reference_file):
+        csv = _synth_dataset(tmp_path, reference_file)
+        lines = csv.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + bad
+        csv.write_text("\n".join(lines) + "\n")
+        return ["--dataset", str(csv)], "error: line 6: "
+    return make
+
+
+def _survey_with_nan_cell(tmp_path, reference_file):
+    # the survey reader words a bad row as the t,x,y,z reader does
+    survey = tmp_path / "survey.csv"
+    survey.write_text("year,hare,lynx,crow\n2001,10,3,2\n2002,nan,4,4\n2003,30,5,6\n")
+    smap = tmp_path / "map.json"
+    smap.write_text(json.dumps({"hare": "prey", "lynx": "predator", "crow": "scavenger"}))
+    return (["--dataset", str(survey), "--species-map", str(smap)],
+            "error: line 3: non-finite value in '2002,nan,4,4'")
+
+
+BAD_CELLS = {
+    "nan": _dataset_with_bad_cell("nan"),
+    "oops": _dataset_with_bad_cell("oops"),
+    "survey-nan": _survey_with_nan_cell,
+}
+
+
+@pytest.mark.parametrize("make", BAD_CELLS.values(), ids=BAD_CELLS.keys())
+def test_estimate_names_the_line_of_a_bad_dataset_cell(tmp_path, capsys, reference_file, make):
+    source, message = make(tmp_path, reference_file)
     capsys.readouterr()
-    code = main(["estimate", "--dataset", str(csv), "--epochs", "1",
+    code = main(["estimate", *source, "--epochs", "1",
                  "--bfgs-iterations", "1", "--out", str(tmp_path / "fit")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: line 6: ")
+    assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "fit" / "report.json").exists()

@@ -284,7 +284,7 @@ def test_ingest_rejects_nonfinite_cell(tmp_path, bad):
         [2003, 30.0, 5.0, 6.0],
     ])
     smap = SpeciesMap({"hare": "prey", "lynx": "predator", "crow": "scavenger"})
-    with pytest.raises(NonNumericCell, match="row 3"):
+    with pytest.raises(NonNumericCell, match="line 3"):
         ingest(csv, smap)
 
 

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import REFERENCE
 from ppsdyn.data import synthesize
-from ppsdyn.errors import IntegrationFailed, TooFewSamples
+from ppsdyn.errors import IntegrationFailed, NonFiniteLoss, TooFewSamples
 from ppsdyn.model import ModelParams, State
 import ppsdyn.optimize
 import ppsdyn.pinn
 from ppsdyn.optimize import bfgs_run
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
-                         simulate_on_data, total_loss, train_pinn, _forward_cached, _log_mse,
+                         simulate_on_data, total_loss, train_pinn, TraceRow, _forward_cached, _log_mse,
                          _pack, _unpack_into)
 
 
@@ -277,16 +277,22 @@ def test_estimate_reaches_the_noise_floor(readme_dataset):
 
 
 def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
-    # every polish evaluation is one total_loss call with its gradient, at
-    # x0 and at each line-search candidate; the accepted point is not
-    # integrated a second time, and the final physics term needs no
-    # integration at all
-    calls, candidates = [], [0]
-    real_total_loss, real_line_search = ppsdyn.pinn.total_loss, ppsdyn.optimize._line_search
+    # each network epoch is one gradient integration at 1e-6 and one physics
+    # term; every polish evaluation is one gradient integration at 1e-9, at
+    # x0 and at each line-search candidate, with no physics term; the
+    # accepted point is not integrated a second time, and the final physics
+    # term needs no integration at all
+    calls, physics_at, candidates = [], [], [0]
+    real_simulate, real_physics = ppsdyn.pinn.simulate_on_data, ppsdyn.pinn._physics_term
+    real_line_search = ppsdyn.optimize._line_search
 
-    def counting_total_loss(p, ds, tol=1e-6, gradient=False):
-        calls.append((tol, gradient))
-        return real_total_loss(p, ds, tol=tol, gradient=gradient)
+    def counting_simulate(params, ds, raw_grid, tol, sensitivities=False):
+        calls.append((tol, sensitivities))
+        return real_simulate(params, ds, raw_grid, tol, sensitivities=sensitivities)
+
+    def counting_physics(*args, **kwargs):
+        physics_at.append(len(calls))
+        return real_physics(*args, **kwargs)
 
     def counting_line_search(fun, *args):
         def counted(u):
@@ -294,13 +300,46 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
             return fun(u)
         return real_line_search(counted, *args)
 
-    monkeypatch.setattr(ppsdyn.pinn, "total_loss", counting_total_loss)
+    monkeypatch.setattr(ppsdyn.pinn, "simulate_on_data", counting_simulate)
+    monkeypatch.setattr(ppsdyn.pinn, "_physics_term", counting_physics)
     monkeypatch.setattr(ppsdyn.optimize, "_line_search", counting_line_search)
     report = estimate(readme_dataset, seed=0, epochs=3, bfgs_iterations=15)
     assert len(report.bfgs_trace) == 16
     assert calls[:3] == [(1e-6, True)] * 3  # the network stage
     assert calls[3:] == [(1e-9, True)] * (1 + candidates[0])
     assert candidates[0] >= 15
+    # one physics term after each epoch's integration, then one for final_pie
+    assert physics_at == [1, 2, 3, len(calls)]
+
+
+def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch):
+    # an integration that fails in epoch 5 aborts training with the five
+    # finished rows and the prediction of the lowest total among them;
+    # estimate records the abort and polishes from that prediction
+    real_simulate = ppsdyn.pinn.simulate_on_data
+    predictions = []
+
+    def failing_fifth_epoch(params, *args, **kwargs):
+        predictions.append(params.as_array())
+        if len(predictions) == 6:
+            raise IntegrationFailed("forced")
+        return real_simulate(params, *args, **kwargs)
+
+    monkeypatch.setattr(ppsdyn.pinn, "simulate_on_data", failing_fifth_epoch)
+    with pytest.raises(NonFiniteLoss) as info:
+        train_pinn(readme_dataset, seed=1, epochs=20)
+    assert str(info.value) == "training loss or gradient non-finite at epoch 5"
+    trace = info.value.history
+    assert len(trace) == 5 and all(isinstance(row, TraceRow) for row in trace)
+    best = predictions[int(np.argmin([row.total for row in trace]))]
+    assert np.array_equal(info.value.best, best)
+
+    predictions.clear()
+    report = estimate(readme_dataset, seed=1, epochs=20, bfgs_iterations=5)
+    assert report.stage_errors == [f"network stage: {info.value}"]
+    assert report.adam_trace == trace
+    assert np.array_equal(report.post_nn_params, best)
+    assert report.bfgs_trace[0] == _log_mse(readme_dataset)(np.log(best))[0]
 
 
 def test_log_polish_survives_overflowing_candidates(readme_dataset):

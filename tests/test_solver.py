@@ -112,6 +112,20 @@ def test_t_eval_must_start_at_t0(stable_params):
         integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=[0.0, 2.0, 1.0])
 
 
+def test_t_eval_must_end_at_t_end_with_one_row_per_point(stable_params):
+    # a grid that runs past t_end, or stops short of it, is refused rather
+    # than integrated to its own end or cut to one row
+    for t_end, grid in ((0.0, [0.0, 1.0, 2.0]), (1.0, [0.0, 1.0, 2.0]), (5.0, [0.0, 1.0])):
+        with pytest.raises(ValueError, match="end at t_end"):
+            integrate(stable_params, S0, SolverConfig(t_end=t_end), t_eval=grid)
+    # an empty horizon still reports every requested point
+    traj = integrate(stable_params, S0, SolverConfig(t_end=0.0), t_eval=[0.0, 0.0],
+                     sensitivities=True)
+    assert traj.times.tolist() == [0.0, 0.0]
+    assert traj.states.tolist() == [list(S0[:3])] * 2
+    assert traj.sensitivities.shape == (2, 3, 14) and not traj.sensitivities.any()
+
+
 def test_interpolated_states_match_tight_reference(stable_params, reference_params):
     # the t_eval points between steps come from the continuous extension; its
     # error stays at the level of the tolerance (a few tol here)
