@@ -221,6 +221,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.epochs < 0:
+        raise ValueError(f"--epochs must be at least 0, got {args.epochs}")
+    if args.bfgs_iterations < 1:
+        raise ValueError(f"--bfgs-iterations must be at least 1, got {args.bfgs_iterations}")
     if args.species_map:
         smap = SpeciesMap.load(args.species_map)
         ds = ingest(args.dataset, smap)

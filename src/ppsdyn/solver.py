@@ -16,9 +16,10 @@ Dormand-Prince stages applied to the variational equations
 dS/dt = J(x) S + df/dp, with J and df/dp taken at the stage states of each
 accepted step, and the same interpolation weights at the t_eval points.
 That makes S the exact derivative of the computed output for its step
-sequence.  Error control never reads S, so S is computed after the step loop
-from a log of the accepted steps, batched over the steps, at no cost to
-rejected steps; the steps and states are bitwise the same with or without it.
+sequence.  Error control never reads S, so S is computed from a log of the
+accepted steps, batched over the steps, only once the loop completes: rejected
+steps cost nothing, an integration that fails computes no S at all, and the
+steps and states are bitwise the same with or without it.
 """
 
 from __future__ import annotations
@@ -241,7 +242,11 @@ class _DenseOutput:
 
     The step loop logs one row per accepted step: its start time and size,
     its start state and its seven stage slopes, the last one taken at the
-    unclamped endpoint.  Each block of rows is turned into output in a few
+    unclamped endpoint.  Each block of rows is packed into an array.
+    Without a Jacobian closure a block is turned into output as soon as it
+    is packed, so memory stays bounded on long runs; with one, the blocks
+    wait, in order, until the step loop completes, so an integration that
+    fails never evaluates the closure.  A block becomes output in a few
     array operations.  States come from the 4th-order continuous extension
     of the step.  For dx/dp, the Jacobian closure is evaluated once on the
     block's stage states; a forward substitution over the six stages, batched
@@ -260,11 +265,20 @@ class _DenseOutput:
         self.S = np.zeros((3, _NP)) if jac is not None else None
         self.sens = np.empty((len(points), 3, _NP)) if jac is not None else None
         self.done = 0
+        self.pending = []  # packed blocks not yet turned into output
 
-    def flush(self, log):
+    def push(self, log):
+        """Pack the logged rows into a block and clear the log."""
         m, width = len(log), len(log[0])
         rows = np.fromiter(chain.from_iterable(log), float, m * width).reshape(m, width)
         log.clear()
+        if self.jac is None:
+            self._output(rows)
+        else:
+            self.pending.append(rows)
+
+    def _output(self, rows):
+        m = len(rows)
         t, hs, y0 = rows[:, 0], rows[:, 1], rows[:, 2:5]
         K = rows[:, 5:].reshape(m, 7, 3)
         key = self.dirn * (t + hs)  # step ends
@@ -289,15 +303,20 @@ class _DenseOutput:
         ends = y0 + h * (_B1 * K[:, 0] + _B3 * K[:, 2] + _B4 * K[:, 3] + _B5 * K[:, 4] + _B6 * K[:, 5])
         stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
         M = jacobian_matrices(self.jac, *np.concatenate([stage_states.reshape(-1, 3), ends[n]]).T)
-        M, M_end = M[: 6 * m].reshape(m, 6, 3, JACOBIAN_COLUMNS), M[6 * m:]
+        # a copy, so that no view keeps the stage Jacobians alive once X is
+        # consumed
+        M_end = M[6 * m:].copy()
         # X[:, i] = [dK_i/dS | dK_i/dp] from K_i = J_i (S + hs sum_j a_ij K_j) + jp_i,
-        # by forward substitution over the stages
-        X = np.empty((m, 6, 3 * JACOBIAN_COLUMNS))
-        X[:, 0] = M[:, 0].reshape(m, -1)
+        # by forward substitution over the stages, each written over its J_i
+        X = M[: 6 * m].reshape(m, 6, 3, JACOBIAN_COLUMNS)
+        del M
         for i in range(1, 6):
-            acc = (_A[i, :i] @ X[:, :i]).reshape(m, 3, JACOBIAN_COLUMNS)
-            X[:, i] = (M[:, i] + h[:, None] * (M[:, i, :, :3] @ acc)).reshape(m, -1)
-        G = (h * (_B @ X)).reshape(m, 3, JACOBIAN_COLUMNS)
+            acc = (_A[i, :i] @ X[:, :i].reshape(m, i, -1)).reshape(m, 3, JACOBIAN_COLUMNS)
+            X[:, i] = X[:, i] + h[:, None] * (X[:, i, :, :3] @ acc)
+        G = (h * (_B @ X.reshape(m, 6, -1))).reshape(m, 3, JACOBIAN_COLUMNS)
+        # only the stages of the steps with output points are used from here
+        # on; the rest of the block is released
+        X = X[n]
         # each step maps S to a S + c; max(v, 0) has derivative 0 where it clips
         keep = (ends >= 0.0)[:, :, None] if self.clamp else 1.0
         S = self.S
@@ -310,7 +329,6 @@ class _DenseOutput:
         # the sensitivity stages of the steps with output points; the 7th is
         # taken at the unclamped endpoint
         Sn = np.array(starts)[n]
-        X = X[n].reshape(-1, 6, 3, JACOBIAN_COLUMNS)
         KS = X[..., :3] @ Sn[:, None] + X[..., 3:]
         end_s = Sn + hn[:, None] * (_B @ KS.reshape(-1, 6, 3 * _NP)).reshape(-1, 3, _NP)
         K7 = M_end[..., :3] @ end_s + M_end[..., 3:]
@@ -323,6 +341,8 @@ class _DenseOutput:
         """The trajectory at t0 and at the targets; the last target, and any
         point no logged step reached (all at the final time), take the final
         state."""
+        while self.pending:
+            self._output(self.pending.pop(0))
         self.states[self.done:] = final
         diag.min_component = min(diag.min_component, float(self.states.min(initial=math.inf)))
         states = np.concatenate([[s0], self.states, [final]])
@@ -420,7 +440,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
             if log is not None:
                 log.append((t, hs, x, y, z, *k1, *f2, *f3, *f4, *f5, *f6, *k7))
                 if len(log) == _BLOCK:
-                    dense.flush(log)
+                    dense.push(log)
             t = t + hs
             x, y, z = xn, yn, zn
             if clamp:
@@ -445,7 +465,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
     if dense is None:
         return Trajectory(np.array(times), np.array(states), diag)
     if log:
-        dense.flush(log)
+        dense.push(log)
     return dense.finish(t0, states[0], targets, (x, y, z), diag)
 
 

@@ -156,6 +156,25 @@ def test_estimate_end_to_end_and_reproducible(tmp_path, reference_file):
     assert len(blob["adam_trace"]) == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--epochs", "-1"), ("--bfgs-iterations", "0")],
+                         ids=["epochs", "bfgs-iterations"])
+def test_estimate_rejects_bad_budget_before_training(tmp_path, capsys, monkeypatch,
+                                                     reference_file, flag, value):
+    dataset = _synth_dataset(tmp_path, reference_file)
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    monkeypatch.setattr("ppsdyn.cli.run_estimate", no_training)
+    out = tmp_path / "fit"
+    code = main(["estimate", "--dataset", str(dataset), flag, value, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+
+
 def test_estimate_from_survey_csv(tmp_path):
     survey = tmp_path / "survey.csv"
     p = ModelParams(**REFERENCE)

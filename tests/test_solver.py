@@ -3,7 +3,7 @@ import pytest
 
 from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import IntegrationFailed, MaskViolation, NumericalOverflow
-from ppsdyn.model import ModelParams, State, Subsystem
+from ppsdyn.model import ModelParams, State, Subsystem, jacobian_matrices
 from ppsdyn.solver import _BLOCK, SolverConfig, Trajectory, detect_settling, integrate
 
 S0 = State(4.0, 3.0, 2.0)
@@ -220,16 +220,45 @@ def test_sensitivities_leave_steps_and_states_bitwise_unchanged(reference_params
     draws = [reference_params] + [
         ModelParams.from_array(reference_params.as_array() * np.exp(0.3 * rng.standard_normal(14)))
         for _ in range(5)]
+    # value-only runs turn each block of logged steps into output as it
+    # fills, gradient runs only after the step loop; the long case crosses
+    # several block boundaries
+    long_grid = np.linspace(0.0, 40.0, 60)
+    cases = [(GRID, _loss_cfg(1e-6)), (GRID, _loss_cfg(1e-9)),
+             (long_grid, SolverConfig(t_end=40.0, tol=1e-10))]
     for p in draws:
-        for tol in (1e-6, 1e-9):
-            plain = integrate(p, README_S0, _loss_cfg(tol), t_eval=GRID)
-            sens = integrate(p, README_S0, _loss_cfg(tol), t_eval=GRID, sensitivities=True)
+        for grid, cfg in cases:
+            plain = integrate(p, README_S0, cfg, t_eval=grid)
+            sens = integrate(p, README_S0, cfg, t_eval=grid, sensitivities=True)
+            if grid is long_grid:
+                assert sens.diagnostics.steps > 2 * _BLOCK
             assert plain.sensitivities is None
             assert np.array_equal(plain.times, sens.times)
             assert np.array_equal(plain.states, sens.states)
             assert plain.diagnostics == sens.diagnostics
-            assert sens.sensitivities.shape == (len(GRID), 3, 14)
+            assert sens.sensitivities.shape == (len(grid), 3, 14)
             assert np.all(sens.sensitivities[0] == 0.0)
+
+
+def test_failed_gradient_integration_evaluates_no_jacobian(monkeypatch, reference_params):
+    # dx/dp is computed only once the step loop completes, so a run that
+    # overflows, here after several full blocks of logged steps, never
+    # evaluates the Jacobian closure
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return jacobian_matrices(*args)
+
+    monkeypatch.setattr("ppsdyn.solver.jacobian_matrices", counting)
+    blow_up = ModelParams(r=1.0, k=1.0, a=1.0, a0=1.0, b=1.0, b0=1.0, d=1.0,
+                          e=1e-6, f=5.0, g=1.0, h=20.0, i=1e-6, i0=1e-6, j=1e-6)
+    with pytest.raises(NumericalOverflow):
+        integrate(blow_up, State(1.0, 1.0, 1.0), SolverConfig(t_end=5.0), t_eval=GRID,
+                  sensitivities=True)
+    assert calls == []
+    integrate(reference_params, README_S0, _loss_cfg(1e-9), t_eval=GRID, sensitivities=True)
+    assert len(calls) >= 1
 
 
 def test_sensitivities_match_central_differences(reference_params):
