@@ -15,7 +15,10 @@ integration.  Backpropagation chains d(total)/dp to the weights.  BFGS then
 polishes the log-parameters u = log p on the misfit alone, with gradient
 d mse/dp * p, so positivity holds without a projection and the polish never
 ends worse than it starts.  One guard turns a non-positive, non-finite or
-unintegrable p into an infinite value and gradient for either stage.
+unintegrable p into an infinite value and gradient for either stage.  Every
+integration of both stages gives up on a hopeless p as soon as it shows: a
+state past a bound scaled to the data, DOPRI5's stiffness test, or the step
+cap (see simulate_on_data); `simulate` and `synth` integrate on regardless.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
@@ -35,13 +38,18 @@ from .data import Dataset
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from .model import ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
 from .optimize import adam_run, bfgs_run
-from .solver import SolverConfig, integrate
+from .solver import OVERFLOW_LIMIT, SolverConfig, integrate
 
 MLP_SIZES = [14, 32, 32, 32, 14]
 PARAM_FLOOR = 1e-6
-# estimation integrations run behind a tighter step cap: a hopeless parameter
-# draw should fail fast instead of burning the full default budget
+# estimation integrations give up on a hopeless parameter draw instead of
+# burning the full default budget: a tighter step cap, a runaway bound at
+# RUNAWAY_FACTOR times the largest |value| in the data (never above the
+# solver's own OVERFLOW_LIMIT), and DOPRI5's stiffness test from the
+# STIFF_TEST_EVERY-th accepted step on
 LOSS_MAX_STEPS = 20_000
+RUNAWAY_FACTOR = 1e3
+STIFF_TEST_EVERY = 1000
 
 
 @dataclass
@@ -194,14 +202,20 @@ def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
                      sensitivities: bool = False):
     """(trajectory, normalized states): the model run from the first
     observation, in raw units, over raw_grid (its first point the first
-    observation's raw time), clamped at zero and behind LOSS_MAX_STEPS; the
-    states are mapped back into the dataset's normalized units.  Raises
-    IntegrationFailed, with the parameters attached, when params cannot be
-    integrated over the grid.
+    observation's raw time), clamped at zero; the states are mapped back
+    into the dataset's normalized units.  The run gives up early on a
+    hopeless candidate: it stops at LOSS_MAX_STEPS, at a state beyond
+    RUNAWAY_FACTOR times the data's largest |value| (NumericalOverflow),
+    and when DOPRI5's stiffness test fires, from the STIFF_TEST_EVERY-th
+    accepted step on.  Raises IntegrationFailed, with the parameters
+    attached, when params cannot be integrated over the grid.
     """
     x0, y0, z0 = ds.raw_observations[0]
+    scale = max(np.max(ds.maxs), -np.min(ds.mins))
     cfg = SolverConfig(t_end=float(raw_grid[-1]), tol=tol, negativity_policy="clamp",
-                       max_steps=LOSS_MAX_STEPS)
+                       max_steps=LOSS_MAX_STEPS,
+                       overflow_limit=float(min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale)),
+                       stiff_test_every=STIFF_TEST_EVERY)
     try:
         traj = integrate(params, State(float(x0), float(y0), float(z0), float(raw_grid[0])), cfg,
                          t_eval=raw_grid, sensitivities=sensitivities)

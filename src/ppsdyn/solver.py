@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,6 +90,18 @@ class SolverConfig:
     each accepted step (changes the dynamics; off by default).
     max_steps: hard cap that turns pathological stiffness into a clean
     IntegrationFailed instead of an unbounded grind.
+    overflow_limit: NumericalOverflow is raised once an accepted state has
+    a component beyond it in absolute value.
+    stiff_test_every: None (default) never tests for stiffness.  Otherwise
+    rk45 runs the stiffness test of Hairer's DOPRI5 at every
+    stiff_test_every-th accepted step, and at every accepted step while a
+    run of stiff ones is open: a step is stiff when h*|k7 - f6| / |x1 - u6|,
+    h times an estimate of the dominant eigenvalue from the last two stages
+    (both taken at the step's end), exceeds 3.25, the edge of the method's
+    stability region.  The 15th stiff step raises IntegrationFailed, and 6
+    non-stiff steps in a row close the run.  rk4 never tests.
+    The defaults keep every integration going to t_end or to max_steps;
+    the estimation runs set both fields, to give up on hopeless candidates.
     """
 
     t_end: float
@@ -97,6 +110,8 @@ class SolverConfig:
     tol: float = 1e-9
     negativity_policy: str = "diagnose"
     max_steps: int = 100_000
+    overflow_limit: float = OVERFLOW_LIMIT
+    stiff_test_every: Optional[int] = None
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.t_end, self.tol, self.step or 0.0))):
@@ -113,11 +128,23 @@ class SolverConfig:
             raise ValueError(f"unknown negativity policy {self.negativity_policy!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        limit = self.overflow_limit
+        if isinstance(limit, bool) or not (math.isfinite(limit) and limit > 0):
+            raise ValueError(f"overflow_limit must be finite and positive, got {limit!r}")
+        every = self.stiff_test_every
+        if every is not None and (isinstance(every, bool) or not isinstance(every, Integral)
+                                  or every < 1):
+            raise ValueError(f"stiff_test_every must be None or an integer >= 1, got {every!r}")
 
 
 @dataclass
 class Diagnostics:
+    """steps counts every step attempt; rejected, the attempts whose trial
+    failed the error test or was non-finite or overflowed (rk4 rejects
+    none)."""
+
     steps: int = 0
+    rejected: int = 0
     min_component: float = math.inf
     clamped: int = 0
 
@@ -358,6 +385,10 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
     dirn = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
     clamp = cfg.negativity_policy == "clamp"
+    limit, stiff_every = cfg.overflow_limit, cfg.stiff_test_every
+    # DOPRI5's stiffness bookkeeping: the last h*rho, the open run of stiff
+    # steps and the non-stiff steps since its last stiff one
+    hrho, stiff, calm = 0.0, 0, 0
     diag = Diagnostics(min_component=min(x, y, z))
     times = [t0]
     states = [(x, y, z)]
@@ -430,6 +461,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
             bad = True
 
         if bad:
+            diag.rejected += 1
             h = abs(hs) * 0.2
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
@@ -437,6 +469,20 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
             continue
 
         if err <= 1.0:
+            if stiff_every and (stiff or (diag.steps - diag.rejected) % stiff_every == 0):
+                # stage 6 and stage 7 are both taken at t + hs; hypot cannot
+                # overflow, and a zero denominator keeps the last estimate
+                den = math.hypot(xn - u6[0], yn - u6[1], zn - u6[2])
+                if den > 0.0:
+                    hrho = abs(hs) * math.hypot(k7[0] - f6[0], k7[1] - f6[1], k7[2] - f6[2]) / den
+                if hrho > 3.25:
+                    stiff, calm = stiff + 1, 0
+                    if stiff == 15:
+                        raise IntegrationFailed(f"problem became stiff at t={t + hs}", t=t + hs)
+                else:
+                    calm += 1
+                    if calm == 6:
+                        stiff = 0
             if log is not None:
                 log.append((t, hs, x, y, z, *k1, *f2, *f3, *f4, *f5, *f6, *k7))
                 if len(log) == _BLOCK:
@@ -450,8 +496,8 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
                     x, y, z = cx, cy, cz
                     k7 = rhs(x, y, z)  # FSAL stage is stale after clamping
             diag.min_component = min(diag.min_component, x, y, z)
-            if max(abs(x), abs(y), abs(z)) > OVERFLOW_LIMIT:
-                raise NumericalOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at t={t}", t=t)
+            if max(abs(x), abs(y), abs(z)) > limit:
+                raise NumericalOverflow(f"state exceeded {limit:g} at t={t}", t=t)
             k1 = k7
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = max(abs(hs) * fac, MIN_STEP)
@@ -459,6 +505,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
                 times.append(t)
                 states.append((x, y, z))
         else:
+            diag.rejected += 1
             h = abs(hs) * max(0.2, 0.9 * err ** -0.2)
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
@@ -499,8 +546,8 @@ def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
                 diag.clamped += 1
                 x, y, z = cx, cy, cz
         diag.min_component = min(diag.min_component, x, y, z)
-        if max(abs(x), abs(y), abs(z)) > OVERFLOW_LIMIT:
-            raise NumericalOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at t={t}", t=t)
+        if max(abs(x), abs(y), abs(z)) > cfg.overflow_limit:
+            raise NumericalOverflow(f"state exceeded {cfg.overflow_limit:g} at t={t}", t=t)
         times.append(t)
         states.append((x, y, z))
     return Trajectory(np.array(times), np.array(states), diag)

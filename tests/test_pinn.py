@@ -11,6 +11,7 @@ from ppsdyn.errors import IntegrationFailed, NonFiniteLoss, TooFewSamples
 from ppsdyn.model import ModelParams, State
 import ppsdyn.optimize
 import ppsdyn.pinn
+import ppsdyn.solver
 from ppsdyn.optimize import bfgs_run
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
@@ -155,6 +156,36 @@ def test_total_loss_raises_with_params_attached(reference_dataset):
         total_loss(p, reference_dataset)
     assert info.value.params is not None
     assert info.value.params[0] == 1e9
+
+
+def _count_solver_rhs(monkeypatch):
+    """A one-element list that counts the right-hand-side evaluations of
+    every integration from here on."""
+    count, real_make_rhs = [0], ppsdyn.solver.make_rhs
+
+    def make_rhs(*args):
+        rhs = real_make_rhs(*args)
+
+        def counted(*state):
+            count[0] += 1
+            return rhs(*state)
+        return counted
+
+    monkeypatch.setattr(ppsdyn.solver, "make_rhs", make_rhs)
+    return count
+
+
+def test_total_loss_gives_up_on_a_stiff_candidate(reference_dataset, monkeypatch):
+    # the r = 1e9 candidate fails DOPRI5's stiffness test after its 1000th
+    # accepted step (1077 attempts), not at the 20,000-step cap; every
+    # attempt takes at least six evaluations
+    p = ModelParams(**REFERENCE).as_array().copy()
+    p[0] = 1e9
+    count = _count_solver_rhs(monkeypatch)
+    with pytest.raises(IntegrationFailed, match="problem became stiff") as info:
+        total_loss(p, reference_dataset)
+    assert info.value.params[0] == 1e9
+    assert count[0] <= 1 + 6 * 1100
 
 
 def _central_differences(fn, p, rel=1e-5):
@@ -310,6 +341,21 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     assert candidates[0] >= 15
     # one physics term after each epoch's integration, then one for final_pie
     assert physics_at == [1, 2, 3, len(calls)]
+
+
+def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch):
+    # the candidates the data-scaled bound cuts short are runaways that the
+    # line search rejects either way, so the report is the same; they used to
+    # run on to the solver's 1e12 guard (34,940 evaluations, against 23,630)
+    count = _count_solver_rhs(monkeypatch)
+    runs = []
+    for factor in (math.inf, ppsdyn.pinn.RUNAWAY_FACTOR):
+        monkeypatch.setattr(ppsdyn.pinn, "RUNAWAY_FACTOR", factor)
+        count[0] = 0
+        runs.append((estimate(readme_dataset, seed=0, bfgs_iterations=20).record(), count[0]))
+    (unbounded, unbounded_evals), (bounded, bounded_evals) = runs
+    assert bounded == unbounded
+    assert unbounded_evals - bounded_evals >= 11_000
 
 
 def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch):

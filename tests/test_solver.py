@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,38 @@ def test_stiff_parameters_hit_step_limit(stable_params):
         integrate(ModelParams(**kw), S0, SolverConfig(t_end=200.0))
 
 
+def test_stiffness_test_runs_only_where_configured(stable_params):
+    # the default config integrates a stiff system to its own step cap; the
+    # stiffness test, run at every 1000th accepted step, gives up at attempt
+    # 2093 here (the test at step 1000 sees no run of 15 stiff steps)
+    kw = dict(INTERIOR_STABLE)
+    kw["r"] = 1e9
+    with pytest.raises(IntegrationFailed, match="step limit 5000 reached"):
+        integrate(ModelParams(**kw), S0, SolverConfig(t_end=200.0, max_steps=5000))
+    with pytest.raises(IntegrationFailed, match="problem became stiff"):
+        integrate(ModelParams(**kw), S0,
+                  SolverConfig(t_end=200.0, max_steps=2500, stiff_test_every=1000))
+    # a tame run never trips it, even when tested at every step
+    tested = integrate(stable_params, S0, SolverConfig(t_end=50.0, stiff_test_every=1))
+    plain = integrate(stable_params, S0, SolverConfig(t_end=50.0))
+    assert np.array_equal(tested.states, plain.states)
+
+
+def test_overflow_limit_is_configurable(stable_params):
+    with pytest.raises(NumericalOverflow, match="state exceeded 4.5"):
+        integrate(stable_params, S0, SolverConfig(t_end=50.0, overflow_limit=4.5))
+    with pytest.raises(NumericalOverflow, match="state exceeded 4.5"):
+        integrate(stable_params, S0, SolverConfig(t_end=50.0, method="rk4", step=0.1,
+                                                  overflow_limit=4.5))
+
+
+@pytest.mark.parametrize("field", ["overflow_limit", "stiff_test_every"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0, -1, -1.0, True, False])
+def test_give_up_fields_reject_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(t_end=10.0, **{field: value})
+
+
 def test_clamp_policy_keeps_states_nonnegative(predscav_params):
     cfg = SolverConfig(t_end=200.0, negativity_policy="clamp")
     traj = integrate(predscav_params, State(0.0, 4.0, 6.0), cfg,
@@ -80,9 +114,11 @@ def test_diagnose_policy_records_minimum(predscav_params):
     traj = integrate(predscav_params, State(0.0, 4.0, 6.0), cfg,
                      mask=Subsystem.PRED_SCAV)
     assert traj.diagnostics.min_component <= float(traj.states.min())
-    # attempted steps include rejected trials, so the count can exceed
-    # the number of recorded points
-    assert traj.diagnostics.steps >= len(traj.times) - 1
+    # attempted steps include rejected trials, so the count exceeds the
+    # number of recorded points by exactly the rejected ones
+    diag = traj.diagnostics
+    assert diag.rejected == 10
+    assert diag.steps - diag.rejected == len(traj.times) - 1
 
 
 def test_masked_component_stays_zero(predscav_params):
@@ -342,12 +378,13 @@ def test_t_eval_keeps_the_free_running_step_sequence(reference_params):
     # exactly the steps of a run without it; clipping a step at each point
     # took 40, 45, 49 and 96 steps here
     ones = ModelParams.from_array(np.ones(14))
-    expected = {(0, 1e-6): 11, (0, 1e-9): 35, (1, 1e-6): 24, (1, 1e-9): 81}
-    for (which, tol), steps in expected.items():
+    expected = {(0, 1e-6): (11, 0), (0, 1e-9): (35, 0), (1, 1e-6): (24, 1), (1, 1e-9): (81, 1)}
+    for (which, tol), (steps, rejected) in expected.items():
         p = (reference_params, ones)[which]
         with_grid = integrate(p, README_S0, _loss_cfg(tol), t_eval=GRID)
         free = integrate(p, README_S0, _loss_cfg(tol))
         assert with_grid.diagnostics.steps == free.diagnostics.steps == steps
+        assert with_grid.diagnostics.rejected == free.diagnostics.rejected == rejected
         assert with_grid.diagnostics.clamped == free.diagnostics.clamped
         assert np.array_equal(with_grid.states[-1], free.states[-1])
 
