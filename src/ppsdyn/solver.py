@@ -4,6 +4,22 @@ The stepping core works on plain floats rather than numpy arrays; for a
 3-component system the array overhead dominates runtime, and the estimation
 pipeline performs hundreds of short integrations per fit.
 
+The two step loops keep their per-step interpreter work small, and every
+rewrite of them must keep each floating-point operation and its order, so
+that trajectories stay bitwise the same:
+- locals bound once per call: the tableau, tol, max_steps, the step and
+  the math functions, so no step reads a config attribute or the tableau's
+  globals;
+- scalar stages: every stage slope is unpacked into three floats and every
+  stage state passed as three arguments, with no tuples built or indexed;
+- checks by comparison: chained isfinite calls, and `a if a > b else b`
+  where max or min of two floats gives the same value;
+- counters in locals: steps, rejected and clamped steps and the running
+  minimum go into Diagnostics once, after the loop (a failed integration
+  returns none);
+- `** 2` kept on purpose in the error norm: pow(v, 2) and v*v differ in the
+  last bit on rare inputs, which changes long trajectories.
+
 With t_eval the adaptive method does not shorten its steps to land on each
 requested point; only the last point is landed on.  The points in between
 are interpolated by the 4th-order continuous extension that the seven stages
@@ -102,6 +118,7 @@ class SolverConfig:
     non-stiff steps in a row close the run.  rk4 never tests.
     The defaults keep every integration going to t_end or to max_steps;
     the estimation runs set both fields, to give up on hopeless candidates.
+    No numeric field takes a bool, Python's or numpy's.
     """
 
     t_end: float
@@ -114,6 +131,10 @@ class SolverConfig:
     stiff_test_every: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("t_end", "step", "tol", "max_steps", "overflow_limit", "stiff_test_every"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not all(map(math.isfinite, (self.t_end, self.tol, self.step or 0.0))):
             raise ValueError("t_end, step and tol must be finite")
         if self.method not in ("rk45", "rk4"):
@@ -126,14 +147,13 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.negativity_policy not in ("diagnose", "clamp"):
             raise ValueError(f"unknown negativity policy {self.negativity_policy!r}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not isinstance(self.max_steps, Integral) or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         limit = self.overflow_limit
-        if isinstance(limit, bool) or not (math.isfinite(limit) and limit > 0):
+        if not (math.isfinite(limit) and limit > 0):
             raise ValueError(f"overflow_limit must be finite and positive, got {limit!r}")
         every = self.stiff_test_every
-        if every is not None and (isinstance(every, bool) or not isinstance(every, Integral)
-                                  or every < 1):
+        if every is not None and (not isinstance(every, Integral) or every < 1):
             raise ValueError(f"stiff_test_every must be None or an integer >= 1, got {every!r}")
 
 
@@ -385,11 +405,19 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
     dirn = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
     clamp = cfg.negativity_policy == "clamp"
+    tol, max_steps = cfg.tol, cfg.max_steps
     limit, stiff_every = cfg.overflow_limit, cfg.stiff_test_every
+    isfinite, sqrt, hypot = math.isfinite, math.sqrt, math.hypot
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     # DOPRI5's stiffness bookkeeping: the last h*rho, the open run of stiff
     # steps and the non-stiff steps since its last stiff one
     hrho, stiff, calm = 0.0, 0, 0
-    diag = Diagnostics(min_component=min(x, y, z))
+    steps = rejected = clamped = 0
+    lowest = min(x, y, z)
     times = [t0]
     states = [(x, y, z)]
     if targets is None:
@@ -401,80 +429,83 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
         log, dense = [], _DenseOutput(targets[:-1], dirn, clamp, jac)
 
     t = t0
-    k1 = rhs(x, y, z)
-    if not all(map(math.isfinite, k1)):
+    f1x, f1y, f1z = rhs(x, y, z)
+    if not (isfinite(f1x) and isfinite(f1y) and isfinite(f1z)):
         raise NumericalOverflow("non-finite derivative at the initial state", t=t0)
     h = cfg.step if cfg.step is not None else max(min(0.1, span / 100.0), MIN_STEP)
     if span == 0 or targets == []:
         # every requested point is the initial one
         times += targets or []
         sens = None if jac is None else np.zeros((len(times), 3, _NP))
-        return Trajectory(np.array(times), np.array(states * len(times)), diag, sens)
+        return Trajectory(np.array(times), np.array(states * len(times)),
+                          Diagnostics(min_component=lowest), sens)
 
     while (target - t) * dirn > 0:
-        if diag.steps >= cfg.max_steps:
-            raise IntegrationFailed(f"step limit {cfg.max_steps} reached", t=t)
-        diag.steps += 1
-        hs = min(h, abs(target - t)) * dirn
-        f1x, f1y, f1z = k1
-        bad = False
-        err = math.inf
+        if steps >= max_steps:
+            raise IntegrationFailed(f"step limit {max_steps} reached", t=t)
+        steps += 1
+        rest = abs(target - t)
+        hs = (rest if rest < h else h) * dirn
+        bad = True
         try:
-            u2 = (x + hs * _A21 * f1x, y + hs * _A21 * f1y, z + hs * _A21 * f1z)
-            f2 = rhs(*u2)
-            u3 = (x + hs * (_A31 * f1x + _A32 * f2[0]),
-                  y + hs * (_A31 * f1y + _A32 * f2[1]),
-                  z + hs * (_A31 * f1z + _A32 * f2[2]))
-            f3 = rhs(*u3)
-            u4 = (x + hs * (_A41 * f1x + _A42 * f2[0] + _A43 * f3[0]),
-                  y + hs * (_A41 * f1y + _A42 * f2[1] + _A43 * f3[1]),
-                  z + hs * (_A41 * f1z + _A42 * f2[2] + _A43 * f3[2]))
-            f4 = rhs(*u4)
-            u5 = (x + hs * (_A51 * f1x + _A52 * f2[0] + _A53 * f3[0] + _A54 * f4[0]),
-                  y + hs * (_A51 * f1y + _A52 * f2[1] + _A53 * f3[1] + _A54 * f4[1]),
-                  z + hs * (_A51 * f1z + _A52 * f2[2] + _A53 * f3[2] + _A54 * f4[2]))
-            f5 = rhs(*u5)
-            u6 = (x + hs * (_A61 * f1x + _A62 * f2[0] + _A63 * f3[0] + _A64 * f4[0] + _A65 * f5[0]),
-                  y + hs * (_A61 * f1y + _A62 * f2[1] + _A63 * f3[1] + _A64 * f4[1] + _A65 * f5[1]),
-                  z + hs * (_A61 * f1z + _A62 * f2[2] + _A63 * f3[2] + _A64 * f4[2] + _A65 * f5[2]))
-            f6 = rhs(*u6)
-            xn = x + hs * (_B1 * f1x + _B3 * f3[0] + _B4 * f4[0] + _B5 * f5[0] + _B6 * f6[0])
-            yn = y + hs * (_B1 * f1y + _B3 * f3[1] + _B4 * f4[1] + _B5 * f5[1] + _B6 * f6[1])
-            zn = z + hs * (_B1 * f1z + _B3 * f3[2] + _B4 * f4[2] + _B5 * f5[2] + _B6 * f6[2])
-            k7 = rhs(xn, yn, zn)
-            ex = hs * (_E1 * f1x + _E3 * f3[0] + _E4 * f4[0] + _E5 * f5[0] + _E6 * f6[0] + _E7 * k7[0])
-            ey = hs * (_E1 * f1y + _E3 * f3[1] + _E4 * f4[1] + _E5 * f5[1] + _E6 * f6[1] + _E7 * k7[1])
-            ez = hs * (_E1 * f1z + _E3 * f3[2] + _E4 * f4[2] + _E5 * f5[2] + _E6 * f6[2] + _E7 * k7[2])
-            if not all(map(math.isfinite, (xn, yn, zn, ex, ey, ez))):
-                bad = True
-            else:
-                sx = cfg.tol + cfg.tol * max(abs(x), abs(xn))
-                sy = cfg.tol + cfg.tol * max(abs(y), abs(yn))
-                sz = cfg.tol + cfg.tol * max(abs(z), abs(zn))
-                # guard the squaring: pure-float ** raises OverflowError
-                # where an array would saturate to inf
-                if max(abs(ex) / sx, abs(ey) / sy, abs(ez) / sz) > 1e100:
-                    bad = True
-                else:
-                    err = math.sqrt(((ex / sx) ** 2 + (ey / sy) ** 2 + (ez / sz) ** 2) / 3.0)
+            f2x, f2y, f2z = rhs(x + hs * a21 * f1x, y + hs * a21 * f1y, z + hs * a21 * f1z)
+            f3x, f3y, f3z = rhs(x + hs * (a31 * f1x + a32 * f2x),
+                                y + hs * (a31 * f1y + a32 * f2y),
+                                z + hs * (a31 * f1z + a32 * f2z))
+            f4x, f4y, f4z = rhs(x + hs * (a41 * f1x + a42 * f2x + a43 * f3x),
+                                y + hs * (a41 * f1y + a42 * f2y + a43 * f3y),
+                                z + hs * (a41 * f1z + a42 * f2z + a43 * f3z))
+            f5x, f5y, f5z = rhs(x + hs * (a51 * f1x + a52 * f2x + a53 * f3x + a54 * f4x),
+                                y + hs * (a51 * f1y + a52 * f2y + a53 * f3y + a54 * f4y),
+                                z + hs * (a51 * f1z + a52 * f2z + a53 * f3z + a54 * f4z))
+            u6x = x + hs * (a61 * f1x + a62 * f2x + a63 * f3x + a64 * f4x + a65 * f5x)
+            u6y = y + hs * (a61 * f1y + a62 * f2y + a63 * f3y + a64 * f4y + a65 * f5y)
+            u6z = z + hs * (a61 * f1z + a62 * f2z + a63 * f3z + a64 * f4z + a65 * f5z)
+            f6x, f6y, f6z = rhs(u6x, u6y, u6z)
+            xn = x + hs * (b1 * f1x + b3 * f3x + b4 * f4x + b5 * f5x + b6 * f6x)
+            yn = y + hs * (b1 * f1y + b3 * f3y + b4 * f4y + b5 * f5y + b6 * f6y)
+            zn = z + hs * (b1 * f1z + b3 * f3z + b4 * f4z + b5 * f5z + b6 * f6z)
+            f7x, f7y, f7z = rhs(xn, yn, zn)
+            ex = hs * (e1 * f1x + e3 * f3x + e4 * f4x + e5 * f5x + e6 * f6x + e7 * f7x)
+            ey = hs * (e1 * f1y + e3 * f3y + e4 * f4y + e5 * f5y + e6 * f6y + e7 * f7y)
+            ez = hs * (e1 * f1z + e3 * f3z + e4 * f4z + e5 * f5z + e6 * f6z + e7 * f7z)
+            if (isfinite(xn) and isfinite(yn) and isfinite(zn)
+                    and isfinite(ex) and isfinite(ey) and isfinite(ez)):
+                # tol + tol*max(|start|, |end|) per component; where the two
+                # are equal they are the same float
+                ax, bx = abs(x), abs(xn)
+                ay, by = abs(y), abs(yn)
+                az, bz = abs(z), abs(zn)
+                sx = tol + tol * (ax if ax > bx else bx)
+                sy = tol + tol * (ay if ay > by else by)
+                sz = tol + tol * (az if az > bz else bz)
+                # |e|/s is bitwise |e/s|, and float ** 2 squares the absolute
+                # value; ** 2 stays a power, since v*v differs from pow(v, 2)
+                # in the last bit on rare inputs.  Guard the squaring:
+                # pure-float ** raises OverflowError where an array would
+                # saturate to inf
+                rx, ry, rz = abs(ex) / sx, abs(ey) / sy, abs(ez) / sz
+                if not (rx > 1e100 or ry > 1e100 or rz > 1e100):
+                    err = sqrt((rx ** 2 + ry ** 2 + rz ** 2) / 3.0)
+                    bad = False
         except (OverflowError, ZeroDivisionError, ValueError):
-            bad = True
+            pass
 
         if bad:
-            diag.rejected += 1
+            rejected += 1
             h = abs(hs) * 0.2
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
-            # the state is unchanged, so k1 is still its slope
+            # the state is unchanged, so f1 is still its slope
             continue
 
         if err <= 1.0:
-            if stiff_every and (stiff or (diag.steps - diag.rejected) % stiff_every == 0):
+            if stiff_every and (stiff or (steps - rejected) % stiff_every == 0):
                 # stage 6 and stage 7 are both taken at t + hs; hypot cannot
                 # overflow, and a zero denominator keeps the last estimate
-                den = math.hypot(xn - u6[0], yn - u6[1], zn - u6[2])
+                den = hypot(xn - u6x, yn - u6y, zn - u6z)
                 if den > 0.0:
-                    hrho = abs(hs) * math.hypot(k7[0] - f6[0], k7[1] - f6[1], k7[2] - f6[2]) / den
+                    hrho = abs(hs) * hypot(f7x - f6x, f7y - f6y, f7z - f6z) / den
                 if hrho > 3.25:
                     stiff, calm = stiff + 1, 0
                     if stiff == 15:
@@ -484,31 +515,46 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
                     if calm == 6:
                         stiff = 0
             if log is not None:
-                log.append((t, hs, x, y, z, *k1, *f2, *f3, *f4, *f5, *f6, *k7))
+                log.append((t, hs, x, y, z, f1x, f1y, f1z, f2x, f2y, f2z, f3x, f3y, f3z,
+                            f4x, f4y, f4z, f5x, f5y, f5z, f6x, f6y, f6z, f7x, f7y, f7z))
                 if len(log) == _BLOCK:
                     dense.push(log)
             t = t + hs
             x, y, z = xn, yn, zn
-            if clamp:
-                cx, cy, cz = max(x, 0.0), max(y, 0.0), max(z, 0.0)
-                if (cx, cy, cz) != (x, y, z):
-                    diag.clamped += 1
-                    x, y, z = cx, cy, cz
-                    k7 = rhs(x, y, z)  # FSAL stage is stale after clamping
-            diag.min_component = min(diag.min_component, x, y, z)
-            if max(abs(x), abs(y), abs(z)) > limit:
+            if clamp and (x < 0.0 or y < 0.0 or z < 0.0):
+                clamped += 1
+                if x < 0.0:
+                    x = 0.0
+                if y < 0.0:
+                    y = 0.0
+                if z < 0.0:
+                    z = 0.0
+                f7x, f7y, f7z = rhs(x, y, z)  # FSAL stage is stale after clamping
+            # the running min(lowest, x, y, z), by comparison
+            if x < lowest:
+                lowest = x
+            if y < lowest:
+                lowest = y
+            if z < lowest:
+                lowest = z
+            if abs(x) > limit or abs(y) > limit or abs(z) > limit:
                 raise NumericalOverflow(f"state exceeded {limit:g} at t={t}", t=t)
-            k1 = k7
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = max(abs(hs) * fac, MIN_STEP)
+            f1x, f1y, f1z = f7x, f7y, f7z
+            # min(5, max(0.2, 0.9 * err ** -0.2)), and then at least MIN_STEP;
+            # err <= 1 keeps 0.9 * err ** -0.2 at 0.9 or more
+            fac = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+            h = abs(hs) * (fac if fac < 5.0 else 5.0)
+            if h < MIN_STEP:
+                h = MIN_STEP
             if dense is None:
                 times.append(t)
                 states.append((x, y, z))
         else:
-            diag.rejected += 1
+            rejected += 1
             h = abs(hs) * max(0.2, 0.9 * err ** -0.2)
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
+    diag = Diagnostics(steps=steps, rejected=rejected, min_component=lowest, clamped=clamped)
     if dense is None:
         return Trajectory(np.array(times), np.array(states), diag)
     if log:
@@ -520,36 +566,52 @@ def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
     t_end = float(cfg.t_end)
     dirn = 1.0 if t_end >= t0 else -1.0
     clamp = cfg.negativity_policy == "clamp"
-    diag = Diagnostics(min_component=min(x, y, z))
+    step, max_steps, limit = cfg.step, cfg.max_steps, cfg.overflow_limit
+    isfinite = math.isfinite
+    steps = clamped = 0
+    lowest = min(x, y, z)
     times = [t0]
     states = [(x, y, z)]
 
     t = t0
     while (t_end - t) * dirn > 1e-15 * max(1.0, abs(t)):
-        if diag.steps >= cfg.max_steps:
-            raise IntegrationFailed(f"step limit {cfg.max_steps} reached", t=t)
-        diag.steps += 1
-        hs = min(cfg.step, abs(t_end - t)) * dirn
-        f1 = rhs(x, y, z)
-        f2 = rhs(x + 0.5 * hs * f1[0], y + 0.5 * hs * f1[1], z + 0.5 * hs * f1[2])
-        f3 = rhs(x + 0.5 * hs * f2[0], y + 0.5 * hs * f2[1], z + 0.5 * hs * f2[2])
-        f4 = rhs(x + hs * f3[0], y + hs * f3[1], z + hs * f3[2])
-        x = x + hs / 6.0 * (f1[0] + 2 * f2[0] + 2 * f3[0] + f4[0])
-        y = y + hs / 6.0 * (f1[1] + 2 * f2[1] + 2 * f3[1] + f4[1])
-        z = z + hs / 6.0 * (f1[2] + 2 * f2[2] + 2 * f3[2] + f4[2])
+        if steps >= max_steps:
+            raise IntegrationFailed(f"step limit {max_steps} reached", t=t)
+        steps += 1
+        rest = abs(t_end - t)
+        hs = (rest if rest < step else step) * dirn
+        # x + 0.5 * hs * f is x + (0.5 * hs) * f, so the half step is formed once
+        half = 0.5 * hs
+        f1x, f1y, f1z = rhs(x, y, z)
+        f2x, f2y, f2z = rhs(x + half * f1x, y + half * f1y, z + half * f1z)
+        f3x, f3y, f3z = rhs(x + half * f2x, y + half * f2y, z + half * f2z)
+        f4x, f4y, f4z = rhs(x + hs * f3x, y + hs * f3y, z + hs * f3z)
+        sixth = hs / 6.0
+        x = x + sixth * (f1x + 2 * f2x + 2 * f3x + f4x)
+        y = y + sixth * (f1y + 2 * f2y + 2 * f3y + f4y)
+        z = z + sixth * (f1z + 2 * f2z + 2 * f3z + f4z)
         t = t + hs
-        if not all(map(math.isfinite, (x, y, z))):
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
             raise NumericalOverflow(f"non-finite state at t={t}", t=t)
-        if clamp:
-            cx, cy, cz = max(x, 0.0), max(y, 0.0), max(z, 0.0)
-            if (cx, cy, cz) != (x, y, z):
-                diag.clamped += 1
-                x, y, z = cx, cy, cz
-        diag.min_component = min(diag.min_component, x, y, z)
-        if max(abs(x), abs(y), abs(z)) > cfg.overflow_limit:
-            raise NumericalOverflow(f"state exceeded {cfg.overflow_limit:g} at t={t}", t=t)
+        if clamp and (x < 0.0 or y < 0.0 or z < 0.0):
+            clamped += 1
+            if x < 0.0:
+                x = 0.0
+            if y < 0.0:
+                y = 0.0
+            if z < 0.0:
+                z = 0.0
+        if x < lowest:
+            lowest = x
+        if y < lowest:
+            lowest = y
+        if z < lowest:
+            lowest = z
+        if abs(x) > limit or abs(y) > limit or abs(z) > limit:
+            raise NumericalOverflow(f"state exceeded {limit:g} at t={t}", t=t)
         times.append(t)
         states.append((x, y, z))
+    diag = Diagnostics(steps=steps, min_component=lowest, clamped=clamped)
     return Trajectory(np.array(times), np.array(states), diag)
 
 

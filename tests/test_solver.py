@@ -1,12 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import INTERIOR_STABLE, rand_params
+from conftest import FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, rand_params
 from ppsdyn.errors import IntegrationFailed, MaskViolation, NumericalOverflow
 from ppsdyn.model import ModelParams, State, Subsystem, jacobian_matrices
-from ppsdyn.solver import _BLOCK, SolverConfig, Trajectory, detect_settling, integrate
+from ppsdyn.solver import (_BLOCK, Diagnostics, SolverConfig, Trajectory, detect_settling,
+                           integrate, write_rows_csv)
 
 S0 = State(4.0, 3.0, 2.0)
 
@@ -58,8 +60,11 @@ def test_overflow_raises(stable_params):
 
 
 def test_step_limit_raises(stable_params):
-    with pytest.raises(IntegrationFailed):
-        integrate(stable_params, S0, SolverConfig(t_end=200.0, max_steps=10))
+    for kw, t in ((dict(), 0.10592002633471646),
+                  (dict(method="rk4", step=0.01), 0.09999999999999999)):
+        with pytest.raises(IntegrationFailed) as exc:
+            integrate(stable_params, S0, SolverConfig(t_end=200.0, max_steps=10, **kw))
+        assert (str(exc.value), exc.value.t) == ("step limit 10 reached", t)
 
 
 def test_stiff_parameters_hit_step_limit(stable_params):
@@ -197,6 +202,22 @@ def test_config_validation():
     for tol in (0.0, -1.0):
         with pytest.raises(ValueError, match="tol must be positive"):
             SolverConfig(t_end=10.0, tol=tol)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(t_end=True, tol=True), dict(max_steps=True), dict(max_steps=2.5),
+    dict(step=np.True_), dict(t_end=np.False_),
+])
+def test_config_rejects_bools_and_a_fractional_step_cap(kw):
+    # True would integrate to t = 1 at tolerance 1, and max_steps must count
+    with pytest.raises(ValueError, match="must be"):
+        SolverConfig(**{"t_end": 10.0, **kw})
+
+
+def test_config_takes_ints_and_numpy_numbers():
+    cfg = SolverConfig(t_end=10, step=np.float64(0.1), tol=np.float64(1e-6),
+                       max_steps=np.int64(50), overflow_limit=100)
+    assert integrate(ModelParams(**INTERIOR_STABLE), S0, cfg).times[-1] == 10.0
 
 
 def test_trajectory_csv_round_trip(tmp_path, stable_params):
@@ -411,3 +432,83 @@ def test_sensitivities_need_rk45_t_eval_and_full_system(stable_params):
     with pytest.raises(ValueError):
         integrate(stable_params, State(0.0, 3.0, 2.0), SolverConfig(t_end=1.0),
                   mask=Subsystem.PRED_SCAV, t_eval=[0.0, 1.0], sensitivities=True)
+
+
+# Bit-for-bit pins of record-every-step runs: the sha256 of the trajectory
+# CSV, and steps, rejected, clamped and min_component.  Any change to a
+# floating-point operation of a step loop, or to its order, shows here.  The
+# interior_unstable horizon is the shortest round one at which squaring the
+# error ratios by v*v instead of ** 2 changes the run (at t_end 1944.9 it
+# does not).
+PINNED_RUNS = {
+    "interior_unstable_rk45": (
+        "interior_unstable", State(4.0, 3.0, 2.0), Subsystem.FULL, dict(t_end=1945.0),
+        "b82e1bd1f2d6a2d46c336fd1983b6d73539241875c5edcc3e67dcdba85cf375d",
+        (19525, 542, 0, 0.05146626266115749)),
+    "collapse_clamp_rk45": (
+        COLLAPSE, COLLAPSE_S0, Subsystem.FULL,
+        dict(t_end=100.0, tol=1e-2, negativity_policy="clamp"),
+        "187109f26ea54674cbc25e2348c89d2dde9779fbb88ab2d3185a5398b145b7b5",
+        (45, 3, 1, 0.0)),
+    "collapse_clamp_rk4": (
+        COLLAPSE, COLLAPSE_S0, Subsystem.FULL,
+        dict(t_end=100.0, method="rk4", step=0.5, negativity_policy="clamp"),
+        "34645a8e71bfbe8fc9dc104006807293d3b5d2cfb0ad1f58ad51a439564e99d4",
+        (200, 0, 1, 0.0)),
+    "predscav_subsystem": (
+        "predscav_collapse", State(0.0, 4.0, 6.0), Subsystem.PRED_SCAV, dict(t_end=200.0),
+        "11d1151523fa906a2b3cd41ac52285d6c71aa229583010785d289b1355ce2075",
+        (329, 10, 0, 0.0)),
+    "interior_stable_rk4": (
+        "interior_stable", State(4.0, 3.0, 2.0), Subsystem.FULL,
+        dict(t_end=200.0, method="rk4", step=0.01),
+        "b4ecfb15f418f847d9a8bd505e97a117bb4e64c965ad504e40827d5c53634e6a",
+        (20001, 0, 0, 0.025044877387599095)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_trajectories_are_pinned_bit_for_bit(tmp_path, name):
+    params, s0, mask, cfg, digest, (steps, rejected, clamped, lowest) = PINNED_RUNS[name]
+    if isinstance(params, str):
+        params = ModelParams.load(FIXTURES / f"{params}.params")
+    traj = integrate(params, s0, SolverConfig(**cfg), mask=mask)
+    write_rows_csv(tmp_path / "t.csv", traj.times, traj.states)
+    assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
+    assert traj.diagnostics == Diagnostics(steps=steps, rejected=rejected,
+                                           min_component=lowest, clamped=clamped)
+
+
+def test_diagnostics_of_a_t_eval_run_cover_the_interpolated_states():
+    p = ModelParams(**INTERIOR_UNSTABLE)
+    cfg = SolverConfig(t_end=20.0, tol=1e-6)
+    traj = integrate(p, S0, cfg, t_eval=np.linspace(0.0, 20.0, 201))
+    assert traj.diagnostics == Diagnostics(steps=76, rejected=16,
+                                           min_component=0.052360364556546087)
+    # an interpolated point dips below every accepted step end
+    assert traj.diagnostics.min_component == traj.states.min()
+    assert traj.diagnostics.min_component < integrate(p, S0, cfg).diagnostics.min_component
+
+
+def test_diagnostics_of_a_zero_span_run(stable_params):
+    for t_eval in (None, [0.0, 0.0]):
+        traj = integrate(stable_params, S0, SolverConfig(t_end=0.0), t_eval=t_eval)
+        assert traj.diagnostics == Diagnostics(min_component=2.0)
+
+
+def test_stiffness_test_counts_accepted_steps(unstable_params):
+    # the test runs at every stiff_test_every-th accepted step, so the step
+    # it gives up at depends on steps - rejected, not on the attempts
+    kw = dict(INTERIOR_STABLE)
+    kw["r"] = 1e9
+    for every, t in ((1000, 6.458276779070921e-06), (7, 1.6522070564654203e-07)):
+        with pytest.raises(IntegrationFailed) as exc:
+            integrate(ModelParams(**kw), S0,
+                      SolverConfig(t_end=200.0, max_steps=2500, stiff_test_every=every))
+        assert (str(exc.value), exc.value.t) == (f"problem became stiff at t={t}", t)
+    for every in (1, 3):
+        traj = integrate(unstable_params, S0, SolverConfig(t_end=50.0, tol=1e-6,
+                                                           stiff_test_every=every))
+        assert traj.diagnostics == Diagnostics(steps=188, rejected=37,
+                                               min_component=0.05180355867977232)
+
