@@ -4,11 +4,16 @@ Every command writes byte-reproducible artifacts (no timestamps, sorted JSON
 keys, fixed float formatting) so reruns with identical inputs produce
 identical files.  Exit codes: 0 success, 1 usage or input error, 2 numerical
 failure.
+
+The argument parser is built once per process (build_parser is cached) and
+reused by every main(argv) call; each call still parses into a fresh
+namespace, so in-process callers pay for argparse's set-up only once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -220,7 +225,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
+
+
 def cmd_estimate(args) -> int:
+    _check_seed(args)
     if args.epochs < 0:
         raise ValueError(f"--epochs must be at least 0, got {args.epochs}")
     if args.bfgs_iterations < 1:
@@ -258,6 +269,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_seed(args)
     p = ModelParams.load(args.params)
     s0 = _parse_state(args.s0)
     grid = np.linspace(args.t_start, args.t_end, args.points)
@@ -272,7 +284,10 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: every caller gets the same object, so
+    none may change it."""
     parser = argparse.ArgumentParser(
         prog="ppsdyn",
         description="predator-prey-scavenger dynamics: simulation, equilibria, estimation",

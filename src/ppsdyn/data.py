@@ -218,7 +218,7 @@ def synthesize(
         raise ValueError("t_grid must be strictly increasing")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError("noise_sigma must be finite and nonnegative")
-    cfg = SolverConfig(t_end=float(grid[-1]), tol=1e-9)
+    cfg = SolverConfig(t_end=grid[-1], tol=1e-9)
     start = State(float(s0[0]), float(s0[1]), float(s0[2]), float(grid[0]))
     traj = integrate(p, start, cfg, t_eval=grid)
     raw = np.array(traj.states, dtype=float)

@@ -263,14 +263,16 @@ def jacobian_matrices(jac, x, y, z):
 
     Returns the matrices as an array of shape (len(x), 3, JACOBIAN_COLUMNS),
     bitwise equal to one call per state: the closure's arithmetic is
-    elementwise, and its constant entries are broadcast here.
+    elementwise, and its constant entries, the float 0.0, are already in
+    place in the zero-initialised array.
     """
     import numpy as np
 
     vals = jac(x, y, z)
     # C order, as one matrix per call would stack: numpy's reductions may
     # sum in another order over another memory layout
-    out = np.empty((len(x), len(vals)))
+    out = np.zeros((len(x), len(vals)))
     for col, v in enumerate(vals):
-        out[:, col] = v
+        if type(v) is not float:
+            out[:, col] = v
     return out.reshape(-1, 3, JACOBIAN_COLUMNS)

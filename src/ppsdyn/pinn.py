@@ -22,7 +22,9 @@ cap (see simulate_on_data); `simulate` and `synth` integrate on regardless.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
-so it is comparable with derivatives of the normalized series.
+so it is comparable with derivatives of the normalized series.  That scale,
+the data derivative and the observed states are computed once per dataset
+(_physics_data), not once per loss evaluation.
 """
 
 from __future__ import annotations
@@ -178,9 +180,15 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
     with the offending parameters attached, when p cannot be integrated over
     the data horizon.
     """
+    return _total_loss(p, ds, _physics_data(ds), tol, gradient)
+
+
+def _total_loss(p, ds: Dataset, phys, tol: float, gradient: bool):
+    """total_loss with the physics term's dataset constants, phys =
+    _physics_data(ds), computed by the caller once per dataset."""
     p = np.asarray(p, dtype=float)
     mse, g_mse = _misfit(p, ds, tol, gradient)
-    pie, g_pie = _physics_term(p, ds)
+    pie, g_pie = _physics_term(p, *phys)
     return (mse + pie, mse, pie, g_mse, g_pie) if gradient else (mse + pie, mse, pie)
 
 
@@ -212,9 +220,9 @@ def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
     """
     x0, y0, z0 = ds.raw_observations[0]
     scale = max(np.max(ds.maxs), -np.min(ds.mins))
-    cfg = SolverConfig(t_end=float(raw_grid[-1]), tol=tol, negativity_policy="clamp",
+    cfg = SolverConfig(t_end=raw_grid[-1], tol=tol, negativity_policy="clamp",
                        max_steps=LOSS_MAX_STEPS,
-                       overflow_limit=float(min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale)),
+                       overflow_limit=min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale),
                        stiff_test_every=STIFF_TEST_EVERY)
     try:
         traj = integrate(params, State(float(x0), float(y0), float(z0), float(raw_grid[0])), cfg,
@@ -226,21 +234,28 @@ def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
     return traj, (traj.states - ds.mins) / ds.ranges
 
 
-def _physics_term(p, ds: Dataset):
+def _physics_data(ds: Dataset):
+    """What the physics term reads of a dataset, computed once per dataset:
+    the data derivative (which checks that the grid is uniform), the observed
+    states as raw columns, and the per-component scale that maps the raw
+    right-hand side onto normalized time and values."""
+    return data_derivative(ds), ds.raw_observations.T, (ds.t_end - ds.t_start) / ds.ranges
+
+
+def _physics_term(p, deriv, observed, scale):
     """(pie, d pie/dp): the mean squared gap between the data derivative and
-    the right-hand side at the observed states, with no integration."""
+    the right-hand side at the observed states, with no integration; the
+    last three arguments are _physics_data(ds)."""
     params = ModelParams.from_array(p)
-    scale = (ds.t_end - ds.t_start) / ds.ranges
     # the closures are elementwise, so one call on the observation columns
     # equals one call per observed state, bit for bit
-    observed = ds.raw_observations.T
     model_deriv = np.array(make_rhs(params)(*observed)).T * scale
-    pie_resid = data_derivative(ds) - model_deriv
+    pie_resid = deriv - model_deriv
     pie = float(np.mean(np.sum(pie_resid ** 2, axis=1)))
     # d model_deriv / dp is df/dp at the observed state times the same
     # scale as the values
     dfdp = jacobian_matrices(make_jacobian(params), *observed)[:, :, 3:]
-    return pie, (-2.0 / len(ds.times)) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
+    return pie, (-2.0 / len(deriv)) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
 
 
 def _loss_or_inf(term, p, *args):
@@ -260,9 +275,9 @@ class TraceRow(NamedTuple):
     pie: float
 
 
-def _network_term(p, ds: Dataset):
+def _network_term(p, ds: Dataset, phys):
     """(TraceRow, d total/dp) at tolerance 1e-6, the network stage's loss."""
-    total, mse, pie, g_mse, g_pie = total_loss(p, ds, 1e-6, gradient=True)
+    total, mse, pie, g_mse, g_pie = _total_loss(p, ds, phys, 1e-6, gradient=True)
     return TraceRow(total, mse, pie), g_mse + g_pie
 
 
@@ -275,8 +290,10 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
     gradient in the predicted parameters; optimize.adam_run steps by 1e-4.
     The trace has one TraceRow per epoch.  A non-finite loss or gradient aborts with
     NonFiniteLoss carrying the partial trace and the best finite prediction
-    seen so far.
+    seen so far.  A dataset whose time grid is not uniform raises ValueError
+    before the first epoch.
     """
+    phys = _physics_data(ds)
     rng = np.random.default_rng(seed)
     inp = np.exp(rng.standard_normal(14))
     net = init_mlp(rng)
@@ -288,7 +305,7 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
         _unpack_into(net, theta)
         p_raw, caches = _forward_cached(net, inp)
         pf = np.maximum(p_raw, PARAM_FLOOR)
-        row, dEdp = _loss_or_inf(_network_term, pf, ds)
+        row, dEdp = _loss_or_inf(_network_term, pf, ds, phys)
         if not (np.all(np.isfinite(row)) and np.all(np.isfinite(dEdp))):
             raise NonFiniteLoss(f"training loss or gradient non-finite at epoch {len(trace)}",
                                 history=trace, best=best_p)
@@ -384,7 +401,7 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     final = np.exp(u_polish)
     post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
     try:
-        final_pie = _physics_term(final, ds)[0]
+        final_pie = _physics_term(final, *_physics_data(ds))[0]
     except ValueError:  # exp(u) overflowed or underflowed
         final_pie = math.inf
     return EstimationReport(

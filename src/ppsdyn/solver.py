@@ -118,7 +118,8 @@ class SolverConfig:
     non-stiff steps in a row close the run.  rk4 never tests.
     The defaults keep every integration going to t_end or to max_steps;
     the estimation runs set both fields, to give up on hopeless candidates.
-    No numeric field takes a bool, Python's or numpy's.
+    No numeric field takes a bool, Python's or numpy's; t_end, step, tol and
+    overflow_limit are stored as Python floats.
     """
 
     t_end: float
@@ -155,6 +156,12 @@ class SolverConfig:
         every = self.stiff_test_every
         if every is not None and (not isinstance(every, Integral) or every < 1):
             raise ValueError(f"stiff_test_every must be None or an integer >= 1, got {every!r}")
+        # the steppers compute in Python floats: a numpy scalar would run the
+        # error control in numpy arithmetic, slower and, for float32, rounded
+        for name in ("t_end", "step", "tol", "overflow_limit"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
 
 
 @dataclass
@@ -401,7 +408,7 @@ class _DenseOutput:
 
 
 def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Trajectory:
-    t_end = float(cfg.t_end)
+    t_end = cfg.t_end
     dirn = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
     clamp = cfg.negativity_policy == "clamp"
@@ -563,7 +570,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
 
 
 def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
-    t_end = float(cfg.t_end)
+    t_end = cfg.t_end
     dirn = 1.0 if t_end >= t0 else -1.0
     clamp = cfg.negativity_policy == "clamp"
     step, max_steps, limit = cfg.step, cfg.max_steps, cfg.overflow_limit

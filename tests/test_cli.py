@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from conftest import INTERIOR_STABLE, MULTI2_CASE, REFERENCE
-from ppsdyn.cli import main
+from ppsdyn.cli import build_parser, main
 from ppsdyn.data import synthesize
 from ppsdyn.model import ModelParams, State
 
@@ -314,3 +315,80 @@ def test_estimate_names_the_line_of_a_bad_dataset_cell(tmp_path, capsys, referen
     assert code == 1
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / "fit" / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--dataset", "{missing}"],
+    ["synth", "--params", "{params}", "--s0", "4,3,2", "--t-end", "5", "--noise", "0"],
+    ["synth", "--params", "{params}", "--s0", "4,3,2", "--t-end", "5", "--noise", "0.02"],
+], ids=["estimate", "synth-noise-0", "synth-noise-0.02"])
+def test_negative_seed_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       params_file, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("ppsdyn.cli.run_estimate", no_work)
+    monkeypatch.setattr("ppsdyn.cli.synthesize", no_work)
+    out = tmp_path / "run"
+    argv = [a.format(missing=tmp_path / "missing.csv", params=params_file) for a in argv]
+    code = main(argv + ["--seed", "-1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+    assert not out.exists()
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def _sha256s(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_shared_parser_leaks_no_option_between_calls(tmp_path, capsys):
+    # a clamping run, a run without --clamp, a usage error, --help and
+    # analyze, in one process; each must write what it writes run alone,
+    # with a parser built afresh
+    # at this loose tolerance one step ends with a negative component, which
+    # --clamp pins at zero; without it the run goes on from below zero
+    params = tmp_path / "overshoot.params"
+    ModelParams(r=1.33, k=2.64, a=0.35, a0=2.15, b=2.39, b0=2.42, d=1.03, e=2.41, f=0.75,
+                g=1.15, h=1.31, i=1.67, i0=0.43, j=1.28).save(params)
+    simulate = ["simulate", "--params", str(params), "--s0", "0.1,3,3.42",
+                "--t-end", "10", "--tol", "0.1"]
+    sequence = [
+        ("clamp", simulate + ["--clamp"], 0),
+        ("diagnose", simulate, 0),
+        ("unknown", simulate + ["--no-such-flag"], 1),
+        ("help", ["simulate", "--help"], 0),
+        ("analyze", ["analyze", "--params", str(params)], 0),
+    ]
+    for name, argv, code in sequence:
+        assert main(argv + ["--out", str(tmp_path / "together" / name)]) == code
+    for name, argv, code in sequence:
+        build_parser.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / "alone" / name)]) == code
+    capsys.readouterr()
+    for name in ("clamp", "diagnose", "analyze"):
+        together = _sha256s(tmp_path / "together" / name)
+        assert together and together == _sha256s(tmp_path / "alone" / name)
+    assert _sha256s(tmp_path / "together" / "clamp") != _sha256s(tmp_path / "together" / "diagnose")
+    assert not (tmp_path / "together" / "unknown").exists()
+
+
+def test_cached_parser_calls_the_patched_estimator(tmp_path, capsys, monkeypatch, reference_file):
+    # the parser built before the patch keeps cmd_estimate, which looks the
+    # estimator up when it runs
+    build_parser()
+    dataset = _synth_dataset(tmp_path, reference_file)
+    seen = []
+
+    def patched(ds, seed, **kwargs):
+        seen.append((seed, kwargs))
+        raise ValueError("patched estimator")
+
+    monkeypatch.setattr("ppsdyn.cli.run_estimate", patched)
+    code = main(["estimate", "--dataset", str(dataset), "--seed", "3", "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert seen == [(3, {"epochs": 100, "bfgs_iterations": 200})]
+    assert capsys.readouterr().err == "error: patched estimator\n"

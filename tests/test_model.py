@@ -190,15 +190,17 @@ def test_jacobian_closure_matches_central_differences_of_rhs():
 
 def test_closures_on_arrays_equal_one_call_per_state():
     # the loss and the solver evaluate both closures once on columns of
-    # states; that must be bit for bit the per-state loop it replaces
+    # states; that must be bit for bit the per-state loop it replaces, signed
+    # zeros included, so the states include zero components
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = rand_params(rng, 0.1, 3.0)
         states = rng.uniform(0.0, 4.0, (40, 3))
+        states[:4] *= [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
         per_state = np.array([make_rhs(p)(*s) for s in states])
-        assert np.array_equal(np.array(make_rhs(p)(*states.T)).T, per_state)
+        assert np.array(make_rhs(p)(*states.T)).T.tobytes() == per_state.tobytes()
         per_state = np.array([_jacobian_matrix(p, s) for s in states])
         got = jacobian_matrices(make_jacobian(p), *states.T)
         assert got.shape == (40, 3, JACOBIAN_COLUMNS)
-        assert np.array_equal(got, per_state)
+        assert got.tobytes() == per_state.tobytes()
 

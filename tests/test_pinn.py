@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -147,6 +148,43 @@ def test_total_loss_identity_and_reference_value(reference_dataset):
     assert total == mse + pie  # exact identity, not approximate
     assert mse < 1e-8
     assert pie == pytest.approx(1.79357931644477e-05, rel=1e-6)
+
+
+def _bits(result):
+    return [np.asarray(v).tobytes() for v in result]
+
+
+def test_total_loss_keeps_no_dataset_constants_between_calls(reference_dataset):
+    # the physics term's constants are computed once per call; alternating
+    # datasets, and datasets that may reuse a freed one's id, must each get
+    # exactly the result of a computation on a fresh copy of their own
+    p = ModelParams(**REFERENCE).as_array()
+    b = synthesize(ModelParams(**REFERENCE), State(2.0, 1.5, 1.0), np.linspace(0.0, 8.0, 25),
+                   noise_sigma=0.01, seed=3)
+    datasets = {"a": reference_dataset, "b": b}
+    fresh = {k: _bits(total_loss(p, copy.deepcopy(ds), 1e-6, gradient=True))
+             for k, ds in datasets.items()}
+    assert fresh["a"] != fresh["b"]
+    for k in ("a", "b", "a"):
+        assert _bits(total_loss(p, datasets[k], 1e-6, gradient=True)) == fresh[k]
+    for k in ("b", "a", "b", "a"):
+        ds = copy.deepcopy(datasets[k])
+        assert _bits(total_loss(p, ds, 1e-6, gradient=True)) == fresh[k]
+        del ds
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_estimate_rejects_a_nonuniform_grid_before_integrating(reference_dataset, monkeypatch,
+                                                                epochs):
+    # the physics term needs a uniform grid; its constants are computed
+    # before the first epoch, so the check fires before any integration
+    ds = copy.deepcopy(reference_dataset)
+    ds.times[5] += 0.3 * (ds.times[6] - ds.times[5])
+    calls = []
+    monkeypatch.setattr(ppsdyn.pinn, "simulate_on_data", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="uniform"):
+        estimate(ds, seed=0, epochs=epochs, bfgs_iterations=2)
+    assert calls == []
 
 
 def test_total_loss_raises_with_params_attached(reference_dataset):

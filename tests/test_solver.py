@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,21 @@ def test_config_takes_ints_and_numpy_numbers():
     cfg = SolverConfig(t_end=10, step=np.float64(0.1), tol=np.float64(1e-6),
                        max_steps=np.int64(50), overflow_limit=100)
     assert integrate(ModelParams(**INTERIOR_STABLE), S0, cfg).times[-1] == 10.0
+    assert [type(v) for v in (cfg.t_end, cfg.step, cfg.tol, cfg.overflow_limit)] == [float] * 4
+
+
+def test_numpy_scalar_tol_runs_the_float_path():
+    # a float32 tol used to run the error control in float32, slower and
+    # with an overflow warning at the 1e100 guard; it must be the run of
+    # the same value as a float, bit for bit, without a warning
+    p = ModelParams(**INTERIOR_UNSTABLE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate(p, S0, SolverConfig(t_end=np.int64(200), tol=np.float32(1e-6)))
+    want = integrate(p, S0, SolverConfig(t_end=200.0, tol=float(np.float32(1e-6))))
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()
+    assert got.diagnostics == want.diagnostics
 
 
 def test_trajectory_csv_round_trip(tmp_path, stable_params):
