@@ -2,7 +2,8 @@
 
 For each fixture this enumerates the candidate equilibria, prints where
 they sit, whether they exist, and the verdict of the stability analysis,
-then shows the polynomial/direct crosscheck for the interior point.
+then shows how the grid scan's sign-change count cross-checks the
+admissible polynomial roots that give the interior point.
 
 Run from the repository root:
 
@@ -41,12 +42,10 @@ def main():
         print(f"{path.name}")
         describe(p)
         check = interior_poly_crosscheck(p)
-        if check["agrees"] is None:
-            print("  crosscheck: no unique direct root to compare")
-        else:
-            word = "agree" if check["agrees"] else "DISAGREE"
-            print(f"  crosscheck: polynomial and direct routes {word}"
-                  f" (rel err {check['rel_err']:.2e})")
+        word = "agrees" if check["agrees"] else "DISAGREES"
+        roots = ", ".join(f"{r:.6g}" for r in check["admissible_roots"]) or "none"
+        print(f"  crosscheck: grid scan {word}: {check['scan_sign_changes']} sign"
+              f" changes, admissible polynomial roots: {roots}")
         print()
 
 

@@ -210,15 +210,16 @@ def cmd_analyze(args) -> int:
                 print(f"{'':10s}   note: {note}")
         entries.append(rec)
     # the entry is missing only if it merged with a boundary point; the
-    # cross-check then runs its own scan
+    # cross-check then solves for it again
     interior = next((eq for eq in points if eq.label == LABEL_INTERIOR), None)
-    report = {
-        "parameters": p.to_dict(),
-        "equilibria": entries,
-        "interior_crosscheck": interior_poly_crosscheck(p, interior),
-    }
+    check = interior_poly_crosscheck(p, interior)
+    report = {"parameters": p.to_dict(), "equilibria": entries, "interior_crosscheck": check}
     out = _outdir(args)
     _write(os.path.join(out, "equilibria.json"), json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if not check["agrees"]:
+        print(f"interior cross-check: the grid scan counts {check['scan_sign_changes']} sign"
+              f" changes for {len(check['admissible_roots'])} admissible roots; see report",
+              file=sys.stderr)
     if flagged:
         print("interior solve found multiple roots; see report", file=sys.stderr)
         return 2

@@ -9,13 +9,12 @@ checks and their numeric values.
 The scavenger-prey pair is the predator-prey pair with (g, b, b0, j) in
 place of (d, a, a0, e); one routine builds both from the PREY_CONSUMERS table.
 
-The interior point is located two independent ways: a 1-D scan-and-bisect
-over x (authoritative), and the positive real roots of a degree-12
-polynomial that interior_poly_coeffs derives from the model equations by
-eliminating y and z.  The two routes are cross-checked but never collapsed
-into one.  The scan evaluates its residual on the whole grid in one numpy
-pass; only the few sign-change brackets it finds are refined by scalar
-bisection.
+The interior point has one authoritative route: the positive real roots in
+(0, k) of a degree-12 polynomial that interior_poly_coeffs derives from the
+model equations by eliminating y and z, kept where the y and z they imply
+are positive and the prey residual vanishes.  A 4,096-point grid scan of
+that residual counts its sign changes and cross-checks the count; it never
+supplies a point.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from numpy.polynomial.polynomial import polyroots
 from .errors import MultipleRoots, NoRoot
 from .model import ModelParams, Subsystem
 
-RESIDUAL_TOL = 1e-8
 MERGE_TOL = 1e-9
 
 LABEL_ORIGIN = "Origin"
@@ -162,133 +160,9 @@ def scavprey_equilibria(p: ModelParams) -> list:
     return _prey_consumer_equilibria(p, Subsystem.SCAV_PREY)
 
 
-# --- interior point, route 1: 1-D scan and bisect -----------------------------
+# --- interior point ------------------------------------------------------------
 
 SCAN_POINTS = 4096
-BISECT_TOL = 1e-12
-
-
-def _interior_z2(x: float, p: ModelParams) -> float:
-    # z^2 from the predator equation at y != 0:
-    #   d x^2/(1+a0 x^2) + f z^2/(1+i0 z^2) = e
-    N = p.e + (p.a0 * p.e - p.d) * x * x
-    D = p.f * (1.0 + p.a0 * x * x) - p.i0 * N
-    if D == 0:
-        return math.nan
-    return N / D
-
-
-def _interior_y(x: float, z: float, p: ModelParams) -> float:
-    # y from the scavenger equation at z != 0:
-    #   g x^2/(1+b0 x^2) + h y - i y z/(1+i0 z^2) = j
-    # which gives y = (j - g x^2/(1+b0 x^2)) * (1+i0 z^2) / (h (1+i0 z^2) - i z)
-    M = p.j - p.g * x * x / (1.0 + p.b0 * x * x)
-    qi = 1.0 + p.i0 * z * z
-    den = p.h * qi - p.i * z
-    if den == 0:
-        return math.nan
-    return M * qi / den
-
-
-def _prey_residual(x: float, p: ModelParams) -> float:
-    """dx/dt = 0 residual (divided by x) along the curve z(x), y(x); NaN off the domain."""
-    w = _interior_z2(x, p)
-    if not math.isfinite(w) or w <= 0:
-        return math.nan
-    z = math.sqrt(w)
-    y = _interior_y(x, z, p)
-    if not math.isfinite(y) or y <= 0:
-        return math.nan
-    return (
-        p.r * (1.0 - x / p.k)
-        - p.a * x * y / (1.0 + p.a0 * x * x)
-        - p.b * x * z / (1.0 + p.b0 * x * x)
-    )
-
-
-def _prey_residuals(xs: np.ndarray, p: ModelParams) -> np.ndarray:
-    """_prey_residual at every point of xs, bitwise equal to the scalar calls.
-
-    Each line repeats the scalar arithmetic in the same order, and ok marks
-    the points where the scalar does not return NaN early.  A zero D or den
-    makes w or y infinite or NaN, which the finiteness tests reject as the
-    scalar's D == 0 and den == 0 returns do.
-    """
-    with np.errstate(all="ignore"):
-        N = p.e + (p.a0 * p.e - p.d) * xs * xs
-        D = p.f * (1.0 + p.a0 * xs * xs) - p.i0 * N
-        w = N / D
-        ok = np.isfinite(w) & (w > 0)
-        z = np.sqrt(w)
-        M = p.j - p.g * xs * xs / (1.0 + p.b0 * xs * xs)
-        qi = 1.0 + p.i0 * z * z
-        y = M * qi / (p.h * qi - p.i * z)
-        ok &= np.isfinite(y) & (y > 0)
-        res = (
-            p.r * (1.0 - xs / p.k)
-            - p.a * xs * y / (1.0 + p.a0 * xs * xs)
-            - p.b * xs * z / (1.0 + p.b0 * xs * xs)
-        )
-    return np.where(ok, res, np.nan)
-
-
-def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
-    """Locate the interior coexistence point by scanning x over (0, k).
-
-    For each x the predator equation fixes z, the scavenger equation fixes y,
-    and the prey equation supplies a scalar residual.  The residual is
-    evaluated on the whole grid at once; each sign change between two
-    non-NaN neighbours is refined by scalar bisection, and the admissible
-    root must be unique.  Raises NoRoot / MultipleRoots when the count is
-    not exactly one.
-    """
-    xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
-    vals = _prey_residuals(xs, p)
-    roots = []
-    # a NaN at either end makes the product NaN, so that bracket is skipped
-    for idx in np.flatnonzero(vals[:-1] * vals[1:] <= 0).tolist():
-        lo, hi = float(xs[idx]), float(xs[idx + 1])
-        flo = float(vals[idx])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = _prey_residual(mid, p)
-            if math.isnan(fm):
-                break
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if hi - lo < BISECT_TOL:
-                break
-        root = 0.5 * (lo + hi)
-        res = _prey_residual(root, p)
-        if math.isfinite(res) and abs(res) < 1e-6:
-            roots.append(root)
-    # adjacent brackets can converge onto the same root when it falls on a grid point
-    merged = []
-    for rt in roots:
-        if not merged or abs(rt - merged[-1]) > MERGE_TOL * max(1.0, p.k):
-            merged.append(rt)
-    if not merged:
-        raise NoRoot("no admissible interior root in (0, k)")
-    if len(merged) > 1:
-        raise MultipleRoots(merged)
-
-    x = merged[0]
-    z = math.sqrt(_interior_z2(x, p))
-    y = _interior_y(x, z, p)
-    bound_prey = p.r * (1.0 + p.b0 * x * x) * (p.k - x) / (p.b * x)
-    bound_pred = p.i * p.e / (p.h * p.f)
-    bound = min(bound_prey, bound_pred)
-    checks = [
-        ExistenceCheck("unique positive real root", True, float(len(merged))),
-        ExistenceCheck("z* < min(r(1+b0 x*^2)(k-x*)/(b x*), i*e/(h*f))", z < bound, bound),
-    ]
-    aux = {"x_star": x, "bound_prey": bound_prey, "bound_pred": bound_pred}
-    return Equilibrium(LABEL_INTERIOR, Subsystem.FULL, (x, y, z), checks, aux)
-
-
-# --- interior point, route 2: degree-12 polynomial in x ------------------------
 
 
 def _add(*terms) -> np.ndarray:
@@ -339,35 +213,108 @@ def positive_real_roots(coeffs) -> list:
     return sorted(out)
 
 
-def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = None) -> dict:
-    """Compare the polynomial route against the direct solve.
+def _prey_residuals(xs: np.ndarray, p: ModelParams) -> tuple:
+    """The prey residual (dx/dt divided by x) along the curve z(x), y(x), and y and z.
 
-    interior is the interior entry that all_equilibria returned for p, so
-    the caller's scan is not run again; without it the direct solve runs
-    here.  Returns a report dict; never raises on disagreement.  The direct
-    solve is authoritative; the derived polynomial is an independent
-    cross-check.
+    For each x the predator equation at y != 0,
+    d x^2/(1+a0 x^2) + f z^2/(1+i0 z^2) = e, fixes z^2 = N/D, and the
+    scavenger equation at z != 0 fixes
+    y = (j - g x^2/(1+b0 x^2)) (1+i0 z^2) / (h (1+i0 z^2) - i z).
+    The residual is NaN wherever z^2 or y is not finite and positive; a zero
+    D or y-denominator makes them infinite or NaN, so it is NaN there too.
     """
-    roots = positive_real_roots(interior_poly_coeffs(p))
-    report = {"poly_positive_roots": roots, "direct_x": None, "agrees": None, "rel_err": None}
+    with np.errstate(all="ignore"):
+        N = p.e + (p.a0 * p.e - p.d) * xs * xs
+        D = p.f * (1.0 + p.a0 * xs * xs) - p.i0 * N
+        w = N / D
+        ok = np.isfinite(w) & (w > 0)
+        z = np.sqrt(w)
+        M = p.j - p.g * xs * xs / (1.0 + p.b0 * xs * xs)
+        qi = 1.0 + p.i0 * z * z
+        y = M * qi / (p.h * qi - p.i * z)
+        ok &= np.isfinite(y) & (y > 0)
+        res = (
+            p.r * (1.0 - xs / p.k)
+            - p.a * xs * y / (1.0 + p.a0 * xs * xs)
+            - p.b * xs * z / (1.0 + p.b0 * xs * xs)
+        )
+    return np.where(ok, res, np.nan), y, z
+
+
+def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
+    """Locate the interior coexistence point from the polynomial's roots.
+
+    Every interior x* is a positive real root of interior_poly_coeffs in
+    (0, k).  Squaring in the derivation adds roots of A - B z = 0, and some
+    roots put z^2 or y off the positive axis, so a root is admissible only
+    where the prey residual at the y and z it implies is below 1e-6.
+    Raises NoRoot / MultipleRoots when the admissible count is not exactly one.
+    """
+    xs = np.array([x for x in positive_real_roots(interior_poly_coeffs(p)) if x < p.k])
+    if xs.size:
+        res, ys, zs = _prey_residuals(xs, p)
+        keep = np.abs(res) < 1e-6  # False at NaN
+        xs, ys, zs = xs[keep], ys[keep], zs[keep]
+    if xs.size == 0:
+        raise NoRoot("no admissible interior root in (0, k)")
+    if xs.size > 1:
+        raise MultipleRoots(xs.tolist())
+
+    x, y, z = float(xs[0]), float(ys[0]), float(zs[0])
+    bound_prey = p.r * (1.0 + p.b0 * x * x) * (p.k - x) / (p.b * x)
+    bound_pred = p.i * p.e / (p.h * p.f)
+    bound = min(bound_prey, bound_pred)
+    checks = [
+        ExistenceCheck("unique positive real root", True, 1.0),
+        ExistenceCheck("z* < min(r(1+b0 x*^2)(k-x*)/(b x*), i*e/(h*f))", z < bound, bound),
+    ]
+    aux = {"x_star": x, "bound_prey": bound_prey, "bound_pred": bound_pred}
+    return Equilibrium(LABEL_INTERIOR, Subsystem.FULL, (x, y, z), checks, aux)
+
+
+def _interior_entry(p: ModelParams) -> Equilibrium:
+    """interior_equilibrium_direct, with NoRoot and MultipleRoots as entries."""
+    try:
+        return interior_equilibrium_direct(p)
+    except NoRoot:
+        return Equilibrium(
+            LABEL_INTERIOR, Subsystem.FULL, None,
+            [ExistenceCheck("unique positive real root", False, 0.0)],
+        )
+    except MultipleRoots as exc:
+        return Equilibrium(
+            LABEL_INTERIOR, Subsystem.FULL, None,
+            [ExistenceCheck("unique positive real root", False, float(len(exc.roots)))],
+            {"roots": list(exc.roots)},
+            flag="multiple_roots",
+        )
+
+
+def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = None) -> dict:
+    """Cross-check the admissible polynomial roots against a grid scan.
+
+    interior is the interior entry that all_equilibria returned for p;
+    without it the interior solve runs here.  The scan evaluates the prey
+    residual at SCAN_POINTS points of (0, k) and counts the strict sign
+    changes between finite neighbours plus the exact zeros.  It can miss a
+    root next to a pole or an edge of the admissible domain, but every sign
+    change it counts is a root.  agrees is True when the two counts are
+    equal; the report never raises on disagreement.
+    """
     if interior is None:
-        try:
-            interior = interior_equilibrium_direct(p)
-        except (NoRoot, MultipleRoots):
-            return report
-    if interior.point is None:
-        return report
-    x = interior.point[0]
-    report["direct_x"] = x
-    if roots:
-        # the polynomial also picks up roots whose y or z would be
-        # inadmissible, so agreement means x* appears among its roots
-        rel = min(abs(rt - x) / max(1.0, abs(x)) for rt in roots)
-        report["rel_err"] = rel
-        report["agrees"] = rel < 1e-6
+        interior = _interior_entry(p)
+    if interior.point is not None:
+        admissible = [interior.point[0]]
     else:
-        report["agrees"] = False
-    return report
+        admissible = list(interior.aux.get("roots", []))
+    xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
+    vals = _prey_residuals(xs, p)[0]
+    count = int(np.count_nonzero(vals[:-1] * vals[1:] < 0) + np.count_nonzero(vals == 0))
+    return {
+        "admissible_roots": admissible,
+        "scan_sign_changes": count,
+        "agrees": count == len(admissible),
+    }
 
 
 def all_equilibria(p: ModelParams) -> list:
@@ -384,25 +331,8 @@ def all_equilibria(p: ModelParams) -> list:
         replace(predscav_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(predprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(scavprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
+        _interior_entry(p),
     ]
-    try:
-        out.append(interior_equilibrium_direct(p))
-    except NoRoot:
-        out.append(
-            Equilibrium(
-                LABEL_INTERIOR, Subsystem.FULL, None,
-                [ExistenceCheck("unique positive real root", False, 0.0)],
-            )
-        )
-    except MultipleRoots as exc:
-        out.append(
-            Equilibrium(
-                LABEL_INTERIOR, Subsystem.FULL, None,
-                [ExistenceCheck("unique positive real root", False, float(len(exc.roots)))],
-                {"roots": list(exc.roots)},
-                flag="multiple_roots",
-            )
-        )
     merged = []
     for eq in out:
         dup = False

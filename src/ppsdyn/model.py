@@ -99,6 +99,7 @@ class ModelParams:
     def load(cls, path) -> "ModelParams":
         """Read the flat `key = value` text format; # starts a comment."""
         d = {}
+        where = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
@@ -107,8 +108,12 @@ class ModelParams:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
                 key, _, val = line.partition("=")
+                key = key.strip()
+                if key in where:
+                    raise ValueError(f"{path}:{lineno}: {key!r} already set on line {where[key]}")
+                where[key] = lineno
                 try:
-                    d[key.strip()] = float(val)
+                    d[key] = float(val)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: non-numeric value {val.strip()!r}") from None
         return cls.from_dict(d)

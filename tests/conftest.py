@@ -1,8 +1,9 @@
 """Shared fixtures: canonical parameter sets and the zero-noise dataset.
 
 The dicts below are regression anchors. The first five correspond to the
-.params files shipped in fixtures/; the last three are frozen draws that
-exercise the no-root and multiple-root branches of the interior solver.
+.params files shipped in fixtures/; the next three are frozen draws that
+exercise the no-root and multiple-root branches of the interior solver, and
+SCAN_MISS_CASES holds draws whose roots the cross-check's grid scan misses.
 """
 
 from pathlib import Path
@@ -65,6 +66,46 @@ MULTI3_CASE = dict(r=3.6282469437129, k=7.686475547092399,
                    f=1.5898646931785156, g=1.521361869093817,
                    h=0.30254522884177776, i=1.7495478539062277,
                    i0=5.166254642977647, j=1.1474800371128024)
+
+
+# Draws np.random.default_rng(seed).uniform(0.1, 3, size=(4000, 14))[n] on which
+# the 4,096-point grid scan misses admissible interior roots: a root next to
+# where z^2 -> 0 or has a pole sits in a cell with a NaN end.  The scan counts
+# 0, 1, 1 and 2 roots; the polynomial route finds 1, 2, 2 and 3.
+SCAN_MISS_CASES = {
+    "rng123-371": dict(
+        r=2.824946060020694, k=1.384907477111106,
+        a=1.320621681915707, a0=2.4874601590075285,
+        b=0.11117273085984793, b0=1.1988956304959666,
+        d=2.609661809891794, e=1.2401870460507567,
+        f=1.8755943496365708, g=2.3080921273892203,
+        h=1.194399847991652, i=2.4350824804363267,
+        i0=2.549192232297293, j=0.6759339811159802),
+    "rng123-1137": dict(
+        r=0.6338001973763998, k=0.6478334792115213,
+        a=0.8482659920563368, a0=1.9741349539008035,
+        b=1.105094793200091, b0=1.2184907424092175,
+        d=2.2309420730081766, e=0.42792396483227657,
+        f=1.8701604138044257, g=1.5464658907105164,
+        h=2.8093100586706594, i=1.4863885658456686,
+        i0=1.6958169156435305, j=1.1981934763718929),
+    "rng123-1254": dict(
+        r=1.2949911579187492, k=2.166120220653255,
+        a=2.5998235780762204, a0=2.4251526778732746,
+        b=2.552536964346367, b0=2.598365558800958,
+        d=1.6569568025509125, e=0.4664796154578362,
+        f=2.053773477555549, g=1.9254168760636434,
+        h=2.3730388243577942, i=2.7874851666897835,
+        i0=0.5604767118546142, j=2.7345187253153043),
+    "rng7-1012": dict(
+        r=2.758223732078778, k=0.5969125188681722,
+        a=2.47991176094729, a0=1.4039272168211074,
+        b=0.16553879678417868, b0=0.9789588886466057,
+        d=2.6796985220071, e=0.633154771614717,
+        f=0.5791056828296877, g=2.874594256475415,
+        h=1.3556672040842392, i=2.747375824139346,
+        i0=0.9148428777833904, j=0.2778049719679512),
+}
 
 
 @pytest.fixture(scope="session")

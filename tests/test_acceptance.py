@@ -152,14 +152,13 @@ def test_interior_crosscheck_report(unstable_params, stable_params,
                          ("reference", reference_params)):
         report = interior_poly_crosscheck(params)
         direct = interior_equilibrium_direct(params)
-        assert report["direct_x"] == pytest.approx(direct.point[0], rel=1e-12)
-        assert isinstance(report["poly_positive_roots"], list)
-        outcomes[name] = (report["agrees"], report["rel_err"])
-    # agreement is documented either way; for these three sets the
-    # polynomial route does reproduce the direct root
-    for name, (agrees, rel_err) in outcomes.items():
-        assert agrees, f"{name}: polynomial/direct disagree (rel {rel_err})"
-        assert rel_err < 1e-6
+        assert report["admissible_roots"] == [direct.point[0]]
+        outcomes[name] = (report["agrees"], report["scan_sign_changes"])
+    # agreement is documented either way; for these three sets the grid
+    # scan counts exactly the one root the polynomial route admits
+    for name, (agrees, count) in outcomes.items():
+        assert agrees, f"{name}: scan counts {count} roots, polynomial admits 1"
+        assert count == 1
 
 
 def test_optimizer_benchmarks():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import INTERIOR_STABLE, MULTI2_CASE, REFERENCE
+from conftest import INTERIOR_STABLE, MULTI2_CASE, REFERENCE, SCAN_MISS_CASES
 from ppsdyn.cli import build_parser, main
 from ppsdyn.data import synthesize
 from ppsdyn.model import ModelParams, State
@@ -101,6 +101,23 @@ def test_analyze_flags_multiple_roots(tmp_path, capsys):
     blob = json.loads((out / "equilibria.json").read_text())
     entries = {e["label"]: e for e in blob["equilibria"]}
     assert entries["Interior"]["flag"] == "multiple_roots"
+
+
+def test_analyze_reports_a_root_the_scan_misses(tmp_path, capsys):
+    path = tmp_path / "miss.params"
+    ModelParams(**SCAN_MISS_CASES["rng123-371"]).save(path)
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--params", str(path), "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "grid scan counts 0 sign changes for 1 admissible roots" in err
+    blob = json.loads((out / "equilibria.json").read_text())
+    interior = {e["label"]: e for e in blob["equilibria"]}["Interior"]
+    assert interior["exists"] and interior["flag"] is None
+    assert interior["point"][0] == pytest.approx(0.6104655437, abs=1e-9)
+    assert blob["interior_crosscheck"] == {
+        "admissible_roots": [interior["point"][0]], "agrees": False, "scan_sign_changes": 0}
 
 
 def test_synth_is_byte_reproducible(tmp_path, reference_file):

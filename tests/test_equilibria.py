@@ -3,17 +3,17 @@ import pytest
 
 from conftest import (INTERIOR_STABLE, INTERIOR_UNSTABLE, MULTI2_CASE,
                       MULTI3_CASE, NOROOT_CASE, PREDPREY_CASE, PREDSCAV_CASE,
-                      REFERENCE, rand_params)
+                      REFERENCE, SCAN_MISS_CASES, rand_params)
 from ppsdyn.equilibria import (LABEL_INTERIOR, LABEL_ORIGIN, LABEL_PRED_PREY,
                                LABEL_PRED_SCAV, LABEL_PREY_ONLY,
-                               LABEL_SCAV_PREY, SCAN_POINTS, _prey_residual,
-                               _prey_residuals, all_equilibria,
+                               LABEL_SCAV_PREY, SCAN_POINTS, _prey_residuals,
+                               all_equilibria,
                                interior_equilibrium_direct,
                                interior_poly_coeffs, interior_poly_crosscheck,
                                positive_real_roots, predprey_equilibria,
                                predscav_equilibria, scavprey_equilibria)
 from ppsdyn.errors import MultipleRoots, NoRoot
-from ppsdyn.model import ModelParams, State, Subsystem, rhs_subsystem
+from ppsdyn.model import ModelParams, State, Subsystem, make_rhs, rhs_subsystem
 
 
 def _residual(p, point, subsystem):
@@ -92,8 +92,8 @@ def test_no_admissible_root_raises():
 # Degenerate sets.  Tiny a0, d, i0 make N, D and qi exact constants on the
 # scan grid: D = f - i0*e = 0 everywhere, or z = 2 and den = h*qi - i*z = 0
 # everywhere.  With k = 4097 the grid is 1, 2, ..., 4096 and N = 1 - x^2/4
-# is exactly 0 at x = 2, so w = 0 there.  The scalar residual is NaN at
-# these points; an array residual that lets them through is finite there.
+# is exactly 0 at x = 2, so w = 0 there.  The residual must be NaN at these
+# points; a pass that lets them through is finite there.
 _TINY = dict(r=1.0, k=1.0, a=1.0, b=1.0, a0=1e-300, d=1e-300, i0=1e-300, b0=1.0, g=1.0, j=3.0)
 DEGENERATE = {
     "D=0": (dict(_TINY, e=2.0, f=2.0, i0=1.0, h=1.0, i=1.0), slice(None)),
@@ -103,34 +103,33 @@ DEGENERATE = {
 }
 
 
-def _scalar_and_array_residuals(p):
-    xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
-    scalar = np.array([_prey_residual(float(x), p) for x in xs])
-    return scalar, _prey_residuals(xs, p)
-
-
-def test_array_residual_is_bitwise_equal_to_scalar():
-    cases = [INTERIOR_STABLE, INTERIOR_UNSTABLE, PREDPREY_CASE, PREDSCAV_CASE,
-             REFERENCE, MULTI2_CASE, NOROOT_CASE]
-    rng = np.random.default_rng(61)
-    params = [ModelParams(**c) for c in cases] + [rand_params(rng, 0.1, 3.0) for _ in range(300)]
-    nan_points = finite_points = 0
-    for p in params:
-        scalar, array = _scalar_and_array_residuals(p)
-        # tobytes compares bit patterns, NaN positions included
-        assert array.tobytes() == scalar.tobytes()
-        nan_points += int(np.isnan(scalar).sum())
-        finite_points += int(np.isfinite(scalar).sum())
-    assert nan_points > 0 and finite_points > 0
-
-
 @pytest.mark.parametrize("name", DEGENERATE)
 def test_array_residual_masks_degenerate_points(name):
     case, degenerate = DEGENERATE[name]
     p = ModelParams(**case)
-    scalar, array = _scalar_and_array_residuals(p)
-    assert np.isnan(scalar[degenerate]).all()
-    assert array.tobytes() == scalar.tobytes()
+    xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
+    assert np.isnan(_prey_residuals(xs, p)[0][degenerate]).all()
+
+
+def test_admissible_roots_are_steady_states_and_bound_the_scan_count():
+    rng = np.random.default_rng(2024)
+    roots_seen = 0
+    for _ in range(1000):
+        p = rand_params(rng, 0.1, 3.0)
+        report = interior_poly_crosscheck(p)
+        roots = np.array(report["admissible_roots"])
+        # every sign change the scan counts is a root, so the scan can
+        # miss roots but never count more than the polynomial admits
+        assert report["scan_sign_changes"] <= len(roots), p
+        if roots.size == 0:
+            continue
+        _, ys, zs = _prey_residuals(roots, p)
+        rhs = make_rhs(p)
+        for point in zip(roots, ys, zs):
+            # each component is a population times a per-capita rate
+            assert max(abs(v) for v in rhs(*point)) <= 1e-8 * max(1.0, *point), (p, point)
+            roots_seen += 1
+    assert roots_seen > 300
 
 
 def test_two_roots_raise_with_locations():
@@ -266,34 +265,61 @@ def test_poly_crosscheck_agreement(request):
     for name in ("unstable_params", "stable_params", "reference_params"):
         p = request.getfixturevalue(name)
         report = interior_poly_crosscheck(p)
-        assert set(report) >= {"agrees", "direct_x", "poly_positive_roots",
-                               "rel_err"}
+        assert set(report) == {"admissible_roots", "agrees", "scan_sign_changes"}
         assert report["agrees"]
-        assert report["rel_err"] < 1e-6
+        assert report["scan_sign_changes"] == 1
+        assert report["admissible_roots"] == [interior_equilibrium_direct(p).point[0]]
         coeffs = interior_poly_coeffs(p)
         assert len(coeffs) == 13
+        assert report["admissible_roots"][0] in positive_real_roots(coeffs)
 
 
 def test_poly_crosscheck_ignores_inadmissible_roots(predscav_params):
     # this set has a second positive polynomial root whose y/z pair is
-    # inadmissible; agreement still holds because x* is among the roots
+    # inadmissible; only x* is counted, so the scan's one root agrees
+    poly_roots = positive_real_roots(interior_poly_coeffs(predscav_params))
     report = interior_poly_crosscheck(predscav_params)
-    assert len(report["poly_positive_roots"]) == 2
+    assert len(poly_roots) == 2
+    assert len(report["admissible_roots"]) == 1
+    assert report["admissible_roots"][0] in poly_roots
     assert report["agrees"]
-    assert report["rel_err"] < 1e-6
 
 
 def test_poly_crosscheck_survives_multiple_roots():
     report = interior_poly_crosscheck(ModelParams(**MULTI2_CASE))
-    # with no unique direct root there is nothing to compare against
-    assert report["direct_x"] is None
-    assert report["agrees"] is None
-    assert len(report["poly_positive_roots"]) >= 2
+    assert report["admissible_roots"] == pytest.approx([0.026125, 0.657764], abs=1e-5)
+    assert report["scan_sign_changes"] == 2
+    assert report["agrees"]
+
+
+SCAN_MISS_ROOTS = {
+    "rng123-371": [0.6104655437],
+    "rng123-1137": [0.4315090616, 0.5555999096],
+    "rng123-1254": [0.1817787742, 0.9419313091],
+    "rng7-1012": [0.0073263719, 0.2853517532, 0.3844385616],
+}
+
+
+@pytest.mark.parametrize("name", SCAN_MISS_CASES)
+def test_roots_the_scan_misses_are_found_and_flagged(name):
+    p = ModelParams(**SCAN_MISS_CASES[name])
+    roots = SCAN_MISS_ROOTS[name]
+    entry = next(eq for eq in all_equilibria(p) if eq.label == LABEL_INTERIOR)
+    if len(roots) == 1:
+        assert entry.point[0] == pytest.approx(roots[0], abs=1e-9)
+        assert _residual(p, entry.point, Subsystem.FULL) <= 1e-8 * max(1.0, *entry.point)
+    else:
+        assert entry.flag == "multiple_roots"
+        assert entry.aux["roots"] == pytest.approx(roots, abs=1e-9)
+    report = interior_poly_crosscheck(p, entry)
+    assert report["admissible_roots"] == pytest.approx(roots, abs=1e-9)
+    assert report["scan_sign_changes"] == len(roots) - 1
+    assert report["agrees"] is False
 
 
 def test_poly_crosscheck_reuses_the_interior_entry(request):
     # analyze passes the entry all_equilibria already holds; the report must
-    # equal the one from the cross-check's own scan, flagged cases included
+    # equal the one from the cross-check's own solve, flagged cases included
     cases = [request.getfixturevalue(name) for name in
              ("stable_params", "unstable_params", "predscav_params")]
     cases += [ModelParams(**MULTI2_CASE), ModelParams(**NOROOT_CASE)]

@@ -2,6 +2,7 @@
 exactly, and malformed or invalid parameter input is rejected."""
 
 import math
+import re
 import string
 
 import numpy as np
@@ -85,14 +86,15 @@ def _not_a_float(text):
     return False
 
 
-# a line without '=', or a key with a value float() rejects; neither may
-# carry a comment or a line break
+# a line without '=', a key with a value float() rejects, or a second valid
+# value for a key; none may carry a comment or a line break
 line_text = st.text(alphabet=string.printable.translate({ord(c): None for c in "#\n\r"}),
                     max_size=12)
 malformed = st.one_of(
     line_text.filter(lambda s: "=" not in s and s.strip()),
     st.tuples(st.sampled_from(PARAM_ORDER), line_text.filter(_not_a_float))
     .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.tuples(st.sampled_from(PARAM_ORDER), positive).map(lambda kv: f"{kv[0]} = {kv[1]!r}"),
 )
 
 
@@ -103,8 +105,15 @@ def test_params_load_rejects_a_malformed_line(tmp_path_factory, p, bad, at):
     lines.insert(at, bad)
     path = tmp_path_factory.mktemp("bad") / "p.params"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         ModelParams.load(path)
+    # the message names the file and the bad line; for a key set twice it
+    # names both lines, and the bad one may be either
+    msg = str(info.value)
+    assert msg.startswith(f"{path}:")
+    lineno, _, rest = msg[len(f"{path}:"):].partition(":")
+    named = {int(lineno)} | {int(n) for n in re.findall(r"already set on line (\d+)$", rest)}
+    assert at + 1 in named
 
 
 invalid = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
