@@ -240,24 +240,28 @@ def make_jacobian(p: ModelParams):
         qa = 1.0 + a0 * x2
         qb = 1.0 + b0 * x2
         qi = 1.0 + i0 * z2
-        # the three type-III shapes, their state derivatives 2u/(1 + c u^2)^2,
-        # and their handling-time derivatives -u^4/(1 + c u^2)^2 = -shape^2
+        # the three type-III shapes and their state derivatives 2u/(1 + c u^2)^2
         ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
-        dua, dub, dui = 2.0 * x / (qa * qa), 2.0 * x / (qb * qb), 2.0 * z / (qi * qi)
-        ua2, ub2, ui2 = ua * ua, ub * ub, ui * ui
+        tx = 2.0 * x
+        dua, dub, dui = tx / (qa * qa), tx / (qb * qb), 2.0 * z / (qi * qi)
+        # each shape times the population it meets, once with and once
+        # without its handling-time derivative -u^4/(1 + c u^2)^2 = -shape^2;
+        # arrays cost a numpy call per operation, so shared factors are formed once
+        uay, ubz, uiy = ua * y, ub * z, ui * y
+        ua2y, ub2z, ui2y = ua * uay, ub * ubz, ui * uiy
         return (
             # prey row: x, y, z | r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j
-            r * (1.0 - 2.0 * x / k) - a * dua * y - b * dub * z, -a * ua, -b * ub,
-            x * (1.0 - x / k), r * x2 / (k * k), -ua * y, a * ua2 * y, -ub * z, b * ub2 * z,
+            r * (1.0 - tx / k) - a * dua * y - b * dub * z, -a * ua, -b * ub,
+            x - x2 / k, x2 * (r / (k * k)), -uay, a * ua2y, -ubz, b * ub2z,
             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
             # predator row
             d * dua * y, d * ua + f * ui - e, f * dui * y,
-            0.0, 0.0, 0.0, -d * ua2 * y, 0.0, 0.0,
-            ua * y, -y, ui * y, 0.0, 0.0, 0.0, -f * ui2 * y, 0.0,
+            0.0, 0.0, 0.0, -d * ua2y, 0.0, 0.0,
+            uay, -y, uiy, 0.0, 0.0, 0.0, -f * ui2y, 0.0,
             # scavenger row
             g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j,
-            0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2 * z,
-            0.0, 0.0, 0.0, ub * z, y * z, -y * ui, i * y * ui2, -z,
+            0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2z,
+            0.0, 0.0, 0.0, ubz, y * z, -uiy, i * ui2y, -z,
         )
 
     return jac

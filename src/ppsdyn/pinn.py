@@ -22,9 +22,12 @@ cap (see simulate_on_data); `simulate` and `synth` integrate on regardless.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
-so it is comparable with derivatives of the normalized series.  That scale,
-the data derivative and the observed states are computed once per dataset
-(_physics_data), not once per loss evaluation.
+so it is comparable with derivatives of the normalized series.  What each
+term reads of the dataset is computed once per stage, not once per loss
+evaluation: the misfit's start state, solver settings and normalization
+(_fit_data), and the physics term's scale, data derivative and observed
+states (_physics_data).  The parameters are built once per evaluation and
+shared by both terms.
 """
 
 from __future__ import annotations
@@ -180,30 +183,59 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
     with the offending parameters attached, when p cannot be integrated over
     the data horizon.
     """
-    return _total_loss(p, ds, _physics_data(ds), tol, gradient)
+    phys = _physics_data(ds)
+    params = ModelParams.from_array(np.asarray(p, dtype=float))
+    return _total_loss(params, _fit_data(ds, ds.raw_times, tol), phys, gradient)
 
 
-def _total_loss(p, ds: Dataset, phys, tol: float, gradient: bool):
-    """total_loss with the physics term's dataset constants, phys =
-    _physics_data(ds), computed by the caller once per dataset."""
-    p = np.asarray(p, dtype=float)
-    mse, g_mse = _misfit(p, ds, tol, gradient)
-    pie, g_pie = _physics_term(p, *phys)
+def _total_loss(params: ModelParams, fit: _Fit, phys, gradient: bool):
+    """total_loss with the dataset constants of both terms, fit =
+    _fit_data(ds, ds.raw_times, tol) and phys = _physics_data(ds), computed
+    by the caller once per dataset and stage."""
+    mse, g_mse = _misfit(params, fit, gradient)
+    pie, g_pie = _physics_term(params, *phys)
     return (mse + pie, mse, pie, g_mse, g_pie) if gradient else (mse + pie, mse, pie)
 
 
-def _misfit(p, ds: Dataset, tol: float, gradient: bool):
+def _misfit(params: ModelParams, fit: _Fit, gradient: bool):
     """(mse, d mse/dp) of the model run from the first observation against
-    the observations, from one integration; d mse/dp is None unless
-    gradient is set."""
-    traj, pred = simulate_on_data(ModelParams.from_array(p), ds, ds.raw_times, tol,
-                                  sensitivities=gradient)
-    mse = float(np.mean(np.sum((pred - ds.observations) ** 2, axis=1)))
+    the observations, from one integration; fit = _fit_data(...), and
+    d mse/dp is None unless gradient is set."""
+    traj, pred = _simulate(params, fit, gradient)
+    resid = pred - fit.observations
+    mse = float(np.mean(np.sum(resid ** 2, axis=1)))
     if not gradient:
         return mse, None
     # d pred / dp is dx/dp over the column range
-    return mse, (2.0 / len(ds.times)) * np.einsum("tc,tcp->p", (pred - ds.observations) / ds.ranges,
-                                                  traj.sensitivities)
+    return mse, (2.0 / len(resid)) * np.einsum("tc,tcp->p", resid / fit.ranges, traj.sensitivities)
+
+
+class _Fit(NamedTuple):
+    """What an estimation run reads of a dataset at one tolerance: its start
+    state, solver settings and raw grid, and the observations with the
+    affine map into their normalized units."""
+
+    s0: State
+    cfg: SolverConfig
+    grid: list
+    observations: np.ndarray
+    mins: np.ndarray
+    ranges: np.ndarray
+
+
+def _fit_data(ds: Dataset, raw_grid, tol: float) -> _Fit:
+    """All that simulate_on_data(params, ds, raw_grid, tol) needs besides
+    params, built once per dataset and stage rather than once per
+    integration; the grid as Python floats, as the solver reads it."""
+    raw_grid = [float(v) for v in raw_grid]
+    x0, y0, z0 = ds.raw_observations[0]
+    scale = max(np.max(ds.maxs), -np.min(ds.mins))
+    cfg = SolverConfig(t_end=raw_grid[-1], tol=tol, negativity_policy="clamp",
+                       max_steps=LOSS_MAX_STEPS,
+                       overflow_limit=min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale),
+                       stiff_test_every=STIFF_TEST_EVERY)
+    s0 = State(float(x0), float(y0), float(z0), raw_grid[0])
+    return _Fit(s0, cfg, raw_grid, ds.observations, ds.mins, ds.ranges)
 
 
 def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
@@ -218,20 +250,18 @@ def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
     accepted step on.  Raises IntegrationFailed, with the parameters
     attached, when params cannot be integrated over the grid.
     """
-    x0, y0, z0 = ds.raw_observations[0]
-    scale = max(np.max(ds.maxs), -np.min(ds.mins))
-    cfg = SolverConfig(t_end=raw_grid[-1], tol=tol, negativity_policy="clamp",
-                       max_steps=LOSS_MAX_STEPS,
-                       overflow_limit=min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale),
-                       stiff_test_every=STIFF_TEST_EVERY)
+    return _simulate(params, _fit_data(ds, raw_grid, tol), sensitivities)
+
+
+def _simulate(params: ModelParams, fit: _Fit, sensitivities: bool):
+    """simulate_on_data with its dataset constants, fit = _fit_data(...)."""
     try:
-        traj = integrate(params, State(float(x0), float(y0), float(z0), float(raw_grid[0])), cfg,
-                         t_eval=raw_grid, sensitivities=sensitivities)
+        traj = integrate(params, fit.s0, fit.cfg, t_eval=fit.grid, sensitivities=sensitivities)
     except IntegrationFailed as exc:
         if exc.params is None:
             exc.params = [float(v) for v in params.as_array()]
         raise
-    return traj, (traj.states - ds.mins) / ds.ranges
+    return traj, (traj.states - fit.mins) / fit.ranges
 
 
 def _physics_data(ds: Dataset):
@@ -242,11 +272,10 @@ def _physics_data(ds: Dataset):
     return data_derivative(ds), ds.raw_observations.T, (ds.t_end - ds.t_start) / ds.ranges
 
 
-def _physics_term(p, deriv, observed, scale):
+def _physics_term(params: ModelParams, deriv, observed, scale):
     """(pie, d pie/dp): the mean squared gap between the data derivative and
     the right-hand side at the observed states, with no integration; the
     last three arguments are _physics_data(ds)."""
-    params = ModelParams.from_array(p)
     # the closures are elementwise, so one call on the observation columns
     # equals one call per observed state, bit for bit
     model_deriv = np.array(make_rhs(params)(*observed)).T * scale
@@ -259,11 +288,12 @@ def _physics_term(p, deriv, observed, scale):
 
 
 def _loss_or_inf(term, p, *args):
-    """term(p, *args), a (value, gradient) pair, or an infinite value and
-    gradient where p is non-positive or non-finite or cannot be integrated."""
+    """term(params, *args), a (value, gradient) pair for the parameters of
+    vector p, or an infinite value and gradient where p is non-positive or
+    non-finite or cannot be integrated."""
     if np.all(np.isfinite(p)) and np.all(p > 0):
         try:
-            return term(p, *args)
+            return term(ModelParams.from_array(p), *args)
         except IntegrationFailed:
             pass
     return math.inf, np.full(14, math.inf)
@@ -275,9 +305,10 @@ class TraceRow(NamedTuple):
     pie: float
 
 
-def _network_term(p, ds: Dataset, phys):
-    """(TraceRow, d total/dp) at tolerance 1e-6, the network stage's loss."""
-    total, mse, pie, g_mse, g_pie = _total_loss(p, ds, phys, 1e-6, gradient=True)
+def _network_term(params: ModelParams, fit: _Fit, phys):
+    """(TraceRow, d total/dp), the network stage's loss, with fit built at
+    tolerance 1e-6."""
+    total, mse, pie, g_mse, g_pie = _total_loss(params, fit, phys, gradient=True)
     return TraceRow(total, mse, pie), g_mse + g_pie
 
 
@@ -294,6 +325,7 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
     before the first epoch.
     """
     phys = _physics_data(ds)
+    fit = _fit_data(ds, ds.raw_times, 1e-6)
     rng = np.random.default_rng(seed)
     inp = np.exp(rng.standard_normal(14))
     net = init_mlp(rng)
@@ -305,7 +337,7 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
         _unpack_into(net, theta)
         p_raw, caches = _forward_cached(net, inp)
         pf = np.maximum(p_raw, PARAM_FLOOR)
-        row, dEdp = _loss_or_inf(_network_term, pf, ds, phys)
+        row, dEdp = _loss_or_inf(_network_term, pf, fit, phys)
         if not (np.all(np.isfinite(row)) and np.all(np.isfinite(dEdp))):
             raise NonFiniteLoss(f"training loss or gradient non-finite at epoch {len(trace)}",
                                 history=trace, best=best_p)
@@ -361,10 +393,12 @@ def _log_mse(ds: Dataset):
     differences BFGS measures.
     """
 
+    fit = _fit_data(ds, ds.raw_times, 1e-9)
+
     def fun(u):
         with np.errstate(over="ignore", invalid="ignore"):
             p = np.exp(u)
-            mse, g_mse = _loss_or_inf(_misfit, p, ds, 1e-9, True)
+            mse, g_mse = _loss_or_inf(_misfit, p, fit, True)
             return mse, g_mse * p
 
     return fun
@@ -401,7 +435,7 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     final = np.exp(u_polish)
     post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
     try:
-        final_pie = _physics_term(final, *_physics_data(ds))[0]
+        final_pie = _physics_term(ModelParams.from_array(final), *_physics_data(ds))[0]
     except ValueError:  # exp(u) overflowed or underflowed
         final_pie = math.inf
     return EstimationReport(

@@ -35,7 +35,12 @@ That makes S the exact derivative of the computed output for its step
 sequence.  Error control never reads S, so S is computed from a log of the
 accepted steps, batched over the steps, only once the loop completes: rejected
 steps cost nothing, an integration that fails computes no S at all, and the
-steps and states are bitwise the same with or without it.
+steps and states are bitwise the same with or without it.  The log keeps
+each step's unclamped end, where the 7th stage and its sensitivity are
+taken.  On steps this short the pass costs numpy calls rather than
+arithmetic, so a block of logged steps becomes dx/dp in a fixed number of
+array operations (one Jacobian evaluation, the stage substitution and the
+output points) plus one matrix product per step (see _DenseOutput).
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ _P = np.stack([_FIRST, 3 * _B7 - 2 * _FIRST - _LAST + _D,
 # accepted steps per batch of the dense-output and sensitivity pass
 _BLOCK = 128
 _NP = JACOBIAN_COLUMNS - 3  # parameters
+_EYE = np.eye(_NP)
 
 
 @dataclass(frozen=True)
@@ -295,19 +301,24 @@ class _DenseOutput:
     """States, and dx/dp on request, at the t_eval points before the last one.
 
     The step loop logs one row per accepted step: its start time and size,
-    its start state and its seven stage slopes, the last one taken at the
-    unclamped endpoint.  Each block of rows is packed into an array.
-    Without a Jacobian closure a block is turned into output as soon as it
-    is packed, so memory stays bounded on long runs; with one, the blocks
-    wait, in order, until the step loop completes, so an integration that
-    fails never evaluates the closure.  A block becomes output in a few
-    array operations.  States come from the 4th-order continuous extension
-    of the step.  For dx/dp, the Jacobian closure is evaluated once on the
-    block's stage states; a forward substitution over the six stages, batched
-    over the steps, gives each step's sensitivity stages as an affine function
-    of its start value S, so the step maps S to A S + c; a short loop runs
-    that recursion, and the output points use the same interpolation weights
-    on the sensitivity stages.  S is carried from one block to the next.
+    its start state, its seven stage slopes, the last one taken at the
+    unclamped end, and that unclamped end.  Each block of rows is packed
+    into an array.  Without a Jacobian closure a block is turned into output
+    as soon as it is packed, so memory stays bounded on long runs; with one,
+    the blocks wait, in order, until the step loop completes, so an
+    integration that fails never evaluates the closure.  A block becomes
+    output in a few array operations.  States come from the 4th-order
+    continuous extension of the step.  For dx/dp, the Jacobian closure is
+    evaluated once on the block's stage states and the logged ends of the
+    steps that hold output points.  A forward substitution over the six
+    stages, batched over the steps, gives each step's sensitivity stages
+    X_j = [dK_j/dS | dK_j/dp] as an affine function of its start value S, so
+    the step maps [S; I] to its end E = G [S; I]; a short loop runs that
+    recursion, one matrix product per step.  The interpolation weights W are
+    contracted with the stages once per output point, Y = h sum_j W_j X_j
+    over the six stages and Z = h W_7 J(end), and the point's dx/dp is
+    S + Y [S; I] + Z [E; I], the 7th stage taken at the unclamped end.  S is
+    carried from one block to the next.
     """
 
     def __init__(self, points, dirn, clamp, jac):
@@ -315,9 +326,10 @@ class _DenseOutput:
         self.dirn = dirn
         self.clamp = clamp
         self.jac = jac
-        self.states = np.empty((len(points), 3))
+        # rows for t0, the points and the last target, filled in order
+        self.states = np.empty((len(points) + 2, 3))
         self.S = np.zeros((3, _NP)) if jac is not None else None
-        self.sens = np.empty((len(points), 3, _NP)) if jac is not None else None
+        self.sens = np.empty((len(points) + 2, 3, _NP)) if jac is not None else None
         self.done = 0
         self.pending = []  # packed blocks not yet turned into output
 
@@ -334,7 +346,7 @@ class _DenseOutput:
     def _output(self, rows):
         m = len(rows)
         t, hs, y0 = rows[:, 0], rows[:, 1], rows[:, 2:5]
-        K = rows[:, 5:].reshape(m, 7, 3)
+        K = rows[:, 5:26].reshape(m, 7, 3)
         key = self.dirn * (t + hs)  # step ends
         lo = self.done
         hi = lo + int(np.searchsorted(self.key[lo:], key[-1], side="right"))
@@ -347,49 +359,53 @@ class _DenseOutput:
         out = y0[n] + hn * (W[:, None, :] @ K[n])[:, 0]
         clipped = (out < 0.0) & self.clamp
         out[clipped] = 0.0
-        self.states[lo:hi] = out
+        self.states[1 + lo:1 + hi] = out
         if self.jac is None:
             return
 
-        h = hs[:, None]
-        # the unclamped endpoints, in the loop's order of operations, so the
-        # signs that decided each clamp agree bit for bit
-        ends = y0 + h * (_B1 * K[:, 0] + _B3 * K[:, 2] + _B4 * K[:, 3] + _B5 * K[:, 4] + _B6 * K[:, 5])
-        stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
-        M = jacobian_matrices(self.jac, *np.concatenate([stage_states.reshape(-1, 3), ends[n]]).T)
-        # a copy, so that no view keeps the stage Jacobians alive once X is
-        # consumed
-        M_end = M[6 * m:].copy()
-        # X[:, i] = [dK_i/dS | dK_i/dp] from K_i = J_i (S + hs sum_j a_ij K_j) + jp_i,
-        # by forward substitution over the stages, each written over its J_i
-        X = M[: 6 * m].reshape(m, 6, 3, JACOBIAN_COLUMNS)
-        del M
-        for i in range(1, 6):
-            acc = (_A[i, :i] @ X[:, :i].reshape(m, i, -1)).reshape(m, 3, JACOBIAN_COLUMNS)
-            X[:, i] = X[:, i] + h[:, None] * (X[:, i, :, :3] @ acc)
-        G = (h * (_B @ X.reshape(m, 6, -1))).reshape(m, 3, JACOBIAN_COLUMNS)
-        # only the stages of the steps with output points are used from here
-        # on; the rest of the block is released
-        X = X[n]
-        # each step maps S to a S + c; max(v, 0) has derivative 0 where it clips
-        keep = (ends >= 0.0)[:, :, None] if self.clamp else 1.0
-        S = self.S
-        starts = [S]
-        for a, c in zip(keep * (np.eye(3) + G[:, :, :3]), keep * G[:, :, 3:]):
-            S = a @ S + c
-            starts.append(S)
-        self.S = S
-
-        # the sensitivity stages of the steps with output points; the 7th is
-        # taken at the unclamped endpoint
-        Sn = np.array(starts)[n]
-        KS = X[..., :3] @ Sn[:, None] + X[..., 3:]
-        end_s = Sn + hn[:, None] * (_B @ KS.reshape(-1, 6, 3 * _NP)).reshape(-1, 3, _NP)
-        K7 = M_end[..., :3] @ end_s + M_end[..., 3:]
-        KS = np.concatenate([KS, K7[:, None]], axis=1).reshape(-1, 7, 3 * _NP)
-        out_s = Sn + hn[:, None] * (W[:, None, :] @ KS).reshape(-1, 3, _NP)
+        ends = rows[:, 26:]
+        G, Y, Z = self._step_maps(hs[:, None], y0, K, ends[n], n, hn * W)
+        # T[i] = [S; I] at the start of step i, and step i maps it to its end
+        # E = G[i] [S; I]; max(v, 0) has derivative 0 where it clips, so a
+        # clamped step zeroes those rows of E
+        T = np.empty((m + 1, JACOBIAN_COLUMNS, _NP))
+        T[:, 3:] = _EYE
+        T[0, :3] = self.S
+        clamps = self.clamp and ends.min() < 0.0
+        maps = G * (ends >= 0.0)[:, :, None] if clamps else G
+        for g, start, end in zip(list(maps), list(T[:-1]), list(T[1:, :3])):
+            np.matmul(g, start, out=end)
+        self.S = T[m, :3].copy()
+        # the output points: S + Y [S; I] + Z [E; I], the 7th stage taken at
+        # the step's unclamped end
+        Sn = T[n, :3]
+        En = G[n] @ T[n] if clamps else T[n + 1, :3]
+        out_s = Sn + Y[..., :3] @ Sn + Z[..., :3] @ En + (Y[..., 3:] + Z[..., 3:])
         out_s[clipped] = 0.0
-        self.sens[lo:hi] = out_s
+        self.sens[1 + lo:1 + hi] = out_s
+
+    def _step_maps(self, h, y0, K, ends, n, hW):
+        """The sensitivity stages of a block of steps, contracted: G[i] =
+        [I | 0] + h_i sum_j b_j X_ij maps [S; I] at the start of step i to its
+        end, and for the output points, in steps n with weights hW = h W,
+        Y = h sum_j W_j X_nj over the six stages and Z = h W_7 J(end) at the
+        step's end (ends); X_ij = [dK_j/dS | dK_j/dp] of step i."""
+        m = len(h)
+        stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
+        M = jacobian_matrices(self.jac, *np.concatenate([stage_states.reshape(-1, 3), ends]).T)
+        # X[:, j] from K_j = J_j (S + hs sum_l a_jl K_l) + jp_j, by forward
+        # substitution over the stages, each written over its J_j in place,
+        # with hs folded into the tableau rows; the tableau is strictly lower
+        # triangular, so a whole row reads only earlier stages
+        X = M[: 6 * m].reshape(m, 6, 3, JACOBIAN_COLUMNS)
+        flat = X.reshape(m, 6, 3 * JACOBIAN_COLUMNS)
+        hA = (h[:, None] * _A)[:, :, None]
+        for row, Xj in zip(list(hA.swapaxes(0, 1))[1:], list(X.swapaxes(0, 1))[1:]):
+            Xj += Xj[..., :3] @ (row @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
+        G = ((h * _B)[:, None] @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
+        G[:, :, :3] += _EYE[:3, :3]
+        Y = (hW[:, None, :6] @ flat[n]).reshape(-1, 3, JACOBIAN_COLUMNS)
+        return G, Y, hW[:, 6, None, None] * M[6 * m:]
 
     def finish(self, t0, s0, targets, final, diag) -> Trajectory:
         """The trajectory at t0 and at the targets; the last target, and any
@@ -397,14 +413,14 @@ class _DenseOutput:
         state."""
         while self.pending:
             self._output(self.pending.pop(0))
-        self.states[self.done:] = final
-        diag.min_component = min(diag.min_component, float(self.states.min(initial=math.inf)))
-        states = np.concatenate([[s0], self.states, [final]])
-        sens = None
+        self.states[0] = s0
+        self.states[1 + self.done:] = final
+        diag.min_component = min(diag.min_component,
+                                 float(self.states[1:-1].min(initial=math.inf)))
         if self.jac is not None:
-            self.sens[self.done:] = self.S
-            sens = np.concatenate([np.zeros((1, 3, _NP)), self.sens, [self.S]])
-        return Trajectory(np.array([t0] + targets), states, diag, sens)
+            self.sens[0] = 0.0
+            self.sens[1 + self.done:] = self.S
+        return Trajectory(np.array([t0] + targets), self.states, diag, self.sens)
 
 
 def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Trajectory:
@@ -523,7 +539,8 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
                         stiff = 0
             if log is not None:
                 log.append((t, hs, x, y, z, f1x, f1y, f1z, f2x, f2y, f2z, f3x, f3y, f3z,
-                            f4x, f4y, f4z, f5x, f5y, f5z, f6x, f6y, f6z, f7x, f7y, f7z))
+                            f4x, f4y, f4z, f5x, f5y, f5z, f6x, f6y, f6z, f7x, f7y, f7z,
+                            xn, yn, zn))
                 if len(log) == _BLOCK:
                     dense.push(log)
             t = t + hs

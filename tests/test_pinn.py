@@ -181,7 +181,7 @@ def test_estimate_rejects_a_nonuniform_grid_before_integrating(reference_dataset
     ds = copy.deepcopy(reference_dataset)
     ds.times[5] += 0.3 * (ds.times[6] - ds.times[5])
     calls = []
-    monkeypatch.setattr(ppsdyn.pinn, "simulate_on_data", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(ppsdyn.pinn, "_simulate", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="uniform"):
         estimate(ds, seed=0, epochs=epochs, bfgs_iterations=2)
     assert calls == []
@@ -350,14 +350,20 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     # term; every polish evaluation is one gradient integration at 1e-9, at
     # x0 and at each line-search candidate, with no physics term; the
     # accepted point is not integrated a second time, and the final physics
-    # term needs no integration at all
-    calls, physics_at, candidates = [], [], [0]
-    real_simulate, real_physics = ppsdyn.pinn.simulate_on_data, ppsdyn.pinn._physics_term
+    # term needs no integration at all; each stage builds its dataset
+    # constants once, not once per integration
+    calls, physics_at, candidates, built = [], [], [0], []
+    real_simulate, real_physics = ppsdyn.pinn._simulate, ppsdyn.pinn._physics_term
     real_line_search = ppsdyn.optimize._line_search
+    real_fit_data = ppsdyn.pinn._fit_data
 
-    def counting_simulate(params, ds, raw_grid, tol, sensitivities=False):
-        calls.append((tol, sensitivities))
-        return real_simulate(params, ds, raw_grid, tol, sensitivities=sensitivities)
+    def counting_simulate(params, fit, sensitivities):
+        calls.append((fit.cfg.tol, sensitivities))
+        return real_simulate(params, fit, sensitivities)
+
+    def counting_fit_data(ds, raw_grid, tol):
+        built.append((tol, len(calls)))
+        return real_fit_data(ds, raw_grid, tol)
 
     def counting_physics(*args, **kwargs):
         physics_at.append(len(calls))
@@ -369,7 +375,8 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
             return fun(u)
         return real_line_search(counted, *args)
 
-    monkeypatch.setattr(ppsdyn.pinn, "simulate_on_data", counting_simulate)
+    monkeypatch.setattr(ppsdyn.pinn, "_simulate", counting_simulate)
+    monkeypatch.setattr(ppsdyn.pinn, "_fit_data", counting_fit_data)
     monkeypatch.setattr(ppsdyn.pinn, "_physics_term", counting_physics)
     monkeypatch.setattr(ppsdyn.optimize, "_line_search", counting_line_search)
     report = estimate(readme_dataset, seed=0, epochs=3, bfgs_iterations=15)
@@ -379,6 +386,7 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     assert candidates[0] >= 15
     # one physics term after each epoch's integration, then one for final_pie
     assert physics_at == [1, 2, 3, len(calls)]
+    assert built == [(1e-6, 0), (1e-9, 3)]
 
 
 def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch):
@@ -400,7 +408,7 @@ def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch)
     # an integration that fails in epoch 5 aborts training with the five
     # finished rows and the prediction of the lowest total among them;
     # estimate records the abort and polishes from that prediction
-    real_simulate = ppsdyn.pinn.simulate_on_data
+    real_simulate = ppsdyn.pinn._simulate
     predictions = []
 
     def failing_fifth_epoch(params, *args, **kwargs):
@@ -409,7 +417,7 @@ def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch)
             raise IntegrationFailed("forced")
         return real_simulate(params, *args, **kwargs)
 
-    monkeypatch.setattr(ppsdyn.pinn, "simulate_on_data", failing_fifth_epoch)
+    monkeypatch.setattr(ppsdyn.pinn, "_simulate", failing_fifth_epoch)
     with pytest.raises(NonFiniteLoss) as info:
         train_pinn(readme_dataset, seed=1, epochs=20)
     assert str(info.value) == "training loss or gradient non-finite at epoch 5"

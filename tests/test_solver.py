@@ -316,11 +316,12 @@ def test_sensitivities_leave_steps_and_states_bitwise_unchanged(reference_params
 def test_failed_gradient_integration_evaluates_no_jacobian(monkeypatch, reference_params):
     # dx/dp is computed only once the step loop completes, so a run that
     # overflows, here after several full blocks of logged steps, never
-    # evaluates the Jacobian closure
+    # evaluates the Jacobian closure; a run that finishes evaluates it once
+    # per block of logged steps, on all of the block's states at once
     calls = []
 
     def counting(*args):
-        calls.append(1)
+        calls.append(len(args[1]))
         return jacobian_matrices(*args)
 
     monkeypatch.setattr("ppsdyn.solver.jacobian_matrices", counting)
@@ -330,8 +331,38 @@ def test_failed_gradient_integration_evaluates_no_jacobian(monkeypatch, referenc
         integrate(blow_up, State(1.0, 1.0, 1.0), SolverConfig(t_end=5.0), t_eval=GRID,
                   sensitivities=True)
     assert calls == []
-    integrate(reference_params, README_S0, _loss_cfg(1e-9), t_eval=GRID, sensitivities=True)
-    assert len(calls) >= 1
+    long_grid = np.linspace(0.0, 40.0, 60)
+    for grid, cfg in ((GRID, _loss_cfg(1e-9)), (long_grid, SolverConfig(t_end=40.0, tol=1e-10))):
+        calls.clear()
+        diag = integrate(reference_params, README_S0, cfg, t_eval=grid, sensitivities=True).diagnostics
+        accepted = diag.steps - diag.rejected
+        assert len(calls) == -(-accepted // _BLOCK)
+        # six stage states per step, and the end of the step of each of the
+        # points before the last
+        assert sum(calls) == 6 * accepted + len(grid) - 2
+    assert len(calls) > 2
+
+
+@pytest.mark.parametrize("case", ["readme", "collapse"])
+def test_sensitivities_do_not_depend_on_the_block_size(monkeypatch, reference_params, case):
+    # S is carried from one block of logged steps to the next, and a
+    # clamped step's end is logged unclamped; cutting the same run into
+    # blocks of 3 steps must change neither the steps nor dx/dp
+    if case == "readme":
+        args = (reference_params, README_S0, _loss_cfg(1e-9), GRID)
+    else:
+        args = (COLLAPSE, COLLAPSE_S0, COLLAPSE_CFG, np.linspace(0.0, 2.0, 41))
+    p, s0, cfg, grid = args
+    whole = integrate(p, s0, cfg, t_eval=grid, sensitivities=True)
+    monkeypatch.setattr("ppsdyn.solver._BLOCK", 3)
+    cut = integrate(p, s0, cfg, t_eval=grid, sensitivities=True)
+    assert whole.diagnostics.steps - whole.diagnostics.rejected > 3  # two blocks or more
+    if case == "collapse":
+        assert whole.diagnostics.clamped > 0
+    assert whole.states.tobytes() == cut.states.tobytes()
+    assert whole.diagnostics == cut.diagnostics
+    scale = np.max(np.abs(whole.sensitivities))
+    assert np.max(np.abs(whole.sensitivities - cut.sensitivities)) <= 1e-14 * scale
 
 
 def test_sensitivities_match_central_differences(reference_params):
@@ -408,6 +439,28 @@ def test_clamped_interpolated_sample_is_clipped_with_zero_sensitivity():
     assert inside.sum() >= 2
     assert np.all(traj.sensitivities[inside, 0, :] == 0.0)
     assert np.any(traj.sensitivities[inside, 1:, :] != 0.0)
+
+
+def test_clamped_step_sensitivity_is_exact_derivative_of_the_steps():
+    # two fixed steps (loose tolerances accept both at the given size), the
+    # first one clamped at its end: the samples inside it interpolate the 7th
+    # stage, taken at the unclamped end, so their dx/dp must follow that end,
+    # and the samples of the second step the clamped state it starts from
+    cfg = SolverConfig(t_end=1.0, step=0.5, tol=10.0, negativity_policy="clamp")
+    grid = np.linspace(0.0, 1.0, 13)
+    traj = integrate(COLLAPSE, COLLAPSE_S0, cfg, t_eval=grid, sensitivities=True)
+    assert (traj.diagnostics.steps, traj.diagnostics.clamped) == (2, 1)
+    pv = COLLAPSE.as_array()
+    for col in range(14):
+        h = 1e-6 * pv[col]
+        up, dn = pv.copy(), pv.copy()
+        up[col] += h
+        dn[col] -= h
+        fu = integrate(ModelParams.from_array(up), COLLAPSE_S0, cfg, t_eval=grid)
+        fdn = integrate(ModelParams.from_array(dn), COLLAPSE_S0, cfg, t_eval=grid)
+        assert fu.diagnostics == fdn.diagnostics == traj.diagnostics
+        fd = (fu.states - fdn.states) / (2 * h)
+        assert np.max(np.abs(traj.sensitivities[:, :, col] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
 
 
 def test_t_eval_keeps_the_free_running_step_sequence(reference_params):
