@@ -50,14 +50,15 @@ def _svg_document(width, height, body) -> str:
 
 
 def _thin(arr):
+    """Every stride-th point, and the last one, so at most _MAX_PLOT_POINTS + 1."""
+    arr = np.asarray(arr)
     n = len(arr)
     if n <= _MAX_PLOT_POINTS:
-        return np.asarray(arr)
+        return arr
     stride = -(-n // _MAX_PLOT_POINTS)
-    thinned = list(arr[::stride])
     if (n - 1) % stride:
-        thinned.append(arr[-1])
-    return np.asarray(thinned)
+        return np.concatenate((arr[::stride], arr[-1:]))
+    return arr[::stride]
 
 
 def _panel(curves, left, top, width, height, title, xlabel, ylabel) -> str:
@@ -72,8 +73,6 @@ def _panel(curves, left, top, width, height, title, xlabel, ylabel) -> str:
         y1 = y0 + 1.0
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
-    px = lambda v: left + (v - x0) / (x1 - x0) * width
-    py = lambda v: top + height - (v - y0) / (y1 - y0) * height
     parts = [
         f'<rect x="{left}" y="{top}" width="{width}" height="{height}" '
         'fill="none" stroke="#888"/>',
@@ -86,7 +85,11 @@ def _panel(curves, left, top, width, height, title, xlabel, ylabel) -> str:
         f'<text x="{left - 4}" y="{top + 10}" text-anchor="end">{y1:.3g}</text>',
     ]
     for li, (label, color, dash, xs, ys) in enumerate(curves):
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        # whole-array pixel maps, the same IEEE operations in the same order
+        # as one point at a time; tolist() gives floats that format fast
+        px = (left + (xs - x0) / (x1 - x0) * width).tolist()
+        py = (top + height - (ys - y0) / (y1 - y0) * height).tolist()
+        pts = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(px, py)])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash_attr} points="{pts}"/>'

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import MaskViolation, NumericalOverflow
@@ -59,12 +59,16 @@ class ModelParams:
     j: float
 
     def __post_init__(self):
-        for fld in fields(self):
-            v = getattr(self, fld.name)
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+        for name in PARAM_ORDER:
+            v = getattr(self, name)
+            # a plain float, the common case, needs neither the type test nor
+            # the conversion; numpy floats get both
+            plain = type(v) is float
+            ok = plain or (isinstance(v, (int, float)) and not isinstance(v, bool))
             if not (ok and math.isfinite(v) and v > 0):
-                raise ValueError(f"parameter {fld.name} must be a positive finite number, got {v!r}")
-            object.__setattr__(self, fld.name, float(v))
+                raise ValueError(f"parameter {name} must be a positive finite number, got {v!r}")
+            if not plain:
+                object.__setattr__(self, name, float(v))
 
     def as_array(self):
         import numpy as np
@@ -75,12 +79,15 @@ class ModelParams:
     def from_array(cls, values) -> "ModelParams":
         import numpy as np
 
-        vals = list(values)
+        # a float vector holds no bools, and its tolist() gives plain floats
+        plain = isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.ndim == 1
+        vals = values.tolist() if plain else list(values)
         if len(vals) != len(PARAM_ORDER):
             raise ValueError(f"expected {len(PARAM_ORDER)} parameters, got {len(vals)}")
-        # bools, Python or numpy, pass through unconverted so the constructor rejects them
-        return cls(**{n: v if isinstance(v, (bool, np.bool_)) else float(v)
-                      for n, v in zip(PARAM_ORDER, vals)})
+        if not plain:
+            # bools, Python or numpy, pass through unconverted so the constructor rejects them
+            vals = [v if isinstance(v, (bool, np.bool_)) else float(v) for v in vals]
+        return cls(*vals)
 
     def to_dict(self) -> dict:
         return {n: getattr(self, n) for n in PARAM_ORDER}
@@ -140,7 +147,12 @@ class Derivative(NamedTuple):
 
 
 class Subsystem(enum.Enum):
-    """Which populations participate; masked-out components are pinned at zero."""
+    """Which populations participate; a masked-out species starts at zero.
+
+    Every term of a species' equation carries that species' own density, so
+    its zero plane is invariant under the full equations and make_rhs needs
+    no mask.  check_state enforces the zero start.
+    """
 
     FULL = (1, 1, 1)
     PRED_SCAV = (0, 1, 1)  # prey absent
@@ -188,21 +200,22 @@ def rhs(s, p: ModelParams) -> Derivative:
 def rhs_subsystem(s, p: ModelParams, mask: Subsystem) -> Derivative:
     """Derivative of the selected subsystem; the masked species must sit at zero."""
     mask.check_state(s)
-    d = make_rhs(p, mask)(float(s[0]), float(s[1]), float(s[2]))
+    d = make_rhs(p)(float(s[0]), float(s[1]), float(s[2]))
     if not all(map(math.isfinite, d)):
         raise NumericalOverflow(f"non-finite derivative at state {tuple(s[:3])}")
     return Derivative(*d)
 
 
-def make_rhs(p: ModelParams, mask: Subsystem = Subsystem.FULL):
-    """Closure evaluating the (masked) derivative on plain floats.
+def make_rhs(p: ModelParams):
+    """Closure evaluating the derivative on plain floats (or equal-length arrays).
 
     This is the integrator's hot path: no validation, no array allocation.
-    Masked components have their derivative zeroed, which keeps the species
-    at zero exactly and makes one code path serve all four subsystems.
+    One closure serves all four subsystems: every term of a species'
+    equation carries that species' own density, so a species at zero has a
+    signed-zero derivative (NaN where another component is non-finite) and
+    stays at zero exactly.  Subsystem.check_state enforces the zero start.
     """
     r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = (getattr(p, n) for n in PARAM_ORDER)
-    mx, my, mz = (float(v) for v in mask.mask)
 
     def deriv(x: float, y: float, z: float):
         x2 = x * x
@@ -211,9 +224,9 @@ def make_rhs(p: ModelParams, mask: Subsystem = Subsystem.FULL):
         qb = 1.0 + b0 * x2
         qi = 1.0 + i0 * z2
         return (
-            mx * (r * x * (1.0 - x / k) - a * x2 * y / qa - b * x2 * z / qb),
-            my * (d * x2 * y / qa + f * z2 * y / qi - e * y),
-            mz * (g * x2 * z / qb + h * y * z - i * y * z2 / qi - j * z),
+            r * x * (1.0 - x / k) - a * x2 * y / qa - b * x2 * z / qb,
+            d * x2 * y / qa + f * z2 * y / qi - e * y,
+            g * x2 * z / qb + h * y * z - i * y * z2 / qi - j * z,
         )
 
     return deriv

@@ -187,8 +187,9 @@ def write_rows_csv(path, times, states) -> None:
     shortest round-tripping repr, so reading the file back is exact."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,y,z\n")
-        for t, (x, y, z) in zip(times.tolist(), states.tolist()):
-            fh.write(f"{t!r},{x!r},{y!r},{z!r}\n")
+        # rows streamed from the columns: no list per row, one call per file
+        fh.writelines(f"{t!r},{x!r},{y!r},{z!r}\n"
+                      for t, x, y, z in zip(times.tolist(), *states.T.tolist()))
 
 
 def parse_row(cells, lineno: int, width: int) -> list:
@@ -267,7 +268,7 @@ def integrate(
     if not (min(x, y, z) >= 0 and math.isfinite(x + y + z)):
         raise ValueError(f"initial state must be finite and nonnegative, got {(x, y, z)}")
     mask.check_state((x, y, z))
-    rhs = make_rhs(p, mask)
+    rhs = make_rhs(p)
 
     if t_eval is not None:
         if cfg.method == "rk4":

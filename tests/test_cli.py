@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import INTERIOR_STABLE, MULTI2_CASE, REFERENCE, SCAN_MISS_CASES
-from ppsdyn.cli import build_parser, main
-from ppsdyn.data import synthesize
+from conftest import FIXTURES, INTERIOR_STABLE, MULTI2_CASE, REFERENCE, SCAN_MISS_CASES
+from ppsdyn.cli import _fit_svg, build_parser, main
+from ppsdyn.data import Dataset, synthesize
 from ppsdyn.model import ModelParams, State
 
 
@@ -36,6 +36,37 @@ def test_simulate_writes_artifacts(tmp_path, params_file, capsys):
     assert "final state" in text
     svg = (out / "timeseries.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+# Byte pins of the plots: a simulate run long enough to be thinned (19,518
+# rows for 1,200 plotted points) and a fit plot on a fixed dataset.  Any
+# change to the pixel arithmetic, the thinning or the formatting shows here.
+SIMULATE_DIGESTS = {
+    "trajectory.csv": "926e9e455ced4514c9a2c721f8ed4e3e34888e4ef81bdda2c0d3d7f243b92263",
+    "timeseries.svg": "6b5fdaf5d3d82978bee42ad838a0f995b37ff613eb76b0d39575cafb90d0c065",
+    "phase.svg": "3a3ffb6e30d7f32e643fb5ab514c0b3fcada2f4b03978429da4703dbdafc013a",
+}
+FIT_SVG_DIGEST = "9827bddd439b60b37789f2faf5c0cb2d02145face0f6ea860cc82e514d878653"
+
+
+def test_simulate_artifacts_are_pinned(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["simulate", "--params", str(FIXTURES / "interior_unstable.params"),
+                 "--s0", "4,3,2", "--t-end", "2000", "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    for name, digest in SIMULATE_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_fit_plot_is_pinned():
+    # polynomials only, so every platform computes the same floats
+    t = np.linspace(0.0, 1.0, 12)
+    ds = Dataset(t, np.column_stack([t * t, 1.0 - t, 4.0 * t * (1.0 - t)]),
+                 [0.0, 0.0, 0.0], [10.0, 20.0, 30.0], 0.0, 50.0)
+    ft = np.linspace(0.0, 1.0, 1501)
+    fs = np.column_stack([ft * ft + 0.01, 1.0 - ft, 4.0 * ft * (1.0 - ft) - 0.01])
+    assert hashlib.sha256(_fit_svg(ds, ft, fs).encode()).hexdigest() == FIT_SVG_DIGEST
 
 
 def test_simulate_subsystem_mask(tmp_path, params_file):

@@ -141,7 +141,7 @@ def test_masked_rhs_rejects_nonzero_masked_state():
 def test_make_rhs_matches_rhs():
     rng = np.random.default_rng(11)
     p = rand_params(rng)
-    f = make_rhs(p, Subsystem.FULL)
+    f = make_rhs(p)
     for _ in range(25):
         x, y, z = rng.uniform(0.01, 5.0, 3)
         got = f(x, y, z)

@@ -1,5 +1,6 @@
 """Property tests: the parameter, dataset and trajectory formats round-trip
-exactly, and malformed or invalid parameter input is rejected."""
+exactly, malformed or invalid parameter input is rejected, and each planar
+subsystem's zero plane is invariant under the right-hand side."""
 
 import math
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppsdyn.data import Dataset
-from ppsdyn.model import PARAM_ORDER, ModelParams
+from ppsdyn.model import PARAM_ORDER, ModelParams, Subsystem, make_rhs
 from ppsdyn.solver import Trajectory
 
 # derandomized, so every run of the suite draws the same examples
@@ -132,3 +133,27 @@ def test_params_reject_invalid_values(p, name, bad):
         with pytest.raises(ValueError):
             ModelParams.from_array([np.bool_(bad) if n == name else v
                                     for n, v in p.to_dict().items()])
+    else:
+        # a float array takes the tolist() path
+        with pytest.raises(ValueError):
+            ModelParams.from_array(np.array(values))
+
+
+# bounded so that no term, a parameter times up to three states, overflows
+moderate = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+signed = st.floats(min_value=-1e6, max_value=1e6)
+planar = [s for s in Subsystem if s is not Subsystem.FULL]
+
+
+@FEW
+@given(values=st.lists(moderate, min_size=14, max_size=14),
+       state=st.tuples(signed, signed, signed), sub=st.sampled_from(planar))
+def test_zero_plane_of_each_subsystem_is_invariant(values, state, sub):
+    # each term of a species' equation carries its own density, so at a
+    # masked species' 0.0 the closure returns what zeroing that equation did
+    masked = sub.mask.index(0)
+    s = list(state)
+    s[masked] = 0.0
+    deriv = make_rhs(ModelParams.from_array(values))(*s)
+    assert deriv[masked] == 0.0
+    assert np.float64(deriv[masked]).tobytes() == np.float64(0.0 * deriv[masked]).tobytes()

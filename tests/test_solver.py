@@ -505,10 +505,11 @@ def test_sensitivities_need_rk45_t_eval_and_full_system(stable_params):
 
 # Bit-for-bit pins of record-every-step runs: the sha256 of the trajectory
 # CSV, and steps, rejected, clamped and min_component.  Any change to a
-# floating-point operation of a step loop, or to its order, shows here.  The
-# interior_unstable horizon is the shortest round one at which squaring the
-# error ratios by v*v instead of ** 2 changes the run (at t_end 1944.9 it
-# does not).
+# floating-point operation of a step loop or of the right-hand side, or to
+# their order, shows here; the three subsystem runs each hold one species at
+# zero.  The interior_unstable horizon is the shortest round one at which
+# squaring the error ratios by v*v instead of ** 2 changes the run (at t_end
+# 1944.9 it does not).
 PINNED_RUNS = {
     "interior_unstable_rk45": (
         "interior_unstable", State(4.0, 3.0, 2.0), Subsystem.FULL, dict(t_end=1945.0),
@@ -528,6 +529,14 @@ PINNED_RUNS = {
         "predscav_collapse", State(0.0, 4.0, 6.0), Subsystem.PRED_SCAV, dict(t_end=200.0),
         "11d1151523fa906a2b3cd41ac52285d6c71aa229583010785d289b1355ce2075",
         (329, 10, 0, 0.0)),
+    "predprey_subsystem": (
+        "predprey_coexist", State(2.0, 4.0, 0.0), Subsystem.PRED_PREY, dict(t_end=200.0),
+        "b7d3b3343a07c83fccd215c77c707ed151450f71e9291f458b5f57709a3910bf",
+        (224, 10, 0, 0.0)),
+    "scavprey_subsystem": (
+        "interior_stable", State(4.0, 0.0, 2.0), Subsystem.SCAV_PREY, dict(t_end=200.0),
+        "ae1974e525f758900bdb314e7f6288596ea9e7e1158823bbc9a6a3f17bd1484e",
+        (227, 8, 0, 0.0)),
     "interior_stable_rk4": (
         "interior_stable", State(4.0, 3.0, 2.0), Subsystem.FULL,
         dict(t_end=200.0, method="rk4", step=0.01),
