@@ -1,8 +1,10 @@
 """Command-line front end: simulate, analyze, estimate, synth.
 
-Every command writes byte-reproducible artifacts (no timestamps, sorted JSON
-keys, fixed float formatting) so reruns with identical inputs produce
-identical files.  Exit codes: 0 success, 1 usage or input error, 2 numerical
+Every command writes byte-reproducible artifacts (no timestamps, fixed float
+formatting) so reruns with identical inputs produce identical files.  Every
+JSON artifact is data.json_text plus a newline: the text of
+json.dumps(obj, sort_keys=True, indent=2), sorted keys and all, byte for
+byte.  Exit codes: 0 success, 1 usage or input error, 2 numerical
 failure.
 
 The argument parser is built once per process (build_parser is cached) and
@@ -14,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
-from .data import Dataset, SpeciesMap, ingest, synthesize
+from .data import Dataset, SpeciesMap, ingest, json_text, synthesize
 from .equilibria import LABEL_INTERIOR, all_equilibria, interior_poly_crosscheck
 from .errors import IntegrationFailed, LineSearchFailed, MultipleRoots, NonFiniteLoss, NoRoot
 from .model import ModelParams, State, Subsystem
@@ -218,7 +219,7 @@ def cmd_analyze(args) -> int:
     check = interior_poly_crosscheck(p, interior)
     report = {"parameters": p.to_dict(), "equilibria": entries, "interior_crosscheck": check}
     out = _outdir(args)
-    _write(os.path.join(out, "equilibria.json"), json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write(os.path.join(out, "equilibria.json"), json_text(report) + "\n")
     if not check["agrees"]:
         print(f"interior cross-check: the grid scan counts {check['scan_sign_changes']} sign"
               f" changes for {len(check['admissible_roots'])} admissible roots; see report",

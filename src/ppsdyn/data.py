@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -26,6 +27,50 @@ from .solver import SolverConfig, integrate, parse_row, read_rows_csv, write_row
 
 GROUPS = ("prey", "predator", "scavenger")
 _EPS = 1e-12
+# the stdlib's spellings of the float reprs that are not JSON numbers
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(obj) -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`, byte for byte.
+
+    The one writer of every JSON artifact.  It takes str, None, bool, int,
+    float and their subclasses (np.float64 among them), lists, tuples and
+    dicts with str keys; anything else, np.int64 and non-str keys included,
+    raises TypeError.  Unlike the stdlib with an indent, it runs no
+    pure-Python generator encoder and leaves no cyclic garbage.
+    """
+    return _json(obj, "\n")
+
+
+def _json(o, nl: str) -> str:
+    # no type is both of two tested kinds, so the order is free; nl is the
+    # newline and indent of the line o starts on
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _FLOAT_NAMES.get(text, text)
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # a non-str key fails the sort or the quoting with TypeError
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(o.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_json(v, inner) for v in o])}{nl}]"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -93,8 +138,7 @@ class Dataset:
             "meta": self.meta,
         }
         with open(provenance_path(path), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json_text(sidecar) + "\n")
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":

@@ -32,14 +32,13 @@ shared by both terms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, json_text
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from .model import ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
 from .optimize import adam_run, bfgs_run
@@ -369,7 +368,7 @@ class EstimationReport:
         return {name: np.asarray(value).tolist() for name, value in vars(self).items()}
 
     def to_json(self) -> str:
-        return json.dumps(self.record(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.record()) + "\n"
 
     def write_trace_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

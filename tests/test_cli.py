@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -162,6 +163,39 @@ def test_synth_is_byte_reproducible(tmp_path, reference_file):
             == (out2 / "dataset.csv").read_bytes())
     assert ((out1 / "dataset.provenance.json").read_bytes()
             == (out2 / "dataset.provenance.json").read_bytes())
+
+
+def test_every_json_artifact_is_the_stdlib_text(tmp_path, reference_file, capsys):
+    # analyze on the shipped fixtures and a multiple-root draw, synth, and a short estimate
+    multi = tmp_path / "multi.params"
+    ModelParams(**MULTI2_CASE).save(multi)
+    for path in sorted(FIXTURES.glob("*.params")) + [multi]:
+        assert main(["analyze", "--params", str(path), "--out", str(tmp_path / path.stem)]) in (0, 2)
+    data = tmp_path / "data"
+    assert main(["synth", "--params", reference_file, "--s0", "4.991,1.178,0.577",
+                 "--t-end", "5", "--points", "40", "--noise", "0.02", "--out", str(data)]) == 0
+    assert main(["estimate", "--dataset", str(data / "dataset.csv"), "--epochs", "2",
+                 "--bfgs-iterations", "3", "--out", str(tmp_path / "fit")]) == 0
+    written = sorted(tmp_path.rglob("*.json"))
+    assert len(written) == 8
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
+
+
+def test_analyze_leaves_no_cyclic_garbage(tmp_path, reference_file, capsys):
+    argv = ["analyze", "--params", reference_file, "--out", str(tmp_path / "analysis")]
+    assert main(argv) == 0  # warm: parser and imports
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_synth_numerical_failure_exits_two(tmp_path):

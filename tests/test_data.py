@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 
@@ -301,3 +302,18 @@ def test_species_map_load_lowercases(tmp_path):
     smap = SpeciesMap.load(path)
     assert smap.groups["Hare"] == "prey"
     assert smap.groups["Lynx"] == "predator"
+
+
+def test_no_module_writes_indented_json_through_the_stdlib():
+    # every JSON artifact goes through data.json_text
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "ppsdyn")
+    calls = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            calls += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("dump", "dumps")
+                      and any(kw.arg == "indent" for kw in node.keywords)]
+    assert calls == []

@@ -1,7 +1,9 @@
 """Property tests: the parameter, dataset and trajectory formats round-trip
-exactly, malformed or invalid parameter input is rejected, and each planar
-subsystem's zero plane is invariant under the right-hand side."""
+exactly, malformed or invalid parameter input is rejected, each planar
+subsystem's zero plane is invariant under the right-hand side, and the JSON
+writer matches the stdlib's indented, sorted output."""
 
+import json
 import math
 import re
 import string
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsdyn.data import Dataset
+from ppsdyn.data import Dataset, json_text
 from ppsdyn.model import PARAM_ORDER, ModelParams, Subsystem, make_rhs
 from ppsdyn.solver import Trajectory
 
@@ -157,3 +159,37 @@ def test_zero_plane_of_each_subsystem_is_invariant(values, state, sub):
     deriv = make_rhs(ModelParams.from_array(values))(*s)
     assert deriv[masked] == 0.0
     assert np.float64(deriv[masked]).tobytes() == np.float64(0.0 * deriv[masked]).tobytes()
+
+
+# quotes, backslashes, control characters, non-ASCII, an astral character and
+# a lone surrogate, each escaped differently by the ASCII-only encoder
+json_words = st.text(alphabet='az "\\/\x00\b\x1f\x7f\u00e9\u2028\U0001f600\ud800', max_size=6)
+json_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf]),
+    json_words,
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(json_words, kids, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value=json_trees)
+def test_json_text_is_the_stdlib_text(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    np.int64(3), np.bool_(True), {1, 2}, object(), [1.0, {"a": np.int64(3)}],
+    {1: "one"}, {"a": 1, 2: "b"}, {None: 0}, {("a",): 0}, {np.str_("a"): 0, 1.5: 1},
+], ids=["int64", "bool_", "set", "object", "nested-int64",
+        "int-key", "mixed-keys", "none-key", "tuple-key", "float-key"])
+def test_json_text_rejects_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        json_text(value)
