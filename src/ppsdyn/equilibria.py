@@ -224,20 +224,18 @@ def _prey_residuals(xs: np.ndarray, p: ModelParams) -> tuple:
     D or y-denominator makes them infinite or NaN, so it is NaN there too.
     """
     with np.errstate(all="ignore"):
+        qa = 1.0 + p.a0 * xs * xs
+        qb = 1.0 + p.b0 * xs * xs
         N = p.e + (p.a0 * p.e - p.d) * xs * xs
-        D = p.f * (1.0 + p.a0 * xs * xs) - p.i0 * N
+        D = p.f * qa - p.i0 * N
         w = N / D
         ok = np.isfinite(w) & (w > 0)
         z = np.sqrt(w)
-        M = p.j - p.g * xs * xs / (1.0 + p.b0 * xs * xs)
+        M = p.j - p.g * xs * xs / qb
         qi = 1.0 + p.i0 * z * z
         y = M * qi / (p.h * qi - p.i * z)
         ok &= np.isfinite(y) & (y > 0)
-        res = (
-            p.r * (1.0 - xs / p.k)
-            - p.a * xs * y / (1.0 + p.a0 * xs * xs)
-            - p.b * xs * z / (1.0 + p.b0 * xs * xs)
-        )
+        res = p.r * (1.0 - xs / p.k) - p.a * xs * y / qa - p.b * xs * z / qb
     return np.where(ok, res, np.nan), y, z
 
 

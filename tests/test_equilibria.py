@@ -111,6 +111,44 @@ def test_array_residual_masks_degenerate_points(name):
     assert np.isnan(_prey_residuals(xs, p)[0][degenerate]).all()
 
 
+def _prey_residuals_reference(xs, p):
+    # _prey_residuals as first written, with 1 + a0 x^2 and 1 + b0 x^2 spelled
+    # out at each use
+    with np.errstate(all="ignore"):
+        N = p.e + (p.a0 * p.e - p.d) * xs * xs
+        D = p.f * (1.0 + p.a0 * xs * xs) - p.i0 * N
+        w = N / D
+        ok = np.isfinite(w) & (w > 0)
+        z = np.sqrt(w)
+        M = p.j - p.g * xs * xs / (1.0 + p.b0 * xs * xs)
+        qi = 1.0 + p.i0 * z * z
+        y = M * qi / (p.h * qi - p.i * z)
+        ok &= np.isfinite(y) & (y > 0)
+        res = (
+            p.r * (1.0 - xs / p.k)
+            - p.a * xs * y / (1.0 + p.a0 * xs * xs)
+            - p.b * xs * z / (1.0 + p.b0 * xs * xs)
+        )
+    return np.where(ok, res, np.nan), y, z
+
+
+def test_array_residual_is_bitwise_the_reference_formula():
+    cases = [INTERIOR_STABLE, INTERIOR_UNSTABLE, MULTI2_CASE, MULTI3_CASE, NOROOT_CASE,
+             PREDPREY_CASE, PREDSCAV_CASE, REFERENCE, *SCAN_MISS_CASES.values(),
+             *(case for case, _ in DEGENERATE.values())]
+    params = [ModelParams(**case) for case in cases]
+    rng = np.random.default_rng(61)
+    params += [rand_params(rng, 0.1, 3.0) for _ in range(150)]
+    nans = 0
+    for p in params:
+        xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
+        got, want = _prey_residuals(xs, p), _prey_residuals_reference(xs, p)
+        # bytes compare NaN positions and payloads and the sign of zero
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], p
+        nans += int(np.isnan(want[0]).sum())
+    assert nans > 0
+
+
 def test_admissible_roots_are_steady_states_and_bound_the_scan_count():
     rng = np.random.default_rng(2024)
     roots_seen = 0
