@@ -12,7 +12,8 @@ place of (d, a, a0, e); one routine builds both from the PREY_CONSUMERS table.
 The interior point has one authoritative route: the positive real roots in
 (0, k) of a degree-12 polynomial that interior_poly_coeffs derives from the
 model equations by eliminating y and z, kept where the y and z they imply
-are positive and the prey residual vanishes.  A 4,096-point grid scan of
+are positive and the prey residual vanishes, each then polished by one
+secant step on that residual.  A 4,096-point grid scan of
 that residual counts its sign changes and cross-checks the count; it never
 supplies a point.
 """
@@ -163,6 +164,8 @@ def scavprey_equilibria(p: ModelParams) -> list:
 # --- interior point ------------------------------------------------------------
 
 SCAN_POINTS = 4096
+# relative offset of the second secant point in the interior-root polish
+SECANT_OFFSET = 1e-7
 
 
 def _add(*terms) -> np.ndarray:
@@ -246,13 +249,27 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
     (0, k).  Squaring in the derivation adds roots of A - B z = 0, and some
     roots put z^2 or y off the positive axis, so a root is admissible only
     where the prey residual at the y and z it implies is below 1e-6.
+    Each admissible root then takes one secant step on the residual, through
+    x and x(1 + SECANT_OFFSET), kept only where the residual shrinks and
+    stays finite: the eigenvalue can sit thousands of ulps off the zero
+    where the residual is steep.
     Raises NoRoot / MultipleRoots when the admissible count is not exactly one.
     """
     xs = np.array([x for x in positive_real_roots(interior_poly_coeffs(p)) if x < p.k])
     if xs.size:
-        res, ys, zs = _prey_residuals(xs, p)
-        keep = np.abs(res) < 1e-6  # False at NaN
-        xs, ys, zs = xs[keep], ys[keep], zs[keep]
+        # one pass over the roots and their secant partners
+        n = xs.size
+        x1 = xs * (1.0 + SECANT_OFFSET)
+        res, ys, zs = _prey_residuals(np.concatenate((xs, x1)), p)
+        keep = np.abs(res[:n]) < 1e-6  # False at NaN
+        xs, x1, ys, zs = xs[keep], x1[keep], ys[:n][keep], zs[:n][keep]
+        r0, r1 = res[:n][keep], res[n:][keep]
+    if xs.size:
+        with np.errstate(all="ignore"):
+            step = xs - r0 * (x1 - xs) / (r1 - r0)
+        res, ys1, zs1 = _prey_residuals(step, p)
+        better = np.abs(res) < np.abs(r0)  # False at NaN
+        xs, ys, zs = np.where(better, step, xs), np.where(better, ys1, ys), np.where(better, zs1, zs)
     if xs.size == 0:
         raise NoRoot("no admissible interior root in (0, k)")
     if xs.size > 1:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (INTERIOR_STABLE, INTERIOR_UNSTABLE, MULTI2_CASE,
+from conftest import (FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, MULTI2_CASE,
                       MULTI3_CASE, NOROOT_CASE, PREDPREY_CASE, PREDSCAV_CASE,
                       REFERENCE, SCAN_MISS_CASES, rand_params)
 from ppsdyn.equilibria import (LABEL_INTERIOR, LABEL_ORIGIN, LABEL_PRED_PREY,
@@ -170,6 +170,28 @@ def test_admissible_roots_are_steady_states_and_bound_the_scan_count():
     assert roots_seen > 300
 
 
+def test_secant_polish_lands_steep_roots_on_the_zero():
+    # draw 3905 of rng 61: the first eigenvalue root sat 1.4e-12 short of the
+    # zero of a residual with slope 7.3e4, leaving a residual of -1.0e-7
+    p = ModelParams.from_array(np.random.default_rng(61).uniform(0.1, 3, size=(4000, 14))[3905])
+    with pytest.raises(MultipleRoots) as info:
+        interior_equilibrium_direct(p)
+    roots = np.array(info.value.roots)
+    assert roots == pytest.approx([0.5577, 0.5616, 0.5907], abs=1e-4)
+    assert np.all(np.abs(_prey_residuals(roots, p)[0]) < 1e-9)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.params")), ids=lambda path: path.stem)
+def test_secant_polish_moves_fixture_points_by_rounding_only(path):
+    p = ModelParams.load(path)
+    xs = np.array([x for x in positive_real_roots(interior_poly_coeffs(p)) if x < p.k])
+    res, ys, zs = _prey_residuals(xs, p)
+    keep = np.abs(res) < 1e-6
+    (eigen_point,) = zip(xs[keep], ys[keep], zs[keep])
+    point = interior_equilibrium_direct(p).point
+    assert np.all(np.abs(np.subtract(point, eigen_point)) < 1e-10 * np.abs(eigen_point))
+
+
 def test_two_roots_raise_with_locations():
     with pytest.raises(MultipleRoots) as info:
         interior_equilibrium_direct(ModelParams(**MULTI2_CASE))
@@ -299,6 +321,11 @@ def test_poly_crosscheck_agrees_on_every_unique_root():
     assert unique > 50
 
 
+def _near_one_of(x, roots):
+    # the secant polish moves an eigenvalue root by far less than 1e-10 relative
+    return any(abs(x - r) < 1e-10 * abs(r) for r in roots)
+
+
 def test_poly_crosscheck_agreement(request):
     for name in ("unstable_params", "stable_params", "reference_params"):
         p = request.getfixturevalue(name)
@@ -309,7 +336,8 @@ def test_poly_crosscheck_agreement(request):
         assert report["admissible_roots"] == [interior_equilibrium_direct(p).point[0]]
         coeffs = interior_poly_coeffs(p)
         assert len(coeffs) == 13
-        assert report["admissible_roots"][0] in positive_real_roots(coeffs)
+        # the admissible root is a polynomial root after one secant step
+        assert _near_one_of(report["admissible_roots"][0], positive_real_roots(coeffs))
 
 
 def test_poly_crosscheck_ignores_inadmissible_roots(predscav_params):
@@ -319,7 +347,7 @@ def test_poly_crosscheck_ignores_inadmissible_roots(predscav_params):
     report = interior_poly_crosscheck(predscav_params)
     assert len(poly_roots) == 2
     assert len(report["admissible_roots"]) == 1
-    assert report["admissible_roots"][0] in poly_roots
+    assert _near_one_of(report["admissible_roots"][0], poly_roots)
     assert report["agrees"]
 
 
