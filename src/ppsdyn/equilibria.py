@@ -264,12 +264,13 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
         keep = np.abs(res[:n]) < 1e-6  # False at NaN
         xs, x1, ys, zs = xs[keep], x1[keep], ys[:n][keep], zs[:n][keep]
         r0, r1 = res[:n][keep], res[n:][keep]
-    if xs.size:
-        with np.errstate(all="ignore"):
-            step = xs - r0 * (x1 - xs) / (r1 - r0)
-        res, ys1, zs1 = _prey_residuals(step, p)
-        better = np.abs(res) < np.abs(r0)  # False at NaN
-        xs, ys, zs = np.where(better, step, xs), np.where(better, ys1, ys), np.where(better, zs1, zs)
+        if xs.size:
+            with np.errstate(all="ignore"):
+                step = xs - r0 * (x1 - xs) / (r1 - r0)
+            res, ys1, zs1 = _prey_residuals(step, p)
+            better = np.abs(res) < np.abs(r0)  # False at NaN
+            xs, ys, zs = (np.where(better, step, xs), np.where(better, ys1, ys),
+                          np.where(better, zs1, zs))
     if xs.size == 0:
         raise NoRoot("no admissible interior root in (0, k)")
     if xs.size > 1:

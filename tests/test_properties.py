@@ -164,12 +164,21 @@ def test_zero_plane_of_each_subsystem_is_invariant(values, state, sub):
 # quotes, backslashes, control characters, non-ASCII, an astral character and
 # a lone surrogate, each escaped differently by the ASCII-only encoder
 json_words = st.text(alphabet='az "\\/\x00\b\x1f\x7f\u00e9\u2028\U0001f600\ud800', max_size=6)
+
+
+class _ReprInt(int):
+    # a subclass whose repr is not its JSON text, as np.float64's is not
+    def __repr__(self):
+        return f"_ReprInt({int(self)})"
+
+
 json_leaves = st.one_of(
     st.none(), st.booleans(),
     st.integers(), st.integers(min_value=2**64), st.integers(max_value=-2**64),
+    st.integers().map(_ReprInt),
     st.floats(), st.floats().map(np.float64),
     st.sampled_from([-0.0, 5e-324, 1e-310, math.nan, math.inf, -math.inf]),
-    json_words,
+    json_words, json_words.map(np.str_),
 )
 json_trees = st.recursive(
     json_leaves,
