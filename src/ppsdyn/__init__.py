@@ -20,10 +20,8 @@ from .errors import (
     LineSearchFailed,
     MaskViolation,
     MissingColumn,
-    MultipleRoots,
     NonFiniteLoss,
     NonNumericCell,
-    NoRoot,
     NumericalOverflow,
     PpsdynError,
     StepUnderflow,

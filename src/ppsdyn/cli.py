@@ -22,9 +22,9 @@ import sys
 
 import numpy as np
 
-from .data import Dataset, SpeciesMap, ingest, json_text, synthesize
+from .data import GROUPS, Dataset, SpeciesMap, ingest, json_text, synthesize
 from .equilibria import LABEL_INTERIOR, all_equilibria, interior_poly_crosscheck
-from .errors import IntegrationFailed, LineSearchFailed, MultipleRoots, NonFiniteLoss, NoRoot
+from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss
 from .model import ModelParams, State, Subsystem
 from .pinn import estimate as run_estimate, simulate_on_data
 from .solver import SolverConfig, integrate
@@ -32,9 +32,8 @@ from .stability import classify
 
 # every rejected input is a ValueError, the package's input errors included
 _USAGE_ERRORS = (ValueError, OSError)
-_NUMERICAL_ERRORS = (IntegrationFailed, NoRoot, MultipleRoots, NonFiniteLoss, LineSearchFailed)
+_NUMERICAL_ERRORS = (IntegrationFailed, NonFiniteLoss, LineSearchFailed)
 
-_SPECIES = ("prey", "predator", "scavenger")
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 _MAX_PLOT_POINTS = 1200
 
@@ -106,7 +105,7 @@ def _timeseries_svg(times, states) -> str:
     times = _thin(times)
     curves = [
         (name, color, None, times, _thin(states[:, idx]))
-        for idx, (name, color) in enumerate(zip(_SPECIES, _COLORS))
+        for idx, (name, color) in enumerate(zip(GROUPS, _COLORS))
     ]
     body = _panel(curves, 60, 30, 540, 300, "populations over time", "t", "population")
     return _svg_document(660, 380, body)
@@ -125,7 +124,7 @@ def _phase_svg(states) -> str:
 
 def _fit_svg(ds: Dataset, fitted_times, fitted_states) -> str:
     curves = []
-    for idx, (name, color) in enumerate(zip(_SPECIES, _COLORS)):
+    for idx, (name, color) in enumerate(zip(GROUPS, _COLORS)):
         curves.append((f"{name} data", color, "4 3", ds.times, ds.observations[:, idx]))
         curves.append((f"{name} fit", color, None, _thin(fitted_times), _thin(fitted_states[:, idx])))
     body = _panel(curves, 60, 30, 540, 300, "observed vs fitted (normalized)",

@@ -27,7 +27,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .errors import MultipleRoots, NoRoot
 from .model import ModelParams, Subsystem
 
 MERGE_TOL = 1e-9
@@ -74,9 +73,7 @@ class Equilibrium:
             "subsystem": self.subsystem.name,
             "point": list(self.point) if self.point is not None else None,
             "exists": self.exists,
-            "existence": [
-                {"name": c.name, "satisfied": c.satisfied, "value": c.value} for c in self.existence
-            ],
+            "existence": [c._asdict() for c in self.existence],
             "aux": dict(self.aux),
             "flag": self.flag,
         }
@@ -253,7 +250,9 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
     x and x(1 + SECANT_OFFSET), kept only where the residual shrinks and
     stays finite: the eigenvalue can sit thousands of ulps off the zero
     where the residual is steep.
-    Raises NoRoot / MultipleRoots when the admissible count is not exactly one.
+    The entry has no point unless exactly one root is admissible.  With none,
+    its one check reads 0; with several, the check holds their count, aux
+    holds them as "roots" and the entry is flagged "multiple_roots".
     """
     xs = np.array([x for x in positive_real_roots(interior_poly_coeffs(p)) if x < p.k])
     if xs.size:
@@ -272,9 +271,17 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
             xs, ys, zs = (np.where(better, step, xs), np.where(better, ys1, ys),
                           np.where(better, zs1, zs))
     if xs.size == 0:
-        raise NoRoot("no admissible interior root in (0, k)")
+        return Equilibrium(
+            LABEL_INTERIOR, Subsystem.FULL, None,
+            [ExistenceCheck("unique positive real root", False, 0.0)],
+        )
     if xs.size > 1:
-        raise MultipleRoots(xs.tolist())
+        return Equilibrium(
+            LABEL_INTERIOR, Subsystem.FULL, None,
+            [ExistenceCheck("unique positive real root", False, float(xs.size))],
+            {"roots": xs.tolist()},
+            flag="multiple_roots",
+        )
 
     x, y, z = float(xs[0]), float(ys[0]), float(zs[0])
     bound_prey = p.r * (1.0 + p.b0 * x * x) * (p.k - x) / (p.b * x)
@@ -286,24 +293,6 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
     ]
     aux = {"x_star": x, "bound_prey": bound_prey, "bound_pred": bound_pred}
     return Equilibrium(LABEL_INTERIOR, Subsystem.FULL, (x, y, z), checks, aux)
-
-
-def _interior_entry(p: ModelParams) -> Equilibrium:
-    """interior_equilibrium_direct, with NoRoot and MultipleRoots as entries."""
-    try:
-        return interior_equilibrium_direct(p)
-    except NoRoot:
-        return Equilibrium(
-            LABEL_INTERIOR, Subsystem.FULL, None,
-            [ExistenceCheck("unique positive real root", False, 0.0)],
-        )
-    except MultipleRoots as exc:
-        return Equilibrium(
-            LABEL_INTERIOR, Subsystem.FULL, None,
-            [ExistenceCheck("unique positive real root", False, float(len(exc.roots)))],
-            {"roots": list(exc.roots)},
-            flag="multiple_roots",
-        )
 
 
 def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = None) -> dict:
@@ -318,7 +307,7 @@ def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = N
     equal; the report never raises on disagreement.
     """
     if interior is None:
-        interior = _interior_entry(p)
+        interior = interior_equilibrium_direct(p)
     if interior.point is not None:
         admissible = [interior.point[0]]
     else:
@@ -337,7 +326,7 @@ def all_equilibria(p: ModelParams) -> list:
     """Every steady-state candidate of the full system, embedded in 3-D.
 
     Duplicate points within 1e-9 are merged.  A non-unique interior root is
-    returned as a flagged entry rather than raised.
+    returned as a flagged entry.
     """
     # boundary points keep their label but are re-tagged FULL: in the full
     # system their verdict needs the 3x3 Jacobian, not the 2-D restriction
@@ -347,7 +336,7 @@ def all_equilibria(p: ModelParams) -> list:
         replace(predscav_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(predprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(scavprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
-        _interior_entry(p),
+        interior_equilibrium_direct(p),
     ]
     merged = []
     for eq in out:

@@ -22,7 +22,6 @@ class IntegrationFailed(PpsdynError):
 
     def __init__(self, reason: str, t=None, params=None):
         super().__init__(reason)
-        self.reason = reason
         self.t = t
         self.params = params
 
@@ -33,18 +32,6 @@ class NumericalOverflow(IntegrationFailed):
 
 class StepUnderflow(IntegrationFailed):
     """The adaptive step fell below the minimum step size."""
-
-
-class MultipleRoots(PpsdynError):
-    """The interior solve found more than one admissible root."""
-
-    def __init__(self, roots):
-        super().__init__(f"{len(roots)} admissible interior roots: {roots}")
-        self.roots = roots
-
-
-class NoRoot(PpsdynError):
-    """The interior solve found no admissible root."""
 
 
 class ExistenceViolated(PpsdynError):

@@ -89,7 +89,8 @@ def init_mlp(rng: np.random.Generator, sizes=MLP_SIZES) -> Mlp:
 
 
 def init_params(seed) -> np.ndarray:
-    """Lognormal(0, 1) draw per component; strictly positive."""
+    """Lognormal(0, 1) draw per component; strictly positive.  seed may be a
+    Generator, which is drawn from in place."""
     return np.exp(np.random.default_rng(seed).standard_normal(14))
 
 
@@ -184,14 +185,7 @@ def total_loss(p, ds: Dataset, tol: float = 1e-6, gradient: bool = False):
     """
     phys = _physics_data(ds)
     params = ModelParams.from_array(np.asarray(p, dtype=float))
-    return _total_loss(params, _fit_data(ds, ds.raw_times, tol), phys, gradient)
-
-
-def _total_loss(params: ModelParams, fit: _Fit, phys, gradient: bool):
-    """total_loss with the dataset constants of both terms, fit =
-    _fit_data(ds, ds.raw_times, tol) and phys = _physics_data(ds), computed
-    by the caller once per dataset and stage."""
-    mse, g_mse = _misfit(params, fit, gradient)
+    mse, g_mse = _misfit(params, _fit_data(ds, ds.raw_times, tol), gradient)
     pie, g_pie = _physics_term(params, *phys)
     return (mse + pie, mse, pie, g_mse, g_pie) if gradient else (mse + pie, mse, pie)
 
@@ -307,8 +301,9 @@ class TraceRow(NamedTuple):
 def _network_term(params: ModelParams, fit: _Fit, phys):
     """(TraceRow, d total/dp), the network stage's loss, with fit built at
     tolerance 1e-6."""
-    total, mse, pie, g_mse, g_pie = _total_loss(params, fit, phys, gradient=True)
-    return TraceRow(total, mse, pie), g_mse + g_pie
+    mse, g_mse = _misfit(params, fit, gradient=True)
+    pie, g_pie = _physics_term(params, *phys)
+    return TraceRow(mse + pie, mse, pie), g_mse + g_pie
 
 
 def train_pinn(ds: Dataset, seed, epochs: int = 100):
@@ -326,7 +321,7 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
     phys = _physics_data(ds)
     fit = _fit_data(ds, ds.raw_times, 1e-6)
     rng = np.random.default_rng(seed)
-    inp = np.exp(rng.standard_normal(14))
+    inp = init_params(rng)
     net = init_mlp(rng)
     trace: list = []
     best_total, best_p = math.inf, None

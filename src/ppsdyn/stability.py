@@ -79,9 +79,7 @@ class StabilityVerdict:
             "m2": self.m2,
             "m3": self.m3,
             "discriminant": self.discriminant,
-            "criteria": [
-                {"name": c.name, "satisfied": c.satisfied, "value": c.value} for c in self.criteria
-            ],
+            "criteria": [c._asdict() for c in self.criteria],
             "notes": list(self.notes),
         }
 

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, INTERIOR_STABLE, MULTI2_CASE, REFERENCE, SCAN_MISS_CASES
+from conftest import (FIXTURES, INTERIOR_STABLE, MULTI2_CASE, NOROOT_CASE, REFERENCE,
+                      SCAN_MISS_CASES)
 from ppsdyn.cli import _fit_svg, build_parser, main
 from ppsdyn.data import Dataset, synthesize
 from ppsdyn.model import ModelParams, State
@@ -150,6 +151,37 @@ def test_analyze_reports_a_root_the_scan_misses(tmp_path, capsys):
     assert interior["point"][0] == pytest.approx(0.6104655437, abs=1e-9)
     assert blob["interior_crosscheck"] == {
         "admissible_roots": [interior["point"][0]], "agrees": False, "scan_sign_changes": 0}
+
+
+# Byte pins of equilibria.json and the exit code: the five fixtures, two
+# roots, no root, and two roots of which the grid scan sees one.  Any change
+# to an entry, its checks, the verdicts or the cross-check shows here.
+ANALYZE_PINS = {
+    "interior_stable": ("98f565cc1267a048dfc0a1344a1ba9fbe57cd7813518b98de170758c5b9fa990", 0),
+    "interior_unstable": ("6a259e208e74ef5f3e7f3601a916bd3f11de7440bc170a1a256764819d24ce8f", 0),
+    "predprey_coexist": ("eaa4b9b2e77a1c3f73db530205c3380f313722ba16da4451854be38a22b0375e", 0),
+    "predscav_collapse": ("ddfec1210840f82c8b5643a03341a6439bf3f0649da697be88d397a869806b60", 0),
+    "reference": ("4675fd2ec6b77962283e19d30d38795e7f8b37a5e398654199195ff3a0360042", 0),
+    "multi2": ("269e5ab1b0d90f0a768adab5e79773c2a8dc273fe40c6e798d817ad216574847", 2),
+    "noroot": ("7201d4272e138f3bb972aac428518f8bbd5193a57ae544fe1bf2f2c113d48536", 0),
+    "rng123-1137": ("485ab9dfe61335d197d95d856553df645a38d9ce4cbf4da1069b17480ecfb3d9", 2),
+}
+ANALYZE_CASES = {"multi2": MULTI2_CASE, "noroot": NOROOT_CASE,
+                 "rng123-1137": SCAN_MISS_CASES["rng123-1137"]}
+
+
+@pytest.mark.parametrize("name", ANALYZE_PINS)
+def test_analyze_report_is_pinned(tmp_path, capsys, name):
+    if name in ANALYZE_CASES:
+        path = tmp_path / f"{name}.params"
+        ModelParams(**ANALYZE_CASES[name]).save(path)
+    else:
+        path = FIXTURES / f"{name}.params"
+    out = tmp_path / "analysis"
+    code = main(["analyze", "--params", str(path), "--out", str(out)])
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "equilibria.json").read_bytes()).hexdigest()
+    assert (digest, code) == ANALYZE_PINS[name]
 
 
 def test_synth_is_byte_reproducible(tmp_path, reference_file):

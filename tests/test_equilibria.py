@@ -12,7 +12,6 @@ from ppsdyn.equilibria import (LABEL_INTERIOR, LABEL_ORIGIN, LABEL_PRED_PREY,
                                interior_poly_coeffs, interior_poly_crosscheck,
                                positive_real_roots, predprey_equilibria,
                                predscav_equilibria, scavprey_equilibria)
-from ppsdyn.errors import MultipleRoots, NoRoot
 from ppsdyn.model import ModelParams, State, Subsystem, make_rhs, rhs_subsystem
 
 
@@ -84,9 +83,9 @@ def test_interior_bound_values(stable_params):
     assert eq.point[2] < min(eq.aux["bound_pred"], eq.aux["bound_prey"])
 
 
-def test_no_admissible_root_raises():
-    with pytest.raises(NoRoot):
-        interior_equilibrium_direct(ModelParams(**NOROOT_CASE))
+def test_no_admissible_root_is_an_entry_without_a_point():
+    eq = interior_equilibrium_direct(ModelParams(**NOROOT_CASE))
+    assert (eq.point, eq.flag, eq.aux) == (None, None, {})
 
 
 # Degenerate sets.  Tiny a0, d, i0 make N, D and qi exact constants on the
@@ -174,9 +173,9 @@ def test_secant_polish_lands_steep_roots_on_the_zero():
     # draw 3905 of rng 61: the first eigenvalue root sat 1.4e-12 short of the
     # zero of a residual with slope 7.3e4, leaving a residual of -1.0e-7
     p = ModelParams.from_array(np.random.default_rng(61).uniform(0.1, 3, size=(4000, 14))[3905])
-    with pytest.raises(MultipleRoots) as info:
-        interior_equilibrium_direct(p)
-    roots = np.array(info.value.roots)
+    eq = interior_equilibrium_direct(p)
+    assert eq.flag == "multiple_roots"
+    roots = np.array(eq.aux["roots"])
     assert roots == pytest.approx([0.5577, 0.5616, 0.5907], abs=1e-4)
     assert np.all(np.abs(_prey_residuals(roots, p)[0]) < 1e-9)
 
@@ -192,17 +191,17 @@ def test_secant_polish_moves_fixture_points_by_rounding_only(path):
     assert np.all(np.abs(np.subtract(point, eigen_point)) < 1e-10 * np.abs(eigen_point))
 
 
-def test_two_roots_raise_with_locations():
-    with pytest.raises(MultipleRoots) as info:
-        interior_equilibrium_direct(ModelParams(**MULTI2_CASE))
-    assert info.value.roots == pytest.approx([0.026125, 0.657764], abs=1e-5)
+def test_two_roots_are_flagged_with_locations():
+    eq = interior_equilibrium_direct(ModelParams(**MULTI2_CASE))
+    assert eq.flag == "multiple_roots"
+    assert eq.aux["roots"] == pytest.approx([0.026125, 0.657764], abs=1e-5)
 
 
-def test_three_roots_raise_with_locations():
-    with pytest.raises(MultipleRoots) as info:
-        interior_equilibrium_direct(ModelParams(**MULTI3_CASE))
-    assert len(info.value.roots) == 3
-    assert info.value.roots == sorted(info.value.roots)
+def test_three_roots_are_flagged_with_locations():
+    eq = interior_equilibrium_direct(ModelParams(**MULTI3_CASE))
+    assert eq.flag == "multiple_roots"
+    assert len(eq.aux["roots"]) == 3
+    assert eq.aux["roots"] == sorted(eq.aux["roots"])
 
 
 def test_all_equilibria_order_and_retagging(stable_params):
@@ -246,9 +245,8 @@ def test_residuals_vanish_on_random_draws():
                 if e.exists:
                     assert _residual(p, e.point, sub) < 1e-8
                     checked += 1
-        try:
-            e = interior_equilibrium_direct(p)
-        except (NoRoot, MultipleRoots):
+        e = interior_equilibrium_direct(p)
+        if e.point is None:
             continue
         assert _residual(p, e.point, Subsystem.FULL) < 1e-8
         checked += 1
@@ -312,9 +310,7 @@ def test_poly_crosscheck_agrees_on_every_unique_root():
     unique = 0
     for _ in range(300):
         p = rand_params(rng, 0.1, 3.0)
-        try:
-            interior_equilibrium_direct(p)
-        except (NoRoot, MultipleRoots):
+        if interior_equilibrium_direct(p).point is None:
             continue
         unique += 1
         assert interior_poly_crosscheck(p)["agrees"], p

@@ -8,7 +8,7 @@ from conftest import rand_params
 from ppsdyn.equilibria import (LABEL_PRED_PREY, LABEL_SCAV_PREY, all_equilibria,
                                interior_equilibrium_direct, predprey_equilibria,
                                predscav_equilibria, scavprey_equilibria)
-from ppsdyn.errors import ExistenceViolated, MultipleRoots, NoRoot
+from ppsdyn.errors import ExistenceViolated
 from ppsdyn.model import ModelParams, State, Subsystem, rhs_subsystem
 from ppsdyn import stability
 from ppsdyn.stability import (MARGINAL, STABLE, UNSTABLE, classify, jacobian,
