@@ -25,9 +25,9 @@ import numpy as np
 from .data import GROUPS, Dataset, SpeciesMap, ingest, json_text, synthesize
 from .equilibria import LABEL_INTERIOR, all_equilibria, interior_poly_crosscheck
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss
-from .model import ModelParams, State, Subsystem
+from .model import SUBSYSTEMS, ModelParams, State, Subsystem
 from .pinn import estimate as run_estimate, simulate_on_data
-from .solver import SolverConfig, integrate
+from .solver import METHODS, SolverConfig, integrate
 from .stability import classify
 
 # every rejected input is a ValueError, the package's input errors included
@@ -301,10 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="integrate the system and plot the trajectory")
     sim.add_argument("--params", required=True, help="parameter file (key = value lines)")
     sim.add_argument("--s0", required=True, help="initial state as 'x,y,z'")
-    sim.add_argument("--subsystem", default="full",
-                     choices=["full", "predprey", "predscav", "scavprey"])
+    sim.add_argument("--subsystem", default="full", choices=sorted(SUBSYSTEMS))
     sim.add_argument("--t-end", type=float, default=200.0, dest="t_end")
-    sim.add_argument("--method", default="rk45", choices=["rk45", "rk4"])
+    sim.add_argument("--method", default="rk45", choices=METHODS)
     sim.add_argument("--step", type=float, default=None, help="fixed step (rk4 only)")
     sim.add_argument("--tol", type=float, default=1e-9, help="absolute and relative tolerance")
     sim.add_argument("--clamp", action="store_true",

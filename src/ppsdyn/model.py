@@ -171,16 +171,19 @@ class Subsystem(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Subsystem":
-        table = {
-            "full": cls.FULL,
-            "predscav": cls.PRED_SCAV,
-            "predprey": cls.PRED_PREY,
-            "scavprey": cls.SCAV_PREY,
-        }
         try:
-            return table[name.lower().replace("-", "").replace("_", "")]
+            return SUBSYSTEMS[name.lower().replace("-", "").replace("_", "")]
         except KeyError:
-            raise ValueError(f"unknown subsystem {name!r}; expected one of {sorted(table)}") from None
+            raise ValueError(f"unknown subsystem {name!r}; expected one of {sorted(SUBSYSTEMS)}") from None
+
+
+# the names Subsystem.parse takes, once lowercased and without - and _
+SUBSYSTEMS = {
+    "full": Subsystem.FULL,
+    "predscav": Subsystem.PRED_SCAV,
+    "predprey": Subsystem.PRED_PREY,
+    "scavprey": Subsystem.SCAV_PREY,
+}
 
 
 def holling3(u: float, rate: float, handle: float) -> float:

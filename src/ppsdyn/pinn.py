@@ -40,11 +40,11 @@ import numpy as np
 
 from .data import Dataset, json_text
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
-from .model import ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
+from .model import PARAM_ORDER, ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
 from .optimize import adam_run, bfgs_run
 from .solver import OVERFLOW_LIMIT, SolverConfig, integrate
 
-MLP_SIZES = [14, 32, 32, 32, 14]
+MLP_SIZES = [len(PARAM_ORDER), 32, 32, 32, len(PARAM_ORDER)]
 PARAM_FLOOR = 1e-6
 # estimation integrations give up on a hopeless parameter draw instead of
 # burning the full default budget: a tighter step cap, a runaway bound at
@@ -91,7 +91,7 @@ def init_mlp(rng: np.random.Generator, sizes=MLP_SIZES) -> Mlp:
 def init_params(seed) -> np.ndarray:
     """Lognormal(0, 1) draw per component; strictly positive.  seed may be a
     Generator, which is drawn from in place."""
-    return np.exp(np.random.default_rng(seed).standard_normal(14))
+    return np.exp(np.random.default_rng(seed).standard_normal(len(PARAM_ORDER)))
 
 
 def _sigmoid(u):
@@ -231,8 +231,7 @@ def _fit_data(ds: Dataset, raw_grid, tol: float) -> _Fit:
     return _Fit(s0, cfg, raw_grid, ds.observations, ds.mins, ds.ranges)
 
 
-def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
-                     sensitivities: bool = False):
+def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float):
     """(trajectory, normalized states): the model run from the first
     observation, in raw units, over raw_grid (its first point the first
     observation's raw time), clamped at zero; the states are mapped back
@@ -243,11 +242,12 @@ def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float,
     accepted step on.  Raises IntegrationFailed, with the parameters
     attached, when params cannot be integrated over the grid.
     """
-    return _simulate(params, _fit_data(ds, raw_grid, tol), sensitivities)
+    return _simulate(params, _fit_data(ds, raw_grid, tol), False)
 
 
 def _simulate(params: ModelParams, fit: _Fit, sensitivities: bool):
-    """simulate_on_data with its dataset constants, fit = _fit_data(...)."""
+    """simulate_on_data with its dataset constants, fit = _fit_data(...), and
+    dx/dp in traj.sensitivities on request."""
     try:
         traj = integrate(params, fit.s0, fit.cfg, t_eval=fit.grid, sensitivities=sensitivities)
     except IntegrationFailed as exc:
@@ -289,7 +289,7 @@ def _loss_or_inf(term, p, *args):
             return term(ModelParams.from_array(p), *args)
         except IntegrationFailed:
             pass
-    return math.inf, np.full(14, math.inf)
+    return math.inf, np.full(len(PARAM_ORDER), math.inf)
 
 
 class TraceRow(NamedTuple):
@@ -408,7 +408,7 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     """
     stage_errors: list = []
     initial = init_params(seed)
-    p_nn = np.full(14, 1.0)
+    p_nn = np.full(len(PARAM_ORDER), 1.0)
     try:
         _, p_nn, trace = train_pinn(ds, seed, epochs=epochs)
     except NonFiniteLoss as exc:

@@ -24,7 +24,8 @@ With t_eval the adaptive method does not shorten its steps to land on each
 requested point; only the last point is landed on.  The points in between
 are interpolated by the 4th-order continuous extension that the seven stages
 of each step already define (Hairer, Norsett & Wanner, Solving ODEs I,
-II.6), so the step sequence is the one of a free-running integration.
+II.6), so the step sequence is the one of a free-running integration.  The
+loop logs its accepted steps, and one pass after it fills every point.
 
 On request the adaptive method also returns the forward sensitivities
 S = dx/dp of the state with respect to the 14 parameters: the same
@@ -40,7 +41,7 @@ each step's unclamped end, where the 7th stage and its sensitivity are
 taken.  On steps this short the pass costs numpy calls rather than
 arithmetic, so a block of logged steps becomes dx/dp in a fixed number of
 array operations (one Jacobian evaluation, the stage substitution and the
-output points) plus one matrix product per step (see _DenseOutput).
+output points) plus one matrix product per step (see _block_sensitivities).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .model import (JACOBIAN_COLUMNS, ModelParams, State, Subsystem, jacobian_ma
 
 OVERFLOW_LIMIT = 1e12
 MIN_STEP = 1e-12
+METHODS = ("rk45", "rk4")
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 of an accepted step is stage 1
 # of the next).  The E row is the difference between the 5th- and 4th-order
@@ -144,7 +146,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not all(map(math.isfinite, (self.t_end, self.tol, self.step or 0.0))):
             raise ValueError("t_end, step and tol must be finite")
-        if self.method not in ("rk45", "rk4"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "rk4" and (self.step is None or self.step <= 0):
             raise ValueError("rk4 requires a positive fixed step")
@@ -273,158 +275,142 @@ def integrate(
     if t_eval is not None:
         if cfg.method == "rk4":
             raise ValueError("t_eval needs the rk45 method; rk4 records every step")
-        targets = [float(v) for v in t_eval]
-        if not targets or abs(targets[0] - t0) > 1e-12:
+        t_eval = [float(v) for v in t_eval]
+        if not t_eval or abs(t_eval[0] - t0) > 1e-12:
             raise ValueError("t_eval must start at the initial time")
         dirn = 1.0 if cfg.t_end >= t0 else -1.0
-        if any((b - a) * dirn < 0 for a, b in zip(targets, targets[1:])):
+        if any((b - a) * dirn < 0 for a, b in zip(t_eval, t_eval[1:])):
             raise ValueError("t_eval must be monotone toward t_end")
-        if abs(targets[-1] - cfg.t_end) > 1e-12:
+        if abs(t_eval[-1] - cfg.t_end) > 1e-12:
             raise ValueError("t_eval must end at t_end")
-        targets = targets[1:]
-    else:
-        targets = None
+        # the first row is the initial state, at the initial time
+        t_eval[0] = t0
 
     if not sensitivities:
         if cfg.method == "rk4":
             return _run_rk4(rhs, x, y, z, t0, cfg)
-        return _run_rk45(rhs, x, y, z, t0, cfg, targets)
-    if targets is None or mask is not Subsystem.FULL:  # rk4 never has targets
+        return _run_rk45(rhs, x, y, z, t0, cfg, t_eval)
+    if t_eval is None or mask is not Subsystem.FULL:  # rk4 never has t_eval
         raise ValueError("sensitivities need the rk45 method, t_eval and the full system")
     # dx/dp can overflow where the trajectory stays finite (seen at loose
     # tolerances); it then reads inf or nan for the caller to check, without
     # a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _run_rk45(rhs, x, y, z, t0, cfg, targets, make_jacobian(p))
+        return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, make_jacobian(p))
 
 
-class _DenseOutput:
-    """States, and dx/dp on request, at the t_eval points before the last one.
+def _pack(log):
+    """The logged rows as one array, a row per step; clears the log."""
+    m, width = len(log), len(log[0])
+    rows = np.fromiter(chain.from_iterable(log), float, m * width).reshape(m, width)
+    log.clear()
+    return rows
 
-    The step loop logs one row per accepted step: its start time and size,
-    its start state, its seven stage slopes, the last one taken at the
-    unclamped end, and that unclamped end.  Each block of rows is packed
-    into an array.  Without a Jacobian closure a block is turned into output
-    as soon as it is packed, so memory stays bounded on long runs; with one,
-    the blocks wait, in order, until the step loop completes, so an
-    integration that fails never evaluates the closure.  A block becomes
-    output in a few array operations.  States come from the 4th-order
-    continuous extension of the step.  For dx/dp, the Jacobian closure is
-    evaluated once on the block's stage states and the logged ends of the
-    steps that hold output points.  A forward substitution over the six
-    stages, batched over the steps, gives each step's sensitivity stages
-    X_j = [dK_j/dS | dK_j/dp] as an affine function of its start value S, so
-    the step maps [S; I] to its end E = G [S; I]; a short loop runs that
-    recursion, one matrix product per step.  The interpolation weights W are
-    contracted with the stages once per output point, Y = h sum_j W_j X_j
-    over the six stages and Z = h W_7 J(end), and the point's dx/dp is
-    S + Y [S; I] + Z [E; I], the 7th stage taken at the unclamped end.  S is
+
+def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajectory:
+    """The trajectory at t_eval, and dx/dp there when jac is given, from the
+    packed blocks of logged steps, turned into output in order only once the
+    step loop completes, so an integration that fails never does this work.
+
+    A row of a block is one accepted step: its start time and size, its
+    start state, its seven stage slopes, the last one taken at the
+    unclamped end, and that unclamped end.  The first point takes s0; the
+    last one, and any point no logged step reached (all at the final time),
+    take the final state; the points in between come from the 4th-order
+    continuous extension of the step they fall in, a few array operations
+    per block, and their dx/dp from _block_sensitivities, with S = dx/dp
     carried from one block to the next.
     """
-
-    def __init__(self, points, dirn, clamp, jac):
-        self.key = dirn * np.array(points, dtype=float)  # increasing
-        self.dirn = dirn
-        self.clamp = clamp
-        self.jac = jac
-        # rows for t0, the points and the last target, filled in order
-        self.states = np.empty((len(points) + 2, 3))
-        self.S = np.zeros((3, _NP)) if jac is not None else None
-        self.sens = np.empty((len(points) + 2, 3, _NP)) if jac is not None else None
-        self.done = 0
-        self.pending = []  # packed blocks not yet turned into output
-
-    def push(self, log):
-        """Pack the logged rows into a block and clear the log."""
-        m, width = len(log), len(log[0])
-        rows = np.fromiter(chain.from_iterable(log), float, m * width).reshape(m, width)
-        log.clear()
-        if self.jac is None:
-            self._output(rows)
-        else:
-            self.pending.append(rows)
-
-    def _output(self, rows):
-        m = len(rows)
+    points = dirn * np.array(t_eval[1:-1], dtype=float)  # increasing
+    # rows for t0, the points and the last one, filled in order
+    states = np.empty((len(t_eval), 3))
+    S = np.zeros((3, _NP))
+    sens = np.zeros((len(t_eval), 3, _NP)) if jac is not None else None
+    lo = 0
+    for rows in blocks:
         t, hs, y0 = rows[:, 0], rows[:, 1], rows[:, 2:5]
-        K = rows[:, 5:26].reshape(m, 7, 3)
-        key = self.dirn * (t + hs)  # step ends
-        lo = self.done
-        hi = lo + int(np.searchsorted(self.key[lo:], key[-1], side="right"))
-        self.done = hi
+        K = rows[:, 5:26].reshape(-1, 7, 3)
+        key = dirn * (t + hs)  # step ends
+        hi = lo + int(np.searchsorted(points[lo:], key[-1], side="right"))
         # the step each point falls in, and the interpolation weights there
-        n = np.searchsorted(key, self.key[lo:hi], side="left")
+        n = np.searchsorted(key, points[lo:hi], side="left")
         hn = hs[n, None]
-        theta = (self.key[lo:hi] - self.dirn * t[n]) / np.abs(hs[n])
+        theta = (points[lo:hi] - dirn * t[n]) / np.abs(hs[n])
         W = (theta[:, None] ** np.arange(1, 5)) @ _P.T
         out = y0[n] + hn * (W[:, None, :] @ K[n])[:, 0]
-        clipped = (out < 0.0) & self.clamp
+        clipped = (out < 0.0) & clamp
         out[clipped] = 0.0
-        self.states[1 + lo:1 + hi] = out
-        if self.jac is None:
-            return
-
-        ends = rows[:, 26:]
-        G, Y, Z = self._step_maps(hs[:, None], y0, K, ends[n], n, hn * W)
-        # T[i] = [S; I] at the start of step i, and step i maps it to its end
-        # E = G[i] [S; I]; max(v, 0) has derivative 0 where it clips, so a
-        # clamped step zeroes those rows of E
-        T = np.empty((m + 1, JACOBIAN_COLUMNS, _NP))
-        T[:, 3:] = _EYE
-        T[0, :3] = self.S
-        clamps = self.clamp and ends.min() < 0.0
-        maps = G * (ends >= 0.0)[:, :, None] if clamps else G
-        for g, start, end in zip(list(maps), list(T[:-1]), list(T[1:, :3])):
-            np.matmul(g, start, out=end)
-        self.S = T[m, :3].copy()
-        # the output points: S + Y [S; I] + Z [E; I], the 7th stage taken at
-        # the step's unclamped end
-        Sn = T[n, :3]
-        En = G[n] @ T[n] if clamps else T[n + 1, :3]
-        out_s = Sn + Y[..., :3] @ Sn + Z[..., :3] @ En + (Y[..., 3:] + Z[..., 3:])
-        out_s[clipped] = 0.0
-        self.sens[1 + lo:1 + hi] = out_s
-
-    def _step_maps(self, h, y0, K, ends, n, hW):
-        """The sensitivity stages of a block of steps, contracted: G[i] =
-        [I | 0] + h_i sum_j b_j X_ij maps [S; I] at the start of step i to its
-        end, and for the output points, in steps n with weights hW = h W,
-        Y = h sum_j W_j X_nj over the six stages and Z = h W_7 J(end) at the
-        step's end (ends); X_ij = [dK_j/dS | dK_j/dp] of step i."""
-        m = len(h)
-        stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
-        M = jacobian_matrices(self.jac, *np.concatenate([stage_states.reshape(-1, 3), ends]).T)
-        # X[:, j] from K_j = J_j (S + hs sum_l a_jl K_l) + jp_j, by forward
-        # substitution over the stages, each written over its J_j in place,
-        # with hs folded into the tableau rows; the tableau is strictly lower
-        # triangular, so a whole row reads only earlier stages
-        X = M[: 6 * m].reshape(m, 6, 3, JACOBIAN_COLUMNS)
-        flat = X.reshape(m, 6, 3 * JACOBIAN_COLUMNS)
-        hA = (h[:, None] * _A)[:, :, None]
-        for row, Xj in zip(list(hA.swapaxes(0, 1))[1:], list(X.swapaxes(0, 1))[1:]):
-            Xj += Xj[..., :3] @ (row @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
-        G = ((h * _B)[:, None] @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
-        G[:, :, :3] += _EYE[:3, :3]
-        Y = (hW[:, None, :6] @ flat[n]).reshape(-1, 3, JACOBIAN_COLUMNS)
-        return G, Y, hW[:, 6, None, None] * M[6 * m:]
-
-    def finish(self, t0, s0, targets, final, diag) -> Trajectory:
-        """The trajectory at t0 and at the targets; the last target, and any
-        point no logged step reached (all at the final time), take the final
-        state."""
-        while self.pending:
-            self._output(self.pending.pop(0))
-        self.states[0] = s0
-        self.states[1 + self.done:] = final
-        diag.min_component = min(diag.min_component,
-                                 float(self.states[1:-1].min(initial=math.inf)))
-        if self.jac is not None:
-            self.sens[0] = 0.0
-            self.sens[1 + self.done:] = self.S
-        return Trajectory(np.array([t0] + targets), self.states, diag, self.sens)
+        states[1 + lo:1 + hi] = out
+        if jac is not None:
+            out_s, S = _block_sensitivities(jac, hs[:, None], y0, K, rows[:, 26:], n, hn * W,
+                                            clipped, clamp, S)
+            sens[1 + lo:1 + hi] = out_s
+        lo = hi
+    states[0] = s0
+    states[1 + lo:] = final
+    diag.min_component = min(diag.min_component,
+                             float(states[1:-1].min(initial=math.inf)))
+    if jac is not None:
+        sens[1 + lo:] = S
+    return Trajectory(np.array(t_eval), states, diag, sens)
 
 
-def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Trajectory:
+def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
+    """dx/dp at the output points of a block of logged steps, and S at the
+    block's end, from S at its start; the steps have sizes h, start states
+    y0, stage slopes K and unclamped ends, and the points lie in steps n,
+    with interpolation weights hW = h W, clamped to zero where clipped.
+
+    The Jacobian closure is evaluated once on the block's stage states and
+    the logged ends of the steps n.  A forward substitution over the six
+    stages, batched over the steps, gives each step's sensitivity stages
+    X_j = [dK_j/dS | dK_j/dp] as an affine function of its start value S,
+    so the step maps [S; I] to its end E = G [S; I], with
+    G = [I | 0] + h sum_j b_j X_j; a short loop runs that recursion, one
+    matrix product per step.  The weights are contracted with the stages
+    once per output point, Y = h sum_j W_j X_j over the six stages and
+    Z = h W_7 J(end), and the point's dx/dp is S + Y [S; I] + Z [E; I], the
+    7th stage taken at the unclamped end.  The block's arrays are freed on
+    return, before the next block's are made.
+    """
+    m = len(h)
+    stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
+    M = jacobian_matrices(jac, *np.concatenate([stage_states.reshape(-1, 3), ends[n]]).T)
+    # X[:, j] from K_j = J_j (S + hs sum_l a_jl K_l) + jp_j, by forward
+    # substitution over the stages, each written over its J_j in place,
+    # with hs folded into the tableau rows; the tableau is strictly lower
+    # triangular, so a whole row reads only earlier stages
+    X = M[: 6 * m].reshape(m, 6, 3, JACOBIAN_COLUMNS)
+    flat = X.reshape(m, 6, 3 * JACOBIAN_COLUMNS)
+    hA = (h[:, None] * _A)[:, :, None]
+    for row, Xj in zip(list(hA.swapaxes(0, 1))[1:], list(X.swapaxes(0, 1))[1:]):
+        Xj += Xj[..., :3] @ (row @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
+    G = ((h * _B)[:, None] @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
+    G[:, :, :3] += _EYE[:3, :3]
+    Y = (hW[:, None, :6] @ flat[n]).reshape(-1, 3, JACOBIAN_COLUMNS)
+    Z = hW[:, 6, None, None] * M[6 * m:]
+    # the stage Jacobians, M and its views, are freed before T is made
+    del M, X, flat, Xj
+    # T[i] = [S; I] at the start of step i, and step i maps it to its end
+    # E = G[i] [S; I]; max(v, 0) has derivative 0 where it clips, so a
+    # clamped step zeroes those rows of E
+    T = np.empty((m + 1, JACOBIAN_COLUMNS, _NP))
+    T[:, 3:] = _EYE
+    T[0, :3] = S
+    clamps = clamp and ends.min() < 0.0
+    maps = G * (ends >= 0.0)[:, :, None] if clamps else G
+    for g, start, end in zip(list(maps), list(T[:-1]), list(T[1:, :3])):
+        np.matmul(g, start, out=end)
+    # the output points: S + Y [S; I] + Z [E; I], the 7th stage taken at
+    # the step's unclamped end
+    Sn = T[n, :3]
+    En = G[n] @ T[n] if clamps else T[n + 1, :3]
+    out_s = Sn + Y[..., :3] @ Sn + Z[..., :3] @ En + (Y[..., 3:] + Z[..., 3:])
+    out_s[clipped] = 0.0
+    return out_s, T[m, :3].copy()
+
+
+def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajectory:
     t_end = cfg.t_end
     dirn = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
@@ -444,25 +430,18 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
     lowest = min(x, y, z)
     times = [t0]
     states = [(x, y, z)]
-    if targets is None:
+    if t_eval is None:
         # record every accepted step
-        target, log, dense = t_end, None, None
+        target, log = t_end, None
     else:
         # steps are clipped only to land on the last point
-        target = targets[-1] if targets else t0
-        log, dense = [], _DenseOutput(targets[:-1], dirn, clamp, jac)
+        target, log, blocks = t_eval[-1], [], []
 
     t = t0
     f1x, f1y, f1z = rhs(x, y, z)
     if not (isfinite(f1x) and isfinite(f1y) and isfinite(f1z)):
         raise NumericalOverflow("non-finite derivative at the initial state", t=t0)
     h = cfg.step if cfg.step is not None else max(min(0.1, span / 100.0), MIN_STEP)
-    if span == 0 or targets == []:
-        # every requested point is the initial one
-        times += targets or []
-        sens = None if jac is None else np.zeros((len(times), 3, _NP))
-        return Trajectory(np.array(times), np.array(states * len(times)),
-                          Diagnostics(min_component=lowest), sens)
 
     while (target - t) * dirn > 0:
         if steps >= max_steps:
@@ -543,7 +522,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
                             f4x, f4y, f4z, f5x, f5y, f5z, f6x, f6y, f6z, f7x, f7y, f7z,
                             xn, yn, zn))
                 if len(log) == _BLOCK:
-                    dense.push(log)
+                    blocks.append(_pack(log))
             t = t + hs
             x, y, z = xn, yn, zn
             if clamp and (x < 0.0 or y < 0.0 or z < 0.0):
@@ -571,7 +550,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
             h = abs(hs) * (fac if fac < 5.0 else 5.0)
             if h < MIN_STEP:
                 h = MIN_STEP
-            if dense is None:
+            if log is None:
                 times.append(t)
                 states.append((x, y, z))
         else:
@@ -580,11 +559,11 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, targets, jac=None) -> Traject
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
     diag = Diagnostics(steps=steps, rejected=rejected, min_component=lowest, clamped=clamped)
-    if dense is None:
+    if log is None:
         return Trajectory(np.array(times), np.array(states), diag)
     if log:
-        dense.push(log)
-    return dense.finish(t0, states[0], targets, (x, y, z), diag)
+        blocks.append(_pack(log))
+    return _dense_output(blocks, t_eval, dirn, clamp, jac, states[0], (x, y, z), diag)
 
 
 def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:

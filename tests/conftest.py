@@ -49,6 +49,10 @@ NOROOT_CASE = dict(r=1.391226996802409, k=1.4115054112707228,
                    h=0.5170658865009429, i=1.6828255072772786,
                    i0=1.8123119252126134, j=1.544226927610764)
 
+# at tol 1e-2 a step overshoots the collapsing prey below zero
+COLLAPSE_CASE = dict(r=0.72, k=2.03, a=2.23, a0=0.85, b=2.03, b0=0.76, d=2.67,
+                     e=1.26, f=1.47, g=0.59, h=1.45, i=0.90, i0=2.37, j=0.49)
+
 # two admissible interior roots near x = 0.026125 and 0.657764
 MULTI2_CASE = dict(r=1.0750765037239864, k=1.2003133696903825,
                    a=7.493074770359758, a0=4.488307531908622,

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, rand_params
+from conftest import COLLAPSE_CASE, FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, rand_params
 from ppsdyn.errors import IntegrationFailed, MaskViolation, NumericalOverflow
 from ppsdyn.model import ModelParams, State, Subsystem, jacobian_matrices
 from ppsdyn.solver import (_BLOCK, Diagnostics, SolverConfig, Trajectory, detect_settling,
@@ -168,6 +168,23 @@ def test_t_eval_must_end_at_t_end_with_one_row_per_point(stable_params):
     assert traj.sensitivities.shape == (2, 3, 14) and not traj.sensitivities.any()
 
 
+@pytest.mark.parametrize("sensitivities", [False, True])
+@pytest.mark.parametrize("t_end", [1.5, 1.5 + 5e-13])
+def test_single_point_t_eval_is_the_initial_state(stable_params, t_end, sensitivities):
+    # t_eval == [t0] asks for the initial state alone, also where t_end
+    # lies past t0 within the 1e-12 that t_eval's end may miss it by
+    s0 = State(4.0, 3.0, 2.0, t=1.5)
+    traj = integrate(stable_params, s0, SolverConfig(t_end=t_end), t_eval=[1.5],
+                     sensitivities=sensitivities)
+    assert traj.times.tolist() == [1.5]
+    assert traj.states.tolist() == [[4.0, 3.0, 2.0]]
+    assert traj.diagnostics == Diagnostics(min_component=2.0)
+    if sensitivities:
+        assert traj.sensitivities.shape == (1, 3, 14) and not traj.sensitivities.any()
+    else:
+        assert traj.sensitivities is None
+
+
 def test_interpolated_states_match_tight_reference(stable_params, reference_params):
     # the t_eval points between steps come from the continuous extension; its
     # error stays at the level of the tolerance (a few tol here)
@@ -293,9 +310,8 @@ def test_sensitivities_leave_steps_and_states_bitwise_unchanged(reference_params
     draws = [reference_params] + [
         ModelParams.from_array(reference_params.as_array() * np.exp(0.3 * rng.standard_normal(14)))
         for _ in range(5)]
-    # value-only runs turn each block of logged steps into output as it
-    # fills, gradient runs only after the step loop; the long case crosses
-    # several block boundaries
+    # both turn the logged steps into output after the step loop, one with
+    # dx/dp and one without; the long case crosses several block boundaries
     long_grid = np.linspace(0.0, 40.0, 60)
     cases = [(GRID, _loss_cfg(1e-6)), (GRID, _loss_cfg(1e-9)),
              (long_grid, SolverConfig(t_end=40.0, tol=1e-10))]
@@ -347,15 +363,19 @@ def test_failed_gradient_integration_evaluates_no_jacobian(monkeypatch, referenc
 def test_sensitivities_do_not_depend_on_the_block_size(monkeypatch, reference_params, case):
     # S is carried from one block of logged steps to the next, and a
     # clamped step's end is logged unclamped; cutting the same run into
-    # blocks of 3 steps must change neither the steps nor dx/dp
+    # blocks of 3 steps must change neither the steps, the states nor dx/dp
     if case == "readme":
         args = (reference_params, README_S0, _loss_cfg(1e-9), GRID)
     else:
         args = (COLLAPSE, COLLAPSE_S0, COLLAPSE_CFG, np.linspace(0.0, 2.0, 41))
     p, s0, cfg, grid = args
     whole = integrate(p, s0, cfg, t_eval=grid, sensitivities=True)
+    plain = integrate(p, s0, cfg, t_eval=grid)
     monkeypatch.setattr("ppsdyn.solver._BLOCK", 3)
     cut = integrate(p, s0, cfg, t_eval=grid, sensitivities=True)
+    cut_plain = integrate(p, s0, cfg, t_eval=grid)
+    assert plain.states.tobytes() == cut_plain.states.tobytes() == whole.states.tobytes()
+    assert plain.diagnostics == cut_plain.diagnostics
     assert whole.diagnostics.steps - whole.diagnostics.rejected > 3  # two blocks or more
     if case == "collapse":
         assert whole.diagnostics.clamped > 0
@@ -408,8 +428,7 @@ def test_single_step_sensitivity_is_exact_derivative_of_the_step(stable_params):
 
 
 # at this loose tolerance a step overshoots the collapsing prey below zero
-COLLAPSE = ModelParams(r=0.72, k=2.03, a=2.23, a0=0.85, b=2.03, b0=0.76, d=2.67,
-                       e=1.26, f=1.47, g=0.59, h=1.45, i=0.90, i0=2.37, j=0.49)
+COLLAPSE = ModelParams(**COLLAPSE_CASE)
 COLLAPSE_S0 = State(1.62, 1.24, 2.74)
 COLLAPSE_CFG = SolverConfig(t_end=2.0, tol=1e-2, negativity_policy="clamp")
 
