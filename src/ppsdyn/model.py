@@ -12,7 +12,9 @@ h*y*z term and is itself consumed by the predator.
 All fourteen parameters are strictly positive.  The exponent in the type-III
 response is fixed at 2.  make_rhs gives the right-hand side and make_jacobian
 its derivatives with respect to the state and to the parameters, the terms of
-the variational equations the solver integrates for exact gradients.
+the variational equations the solver integrates for exact gradients;
+make_parameter_jacobian gives the parameter derivatives alone, from the same
+entries, for the physics term of the estimation loss.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import MaskViolation, NumericalOverflow
 
 PARAM_ORDER = ("r", "k", "a", "a0", "b", "b0", "d", "e", "f", "g", "h", "i", "i0", "j")
+# the parameters of a ModelParams as a tuple in PARAM_ORDER, in one call
+_param_values = attrgetter(*PARAM_ORDER)
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,7 @@ class ModelParams:
     j: float
 
     def __post_init__(self):
-        for name in PARAM_ORDER:
-            v = getattr(self, name)
+        for name, v in zip(PARAM_ORDER, _param_values(self)):
             # a plain float, the common case, needs neither the type test nor
             # the conversion; numpy floats get both
             plain = type(v) is float
@@ -218,7 +222,7 @@ def make_rhs(p: ModelParams):
     signed-zero derivative (NaN where another component is non-finite) and
     stays at zero exactly.  Subsystem.check_state enforces the zero start.
     """
-    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = (getattr(p, n) for n in PARAM_ORDER)
+    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = _param_values(p)
 
     def deriv(x: float, y: float, z: float):
         x2 = x * x
@@ -240,6 +244,53 @@ def make_rhs(p: ModelParams):
 JACOBIAN_COLUMNS = 3 + len(PARAM_ORDER)
 
 
+def _jacobian_blocks(p: ModelParams):
+    """The two closures make_jacobian's matrix is built from, with each entry
+    written once.  dfdp(x, y, z) gives the rows of the 3 x 14 block df/dp,
+    together with the factors the state block reuses; dfdx(x, y, z, factors)
+    gives the rows of the 3 x 3 block df/d(x, y, z).
+    """
+    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = _param_values(p)
+
+    def dfdp(x, y, z):
+        x2 = x * x
+        z2 = z * z
+        qa = 1.0 + a0 * x2
+        qb = 1.0 + b0 * x2
+        qi = 1.0 + i0 * z2
+        # the three type-III shapes
+        ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
+        # each shape times the population it meets, once with and once
+        # without its handling-time derivative -u^4/(1 + c u^2)^2 = -shape^2;
+        # arrays cost a numpy call per operation, so shared factors are formed once
+        uay, ubz, uiy = ua * y, ub * z, ui * y
+        ua2y, ub2z, ui2y = ua * uay, ub * ubz, ui * uiy
+        return (
+            # prey row: r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j
+            (x - x2 / k, x2 * (r / (k * k)), -uay, a * ua2y, -ubz, b * ub2z,
+             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            # predator row
+            (0.0, 0.0, 0.0, -d * ua2y, 0.0, 0.0,
+             uay, -y, uiy, 0.0, 0.0, 0.0, -f * ui2y, 0.0),
+            # scavenger row
+            (0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2z,
+             0.0, 0.0, 0.0, ubz, y * z, -uiy, i * ui2y, -z),
+        ), (qa, qb, qi, ua, ub, ui)
+
+    def dfdx(x, y, z, factors):
+        qa, qb, qi, ua, ub, ui = factors
+        # the shapes' state derivatives 2u/(1 + c u^2)^2
+        tx = 2.0 * x
+        dua, dub, dui = tx / (qa * qa), tx / (qb * qb), 2.0 * z / (qi * qi)
+        return (
+            (r * (1.0 - tx / k) - a * dua * y - b * dub * z, -a * ua, -b * ub),
+            (d * dua * y, d * ua + f * ui - e, f * dui * y),
+            (g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j),
+        )
+
+    return dfdp, dfdx
+
+
 def make_jacobian(p: ModelParams):
     """Closure giving the derivatives of the full system's right-hand side at (x, y, z).
 
@@ -248,48 +299,39 @@ def make_jacobian(p: ModelParams):
     floats, so the solver can evaluate it at every stage of a step and build
     one array from all of them.
     """
-    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = (getattr(p, n) for n in PARAM_ORDER)
+    dfdp, dfdx = _jacobian_blocks(p)
 
     def jac(x: float, y: float, z: float):
-        x2 = x * x
-        z2 = z * z
-        qa = 1.0 + a0 * x2
-        qb = 1.0 + b0 * x2
-        qi = 1.0 + i0 * z2
-        # the three type-III shapes and their state derivatives 2u/(1 + c u^2)^2
-        ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
-        tx = 2.0 * x
-        dua, dub, dui = tx / (qa * qa), tx / (qb * qb), 2.0 * z / (qi * qi)
-        # each shape times the population it meets, once with and once
-        # without its handling-time derivative -u^4/(1 + c u^2)^2 = -shape^2;
-        # arrays cost a numpy call per operation, so shared factors are formed once
-        uay, ubz, uiy = ua * y, ub * z, ui * y
-        ua2y, ub2z, ui2y = ua * uay, ub * ubz, ui * uiy
-        return (
-            # prey row: x, y, z | r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j
-            r * (1.0 - tx / k) - a * dua * y - b * dub * z, -a * ua, -b * ub,
-            x - x2 / k, x2 * (r / (k * k)), -uay, a * ua2y, -ubz, b * ub2z,
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            # predator row
-            d * dua * y, d * ua + f * ui - e, f * dui * y,
-            0.0, 0.0, 0.0, -d * ua2y, 0.0, 0.0,
-            uay, -y, uiy, 0.0, 0.0, 0.0, -f * ui2y, 0.0,
-            # scavenger row
-            g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j,
-            0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2z,
-            0.0, 0.0, 0.0, ubz, y * z, -uiy, i * ui2y, -z,
-        )
+        (prey_p, predator_p, scavenger_p), factors = dfdp(x, y, z)
+        prey, predator, scavenger = dfdx(x, y, z, factors)
+        # unpacked into one tuple; concatenating the rows would build and
+        # drop four intermediate tuples per call
+        return (*prey, *prey_p, *predator, *predator_p, *scavenger, *scavenger_p)
+
+    return jac
+
+
+def make_parameter_jacobian(p: ModelParams):
+    """Closure giving df/dp alone at (x, y, z): make_jacobian's matrix without
+    its state block, 3 x len(PARAM_ORDER), flattened row-major, for a caller
+    that needs no df/d(x, y, z)."""
+    dfdp = _jacobian_blocks(p)[0]
+
+    def jac(x: float, y: float, z: float):
+        (prey, predator, scavenger), _ = dfdp(x, y, z)
+        return (*prey, *predator, *scavenger)
 
     return jac
 
 
 def jacobian_matrices(jac, x, y, z):
-    """A make_jacobian closure evaluated once on equal-length arrays of states.
+    """A make_jacobian or make_parameter_jacobian closure evaluated once on
+    equal-length arrays of states.
 
-    Returns the matrices as an array of shape (len(x), 3, JACOBIAN_COLUMNS),
-    bitwise equal to one call per state: the closure's arithmetic is
-    elementwise, and its constant entries, the float 0.0, are already in
-    place in the zero-initialised array.
+    Returns the matrices as an array of shape (len(x), 3, columns), columns
+    JACOBIAN_COLUMNS or len(PARAM_ORDER), bitwise equal to one call per
+    state: the closure's arithmetic is elementwise, and its constant entries,
+    the float 0.0, are already in place in the zero-initialised array.
     """
     import numpy as np
 
@@ -297,7 +339,11 @@ def jacobian_matrices(jac, x, y, z):
     # C order, as one matrix per call would stack: numpy's reductions may
     # sum in another order over another memory layout
     out = np.zeros((len(x), len(vals)))
+    # each array entry written as a row of the transposed view, which numpy
+    # indexes faster than a column of out; one fancy-indexed assignment
+    # would first copy all of them into a temporary
+    columns = out.T
     for col, v in enumerate(vals):
         if type(v) is not float:
-            out[:, col] = v
-    return out.reshape(-1, 3, JACOBIAN_COLUMNS)
+            columns[col] = v
+    return out.reshape(-1, 3, len(vals) // 3)

@@ -76,7 +76,7 @@ def adam_run(fun, theta0, alpha: float = 0.001, num_steps: int = 100):
                 f"objective non-finite at step {len(history)}", history=history
             )
         history.append(loss)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteLoss(
                 f"gradient non-finite at step {len(history) - 1}", history=history
             )
@@ -100,7 +100,7 @@ def _line_search(fun, x, fx, g, p):
         cand = x + t * p
         f_new, g_new = _evaluate(fun, cand)
         if (math.isfinite(f_new) and f_new <= fx + SUFFICIENT_DECREASE * t * slope
-                and np.all(np.isfinite(g_new))):
+                and np.isfinite(g_new).all()):
             return cand, f_new, g_new
         t *= SHRINK
     return None
@@ -126,7 +126,7 @@ def bfgs_run(fun, x0, max_iterations: int = 200):
     if not math.isfinite(fx):
         raise NonFiniteLoss("objective non-finite at x0", history=[])
     history = [fx]
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteLoss("gradient non-finite at x0", history=history)
     if np.linalg.norm(g) < GRADIENT_TOLERANCE:
         return x, history

@@ -2,11 +2,13 @@
 quasi-Newton polish on the parameters themselves.
 
 The network maps a fixed lognormal-initialized 14-vector to a predicted
-parameter vector.  optimize.adam_run trains its weights on total_loss =
-MSE + PIE.  The MSE, the misfit, compares the trajectory integrated from the
-first observation against the observations; the PIE, the physics term,
-compares finite-difference data derivatives against the model right-hand
-side at the observed states.  Each term is one function that returns its
+parameter vector; its weights and biases are views of one flat vector,
+which optimize.adam_run trains on the network stage's loss, MSE + PIE
+(_network_term; total_loss is the same sum for library callers).  The MSE,
+the misfit, compares the trajectory integrated from the first observation
+against the observations; the PIE, the physics term, compares
+finite-difference data derivatives against the model right-hand side at
+the observed states.  Each term is one function that returns its
 value and exact gradient in p: the misfit's from the forward sensitivities
 dx/dp of the same integration (the solver steps freely over the data grid
 and interpolates the observation times by its continuous extension), the
@@ -40,7 +42,8 @@ import numpy as np
 
 from .data import Dataset, json_text
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
-from .model import PARAM_ORDER, ModelParams, State, jacobian_matrices, make_jacobian, make_rhs
+from .model import (PARAM_ORDER, ModelParams, State, jacobian_matrices,
+                    make_parameter_jacobian, make_rhs)
 from .optimize import adam_run, bfgs_run
 from .solver import OVERFLOW_LIMIT, SolverConfig, integrate
 
@@ -58,10 +61,17 @@ STIFF_TEST_EVERY = 1000
 
 @dataclass
 class Mlp:
-    """Dense layers; swish hidden activations, rectified output."""
+    """Dense layers; swish hidden activations, rectified output.
+
+    The weights and biases are views of one flat vector, theta: layer by
+    layer from the input side, each weight matrix row by row and then its
+    bias.  The arrays given are copied into a fresh theta, so writing theta
+    sets every layer at once.
+    """
 
     weights: list  # per layer, shape (fan_out, fan_in)
     biases: list
+    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -69,10 +79,24 @@ class Mlp:
         for W, b in zip(self.weights, self.biases):
             if W.shape[0] != b.shape[0]:
                 raise ValueError("bias length must match weight rows")
+        self.theta = np.concatenate([t.ravel() for pair in zip(self.weights, self.biases)
+                                     for t in pair], dtype=float)
+        self.weights, self.biases = _layer_views(self.theta, self.sizes)
 
     @property
     def sizes(self) -> list:
         return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
+
+
+def _layer_views(flat: np.ndarray, sizes) -> tuple:
+    """(weights, biases): per layer, views of flat laid out as Mlp.theta."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = pos + fan_out * fan_in
+        weights.append(flat[pos:end].reshape(fan_out, fan_in))
+        biases.append(flat[end:end + fan_out])
+        pos = end + fan_out
+    return weights, biases
 
 
 def init_mlp(rng: np.random.Generator, sizes=MLP_SIZES) -> Mlp:
@@ -120,13 +144,12 @@ def forward(net: Mlp, x) -> np.ndarray:
     return _forward_cached(net, x)[0]
 
 
-def backward(net: Mlp, caches, dout) -> list:
-    """Gradients of a scalar loss w.r.t. every (W, b), given d(loss)/d(output).
-
-    Returns one (gW, gb) pair per layer, input side first.
-    """
-    grads = []
-    d = np.asarray(dout, dtype=float).copy()
+def backward(net: Mlp, caches, dout) -> np.ndarray:
+    """Gradient of a scalar loss w.r.t. net.theta, laid out as theta, given
+    d(loss)/d(output); each layer's part is written in place."""
+    grad = np.empty_like(net.theta)
+    g_weights, g_biases = _layer_views(grad, net.sizes)
+    d = np.asarray(dout, dtype=float)
     last = len(net.weights) - 1
     for li in range(last, -1, -1):
         hin, u, s = caches[li]
@@ -135,23 +158,11 @@ def backward(net: Mlp, caches, dout) -> list:
         else:
             # swish'(u) = s(1 + u(1 - s)) with s = sigmoid(u)
             du = d * (s * (1.0 + u * (1.0 - s)))
-        grads.append((np.outer(du, hin), du.copy()))
+        # the outer product du hin^T
+        np.multiply(du[:, None], hin, out=g_weights[li])
+        g_biases[li][...] = du
         d = net.weights[li].T @ du
-    grads.reverse()
-    return grads
-
-
-def _pack(tensors) -> np.ndarray:
-    return np.concatenate([np.asarray(t, dtype=float).ravel() for pair in tensors for t in pair])
-
-
-def _unpack_into(net: Mlp, theta: np.ndarray) -> None:
-    pos = 0
-    for li in range(len(net.weights)):
-        for attr in (net.weights, net.biases):
-            n = attr[li].size
-            attr[li][...] = theta[pos : pos + n].reshape(attr[li].shape)
-            pos += n
+    return grad
 
 
 def grid_derivative(times, values) -> np.ndarray:
@@ -196,11 +207,19 @@ def _misfit(params: ModelParams, fit: _Fit, gradient: bool):
     d mse/dp is None unless gradient is set."""
     traj, pred = _simulate(params, fit, gradient)
     resid = pred - fit.observations
-    mse = float(np.mean(np.sum(resid ** 2, axis=1)))
+    mse = _mean_squared_norm(resid)
     if not gradient:
         return mse, None
     # d pred / dp is dx/dp over the column range
     return mse, (2.0 / len(resid)) * np.einsum("tc,tcp->p", resid / fit.ranges, traj.sensitivities)
+
+
+def _mean_squared_norm(rows) -> float:
+    """The mean over rows of their squared norms, bit for bit what
+    np.mean(np.sum(rows ** 2, axis=1)) gives, without numpy's Python-level
+    mean."""
+    norms = (rows ** 2).sum(axis=1)
+    return float(norms.sum() / len(norms))
 
 
 class _Fit(NamedTuple):
@@ -262,7 +281,9 @@ def _physics_data(ds: Dataset):
     the data derivative (which checks that the grid is uniform), the observed
     states as raw columns, and the per-component scale that maps the raw
     right-hand side onto normalized time and values."""
-    return data_derivative(ds), ds.raw_observations.T, (ds.t_end - ds.t_start) / ds.ranges
+    # contiguous columns: the closures' arithmetic is elementwise +, -, * and
+    # /, so the layout changes no bit, only the cost of every operation
+    return data_derivative(ds), ds.raw_observations.T.copy(), (ds.t_end - ds.t_start) / ds.ranges
 
 
 def _physics_term(params: ModelParams, deriv, observed, scale):
@@ -273,10 +294,10 @@ def _physics_term(params: ModelParams, deriv, observed, scale):
     # equals one call per observed state, bit for bit
     model_deriv = np.array(make_rhs(params)(*observed)).T * scale
     pie_resid = deriv - model_deriv
-    pie = float(np.mean(np.sum(pie_resid ** 2, axis=1)))
+    pie = _mean_squared_norm(pie_resid)
     # d model_deriv / dp is df/dp at the observed state times the same
     # scale as the values
-    dfdp = jacobian_matrices(make_jacobian(params), *observed)[:, :, 3:]
+    dfdp = jacobian_matrices(make_parameter_jacobian(params), *observed)
     return pie, (-2.0 / len(deriv)) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
 
 
@@ -284,7 +305,7 @@ def _loss_or_inf(term, p, *args):
     """term(params, *args), a (value, gradient) pair for the parameters of
     vector p, or an infinite value and gradient where p is non-positive or
     non-finite or cannot be integrated."""
-    if np.all(np.isfinite(p)) and np.all(p > 0):
+    if np.isfinite(p).all() and (p > 0).all():
         try:
             return term(ModelParams.from_array(p), *args)
         except IntegrationFailed:
@@ -328,20 +349,21 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
 
     def loss(theta):
         nonlocal best_total, best_p
-        _unpack_into(net, theta)
+        net.theta[...] = theta
         p_raw, caches = _forward_cached(net, inp)
         pf = np.maximum(p_raw, PARAM_FLOOR)
         row, dEdp = _loss_or_inf(_network_term, pf, fit, phys)
-        if not (np.all(np.isfinite(row)) and np.all(np.isfinite(dEdp))):
+        # row is a TraceRow, or _loss_or_inf's bare inf
+        if not (np.isfinite(row).all() and np.isfinite(dEdp).all()):
             raise NonFiniteLoss(f"training loss or gradient non-finite at epoch {len(trace)}",
                                 history=trace, best=best_p)
         trace.append(row)
         if row.total < best_total:
             best_total, best_p = row.total, pf
-        return row.total, _pack(backward(net, caches, dEdp))
+        return row.total, backward(net, caches, dEdp)
 
-    theta, _ = adam_run(loss, _pack(zip(net.weights, net.biases)), alpha=1e-4, num_steps=epochs)
-    _unpack_into(net, theta)
+    theta, _ = adam_run(loss, net.theta, alpha=1e-4, num_steps=epochs)
+    net.theta[...] = theta
     return net, np.maximum(forward(net, inp), PARAM_FLOOR), trace
 
 

@@ -98,6 +98,9 @@ _P = np.stack([_FIRST, 3 * _B7 - 2 * _FIRST - _LAST + _D,
 _BLOCK = 128
 _NP = JACOBIAN_COLUMNS - 3  # parameters
 _EYE = np.eye(_NP)
+_EYE3 = np.eye(3)
+# the powers of theta in the continuous extension
+_POWERS = np.arange(1, 5)
 
 
 @dataclass(frozen=True)
@@ -321,7 +324,8 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
     per block, and their dx/dp from _block_sensitivities, with S = dx/dp
     carried from one block to the next.
     """
-    points = dirn * np.array(t_eval[1:-1], dtype=float)  # increasing
+    times = np.array(t_eval)
+    points = dirn * times[1:-1]  # increasing
     # rows for t0, the points and the last one, filled in order
     states = np.empty((len(t_eval), 3))
     S = np.zeros((3, _NP))
@@ -331,12 +335,13 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
         t, hs, y0 = rows[:, 0], rows[:, 1], rows[:, 2:5]
         K = rows[:, 5:26].reshape(-1, 7, 3)
         key = dirn * (t + hs)  # step ends
-        hi = lo + int(np.searchsorted(points[lo:], key[-1], side="right"))
+        hi = lo + int(points[lo:].searchsorted(key[-1], side="right"))
         # the step each point falls in, and the interpolation weights there
-        n = np.searchsorted(key, points[lo:hi], side="left")
-        hn = hs[n, None]
-        theta = (points[lo:hi] - dirn * t[n]) / np.abs(hs[n])
-        W = (theta[:, None] ** np.arange(1, 5)) @ _P.T
+        n = key.searchsorted(points[lo:hi], side="left")
+        hsn = hs[n]
+        hn = hsn[:, None]
+        theta = (points[lo:hi] - dirn * t[n]) / np.abs(hsn)
+        W = (theta[:, None] ** _POWERS) @ _P.T
         out = y0[n] + hn * (W[:, None, :] @ K[n])[:, 0]
         clipped = (out < 0.0) & clamp
         out[clipped] = 0.0
@@ -352,7 +357,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
                              float(states[1:-1].min(initial=math.inf)))
     if jac is not None:
         sens[1 + lo:] = S
-    return Trajectory(np.array(t_eval), states, diag, sens)
+    return Trajectory(times, states, diag, sens)
 
 
 def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
@@ -386,7 +391,7 @@ def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
     for row, Xj in zip(list(hA.swapaxes(0, 1))[1:], list(X.swapaxes(0, 1))[1:]):
         Xj += Xj[..., :3] @ (row @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
     G = ((h * _B)[:, None] @ flat).reshape(m, 3, JACOBIAN_COLUMNS)
-    G[:, :, :3] += _EYE[:3, :3]
+    G[:, :, :3] += _EYE3
     Y = (hW[:, None, :6] @ flat[n]).reshape(-1, 3, JACOBIAN_COLUMNS)
     Z = hW[:, 6, None, None] * M[6 * m:]
     # the stage Jacobians, M and its views, are freed before T is made
@@ -399,8 +404,10 @@ def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
     T[0, :3] = S
     clamps = clamp and ends.min() < 0.0
     maps = G * (ends >= 0.0)[:, :, None] if clamps else G
+    # np.dot makes the same BLAS call as matmul on these 2-d blocks, bit for
+    # bit, without the ufunc dispatch that costs more than the product
     for g, start, end in zip(list(maps), list(T[:-1]), list(T[1:, :3])):
-        np.matmul(g, start, out=end)
+        np.dot(g, start, out=end)
     # the output points: S + Y [S; I] + Z [E; I], the 7th stage taken at
     # the step's unclamped end
     Sn = T[n, :3]

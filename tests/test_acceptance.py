@@ -24,7 +24,7 @@ from ppsdyn.equilibria import (interior_equilibrium_direct,
 from ppsdyn.model import ModelParams, State, Subsystem
 from ppsdyn.optimize import adam_run, bfgs_run
 from ppsdyn.pinn import (backward, estimate, forward, init_mlp, total_loss,
-                         _forward_cached, _pack, _unpack_into)
+                         _forward_cached)
 from ppsdyn.solver import SolverConfig, detect_settling, integrate
 from ppsdyn.stability import (STABLE, UNSTABLE, classify, jacobian,
                               routh_hurwitz_cubic)
@@ -207,13 +207,13 @@ def test_network_gradient_accuracy():
     target = rng.uniform(0.0, 1.0, 2)
 
     out, caches = _forward_cached(net, x)
-    analytic = _pack(backward(net, caches, 2.0 * (out - target)))
-    theta0 = _pack((w, b) for w, b in zip(net.weights, net.biases))
+    analytic = backward(net, caches, 2.0 * (out - target))
+    theta0 = net.theta.copy()
 
     def loss(theta):
-        _unpack_into(net, theta)
+        net.theta[...] = theta
         value = float(np.sum((forward(net, x) - target) ** 2))
-        _unpack_into(net, theta0)
+        net.theta[...] = theta0
         return value
 
     h = 1e-6

@@ -7,8 +7,8 @@ from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import MaskViolation
 from ppsdyn.model import (JACOBIAN_COLUMNS, PARAM_ORDER, Derivative,
                           ModelParams, State, Subsystem, holling3,
-                          jacobian_matrices, make_jacobian, make_rhs, rhs,
-                          rhs_subsystem)
+                          jacobian_matrices, make_jacobian, make_parameter_jacobian,
+                          make_rhs, rhs, rhs_subsystem)
 from ppsdyn.stability import jacobian
 
 
@@ -203,4 +203,8 @@ def test_closures_on_arrays_equal_one_call_per_state():
         got = jacobian_matrices(make_jacobian(p), *states.T)
         assert got.shape == (40, 3, JACOBIAN_COLUMNS)
         assert got.tobytes() == per_state.tobytes()
+        # the physics term's df/dp alone is the same block, bit for bit
+        dfdp = jacobian_matrices(make_parameter_jacobian(p), *states.T)
+        assert dfdp.shape == (40, 3, len(PARAM_ORDER))
+        assert dfdp.tobytes() == per_state[:, :, 3:].tobytes()
 

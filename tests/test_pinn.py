@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import warnings
@@ -17,7 +18,7 @@ from ppsdyn.optimize import bfgs_run
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
                          simulate_on_data, total_loss, train_pinn, TraceRow, _forward_cached, _log_mse,
-                         _pack, _unpack_into)
+                         _mean_squared_norm)
 
 
 def _tiny_net(seed=0, sizes=(2, 3, 2)):
@@ -66,13 +67,13 @@ def test_backward_matches_finite_differences():
     target = rng.uniform(0.0, 1.0, 2)
 
     def loss_from_theta(theta):
-        _unpack_into(net, theta)
+        net.theta[...] = theta
         return float(np.sum((forward(net, x) - target) ** 2))
 
-    theta0 = _pack((w, b) for w, b in zip(net.weights, net.biases))
+    theta0 = net.theta.copy()
     out, caches = _forward_cached(net, x)
-    grads = backward(net, caches, 2.0 * (out - target))
-    analytic = _pack(grads)
+    analytic = backward(net, caches, 2.0 * (out - target))
+    assert analytic.shape == theta0.shape
 
     h = 1e-6
     worst = 0.0
@@ -84,19 +85,23 @@ def test_backward_matches_finite_differences():
         fd = (loss_from_theta(up) - loss_from_theta(dn)) / (2.0 * h)
         denom = max(1.0, abs(fd), abs(analytic[idx]))
         worst = max(worst, abs(fd - analytic[idx]) / denom)
-    _unpack_into(net, theta0)
+    net.theta[...] = theta0
     assert worst < 1e-4
 
 
 def test_pack_unpack_round_trip():
+    # an Mlp packs its layers into theta, each weight matrix row by row and
+    # then its bias, and its weights and biases stay views of theta, so
+    # writing one net's theta into another copies every layer
     net = _tiny_net(3)
-    theta = _pack((w, b) for w, b in zip(net.weights, net.biases))
+    theta = np.concatenate([t.ravel() for pair in zip(net.weights, net.biases) for t in pair])
+    assert np.array_equal(net.theta, theta)
     clone = _tiny_net(99)
-    _unpack_into(clone, theta)
+    clone.theta[...] = net.theta
     for w1, w2 in zip(net.weights, clone.weights):
-        assert np.array_equal(w1, w2)
+        assert np.array_equal(w1, w2) and np.shares_memory(w2, clone.theta)
     for b1, b2 in zip(net.biases, clone.biases):
-        assert np.array_equal(b1, b2)
+        assert np.array_equal(b1, b2) and np.shares_memory(b2, clone.theta)
 
 
 # ---------------------------------------------------------------- seeds
@@ -152,6 +157,14 @@ def test_total_loss_identity_and_reference_value(reference_dataset):
 
 def _bits(result):
     return [np.asarray(v).tobytes() for v in result]
+
+
+def test_mean_squared_norm_is_numpys_mean_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 40, 201):
+        rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 3))
+        want = np.mean(np.sum(rows ** 2, axis=1))
+        assert np.float64(_mean_squared_norm(rows)).tobytes() == want.tobytes()
 
 
 def test_total_loss_keeps_no_dataset_constants_between_calls(reference_dataset):
@@ -343,6 +356,25 @@ def test_estimate_reaches_the_noise_floor(readme_dataset):
     report = estimate(readme_dataset, seed=0)
     assert report.stage_errors == []
     assert report.final_mse <= 1.5 * truth_mse
+
+
+# Byte pins of a short estimate on the README data: every loss evaluation of
+# both stages goes into these bytes, so a rewrite of the network, the loss
+# terms, the dx/dp pass or the optimizers that changes one floating-point
+# operation or its order shows here.  Like the equilibria.json pins, they
+# assume the BLAS that numpy ships with.
+SHORT_ESTIMATE_DIGESTS = {
+    "report.json": "d9cc6ab2087f410f74d9f5f082a5c33cb40897e48f0ab52cf9068e713ab4d42f",
+    "trace.csv": "3c631ea7530e6ddcb7f3645e581b751f87f12579535618a8d18321ad4427eb73",
+}
+
+
+def test_short_estimate_is_pinned(readme_dataset, tmp_path):
+    report = estimate(readme_dataset, seed=0, epochs=10, bfgs_iterations=5)
+    report.write_trace_csv(tmp_path / "trace.csv")
+    got = {"report.json": hashlib.sha256(report.to_json().encode()).hexdigest(),
+           "trace.csv": hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()}
+    assert got == SHORT_ESTIMATE_DIGESTS
 
 
 def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):

@@ -1,8 +1,10 @@
 """Property tests: the parameter, dataset and trajectory formats round-trip
 exactly, malformed or invalid parameter input is rejected, each planar
-subsystem's zero plane is invariant under the right-hand side, RK45 commutes
-with a power-of-two scaling of time, and the JSON writer matches the stdlib's
-indented, sorted output."""
+subsystem's zero plane is invariant under the right-hand side, the
+right-hand side and its Jacobian commute with power-of-two scalings of the
+populations and of time, and so does RK45 with a scaling of time, the
+closures' array layout changes no bit, and the JSON writer matches the
+stdlib's indented, sorted output."""
 
 import json
 import math
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 from conftest import COLLAPSE_CASE
 from ppsdyn.data import Dataset, json_text
 from ppsdyn.errors import IntegrationFailed
-from ppsdyn.model import PARAM_ORDER, ModelParams, State, Subsystem, make_rhs
+from ppsdyn.model import (PARAM_ORDER, ModelParams, State, Subsystem, jacobian_matrices,
+                          make_jacobian, make_parameter_jacobian, make_rhs)
+from ppsdyn.pinn import _physics_term
 from ppsdyn.solver import SolverConfig, Trajectory, integrate
 
 # derandomized, so every run of the suite draws the same examples
@@ -162,6 +166,71 @@ def test_zero_plane_of_each_subsystem_is_invariant(values, state, sub):
     deriv = make_rhs(ModelParams.from_array(values))(*s)
     assert deriv[masked] == 0.0
     assert np.float64(deriv[masked]).tobytes() == np.float64(0.0 * deriv[masked]).tobytes()
+
+
+# x = alpha X, y = beta Y, z = gamma Z and t = tau T map the model onto itself
+# with each parameter times a monomial in the four scales
+def _parameter_scales(alpha, beta, gamma, tau):
+    scales = dict(r=tau, k=1.0 / alpha, a=tau * alpha * beta, a0=alpha ** 2,
+                  b=tau * alpha * gamma, b0=alpha ** 2, d=tau * alpha ** 2, e=tau,
+                  f=tau * gamma ** 2, g=tau * alpha ** 2, h=tau * beta, i=tau * beta * gamma,
+                  i0=gamma ** 2, j=tau)
+    return np.array([scales[name] for name in PARAM_ORDER])
+
+
+power_of_two = st.sampled_from([2.0 ** e for e in range(-3, 4)])
+# no component so small that a scaled square leaves the normal range
+population = st.one_of(st.just(0.0), st.floats(1e-3, 4.0))
+states = st.lists(st.tuples(population, population, population), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(0.1, 3.0), min_size=14, max_size=14),
+       scales=st.tuples(power_of_two, power_of_two, power_of_two, power_of_two),
+       rows=states)
+def test_rhs_and_jacobian_commute_with_the_scaling_group(values, scales, rows):
+    # with every scale a power of two each product in the closures scales
+    # exactly, so the scaled model's right-hand side is tau / s_i times the
+    # model's, and its Jacobian the chain-rule transform of the model's, to
+    # the bit: df'_i/dX_j = tau s_j / s_i df_i/dx_j for the states and
+    # df'_i/dp'_k = tau / (s_i c_k) df_i/dp_k for the parameters p' = c p
+    alpha, beta, gamma, tau = scales
+    s = np.array([alpha, beta, gamma])
+    c = _parameter_scales(alpha, beta, gamma, tau)
+    p = ModelParams.from_array(values)
+    q = ModelParams.from_array(p.as_array() * c)
+    x = np.array(rows).T.copy()
+    X = x / s[:, None]
+    want = np.array(make_rhs(p)(*x)) * (tau / s)[:, None]
+    assert np.array(make_rhs(q)(*X)).tobytes() == want.tobytes()
+    # the plain-float path the step loops take
+    assert make_rhs(q)(*X[:, 0].tolist()) == tuple(want[:, 0].tolist())
+    want = (jacobian_matrices(make_jacobian(p), *x) * (tau / s)[:, None]
+            * np.concatenate([s, 1.0 / c]))
+    assert jacobian_matrices(make_jacobian(q), *X).tobytes() == want.tobytes()
+
+
+@FEW
+@given(values=st.lists(st.floats(0.1, 3.0), min_size=14, max_size=14), rows=states,
+       data=st.data())
+def test_column_layout_changes_no_bit(values, rows, data):
+    # the closures use only +, -, * and /, which numpy rounds the same on
+    # strided and contiguous arrays, so the observed columns can be passed
+    # either way; rows of one state included
+    p = ModelParams.from_array(values)
+    observed = np.array(rows)
+    strided, contiguous = observed.T, observed.T.copy()
+    for factory in (make_jacobian, make_parameter_jacobian):
+        want = jacobian_matrices(factory(p), *contiguous)
+        assert jacobian_matrices(factory(p), *strided).tobytes() == want.tobytes()
+    unit = st.floats(-1.0, 1.0)
+    deriv = np.array(data.draw(st.lists(st.tuples(unit, unit, unit), min_size=len(rows),
+                                        max_size=len(rows))))
+    scale = np.array(data.draw(st.tuples(power_of_two, power_of_two, power_of_two)))
+    pie, grad = _physics_term(p, deriv, contiguous, scale)
+    pie_strided, grad_strided = _physics_term(p, deriv, strided, scale)
+    assert np.float64(pie_strided).tobytes() == np.float64(pie).tobytes()
+    assert grad_strided.tobytes() == grad.tobytes()
 
 
 # t = tau T maps the model onto itself with these parameters times tau
