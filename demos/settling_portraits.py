@@ -33,7 +33,8 @@ def main():
     OUT.mkdir(parents=True, exist_ok=True)
     for name, s0, subsystem, t_end in RUNS:
         p = ModelParams.load(ROOT / "fixtures" / f"{name}.params")
-        traj = integrate(p, s0, SolverConfig(t_end=t_end), mask=subsystem)
+        subsystem.check_state(s0)
+        traj = integrate(p, s0, SolverConfig(t_end=t_end))
         settled = detect_settling(traj, window=0.2 * t_end, tol=1e-2)
         final = traj.final_state
         print(f"{name:<20} t_end={t_end:<6g} "

@@ -161,7 +161,6 @@ def _write(path, text) -> None:
 def cmd_simulate(args) -> int:
     p = ModelParams.load(args.params)
     s0 = _parse_state(args.s0)
-    mask = Subsystem.parse(args.subsystem)
     cfg = SolverConfig(
         t_end=args.t_end,
         method=args.method,
@@ -169,7 +168,8 @@ def cmd_simulate(args) -> int:
         tol=args.tol,
         negativity_policy="clamp" if args.clamp else "diagnose",
     )
-    traj = integrate(p, s0, cfg, mask=mask)
+    Subsystem.parse(args.subsystem).check_state(s0)
+    traj = integrate(p, s0, cfg)
     out = _outdir(args)
     csv_path = os.path.join(out, "trajectory.csv")
     traj.to_csv(csv_path)
@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--subsystem", default="full", choices=sorted(SUBSYSTEMS))
     sim.add_argument("--t-end", type=float, default=200.0, dest="t_end")
     sim.add_argument("--method", default="rk45", choices=METHODS)
-    sim.add_argument("--step", type=float, default=None, help="fixed step (rk4 only)")
+    sim.add_argument("--step", type=float, default=None,
+                     help="fixed step of rk4, which needs it; rk45's first trial step")
     sim.add_argument("--tol", type=float, default=1e-9, help="absolute and relative tolerance")
     sim.add_argument("--clamp", action="store_true",
                      help="clamp negative components to zero instead of recording them")

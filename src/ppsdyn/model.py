@@ -151,11 +151,11 @@ class Derivative(NamedTuple):
 
 
 class Subsystem(enum.Enum):
-    """Which populations participate; a masked-out species starts at zero.
+    """Which populations take part, a 0/1 flag per species (x, y, z).
 
-    Every term of a species' equation carries that species' own density, so
-    its zero plane is invariant under the full equations and make_rhs needs
-    no mask.  check_state enforces the zero start.
+    A subsystem is a start state, not another right-hand side: every term
+    of a species' equation carries that species' own density, so an absent
+    species that starts at zero stays there.  check_state checks that start.
     """
 
     FULL = (1, 1, 1)
@@ -163,13 +163,9 @@ class Subsystem(enum.Enum):
     PRED_PREY = (1, 1, 0)  # scavenger absent
     SCAV_PREY = (1, 0, 1)  # predator absent
 
-    @property
-    def mask(self):
-        return self.value
-
     def check_state(self, s) -> None:
-        """Raise MaskViolation when a masked-out component of s = (x, y, z[, t]) is nonzero."""
-        for comp, active, name in zip(s, self.mask, "xyz"):
+        """Raise MaskViolation when an absent component of s = (x, y, z[, t]) is nonzero."""
+        for comp, active, name in zip(s, self.value, "xyz"):
             if not active and comp != 0:
                 raise MaskViolation(f"{name}0 = {comp} but {name} is masked out in {self.name}")
 
@@ -182,12 +178,7 @@ class Subsystem(enum.Enum):
 
 
 # the names Subsystem.parse takes, once lowercased and without - and _
-SUBSYSTEMS = {
-    "full": Subsystem.FULL,
-    "predscav": Subsystem.PRED_SCAV,
-    "predprey": Subsystem.PRED_PREY,
-    "scavprey": Subsystem.SCAV_PREY,
-}
+SUBSYSTEMS = {s.name.lower().replace("_", ""): s for s in Subsystem}
 
 
 def holling3(u: float, rate: float, handle: float) -> float:
@@ -197,20 +188,20 @@ def holling3(u: float, rate: float, handle: float) -> float:
 
 
 def rhs(s, p: ModelParams) -> Derivative:
-    """Full-system derivative at state s = (x, y, z[, t]).
+    """Derivative at state s = (x, y, z[, t]).
 
     Raises NumericalOverflow if the result is non-finite.
     """
-    return rhs_subsystem(s, p, Subsystem.FULL)
-
-
-def rhs_subsystem(s, p: ModelParams, mask: Subsystem) -> Derivative:
-    """Derivative of the selected subsystem; the masked species must sit at zero."""
-    mask.check_state(s)
     d = make_rhs(p)(float(s[0]), float(s[1]), float(s[2]))
     if not all(map(math.isfinite, d)):
         raise NumericalOverflow(f"non-finite derivative at state {tuple(s[:3])}")
     return Derivative(*d)
+
+
+def rhs_subsystem(s, p: ModelParams, subsystem: Subsystem) -> Derivative:
+    """rhs at a state of the subsystem; its absent species must sit at zero."""
+    subsystem.check_state(s)
+    return rhs(s, p)
 
 
 def make_rhs(p: ModelParams):

@@ -229,7 +229,7 @@ class _Fit(NamedTuple):
 
     s0: State
     cfg: SolverConfig
-    grid: list
+    grid: np.ndarray
     observations: np.ndarray
     mins: np.ndarray
     ranges: np.ndarray
@@ -238,15 +238,14 @@ class _Fit(NamedTuple):
 def _fit_data(ds: Dataset, raw_grid, tol: float) -> _Fit:
     """All that simulate_on_data(params, ds, raw_grid, tol) needs besides
     params, built once per dataset and stage rather than once per
-    integration; the grid as Python floats, as the solver reads it."""
-    raw_grid = [float(v) for v in raw_grid]
+    integration."""
     x0, y0, z0 = ds.raw_observations[0]
     scale = max(np.max(ds.maxs), -np.min(ds.mins))
     cfg = SolverConfig(t_end=raw_grid[-1], tol=tol, negativity_policy="clamp",
                        max_steps=LOSS_MAX_STEPS,
                        overflow_limit=min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale),
                        stiff_test_every=STIFF_TEST_EVERY)
-    s0 = State(float(x0), float(y0), float(z0), raw_grid[0])
+    s0 = State(float(x0), float(y0), float(z0), float(raw_grid[0]))
     return _Fit(s0, cfg, raw_grid, ds.observations, ds.mins, ds.ranges)
 
 
@@ -304,10 +303,15 @@ def _physics_term(params: ModelParams, deriv, observed, scale):
 def _loss_or_inf(term, p, *args):
     """term(params, *args), a (value, gradient) pair for the parameters of
     vector p, or an infinite value and gradient where p is non-positive or
-    non-finite or cannot be integrated."""
-    if np.isfinite(p).all() and (p > 0).all():
+    non-finite (ModelParams rejects it) or cannot be integrated.  A
+    ValueError that the term itself raises propagates."""
+    try:
+        params = ModelParams.from_array(p)
+    except ValueError:
+        params = None
+    if params is not None:
         try:
-            return term(ModelParams.from_array(p), *args)
+            return term(params, *args)
         except IntegrationFailed:
             pass
     return math.inf, np.full(len(PARAM_ORDER), math.inf)
@@ -450,10 +454,8 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
 
     final = np.exp(u_polish)
     post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
-    try:
-        final_pie = _physics_term(ModelParams.from_array(final), *_physics_data(ds))[0]
-    except ValueError:  # exp(u) overflowed or underflowed
-        final_pie = math.inf
+    # inf where exp(u) overflowed or underflowed
+    final_pie = _loss_or_inf(_physics_term, final, *_physics_data(ds))[0]
     return EstimationReport(
         seed=int(seed),
         initial_params=initial,

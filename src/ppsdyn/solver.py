@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import (IntegrationFailed, MissingColumn, NonNumericCell, NumericalOverflow,
                      StepUnderflow)
-from .model import (JACOBIAN_COLUMNS, ModelParams, State, Subsystem, jacobian_matrices,
-                    make_jacobian, make_rhs)
+from .model import (JACOBIAN_COLUMNS, ModelParams, State, jacobian_matrices, make_jacobian,
+                    make_rhs)
 
 OVERFLOW_LIMIT = 1e12
 MIN_STEP = 1e-12
@@ -250,39 +250,45 @@ def integrate(
     p: ModelParams,
     s0,
     cfg: SolverConfig,
-    mask: Subsystem = Subsystem.FULL,
+    *,
     t_eval: Optional[Sequence[float]] = None,
     sensitivities: bool = False,
 ) -> Trajectory:
     """Integrate from s0 (finite and nonnegative; time taken from s0.t if
     present, else 0) to cfg.t_end.
 
+    A species that starts at zero stays at zero, bit for bit, so a
+    subsystem needs no mode here (Subsystem.check_state checks its start).
     Output is sampled at every accepted step, or, for rk45 only, at t_eval
-    if given (t_eval must start at the initial time, be monotone toward
-    t_end and end on it; one row per point).  rk45 interpolates the t_eval
-    points by the continuous extension; steps are not clipped.  rk4 has no
-    t_eval: it records every step, the last one shortened to end on t_end.
+    if given (t_eval must be finite, start at the initial time, be monotone
+    toward t_end and end on it; one row per point).  rk45 interpolates the
+    t_eval points by the continuous extension; steps are not clipped.  rk4
+    has no t_eval: it records every step, the last one shortened to end on
+    t_end.
     Backward integration (t_end < t0) is supported for both methods.  With
-    sensitivities=True (rk45, t_eval and the full system only) the
-    trajectory also carries dx/dp at the t_eval points, s0 taken as
-    independent of p.  Under the clamp policy an output sample below zero is
-    clipped to zero and its row of dx/dp zeroed, as after a step.
+    sensitivities=True (rk45 and t_eval only) the trajectory also carries
+    dx/dp at the t_eval points, s0 taken as independent of p; the row of a
+    species that starts at zero stays zero.  Under the clamp policy an
+    output sample below zero is clipped to zero and its row of dx/dp
+    zeroed, as after a step.
     """
     x, y, z = (float(v) for v in s0[:3])
     t0 = float(s0[3]) if len(s0) > 3 else 0.0
     if not (min(x, y, z) >= 0 and math.isfinite(x + y + z)):
         raise ValueError(f"initial state must be finite and nonnegative, got {(x, y, z)}")
-    mask.check_state((x, y, z))
     rhs = make_rhs(p)
 
     if t_eval is not None:
         if cfg.method == "rk4":
             raise ValueError("t_eval needs the rk45 method; rk4 records every step")
-        t_eval = [float(v) for v in t_eval]
-        if not t_eval or abs(t_eval[0] - t0) > 1e-12:
+        # a copy, which the first row's time is written into
+        t_eval = np.array(t_eval, dtype=float)
+        if not np.isfinite(t_eval).all():
+            raise ValueError("t_eval must be finite")
+        if not len(t_eval) or abs(t_eval[0] - t0) > 1e-12:
             raise ValueError("t_eval must start at the initial time")
         dirn = 1.0 if cfg.t_end >= t0 else -1.0
-        if any((b - a) * dirn < 0 for a, b in zip(t_eval, t_eval[1:])):
+        if (np.diff(t_eval) * dirn < 0).any():
             raise ValueError("t_eval must be monotone toward t_end")
         if abs(t_eval[-1] - cfg.t_end) > 1e-12:
             raise ValueError("t_eval must end at t_end")
@@ -293,8 +299,8 @@ def integrate(
         if cfg.method == "rk4":
             return _run_rk4(rhs, x, y, z, t0, cfg)
         return _run_rk45(rhs, x, y, z, t0, cfg, t_eval)
-    if t_eval is None or mask is not Subsystem.FULL:  # rk4 never has t_eval
-        raise ValueError("sensitivities need the rk45 method, t_eval and the full system")
+    if t_eval is None:  # rk4 never has t_eval
+        raise ValueError("sensitivities need the rk45 method and t_eval")
     # dx/dp can overflow where the trajectory stays finite (seen at loose
     # tolerances); it then reads inf or nan for the caller to check, without
     # a warning
@@ -324,8 +330,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
     per block, and their dx/dp from _block_sensitivities, with S = dx/dp
     carried from one block to the next.
     """
-    times = np.array(t_eval)
-    points = dirn * times[1:-1]  # increasing
+    points = dirn * t_eval[1:-1]  # increasing
     # rows for t0, the points and the last one, filled in order
     states = np.empty((len(t_eval), 3))
     S = np.zeros((3, _NP))
@@ -357,7 +362,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
                              float(states[1:-1].min(initial=math.inf)))
     if jac is not None:
         sens[1 + lo:] = S
-    return Trajectory(times, states, diag, sens)
+    return Trajectory(t_eval, states, diag, sens)
 
 
 def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
@@ -442,7 +447,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
         target, log = t_end, None
     else:
         # steps are clipped only to land on the last point
-        target, log, blocks = t_eval[-1], [], []
+        target, log, blocks = float(t_eval[-1]), [], []
 
     t = t0
     f1x, f1y, f1z = rhs(x, y, z)

@@ -42,15 +42,15 @@ MARGINAL = "Marginal"
 
 
 def jacobian(p: ModelParams, s, mask: Subsystem = Subsystem.FULL) -> np.ndarray:
-    """Analytic Jacobian of the (masked) system at s; 3x3 for the full system,
-    2x2 restricted to the active components for a subsystem.  It is the state
-    block of make_jacobian's matrix."""
+    """Analytic Jacobian at s; 3x3 for the full system, 2x2 restricted to
+    the species present for a subsystem.  It is the state block of
+    make_jacobian's matrix."""
     x, y, z = (float(v) for v in s[:3])
     vals = make_jacobian(p)(x, y, z)
     J = np.array([vals[row * JACOBIAN_COLUMNS:row * JACOBIAN_COLUMNS + 3] for row in range(3)])
     if mask is Subsystem.FULL:
         return J
-    active = [idx for idx, on in enumerate(mask.mask) if on]
+    active = [idx for idx, on in enumerate(mask.value) if on]
     return J[np.ix_(active, active)]
 
 

@@ -21,7 +21,7 @@ from conftest import rand_params
 from ppsdyn.equilibria import (interior_equilibrium_direct,
                                interior_poly_crosscheck, predprey_equilibria,
                                predscav_equilibria)
-from ppsdyn.model import ModelParams, State, Subsystem
+from ppsdyn.model import ModelParams, State
 from ppsdyn.optimize import adam_run, bfgs_run
 from ppsdyn.pinn import (backward, estimate, forward, init_mlp, total_loss,
                          _forward_cached)
@@ -121,13 +121,13 @@ def test_settling_behavior_matches_reference(predscav_params, predprey_params,
                                              unstable_params, stable_params):
     # collapse to the origin in the prey-free plane
     traj = integrate(predscav_params, State(0.0, 4.0, 6.0),
-                     SolverConfig(t_end=200.0), mask=Subsystem.PRED_SCAV)
+                     SolverConfig(t_end=200.0))
     assert float(np.linalg.norm(traj.states[-1])) < 1e-3
 
     # convergence to the planar point in the scavenger-free plane
     target = predprey_equilibria(predprey_params)[-1].point
     traj = integrate(predprey_params, State(2.0, 4.0, 0.0),
-                     SolverConfig(t_end=500.0), mask=Subsystem.PRED_PREY)
+                     SolverConfig(t_end=500.0))
     assert float(np.linalg.norm(traj.states[-1] - np.array(target))) < 1e-2
 
     # sustained oscillation never settles

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import (FIXTURES, INTERIOR_STABLE, MULTI2_CASE, NOROOT_CASE, REFER
                       SCAN_MISS_CASES)
 from ppsdyn.cli import _fit_svg, build_parser, main
 from ppsdyn.data import Dataset, synthesize
+from ppsdyn.errors import NonFiniteLoss
 from ppsdyn.model import ModelParams, State
 
 
@@ -79,6 +81,15 @@ def test_simulate_subsystem_mask(tmp_path, params_file):
     assert code == 0
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert all(row.split(",")[1] == "0.0" for row in rows)
+
+
+def test_subsystem_start_with_absent_species_is_usage_error(tmp_path, params_file, capsys):
+    out = tmp_path / "masked"
+    code = main(["simulate", "--params", params_file, "--s0", "1,4,6",
+                 "--subsystem", "predscav", "--t-end", "20", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: x0 = 1.0 but x is masked out in PRED_SCAV\n"
+    assert not out.exists()
 
 
 def test_missing_params_file_is_usage_error(tmp_path):
@@ -506,3 +517,24 @@ def test_cached_parser_calls_the_patched_estimator(tmp_path, capsys, monkeypatch
     assert code == 1
     assert seen == [(3, {"epochs": 100, "bfgs_iterations": 200})]
     assert capsys.readouterr().err == "error: patched estimator\n"
+
+
+def test_failed_estimate_exits_2_with_its_stage_error(tmp_path, capsys, monkeypatch,
+                                                      reference_file):
+    # a polish that fails at its start leaves no finite MSE: the report and
+    # trace are still written, without a fit plot, and the stage error goes
+    # to stderr
+    dataset = _synth_dataset(tmp_path, reference_file)
+
+    def failing_polish(fun, u0, max_iterations):
+        raise NonFiniteLoss("objective non-finite at the start")
+
+    monkeypatch.setattr("ppsdyn.pinn.bfgs_run", failing_polish)
+    out = tmp_path / "fit"
+    code = main(["estimate", "--dataset", str(dataset), "--epochs", "2", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "stage error: polish stage: objective non-finite at the start\n"
+    assert "final MSE inf" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "trace.csv"]
+    assert json.loads((out / "report.json").read_text())["final_mse"] == math.inf

@@ -215,6 +215,20 @@ def test_all_equilibria_order_and_retagging(stable_params):
     assert all(e.subsystem is Subsystem.FULL for e in entries)
 
 
+@pytest.mark.parametrize("gap, merged", [(1e-12, True), (1e-6, False)])
+def test_all_equilibria_merges_a_point_within_the_tolerance(gap, merged):
+    # with k = a0 = e = 1 and d = 1 + 1/x0^2 the PredPrey point sits at
+    # x = x0, y ~ 2(1 - x0): 2e-12 from the prey-only point (1, 0, 0) when
+    # x0 = 1 - 1e-12, which merges it away, and 2e-6 from it when x0 = 1 - 1e-6
+    x0 = 1.0 - gap
+    p = ModelParams(**{**dict.fromkeys(ModelParams.__dataclass_fields__, 1.0),
+                       "d": 1.0 + 1.0 / x0 ** 2})
+    labels = [e.label for e in all_equilibria(p)]
+    assert labels.count(LABEL_PREY_ONLY) == 1
+    assert (LABEL_PRED_PREY not in labels) is merged
+    assert predprey_equilibria(p)[-1].exists
+
+
 def test_all_equilibria_flags_multiple_roots():
     entries = all_equilibria(ModelParams(**MULTI2_CASE))
     interior = entries[-1]

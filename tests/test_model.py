@@ -5,7 +5,7 @@ import pytest
 
 from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import MaskViolation
-from ppsdyn.model import (JACOBIAN_COLUMNS, PARAM_ORDER, Derivative,
+from ppsdyn.model import (JACOBIAN_COLUMNS, PARAM_ORDER, SUBSYSTEMS, Derivative,
                           ModelParams, State, Subsystem, holling3,
                           jacobian_matrices, make_jacobian, make_parameter_jacobian,
                           make_rhs, rhs, rhs_subsystem)
@@ -118,10 +118,12 @@ def test_subsystem_parse_aliases():
 
 
 def test_subsystem_masks():
-    assert Subsystem.FULL.mask == (1, 1, 1)
-    assert Subsystem.PRED_SCAV.mask == (0, 1, 1)
-    assert Subsystem.PRED_PREY.mask == (1, 1, 0)
-    assert Subsystem.SCAV_PREY.mask == (1, 0, 1)
+    assert Subsystem.FULL.value == (1, 1, 1)
+    assert Subsystem.PRED_SCAV.value == (0, 1, 1)
+    assert Subsystem.PRED_PREY.value == (1, 1, 0)
+    assert Subsystem.SCAV_PREY.value == (1, 0, 1)
+    assert SUBSYSTEMS == {"full": Subsystem.FULL, "predscav": Subsystem.PRED_SCAV,
+                          "predprey": Subsystem.PRED_PREY, "scavprey": Subsystem.SCAV_PREY}
 
 
 def test_masked_rhs_zeroes_inactive_component():

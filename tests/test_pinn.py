@@ -9,7 +9,7 @@ import pytest
 
 from conftest import REFERENCE
 from ppsdyn.data import synthesize
-from ppsdyn.errors import IntegrationFailed, NonFiniteLoss, TooFewSamples
+from ppsdyn.errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from ppsdyn.model import ModelParams, State
 import ppsdyn.optimize
 import ppsdyn.pinn
@@ -18,7 +18,7 @@ from ppsdyn.optimize import bfgs_run
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
                          simulate_on_data, total_loss, train_pinn, TraceRow, _forward_cached, _log_mse,
-                         _mean_squared_norm)
+                         _loss_or_inf, _mean_squared_norm)
 
 
 def _tiny_net(seed=0, sizes=(2, 3, 2)):
@@ -464,6 +464,57 @@ def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch)
     assert report.adam_trace == trace
     assert np.array_equal(report.post_nn_params, best)
     assert report.bfgs_trace[0] == _log_mse(readme_dataset)(np.log(best))[0]
+
+
+def test_polish_stage_failure_keeps_what_the_polish_reached(readme_dataset, monkeypatch):
+    # a line search that gives up hands back its last iterate and history;
+    # a polish whose start is non-finite has neither, and its final MSE is inf
+    last = np.log(np.full(14, 2.0))
+
+    def line_search_fails(fun, u0, max_iterations):
+        raise LineSearchFailed("no step", x=last, history=[0.5, 0.25])
+
+    monkeypatch.setattr(ppsdyn.pinn, "bfgs_run", line_search_fails)
+    report = estimate(readme_dataset, seed=0, epochs=2, bfgs_iterations=5)
+    assert report.stage_errors == ["polish stage: no step"]
+    assert np.array_equal(report.final_params, np.exp(last))
+    assert report.bfgs_trace == [0.5, 0.25]
+    assert (report.post_nn_mse, report.final_mse) == (0.5, 0.25)
+    assert math.isfinite(report.final_pie)
+
+    def start_not_finite(fun, u0, max_iterations):
+        raise NonFiniteLoss("non-finite start")
+
+    monkeypatch.setattr(ppsdyn.pinn, "bfgs_run", start_not_finite)
+    report = estimate(readme_dataset, seed=0, epochs=2, bfgs_iterations=5)
+    assert report.stage_errors == ["polish stage: non-finite start"]
+    assert np.array_equal(report.final_params, np.exp(np.log(report.post_nn_params)))
+    assert report.bfgs_trace == []
+    assert report.post_nn_mse == report.final_mse == math.inf
+    assert math.isfinite(report.final_pie)
+
+
+def test_final_pie_is_infinite_where_exp_overflows(readme_dataset, monkeypatch):
+    def overflowing_iterate(fun, u0, max_iterations):
+        raise LineSearchFailed("no step", x=np.full(14, 800.0), history=[0.5])
+
+    monkeypatch.setattr(ppsdyn.pinn, "bfgs_run", overflowing_iterate)
+    with np.errstate(over="ignore"):
+        report = estimate(readme_dataset, seed=0, epochs=2, bfgs_iterations=5)
+    assert report.final_pie == math.inf
+
+
+def test_loss_guard_lets_a_term_error_through(readme_dataset):
+    # a p that ModelParams rejects is the infinite case; a ValueError that
+    # the term itself raises is not
+    def term(params):
+        raise ValueError("inside the term")
+
+    for bad in (np.full(14, math.nan), -np.ones(14), np.full(14, math.inf)):
+        value, grad = _loss_or_inf(term, bad)
+        assert value == math.inf and np.all(grad == math.inf)
+    with pytest.raises(ValueError, match="inside the term"):
+        _loss_or_inf(term, np.ones(14))
 
 
 def test_log_polish_survives_overflowing_candidates(readme_dataset):

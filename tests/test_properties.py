@@ -2,9 +2,9 @@
 exactly, malformed or invalid parameter input is rejected, each planar
 subsystem's zero plane is invariant under the right-hand side, the
 right-hand side and its Jacobian commute with power-of-two scalings of the
-populations and of time, and so does RK45 with a scaling of time, the
-closures' array layout changes no bit, and the JSON writer matches the
-stdlib's indented, sorted output."""
+populations and of time, and so do RK45 with a scaling of time and RK4
+with the whole group, the closures' array layout changes no bit, and the
+JSON writer matches the stdlib's indented, sorted output."""
 
 import json
 import math
@@ -13,12 +13,12 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import COLLAPSE_CASE
 from ppsdyn.data import Dataset, json_text
-from ppsdyn.errors import IntegrationFailed
+from ppsdyn.errors import IntegrationFailed, NumericalOverflow
 from ppsdyn.model import (PARAM_ORDER, ModelParams, State, Subsystem, jacobian_matrices,
                           make_jacobian, make_parameter_jacobian, make_rhs)
 from ppsdyn.pinn import _physics_term
@@ -160,7 +160,7 @@ planar = [s for s in Subsystem if s is not Subsystem.FULL]
 def test_zero_plane_of_each_subsystem_is_invariant(values, state, sub):
     # each term of a species' equation carries its own density, so at a
     # masked species' 0.0 the closure returns what zeroing that equation did
-    masked = sub.mask.index(0)
+    masked = sub.value.index(0)
     s = list(state)
     s[masked] = 0.0
     deriv = make_rhs(ModelParams.from_array(values))(*s)
@@ -280,6 +280,36 @@ def test_rk45_commutes_with_time_scaling(values, tau, policy, tol):
             want[:, :, RATES] /= tau
             scale = np.max(np.abs(want), axis=(0, 1))
             assert np.all(np.abs(got.sensitivities - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(0.1, 3.0), min_size=14, max_size=14),
+       scales=st.tuples(power_of_two, power_of_two, power_of_two, power_of_two),
+       policy=st.sampled_from(["diagnose", "clamp"]))
+def test_rk4_commutes_with_the_scaling_group(values, scales, policy):
+    # every product of an RK4 step scales exactly under power-of-two scales,
+    # and a clamped zero stays zero, so the scaled run, with its step and
+    # t_end divided by tau, takes the same steps through the scaled states,
+    # to the bit; the overflow guard does not scale, so a run it stops is
+    # skipped
+    alpha, beta, gamma, tau = scales
+    s = np.array([alpha, beta, gamma])
+    p = ModelParams.from_array(values)
+    q = ModelParams.from_array(p.as_array() * _parameter_scales(*scales))
+    s0 = np.array([4.991, 1.178, 0.577])
+    runs = []
+    for params, start, span in ((p, s0, 1.0), (q, s0 / s, tau)):
+        cfg = SolverConfig(t_end=5.0 / span, method="rk4", step=0.05 / span,
+                           negativity_policy=policy)
+        try:
+            runs.append(integrate(params, State(*start.tolist()), cfg))
+        except NumericalOverflow:
+            assume(False)
+    ref, got = runs
+    assert got.states.tobytes() == (ref.states / s).tobytes()
+    assert got.times.tobytes() == (ref.times / tau).tobytes()
+    assert got.diagnostics.steps == ref.diagnostics.steps
+    assert got.diagnostics.clamped == ref.diagnostics.clamped
 
 
 # quotes, backslashes, control characters, non-ASCII, an astral character and

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import COLLAPSE_CASE, FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, rand_params
-from ppsdyn.errors import IntegrationFailed, MaskViolation, NumericalOverflow
-from ppsdyn.model import ModelParams, State, Subsystem, jacobian_matrices
+from ppsdyn.errors import IntegrationFailed, NumericalOverflow
+from ppsdyn.model import ModelParams, State, jacobian_matrices
 from ppsdyn.solver import (_BLOCK, Diagnostics, SolverConfig, Trajectory, detect_settling,
                            integrate, write_rows_csv)
 
@@ -109,16 +109,14 @@ def test_give_up_fields_reject_invalid_values(field, value):
 
 def test_clamp_policy_keeps_states_nonnegative(predscav_params):
     cfg = SolverConfig(t_end=200.0, negativity_policy="clamp")
-    traj = integrate(predscav_params, State(0.0, 4.0, 6.0), cfg,
-                     mask=Subsystem.PRED_SCAV)
+    traj = integrate(predscav_params, State(0.0, 4.0, 6.0), cfg)
     assert np.all(traj.states >= 0.0)
     assert traj.diagnostics.clamped >= 0  # count of clipped steps
 
 
 def test_diagnose_policy_records_minimum(predscav_params):
     cfg = SolverConfig(t_end=200.0)
-    traj = integrate(predscav_params, State(0.0, 4.0, 6.0), cfg,
-                     mask=Subsystem.PRED_SCAV)
+    traj = integrate(predscav_params, State(0.0, 4.0, 6.0), cfg)
     assert traj.diagnostics.min_component <= float(traj.states.min())
     # attempted steps include rejected trials, so the count exceeds the
     # number of recorded points by exactly the rejected ones
@@ -128,15 +126,8 @@ def test_diagnose_policy_records_minimum(predscav_params):
 
 
 def test_masked_component_stays_zero(predscav_params):
-    traj = integrate(predscav_params, State(0.0, 4.0, 6.0),
-                     SolverConfig(t_end=50.0), mask=Subsystem.PRED_SCAV)
+    traj = integrate(predscav_params, State(0.0, 4.0, 6.0), SolverConfig(t_end=50.0))
     assert np.all(traj.states[:, 0] == 0.0)
-
-
-def test_masked_start_state_validated(stable_params):
-    with pytest.raises(MaskViolation):
-        integrate(stable_params, State(0.5, 4.0, 6.0),
-                  SolverConfig(t_end=10.0), mask=Subsystem.PRED_SCAV)
 
 
 def test_t_eval_lands_exactly(stable_params):
@@ -152,6 +143,23 @@ def test_t_eval_must_start_at_t0(stable_params):
         integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=[0.5, 1.0])
     with pytest.raises(ValueError, match="monotone"):
         integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=[0.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 5.0], [0.0, 1.0, math.nan],
+                                  [math.nan, 1.0, 5.0], [0.0, math.inf, 5.0]])
+def test_t_eval_must_be_finite(stable_params, grid):
+    # a NaN passes every comparison the other checks make: in the middle it
+    # came back as a row at time nan, and at the end no step was taken
+    with pytest.raises(ValueError, match="finite"):
+        integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=grid)
+
+
+def test_t_eval_is_copied(stable_params):
+    grid = np.array([1e-13, 1.0, 5.0])
+    traj = integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=grid)
+    # the first row takes the initial time, in the trajectory's copy only
+    assert traj.times.tolist() == [0.0, 1.0, 5.0]
+    assert grid.tolist() == [1e-13, 1.0, 5.0]
 
 
 def test_t_eval_must_end_at_t_end_with_one_row_per_point(stable_params):
@@ -511,53 +519,73 @@ def test_rk4_records_every_step_and_lands_on_t_end(stable_params):
     assert np.allclose(np.diff(traj.times), [0.1] * 10 + [0.05])
 
 
-def test_sensitivities_need_rk45_t_eval_and_full_system(stable_params):
+def test_sensitivities_need_rk45_and_t_eval(stable_params):
     with pytest.raises(ValueError):
         integrate(stable_params, S0, SolverConfig(t_end=1.0), sensitivities=True)
     with pytest.raises(ValueError):
         integrate(stable_params, S0, SolverConfig(t_end=1.0, method="rk4", step=0.1),
                   t_eval=[0.0, 1.0], sensitivities=True)
-    with pytest.raises(ValueError):
-        integrate(stable_params, State(0.0, 3.0, 2.0), SolverConfig(t_end=1.0),
-                  mask=Subsystem.PRED_SCAV, t_eval=[0.0, 1.0], sensitivities=True)
+
+
+@pytest.mark.parametrize("case, s0, absent", [
+    ("predscav", State(0.0, 4.0, 6.0), 0),
+    ("predprey", State(2.0, 4.0, 0.0), 2),
+])
+def test_sensitivities_of_a_subsystem_start(request, case, s0, absent):
+    # a species that starts at zero stays at zero for every p, so its row of
+    # dx/dp is exactly zero, and the other rows are the subsystem's dx/dp
+    p = request.getfixturevalue(f"{case}_params")
+    cfg = SolverConfig(t_end=5.0, tol=1e-10)
+    traj = integrate(p, s0, cfg, t_eval=GRID, sensitivities=True)
+    assert not traj.sensitivities[:, absent].any()
+    pv = p.as_array()
+    for col in range(14):
+        h = 1e-5 * pv[col]
+        up, dn = pv.copy(), pv.copy()
+        up[col] += h
+        dn[col] -= h
+        fd = (integrate(ModelParams.from_array(up), s0, cfg, t_eval=GRID).states
+              - integrate(ModelParams.from_array(dn), s0, cfg, t_eval=GRID).states) / (2 * h)
+        got = traj.sensitivities[:, :, col]
+        assert np.max(np.abs(got - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
 # Bit-for-bit pins of record-every-step runs: the sha256 of the trajectory
 # CSV, and steps, rejected, clamped and min_component.  Any change to a
 # floating-point operation of a step loop or of the right-hand side, or to
-# their order, shows here; the three subsystem runs each hold one species at
-# zero.  The interior_unstable horizon is the shortest round one at which
+# their order, shows here; the three subsystem runs each start one species
+# at zero.  The interior_unstable horizon is the shortest round one at which
 # squaring the error ratios by v*v instead of ** 2 changes the run (at t_end
 # 1944.9 it does not).
 PINNED_RUNS = {
     "interior_unstable_rk45": (
-        "interior_unstable", State(4.0, 3.0, 2.0), Subsystem.FULL, dict(t_end=1945.0),
+        "interior_unstable", State(4.0, 3.0, 2.0), dict(t_end=1945.0),
         "b82e1bd1f2d6a2d46c336fd1983b6d73539241875c5edcc3e67dcdba85cf375d",
         (19525, 542, 0, 0.05146626266115749)),
     "collapse_clamp_rk45": (
-        COLLAPSE, COLLAPSE_S0, Subsystem.FULL,
+        COLLAPSE, COLLAPSE_S0,
         dict(t_end=100.0, tol=1e-2, negativity_policy="clamp"),
         "187109f26ea54674cbc25e2348c89d2dde9779fbb88ab2d3185a5398b145b7b5",
         (45, 3, 1, 0.0)),
     "collapse_clamp_rk4": (
-        COLLAPSE, COLLAPSE_S0, Subsystem.FULL,
+        COLLAPSE, COLLAPSE_S0,
         dict(t_end=100.0, method="rk4", step=0.5, negativity_policy="clamp"),
         "34645a8e71bfbe8fc9dc104006807293d3b5d2cfb0ad1f58ad51a439564e99d4",
         (200, 0, 1, 0.0)),
     "predscav_subsystem": (
-        "predscav_collapse", State(0.0, 4.0, 6.0), Subsystem.PRED_SCAV, dict(t_end=200.0),
+        "predscav_collapse", State(0.0, 4.0, 6.0), dict(t_end=200.0),
         "11d1151523fa906a2b3cd41ac52285d6c71aa229583010785d289b1355ce2075",
         (329, 10, 0, 0.0)),
     "predprey_subsystem": (
-        "predprey_coexist", State(2.0, 4.0, 0.0), Subsystem.PRED_PREY, dict(t_end=200.0),
+        "predprey_coexist", State(2.0, 4.0, 0.0), dict(t_end=200.0),
         "b7d3b3343a07c83fccd215c77c707ed151450f71e9291f458b5f57709a3910bf",
         (224, 10, 0, 0.0)),
     "scavprey_subsystem": (
-        "interior_stable", State(4.0, 0.0, 2.0), Subsystem.SCAV_PREY, dict(t_end=200.0),
+        "interior_stable", State(4.0, 0.0, 2.0), dict(t_end=200.0),
         "ae1974e525f758900bdb314e7f6288596ea9e7e1158823bbc9a6a3f17bd1484e",
         (227, 8, 0, 0.0)),
     "interior_stable_rk4": (
-        "interior_stable", State(4.0, 3.0, 2.0), Subsystem.FULL,
+        "interior_stable", State(4.0, 3.0, 2.0),
         dict(t_end=200.0, method="rk4", step=0.01),
         "b4ecfb15f418f847d9a8bd505e97a117bb4e64c965ad504e40827d5c53634e6a",
         (20001, 0, 0, 0.025044877387599095)),
@@ -566,10 +594,10 @@ PINNED_RUNS = {
 
 @pytest.mark.parametrize("name", PINNED_RUNS)
 def test_trajectories_are_pinned_bit_for_bit(tmp_path, name):
-    params, s0, mask, cfg, digest, (steps, rejected, clamped, lowest) = PINNED_RUNS[name]
+    params, s0, cfg, digest, (steps, rejected, clamped, lowest) = PINNED_RUNS[name]
     if isinstance(params, str):
         params = ModelParams.load(FIXTURES / f"{params}.params")
-    traj = integrate(params, s0, SolverConfig(**cfg), mask=mask)
+    traj = integrate(params, s0, SolverConfig(**cfg))
     write_rows_csv(tmp_path / "t.csv", traj.times, traj.states)
     assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == digest
     assert traj.diagnostics == Diagnostics(steps=steps, rejected=rejected,

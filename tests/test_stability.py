@@ -26,7 +26,7 @@ def _fd_jacobian(p, s, mask=Subsystem.FULL, h=1e-7):
         f_hi = np.array(rhs_subsystem(State(*hi), p, Subsystem.FULL))
         f_lo = np.array(rhs_subsystem(State(*lo), p, Subsystem.FULL))
         J[:, col] = (f_hi - f_lo) / (2.0 * h)
-    idx = [i for i, m in enumerate(mask.mask) if m]
+    idx = [i for i, m in enumerate(mask.value) if m]
     return J[np.ix_(idx, idx)]
 
 
