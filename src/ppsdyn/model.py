@@ -111,7 +111,7 @@ class ModelParams:
         """Read the flat `key = value` text format; # starts a comment."""
         d = {}
         where = {}
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -130,7 +130,7 @@ class ModelParams:
         return cls.from_dict(d)
 
     def save(self, path):
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for n in PARAM_ORDER:
                 fh.write(f"{n} = {getattr(self, n)!r}\n")
 

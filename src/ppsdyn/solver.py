@@ -14,9 +14,12 @@ that trajectories stay bitwise the same:
   stage state passed as three arguments, with no tuples built or indexed;
 - checks by comparison: chained isfinite calls, and `a if a > b else b`
   where max or min of two floats gives the same value;
-- counters in locals: steps, rejected and clamped steps and the running
-  minimum go into Diagnostics once, after the loop (a failed integration
-  returns none);
+- counters in locals: steps, rejected and clamped steps go into Diagnostics
+  once, after the loop (a failed integration returns none), and its
+  min_component is read then from the recorded states, not kept per step;
+- one rejection path: a trial that raises, is non-finite or overflows the
+  squared error ratios leaves err at inf, which the error test rejects
+  with the smallest step factor, 0.2;
 - `** 2` kept on purpose in the error norm: pow(v, 2) and v*v differ in the
   last bit on rare inputs, which changes long trajectories.
 
@@ -179,7 +182,9 @@ class SolverConfig:
 class Diagnostics:
     """steps counts every step attempt; rejected, the attempts whose trial
     failed the error test or was non-finite or overflowed (rk4 rejects
-    none)."""
+    none); clamped, the accepted steps whose end the clamp policy pinned to
+    zero.  min_component is the least component of the initial state, of
+    every accepted step's end (after clamping) and of every output row."""
 
     steps: int = 0
     rejected: int = 0
@@ -268,7 +273,9 @@ def integrate(
     Backward integration (t_end < t0) is supported for both methods.  With
     sensitivities=True (rk45 and t_eval only) the trajectory also carries
     dx/dp at the t_eval points, s0 taken as independent of p; the row of a
-    species that starts at zero stays zero.  Under the clamp policy an
+    species that starts at zero stays zero; where it overflows while the
+    state stays finite (seen at loose tolerances) it reads inf or nan,
+    without a warning, for the caller to check.  Under the clamp policy an
     output sample below zero is clipped to zero and its row of dx/dp
     zeroed, as after a step.
     """
@@ -295,17 +302,19 @@ def integrate(
         # the first row is the initial state, at the initial time
         t_eval[0] = t0
 
-    if not sensitivities:
-        if cfg.method == "rk4":
-            return _run_rk4(rhs, x, y, z, t0, cfg)
-        return _run_rk45(rhs, x, y, z, t0, cfg, t_eval)
-    if t_eval is None:  # rk4 never has t_eval
+    if sensitivities and t_eval is None:  # rk4 never has t_eval
         raise ValueError("sensitivities need the rk45 method and t_eval")
-    # dx/dp can overflow where the trajectory stays finite (seen at loose
-    # tolerances); it then reads inf or nan for the caller to check, without
-    # a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, make_jacobian(p))
+    if cfg.method == "rk4":
+        return _run_rk4(rhs, x, y, z, t0, cfg)
+    return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, make_jacobian(p) if sensitivities else None)
+
+
+def _recorded(times, states, steps, rejected, clamped) -> Trajectory:
+    """The trajectory of a record-every-step run from its lists of times
+    and states, min_component read from the states."""
+    states = np.array(states)
+    diag = Diagnostics(steps, rejected, float(states.min()), clamped)
+    return Trajectory(np.array(times), states, diag)
 
 
 def _pack(log):
@@ -328,7 +337,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
     take the final state; the points in between come from the 4th-order
     continuous extension of the step they fall in, a few array operations
     per block, and their dx/dp from _block_sensitivities, with S = dx/dp
-    carried from one block to the next.
+    carried from one block to the next.  diag takes its min_component here.
     """
     points = dirn * t_eval[1:-1]  # increasing
     # rows for t0, the points and the last one, filled in order
@@ -358,13 +367,16 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
         lo = hi
     states[0] = s0
     states[1 + lo:] = final
-    diag.min_component = min(diag.min_component,
-                             float(states[1:-1].min(initial=math.inf)))
+    # the step starts and the rows: s0, every accepted end and each point
+    diag.min_component = float(min([states.min(), *(rows[:, 2:5].min() for rows in blocks)]))
     if jac is not None:
         sens[1 + lo:] = S
     return Trajectory(t_eval, states, diag, sens)
 
 
+# dx/dp can overflow where the trajectory stays finite; it then reads inf or
+# nan for the caller to check
+@np.errstate(over="ignore", invalid="ignore")
 def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
     """dx/dp at the output points of a block of logged steps, and S at the
     block's end, from S at its start; the steps have sizes h, start states
@@ -429,7 +441,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
     clamp = cfg.negativity_policy == "clamp"
     tol, max_steps = cfg.tol, cfg.max_steps
     limit, stiff_every = cfg.overflow_limit, cfg.stiff_test_every
-    isfinite, sqrt, hypot = math.isfinite, math.sqrt, math.hypot
+    isfinite, sqrt, hypot, inf = math.isfinite, math.sqrt, math.hypot, math.inf
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
     a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
@@ -439,7 +451,6 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
     # steps and the non-stiff steps since its last stiff one
     hrho, stiff, calm = 0.0, 0, 0
     steps = rejected = clamped = 0
-    lowest = min(x, y, z)
     times = [t0]
     states = [(x, y, z)]
     if t_eval is None:
@@ -461,7 +472,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
         steps += 1
         rest = abs(target - t)
         hs = (rest if rest < h else h) * dirn
-        bad = True
+        err = inf
         try:
             f2x, f2y, f2z = rhs(x + hs * a21 * f1x, y + hs * a21 * f1y, z + hs * a21 * f1z)
             f3x, f3y, f3z = rhs(x + hs * (a31 * f1x + a32 * f2x),
@@ -502,17 +513,8 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
                 rx, ry, rz = abs(ex) / sx, abs(ey) / sy, abs(ez) / sz
                 if not (rx > 1e100 or ry > 1e100 or rz > 1e100):
                     err = sqrt((rx ** 2 + ry ** 2 + rz ** 2) / 3.0)
-                    bad = False
         except (OverflowError, ZeroDivisionError, ValueError):
             pass
-
-        if bad:
-            rejected += 1
-            h = abs(hs) * 0.2
-            if h < MIN_STEP:
-                raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
-            # the state is unchanged, so f1 is still its slope
-            continue
 
         if err <= 1.0:
             if stiff_every and (stiff or (steps - rejected) % stiff_every == 0):
@@ -546,13 +548,6 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
                 if z < 0.0:
                     z = 0.0
                 f7x, f7y, f7z = rhs(x, y, z)  # FSAL stage is stale after clamping
-            # the running min(lowest, x, y, z), by comparison
-            if x < lowest:
-                lowest = x
-            if y < lowest:
-                lowest = y
-            if z < lowest:
-                lowest = z
             if abs(x) > limit or abs(y) > limit or abs(z) > limit:
                 raise NumericalOverflow(f"state exceeded {limit:g} at t={t}", t=t)
             f1x, f1y, f1z = f7x, f7y, f7z
@@ -566,15 +561,18 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
                 times.append(t)
                 states.append((x, y, z))
         else:
+            # err is inf where the trial failed: 0.9 * inf ** -0.2 is 0.0,
+            # so the factor is 0.2; the state is unchanged, so f1 is still
+            # its slope
             rejected += 1
             h = abs(hs) * max(0.2, 0.9 * err ** -0.2)
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
-    diag = Diagnostics(steps=steps, rejected=rejected, min_component=lowest, clamped=clamped)
     if log is None:
-        return Trajectory(np.array(times), np.array(states), diag)
+        return _recorded(times, states, steps, rejected, clamped)
     if log:
         blocks.append(_pack(log))
+    diag = Diagnostics(steps=steps, rejected=rejected, clamped=clamped)
     return _dense_output(blocks, t_eval, dirn, clamp, jac, states[0], (x, y, z), diag)
 
 
@@ -585,7 +583,6 @@ def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
     step, max_steps, limit = cfg.step, cfg.max_steps, cfg.overflow_limit
     isfinite = math.isfinite
     steps = clamped = 0
-    lowest = min(x, y, z)
     times = [t0]
     states = [(x, y, z)]
 
@@ -617,18 +614,11 @@ def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
                 y = 0.0
             if z < 0.0:
                 z = 0.0
-        if x < lowest:
-            lowest = x
-        if y < lowest:
-            lowest = y
-        if z < lowest:
-            lowest = z
         if abs(x) > limit or abs(y) > limit or abs(z) > limit:
             raise NumericalOverflow(f"state exceeded {limit:g} at t={t}", t=t)
         times.append(t)
         states.append((x, y, z))
-    diag = Diagnostics(steps=steps, min_component=lowest, clamped=clamped)
-    return Trajectory(np.array(times), np.array(states), diag)
+    return _recorded(times, states, steps, 0, clamped)
 
 
 def detect_settling(traj: Trajectory, window: float, tol: float) -> Optional[State]:

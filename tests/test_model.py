@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ppsdyn
 from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import MaskViolation
 from ppsdyn.model import (JACOBIAN_COLUMNS, PARAM_ORDER, SUBSYSTEMS, Derivative,
@@ -78,6 +83,25 @@ def test_load_skips_comments_and_blanks(tmp_path):
     lines += [f"{name} = {getattr(p, name)!r}" for name in PARAM_ORDER]
     path.write_text("\n".join(lines) + "\n")
     assert ModelParams.load(path) == p
+
+
+def test_params_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # the C locale with neither coercion nor UTF-8 mode makes ASCII the
+    # default encoding of open(), which cannot read a non-ASCII comment
+    p = ModelParams(**INTERIOR_STABLE)
+    path = tmp_path / "annotated.params"
+    lines = ["# α, β: prey and predator"]
+    lines += [f"{name} = {getattr(p, name)!r}" for name in PARAM_ORDER]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(ppsdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONCOERCECLOCALE="0", LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from ppsdyn.model import ModelParams; "
+            "ModelParams.load(sys.argv[1]).save(sys.argv[2])")
+    run = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path / "out.params")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert ModelParams.load(tmp_path / "out.params") == p
 
 
 def test_load_rejects_malformed_line(tmp_path):

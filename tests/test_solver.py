@@ -117,7 +117,7 @@ def test_clamp_policy_keeps_states_nonnegative(predscav_params):
 def test_diagnose_policy_records_minimum(predscav_params):
     cfg = SolverConfig(t_end=200.0)
     traj = integrate(predscav_params, State(0.0, 4.0, 6.0), cfg)
-    assert traj.diagnostics.min_component <= float(traj.states.min())
+    assert traj.diagnostics.min_component == float(traj.states.min())
     # attempted steps include rejected trials, so the count exceeds the
     # number of recorded points by exactly the rejected ones
     diag = traj.diagnostics
@@ -556,7 +556,8 @@ def test_sensitivities_of_a_subsystem_start(request, case, s0, absent):
 # their order, shows here; the three subsystem runs each start one species
 # at zero.  The interior_unstable horizon is the shortest round one at which
 # squaring the error ratios by v*v instead of ** 2 changes the run (at t_end
-# 1944.9 it does not).
+# 1944.9 it does not).  The first trial of the run from a first step of 100
+# cannot be evaluated, and is rejected like any other.
 PINNED_RUNS = {
     "interior_unstable_rk45": (
         "interior_unstable", State(4.0, 3.0, 2.0), dict(t_end=1945.0),
@@ -589,6 +590,10 @@ PINNED_RUNS = {
         dict(t_end=200.0, method="rk4", step=0.01),
         "b4ecfb15f418f847d9a8bd505e97a117bb4e64c965ad504e40827d5c53634e6a",
         (20001, 0, 0, 0.025044877387599095)),
+    "interior_stable_first_step_100": (
+        "interior_stable", State(4.0, 3.0, 2.0), dict(t_end=50.0, step=100.0),
+        "bdabe04421b7d0921e6a936872138ad51047fcd31ee4aa0d0191d81692a720e2",
+        (218, 6, 0, 0.02505230201014121)),
 }
 
 
@@ -613,6 +618,17 @@ def test_diagnostics_of_a_t_eval_run_cover_the_interpolated_states():
     # an interpolated point dips below every accepted step end
     assert traj.diagnostics.min_component == traj.states.min()
     assert traj.diagnostics.min_component < integrate(p, S0, cfg).diagnostics.min_component
+
+
+def test_diagnostics_of_a_t_eval_run_cover_the_steps_between_its_points():
+    # two rows, at 0.123 and above, and the step ends between them, which
+    # dip to the minimum the record-every-step run reports
+    p = ModelParams(**INTERIOR_UNSTABLE)
+    cfg = SolverConfig(t_end=20.0, tol=1e-6)
+    traj = integrate(p, S0, cfg, t_eval=[0.0, 20.0])
+    assert traj.states.min() > 0.123
+    assert traj.diagnostics == integrate(p, S0, cfg).diagnostics == Diagnostics(
+        steps=76, rejected=16, min_component=0.053341290945833356)
 
 
 def test_diagnostics_of_a_zero_span_run(stable_params):
