@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -33,6 +34,11 @@ from .stability import classify
 # every rejected input is a ValueError, the package's input errors included
 _USAGE_ERRORS = (ValueError, OSError)
 _NUMERICAL_ERRORS = (IntegrationFailed, NonFiniteLoss, LineSearchFailed)
+
+# an argument that starts with a minus and a digit is a value, such as the
+# start "-0,4,6", not an option; argparse's own test takes only a plain
+# negative number, and would leave --s0 without its value
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 _MAX_PLOT_POINTS = 1200
@@ -339,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--seed", type=int, default=0)
     syn.add_argument("--out", default=".")
     syn.set_defaults(func=cmd_synth)
+    sim._negative_number_matcher = syn._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 

@@ -23,6 +23,15 @@ that trajectories stay bitwise the same:
 - `** 2` kept on purpose in the error norm: pow(v, 2) and v*v differ in the
   last bit on rare inputs, which changes long trajectories.
 
+Without t_eval both methods record every accepted step.  The loop puts
+each step's t, x, y, z onto one flat list and packs the list into a
+float64 block every _ROWS rows, so no more than one block's Python floats
+are alive at once; the blocks become times and states once the loop ends,
+where the run's memory peaks at about 64 bytes a row, the blocks and the
+two output arrays.  The CSV writer and reader stream the same way, _ROWS
+rows at a time, so a long trajectory goes to a file and back in memory
+proportional to its arrays.
+
 With t_eval the adaptive method does not shorten its steps to land on each
 requested point; only the last point is landed on.  The points in between
 are interpolated by the 4th-order continuous extension that the seven stages
@@ -99,6 +108,9 @@ _P = np.stack([_FIRST, 3 * _B7 - 2 * _FIRST - _LAST + _D,
                -2 * _B7 + _FIRST + _LAST - 2 * _D, _D], axis=1)
 # accepted steps per batch of the dense-output and sensitivity pass
 _BLOCK = 128
+# t,x,y,z rows per packed block of a record-every-step run or a read CSV
+# file, and per chunk of a written one
+_ROWS = 1024
 _NP = JACOBIAN_COLUMNS - 3  # parameters
 _EYE = np.eye(_NP)
 _EYE3 = np.eye(3)
@@ -194,12 +206,15 @@ class Diagnostics:
 
 def write_rows_csv(path, times, states) -> None:
     """Write a `t,x,y,z` header and one row per time, each value as its
-    shortest round-tripping repr, so reading the file back is exact."""
+    shortest round-tripping repr, so reading the file back is exact.  The
+    rows go out _ROWS at a time, so the Python floats alive at once are
+    those of one chunk, whatever the length of the file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,y,z\n")
-        # rows streamed from the columns: no list per row, one call per file
-        fh.writelines(f"{t!r},{x!r},{y!r},{z!r}\n"
-                      for t, x, y, z in zip(times.tolist(), *states.T.tolist()))
+        for lo in range(0, len(times), _ROWS):
+            hi = lo + _ROWS
+            fh.writelines(f"{t!r},{x!r},{y!r},{z!r}\n"
+                          for t, x, y, z in zip(times[lo:hi].tolist(), *states[lo:hi].T.tolist()))
 
 
 def parse_row(cells, lineno: int, width: int) -> list:
@@ -218,13 +233,20 @@ def parse_row(cells, lineno: int, width: int) -> list:
 
 def read_rows_csv(path):
     """(times, states) from a `t,x,y,z` file: the header is compared cell by
-    cell, each cell stripped; every row must hold 4 finite numbers."""
+    cell, each cell stripped; every row must hold 4 finite numbers, and the
+    first row that does not raises.  The values of a row go onto one flat
+    list, packed into an array every _ROWS rows, so memory peaks near 64
+    bytes a row, the packed blocks and the two output arrays; a header-only
+    file gives states of shape (0, 3)."""
     with open(path, encoding="utf-8") as fh:
         if [h.strip() for h in fh.readline().split(",")] != ["t", "x", "y", "z"]:
             raise MissingColumn("expected header t,x,y,z")
-        rows = [parse_row(line.strip().split(","), lineno, 4)
-                for lineno, line in enumerate(fh, start=2)]
-    return np.array([row[0] for row in rows]), np.array([row[1:] for row in rows])
+        vals, blocks, full = [], [], 4 * _ROWS
+        for lineno, line in enumerate(fh, start=2):
+            vals += parse_row(line.strip().split(","), lineno, 4)
+            if len(vals) == full:
+                blocks.append(_rows(vals))
+    return _columns(blocks, vals)
 
 
 @dataclass
@@ -309,12 +331,28 @@ def integrate(
     return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, make_jacobian(p) if sensitivities else None)
 
 
-def _recorded(times, states, steps, rejected, clamped) -> Trajectory:
-    """The trajectory of a record-every-step run from its lists of times
-    and states, min_component read from the states."""
-    states = np.array(states)
+def _rows(vals):
+    """The flat t,x,y,z values as a (rows, 4) array; clears the list."""
+    rows = np.fromiter(vals, float, len(vals)).reshape(-1, 4)
+    vals.clear()
+    return rows
+
+
+def _columns(blocks, vals):
+    """times and states from the packed blocks of t,x,y,z rows and the flat
+    values of the rows after them."""
+    blocks.append(_rows(vals))
+    return (np.concatenate([rows[:, 0] for rows in blocks]),
+            np.concatenate([rows[:, 1:] for rows in blocks]))
+
+
+def _recorded(blocks, record, steps, rejected, clamped) -> Trajectory:
+    """The trajectory of a record-every-step run from its packed blocks of
+    t,x,y,z rows and the flat record of the rows after them, min_component
+    read from the states."""
+    times, states = _columns(blocks, record)
     diag = Diagnostics(steps, rejected, float(states.min()), clamped)
-    return Trajectory(np.array(times), states, diag)
+    return Trajectory(times, states, diag)
 
 
 def _pack(log):
@@ -451,14 +489,14 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
     # steps and the non-stiff steps since its last stiff one
     hrho, stiff, calm = 0.0, 0, 0
     steps = rejected = clamped = 0
-    times = [t0]
-    states = [(x, y, z)]
+    s0, blocks = (x, y, z), []
     if t_eval is None:
-        # record every accepted step
-        target, log = t_end, None
+        # record every accepted step: its t,x,y,z go onto a flat list,
+        # packed into a block every _ROWS rows
+        target, log, record, full = t_end, None, [t0, x, y, z], 4 * _ROWS
     else:
         # steps are clipped only to land on the last point
-        target, log, blocks = float(t_eval[-1]), [], []
+        target, log = float(t_eval[-1]), []
 
     t = t0
     f1x, f1y, f1z = rhs(x, y, z)
@@ -558,8 +596,9 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
             if h < MIN_STEP:
                 h = MIN_STEP
             if log is None:
-                times.append(t)
-                states.append((x, y, z))
+                record += (t, x, y, z)
+                if len(record) == full:
+                    blocks.append(_rows(record))
         else:
             # err is inf where the trial failed: 0.9 * inf ** -0.2 is 0.0,
             # so the factor is 0.2; the state is unchanged, so f1 is still
@@ -569,11 +608,11 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
             if h < MIN_STEP:
                 raise StepUnderflow(f"step fell below {MIN_STEP} at t={t}", t=t)
     if log is None:
-        return _recorded(times, states, steps, rejected, clamped)
+        return _recorded(blocks, record, steps, rejected, clamped)
     if log:
         blocks.append(_pack(log))
     diag = Diagnostics(steps=steps, rejected=rejected, clamped=clamped)
-    return _dense_output(blocks, t_eval, dirn, clamp, jac, states[0], (x, y, z), diag)
+    return _dense_output(blocks, t_eval, dirn, clamp, jac, s0, (x, y, z), diag)
 
 
 def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
@@ -583,8 +622,8 @@ def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
     step, max_steps, limit = cfg.step, cfg.max_steps, cfg.overflow_limit
     isfinite = math.isfinite
     steps = clamped = 0
-    times = [t0]
-    states = [(x, y, z)]
+    # t,x,y,z of every step on a flat list, packed every _ROWS rows
+    record, blocks, full = [t0, x, y, z], [], 4 * _ROWS
 
     t = t0
     while (t_end - t) * dirn > 1e-15 * max(1.0, abs(t)):
@@ -616,9 +655,10 @@ def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:
                 z = 0.0
         if abs(x) > limit or abs(y) > limit or abs(z) > limit:
             raise NumericalOverflow(f"state exceeded {limit:g} at t={t}", t=t)
-        times.append(t)
-        states.append((x, y, z))
-    return _recorded(times, states, steps, 0, clamped)
+        record += (t, x, y, z)
+        if len(record) == full:
+            blocks.append(_rows(record))
+    return _recorded(blocks, record, steps, 0, clamped)
 
 
 def detect_settling(traj: Trajectory, window: float, tol: float) -> Optional[State]:

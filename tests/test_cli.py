@@ -92,6 +92,34 @@ def test_subsystem_start_with_absent_species_is_usage_error(tmp_path, params_fil
     assert not out.exists()
 
 
+NEGATIVE = "error: initial state must be finite and nonnegative, got (-1.0"
+
+
+@pytest.mark.parametrize("command, s0, extra, code, err", [
+    ("simulate", "-0,4,6", ["--subsystem", "predscav", "--t-end", "20"], 0, ""),
+    ("simulate", "-1,4,6", ["--t-end", "20"], 1, NEGATIVE),
+    # the start is taken; a prey that starts at zero stays there, and a
+    # constant column cannot be normalized
+    ("synth", "-0,1.178,0.577", ["--t-end", "5"], 1, "error: synthesized prey column is constant"),
+    ("synth", "-1,1.178,0.577", ["--t-end", "5"], 1, NEGATIVE),
+])
+def test_start_with_a_leading_minus_reaches_the_state_check(tmp_path, capsys, reference_file,
+                                                            command, s0, extra, code, err):
+    # argparse would take "-0,4,6" for an option and leave --s0 without a
+    # value; it must run like --s0=-0,4,6, and a negative start must fail
+    # as one
+    runs = []
+    for name, argv in (("apart", ["--s0", s0]), ("joined", [f"--s0={s0}"])):
+        out = tmp_path / name
+        rc = main([command, "--params", reference_file, *argv, *extra, "--out", str(out)])
+        std = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+        runs.append((rc, std.out.replace(str(out), "<out>"), std.err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code and runs[0][2].startswith(err)
+    assert bool(runs[0][3]) == (code == 0)
+
+
 def test_missing_params_file_is_usage_error(tmp_path):
     code = main(["simulate", "--params", str(tmp_path / "nope.params"),
                  "--s0", "1,1,1", "--t-end", "5", "--out", str(tmp_path)])

@@ -1,15 +1,16 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import COLLAPSE_CASE, FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, rand_params
-from ppsdyn.errors import IntegrationFailed, NumericalOverflow
+from ppsdyn.errors import IntegrationFailed, NonNumericCell, NumericalOverflow
 from ppsdyn.model import ModelParams, State, jacobian_matrices
-from ppsdyn.solver import (_BLOCK, Diagnostics, SolverConfig, Trajectory, detect_settling,
-                           integrate, write_rows_csv)
+from ppsdyn.solver import (_BLOCK, _ROWS, Diagnostics, SolverConfig, Trajectory,
+                           detect_settling, integrate, write_rows_csv)
 
 S0 = State(4.0, 3.0, 2.0)
 
@@ -266,8 +267,89 @@ def test_trajectory_csv_round_trip(tmp_path, stable_params):
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     back = Trajectory.from_csv(path)
-    assert np.allclose(back.times, traj.times, atol=0.0)
-    assert np.allclose(back.states, traj.states, atol=0.0)
+    assert back.times.tobytes() == traj.times.tobytes()
+    assert back.states.tobytes() == traj.states.tobytes()
+
+
+@pytest.mark.parametrize("rows", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 3])
+def test_csv_round_trip_is_bitwise_across_blocks(tmp_path, rows):
+    # the writer's chunks and the reader's blocks hold _ROWS rows each;
+    # every value, signed zeros and subnormals included, must come back
+    rng = np.random.default_rng(rows)
+    states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-320, 300, (rows, 3))
+    states[::7, 1] = -0.0
+    times = np.cumsum(rng.uniform(0.0, 1.0, rows))
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, times, states)
+    assert path.read_text().count("\n") == rows + 1
+    back = Trajectory.from_csv(path)
+    assert back.times.shape == (rows,) and back.states.shape == (rows, 3)
+    assert back.times.tobytes() == times.tobytes()
+    assert back.states.tobytes() == states.tobytes()
+
+
+def test_csv_reader_names_the_line_of_a_malformed_row_past_the_first_block(tmp_path):
+    times = np.arange(3 * _ROWS, dtype=float)
+    states = np.ones((3 * _ROWS, 3))
+    path = tmp_path / "rows.csv"
+    write_rows_csv(path, times, states)
+    lines = path.read_text().splitlines()
+    # row k is on line k + 2; the first failure, in file order, wins
+    lines[_ROWS + 5] += ",1.0"
+    lines[2 * _ROWS + 9] = "1,oops,2,3"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonNumericCell, match=f"^line {_ROWS + 6}: expected 4 cells, got 5$"):
+        Trajectory.from_csv(path)
+    lines[_ROWS + 5] = lines[_ROWS + 5].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonNumericCell, match=f"^line {2 * _ROWS + 10}: could not convert"):
+        Trajectory.from_csv(path)
+
+
+def test_header_only_csv_reads_as_an_empty_trajectory(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,x,y,z\n")
+    traj = Trajectory.from_csv(path)
+    assert traj.times.shape == (0,) and traj.states.shape == (0, 3)
+
+
+@pytest.mark.parametrize("rows", [_ROWS - 1, _ROWS, _ROWS + 1])
+def test_recorded_rows_cross_block_boundaries_intact(stable_params, rows):
+    # rk4 at step 0.25 lands on t_end exactly, so rows - 1 steps give rows
+    # rows; they must be the first rows of a longer run, bit for bit
+    cfg = SolverConfig(t_end=0.25 * (rows - 1), method="rk4", step=0.25)
+    short = integrate(stable_params, S0, cfg)
+    long = integrate(stable_params, S0, SolverConfig(t_end=300.0, method="rk4", step=0.25))
+    assert len(short.times) == rows
+    assert short.times.tobytes() == long.times[:rows].tobytes()
+    assert short.states.tobytes() == long.states[:rows].tobytes()
+
+
+def _traced_peak_mib(fn):
+    """fn's result and the peak of the memory it allocated, in MiB, as
+    tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_run_round_trip_holds_memory_near_its_arrays(tmp_path):
+    # the 20,001-step rk4 run: its times and states take 0.61 MiB, and a run
+    # that kept a Python float and tuple per step peaked at 4.3 MiB in
+    # integrate, 2.5 in to_csv and 6.6 in from_csv
+    p = ModelParams.load(FIXTURES / "interior_stable.params")
+    cfg = SolverConfig(t_end=200.0, method="rk4", step=0.01)
+    path = tmp_path / "rk4.csv"
+    traj, integrate_mib = _traced_peak_mib(lambda: integrate(p, S0, cfg))
+    _, write_mib = _traced_peak_mib(lambda: traj.to_csv(path))
+    back, read_mib = _traced_peak_mib(lambda: Trajectory.from_csv(path))
+    assert len(back.times) == 20002
+    peaks = (integrate_mib, write_mib, read_mib)
+    assert all(peak <= bound for peak, bound in zip(peaks, (2.6, 1.4, 3.8))), peaks
 
 
 def test_trajectory_csv_rejects_nonfinite(tmp_path):
