@@ -22,7 +22,7 @@ from .errors import (
     TooFewSamples,
     UnmappedSpecies,
 )
-from .model import ModelParams, State
+from .model import ModelParams, State, Subsystem
 from .solver import SolverConfig, integrate, parse_row, read_rows_csv, write_rows_csv
 
 GROUPS = ("prey", "predator", "scavenger")
@@ -252,7 +252,9 @@ def synthesize(
     p: ModelParams, s0, t_grid, noise_sigma: float = 0.0, seed: int = 0
 ) -> Dataset:
     """Integrate the model over t_grid, add seeded Gaussian noise scaled by
-    each column's clean range, clamp at zero, and normalize."""
+    each column's clean range, clamp at zero, and normalize.  A start with
+    a species at zero is refused before the integration: that species
+    stays at zero, and its constant column cannot be normalized."""
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise TooFewSamples("t_grid needs at least 3 points")
@@ -262,6 +264,14 @@ def synthesize(
         raise ValueError("t_grid must be strictly increasing")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError("noise_sigma must be finite and nonnegative")
+    absent = [name for name, v in zip(GROUPS, s0[:3]) if v == 0]
+    if absent:
+        present = tuple(int(v != 0) for v in s0[:3])
+        planar = [sub.name.lower().replace("_", "") for sub in Subsystem if sub.value == present]
+        run = f"simulate --subsystem {planar[0]}" if planar else "simulate"
+        raise ConstantColumn(f"synthesized {absent[0]} column is constant: the {absent[0]} starts "
+                             f"at zero and stays there, so min-max scaling is undefined; `{run}` "
+                             f"runs the model from this start")
     cfg = SolverConfig(t_end=grid[-1], tol=1e-9)
     start = State(float(s0[0]), float(s0[1]), float(s0[2]), float(grid[0]))
     traj = integrate(p, start, cfg, t_eval=grid)

@@ -10,20 +10,33 @@ h*y*z term and is itself consumed by the predator.
     dz/dt = g x^2 z / (1 + b0 x^2) + h y z - i y z^2 / (1 + i0 z^2) - j z
 
 All fourteen parameters are strictly positive.  The exponent in the type-III
-response is fixed at 2.  make_rhs gives the right-hand side and make_jacobian
-its derivatives with respect to the state and to the parameters, the terms of
-the variational equations the solver integrates for exact gradients;
-make_parameter_jacobian gives the parameter derivatives alone, from the same
-entries, for the physics term of the estimation loss.
+response is fixed at 2.  make_rhs gives the right-hand side on plain floats,
+the stepper's hot path, and make_jacobian its derivatives with respect to
+the state and to the parameters at one state, stability's Jacobian.
+
+On arrays of states, f, df/d(x, y, z) and df/dp are one matrix product: the
+right-hand side and all its derivatives are linear in 18 features of the
+state (1, x, x^2, y, z, yz, the three type-III shapes, and products of the
+shapes and their state derivatives with the populations they meet), with
+coefficients built once per parameter vector from r, r/k, 2r/k, 1/k, r/k^2,
+a, b, d, e, f, g, h, i, j and +-1 (derivative_table).  The solver takes the
+Jacobians of the variational equations from it (table_jacobians), and the
+physics term of the estimation loss f and df/dp at the observed states,
+whose state-only feature rows (state_rows) it computes once per dataset.
+The table agrees with the closures within a few ulps of the summed term
+magnitudes, and its structural zeros are exactly zero.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import MaskViolation, NumericalOverflow
 
@@ -75,14 +88,10 @@ class ModelParams:
                 object.__setattr__(self, name, float(v))
 
     def as_array(self):
-        import numpy as np
-
         return np.array([getattr(self, n) for n in PARAM_ORDER], dtype=float)
 
     @classmethod
     def from_array(cls, values) -> "ModelParams":
-        import numpy as np
-
         # a float vector holds no bools, and its tolist() gives plain floats
         plain = isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.ndim == 1
         vals = values.tolist() if plain else list(values)
@@ -235,106 +244,191 @@ def make_rhs(p: ModelParams):
 JACOBIAN_COLUMNS = 3 + len(PARAM_ORDER)
 
 
-def _jacobian_blocks(p: ModelParams):
-    """The two closures make_jacobian's matrix is built from, with each entry
-    written once.  dfdp(x, y, z) gives the rows of the 3 x 14 block df/dp,
-    together with the factors the state block reuses; dfdx(x, y, z, factors)
-    gives the rows of the 3 x 3 block df/d(x, y, z).
-    """
-    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = _param_values(p)
-
-    def dfdp(x, y, z):
-        x2 = x * x
-        z2 = z * z
-        qa = 1.0 + a0 * x2
-        qb = 1.0 + b0 * x2
-        qi = 1.0 + i0 * z2
-        # the three type-III shapes
-        ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
-        # each shape times the population it meets, once with and once
-        # without its handling-time derivative -u^4/(1 + c u^2)^2 = -shape^2;
-        # arrays cost a numpy call per operation, so shared factors are formed once
-        uay, ubz, uiy = ua * y, ub * z, ui * y
-        ua2y, ub2z, ui2y = ua * uay, ub * ubz, ui * uiy
-        return (
-            # prey row: r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j
-            (x - x2 / k, x2 * (r / (k * k)), -uay, a * ua2y, -ubz, b * ub2z,
-             0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-            # predator row
-            (0.0, 0.0, 0.0, -d * ua2y, 0.0, 0.0,
-             uay, -y, uiy, 0.0, 0.0, 0.0, -f * ui2y, 0.0),
-            # scavenger row
-            (0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2z,
-             0.0, 0.0, 0.0, ubz, y * z, -uiy, i * ui2y, -z),
-        ), (qa, qb, qi, ua, ub, ui)
-
-    def dfdx(x, y, z, factors):
-        qa, qb, qi, ua, ub, ui = factors
-        # the shapes' state derivatives 2u/(1 + c u^2)^2
-        tx = 2.0 * x
-        dua, dub, dui = tx / (qa * qa), tx / (qb * qb), 2.0 * z / (qi * qi)
-        return (
-            (r * (1.0 - tx / k) - a * dua * y - b * dub * z, -a * ua, -b * ub),
-            (d * dua * y, d * ua + f * ui - e, f * dui * y),
-            (g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j),
-        )
-
-    return dfdp, dfdx
-
-
 def make_jacobian(p: ModelParams):
     """Closure giving the derivatives of the full system's right-hand side at (x, y, z).
 
     It returns the 3 x JACOBIAN_COLUMNS matrix [df/d(x, y, z) | df/dp],
     parameters in PARAM_ORDER, flattened row-major into a tuple of plain
-    floats, so the solver can evaluate it at every stage of a step and build
-    one array from all of them.
+    floats.  It is stability's Jacobian and the reference the derivative
+    table is tested against.
     """
-    dfdp, dfdx = _jacobian_blocks(p)
+    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = _param_values(p)
 
     def jac(x: float, y: float, z: float):
-        (prey_p, predator_p, scavenger_p), factors = dfdp(x, y, z)
-        prey, predator, scavenger = dfdx(x, y, z, factors)
-        # unpacked into one tuple; concatenating the rows would build and
-        # drop four intermediate tuples per call
-        return (*prey, *prey_p, *predator, *predator_p, *scavenger, *scavenger_p)
+        x2 = x * x
+        z2 = z * z
+        qa = 1.0 + a0 * x2
+        qb = 1.0 + b0 * x2
+        qi = 1.0 + i0 * z2
+        # the three type-III shapes, each times the population it meets,
+        # once with and once without its handling-time derivative
+        # -u^4/(1 + c u^2)^2 = -shape^2, and the shapes' state derivatives
+        # 2u/(1 + c u^2)^2
+        ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
+        uay, ubz, uiy = ua * y, ub * z, ui * y
+        ua2y, ub2z, ui2y = ua * uay, ub * ubz, ui * uiy
+        tx = 2.0 * x
+        dua, dub, dui = tx / (qa * qa), tx / (qb * qb), 2.0 * z / (qi * qi)
+        return (
+            # prey row: x, y, z, then r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j
+            r * (1.0 - tx / k) - a * dua * y - b * dub * z, -a * ua, -b * ub,
+            x - x2 / k, x2 * (r / k / k), -uay, a * ua2y, -ubz, b * ub2z,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            # predator row
+            d * dua * y, d * ua + f * ui - e, f * dui * y,
+            0.0, 0.0, 0.0, -d * ua2y, 0.0, 0.0,
+            uay, -y, uiy, 0.0, 0.0, 0.0, -f * ui2y, 0.0,
+            # scavenger row
+            g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j,
+            0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2z,
+            0.0, 0.0, 0.0, ubz, y * z, -uiy, i * ui2y, -z,
+        )
 
     return jac
 
 
-def make_parameter_jacobian(p: ModelParams):
-    """Closure giving df/dp alone at (x, y, z): make_jacobian's matrix without
-    its state block, 3 x len(PARAM_ORDER), flattened row-major, for a caller
-    that needs no df/d(x, y, z)."""
-    dfdp = _jacobian_blocks(p)[0]
+# The right-hand side and all its derivatives are linear in 18 features of
+# the state, so on arrays of states they are one matrix product: the
+# feature matrix times a coefficient matrix built once per parameter vector
+# (derivative_table).  The rows of the feature matrix:
+X, Y, Z, ONE, X2, YZ = range(6)  # the state-only rows: x, y, z, 1, x^2, yz
+UA, UB, UI = 6, 7, 8  # the type-III shapes x^2/(1 + a0 x^2), x^2/(1 + b0 x^2), z^2/(1 + i0 z^2)
+UAY, UBZ, UIY = 9, 10, 11  # each shape times the population it meets
+UA2Y, UB2Z, UI2Y = 12, 13, 14  # the same times the shape once more
+DUAY, DUBZ, DUIY = 15, 16, 17  # the shapes' state derivatives 2u/(1 + c u^2)^2 times it
+FEATURES = 18
+# The rows of a state_rows array: the argument of each shape (x, x, z) and
+# the population it meets (y, z, y), the feature matrix, and each shape's
+# argument squared and doubled.  The first nine are columns of the states.
+_ARGS, _MEETS, _FEATURE_ROWS = slice(0, 3), slice(3, 6), slice(6, 6 + FEATURES)
+_SQUARES, _DOUBLED = slice(24, 27), slice(27, 30)
+_STATE_COLUMNS = np.array((0, 0, 2, 1, 2, 1, 0, 1, 2))
 
-    def jac(x: float, y: float, z: float):
-        (prey, predator, scavenger), _ = dfdp(x, y, z)
-        return (*prey, *predator, *scavenger)
+# The coefficients are these values of the parameters,
+_COEFFICIENTS = ("1", "-1", "r", "-r/k", "-2r/k", "-1/k", "r/k2", "a", "-a", "b", "-b",
+                 "d", "-d", "-e", "f", "-f", "g", "-g", "h", "i", "-i", "-j")
+# and each nonzero term of f and its derivatives is (equation, derivative
+# with respect to, or None for f itself, feature, coefficient); every other
+# entry is a structural zero
+_TERMS = (
+    # dx/dt = r x - (r/k) x^2 - a u_a y - b u_b z
+    ("x", None, X, "r"), ("x", None, X2, "-r/k"), ("x", None, UAY, "-a"), ("x", None, UBZ, "-b"),
+    # dy/dt = d u_a y + f u_i y - e y
+    ("y", None, UAY, "d"), ("y", None, UIY, "f"), ("y", None, Y, "-e"),
+    # dz/dt = g u_b z + h y z - i u_i y - j z
+    ("z", None, UBZ, "g"), ("z", None, YZ, "h"), ("z", None, UIY, "-i"), ("z", None, Z, "-j"),
+    # df/d(x, y, z)
+    ("x", "x", ONE, "r"), ("x", "x", X, "-2r/k"), ("x", "x", DUAY, "-a"), ("x", "x", DUBZ, "-b"),
+    ("x", "y", UA, "-a"), ("x", "z", UB, "-b"),
+    ("y", "x", DUAY, "d"), ("y", "y", UA, "d"), ("y", "y", UI, "f"), ("y", "y", ONE, "-e"),
+    ("y", "z", DUIY, "f"),
+    ("z", "x", DUBZ, "g"), ("z", "y", Z, "h"), ("z", "y", UI, "-i"),
+    ("z", "z", UB, "g"), ("z", "z", Y, "h"), ("z", "z", DUIY, "-i"), ("z", "z", ONE, "-j"),
+    # df/dp
+    ("x", "r", X, "1"), ("x", "r", X2, "-1/k"), ("x", "k", X2, "r/k2"), ("x", "a", UAY, "-1"),
+    ("x", "a0", UA2Y, "a"), ("x", "b", UBZ, "-1"), ("x", "b0", UB2Z, "b"),
+    ("y", "a0", UA2Y, "-d"), ("y", "d", UAY, "1"), ("y", "e", Y, "-1"), ("y", "f", UIY, "1"),
+    ("y", "i0", UI2Y, "-f"),
+    ("z", "b0", UB2Z, "-g"), ("z", "g", UBZ, "1"), ("z", "h", YZ, "1"), ("z", "i", UIY, "-1"),
+    ("z", "i0", UI2Y, "i"), ("z", "j", Z, "-1"),
+)
+# the columns of the coefficient matrix: f, then make_jacobian's flattened
+# matrix
+_COLUMNS = 3 + 3 * JACOBIAN_COLUMNS
 
-    return jac
+
+def _term_index():
+    """The flat position of each term in the FEATURES x _COLUMNS
+    coefficient matrix, and the index of its value in _COEFFICIENTS."""
+    wrt = ("x", "y", "z") + PARAM_ORDER
+    flat, source = [], []
+    for eq, by, feature, coef in _TERMS:
+        row = "xyz".index(eq)
+        col = row if by is None else 3 + row * JACOBIAN_COLUMNS + wrt.index(by)
+        flat.append(feature * _COLUMNS + col)
+        source.append(_COEFFICIENTS.index(coef))
+    return np.array(flat), np.array(source)
 
 
-def jacobian_matrices(jac, x, y, z):
-    """A make_jacobian or make_parameter_jacobian closure evaluated once on
-    equal-length arrays of states.
+_TERM_FLAT, _TERM_SOURCE = _term_index()
 
-    Returns the matrices as an array of shape (len(x), 3, columns), columns
-    JACOBIAN_COLUMNS or len(PARAM_ORDER), bitwise equal to one call per
-    state: the closure's arithmetic is elementwise, and its constant entries,
-    the float 0.0, are already in place in the zero-initialised array.
-    """
-    import numpy as np
 
-    vals = jac(x, y, z)
-    # C order, as one matrix per call would stack: numpy's reductions may
-    # sum in another order over another memory layout
-    out = np.zeros((len(x), len(vals)))
-    # each array entry written as a row of the transposed view, which numpy
-    # indexes faster than a column of out; one fancy-indexed assignment
-    # would first copy all of them into a temporary
-    columns = out.T
-    for col, v in enumerate(vals):
-        if type(v) is not float:
-            columns[col] = v
-    return out.reshape(-1, 3, len(vals) // 3)
+class DerivativeTable(NamedTuple):
+    """The coefficients of f and its derivatives in the features, for one
+    parameter vector: at the states of a feature matrix F, f is F.T @ rhs
+    and make_jacobian's flattened matrices are F.T @ jacobian.  dfdp holds
+    the df/dp coefficients alone, a row per feature and equation, so that a
+    weighted sum of df/dp over the states, sum_t w_t df/dp(x_t) with w of
+    shape (n, 3), is (F @ w).reshape(-1) @ dfdp."""
+
+    rhs: np.ndarray  # FEATURES x 3
+    jacobian: np.ndarray  # FEATURES x 3 JACOBIAN_COLUMNS
+    dfdp: np.ndarray  # 3 FEATURES x len(PARAM_ORDER)
+    handling: np.ndarray  # 3 x 1: a0, b0, i0, the handling times of u_a, u_b, u_i
+
+
+@functools.lru_cache(maxsize=1)
+def derivative_table(p: ModelParams) -> DerivativeTable:
+    """The coefficient matrix of p, built once per parameter vector: the
+    network stage's misfit and physics term share one table.  The arrays
+    are read-only.  A coefficient that overflows, such as r/k^2 where k*k
+    underflows, is inf rather than an exception."""
+    r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = _param_values(p)
+    # in _COEFFICIENTS' order; k > 0, so none of these divides by zero
+    values = np.array((1.0, -1.0, r, -r / k, -2.0 * r / k, -1.0 / k, r / k / k, a, -a, b, -b,
+                       d, -d, -e, f, -f, g, -g, h, i, -i, -j))
+    coef = np.zeros((FEATURES, _COLUMNS))
+    np.put(coef, _TERM_FLAT, values[_TERM_SOURCE])
+    dfdp = coef[:, 3:].reshape(FEATURES, 3, JACOBIAN_COLUMNS)[:, :, 3:]
+    dfdp = dfdp.reshape(-1, len(PARAM_ORDER))
+    handling = np.array((a0, b0, i0)).reshape(3, 1)
+    for array in (coef, dfdp, handling):
+        array.flags.writeable = False
+    return DerivativeTable(coef[:, :3], coef[:, 3:], dfdp, handling)
+
+
+def state_rows(states) -> np.ndarray:
+    """A fresh array for the feature matrix at states, shape (n, 3), with
+    the rows that depend on the state alone filled in: x, y, z, 1, x^2 and
+    yz, and the shapes' arguments; feature_matrix fills in the rest for a
+    parameter vector."""
+    rows = np.empty((30, len(states)))
+    np.take(states.T, _STATE_COLUMNS, axis=0, out=rows[:9], mode="clip")
+    features, args = rows[_FEATURE_ROWS], rows[_ARGS]
+    features[ONE] = 1.0
+    np.multiply(features[X], features[X], out=features[X2])
+    np.multiply(features[Y], features[Z], out=features[YZ])
+    np.multiply(args, args, out=rows[_SQUARES])
+    np.multiply(args, 2.0, out=rows[_DOUBLED])
+    return rows
+
+
+def feature_matrix(rows, handling) -> np.ndarray:
+    """The FEATURES x n feature matrix of a state_rows array, its shape rows
+    filled in place for the handling times (a0, b0, i0) of a derivative
+    table; the shapes and their products with the populations are formed
+    as make_jacobian forms them at one state."""
+    features, squares, meets = rows[_FEATURE_ROWS], rows[_SQUARES], rows[_MEETS]
+    shapes, met, slopes = features[UA:UI + 1], features[UAY:UIY + 1], features[DUAY:DUIY + 1]
+    q = handling * squares
+    q += 1.0
+    np.divide(squares, q, out=shapes)
+    np.multiply(shapes, meets, out=met)
+    np.multiply(shapes, met, out=features[UA2Y:UI2Y + 1])
+    q *= q
+    np.divide(rows[_DOUBLED], q, out=slopes)
+    slopes *= meets
+    return features
+
+
+def table_jacobians(p: ModelParams, states) -> np.ndarray:
+    """make_jacobian's matrices at each of states, shape (n, 3), as an array
+    of shape (n, 3, JACOBIAN_COLUMNS): one product of the feature matrix
+    with the table.  Each entry is the closure's within a few ulps of its
+    summed term magnitudes, and its structural zeros are exactly zero at
+    finite states.  A state's matrix does not depend on the states it is
+    evaluated with, for n of 2 or more (numpy sums a product with one state
+    in another order)."""
+    table = derivative_table(p)
+    features = feature_matrix(state_rows(states), table.handling)
+    return (features.T @ table.jacobian).reshape(-1, 3, JACOBIAN_COLUMNS)

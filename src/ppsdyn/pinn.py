@@ -13,7 +13,9 @@ value and exact gradient in p: the misfit's from the forward sensitivities
 dx/dp of the same integration (the solver steps freely over the data grid
 and interpolates the observation times by its continuous extension), the
 physics term's from the closed-form df/dp at the observed states, with no
-integration.  Backpropagation chains d(total)/dp to the weights.  BFGS then
+integration: f and df/dp there come from the model's derivative table, the
+one the integration's dx/dp used, and the feature matrix of the observed
+states.  Backpropagation chains d(total)/dp to the weights.  BFGS then
 polishes the log-parameters u = log p on the misfit alone, with gradient
 d mse/dp * p, so positivity holds without a projection and the polish never
 ends worse than it starts.  One guard turns a non-positive, non-finite or
@@ -27,8 +29,9 @@ evaluated in raw units and rescaled by (t_end - t_start)/range per component
 so it is comparable with derivatives of the normalized series.  What each
 term reads of the dataset is computed once per stage, not once per loss
 evaluation: the misfit's start state, solver settings and normalization
-(_fit_data), and the physics term's scale, data derivative and observed
-states (_physics_data).  The parameters are built once per evaluation and
+(_fit_data), and the physics term's scale, data derivative and the
+state-only feature rows of the observed states (_physics_data).  The
+parameters, and their derivative table, are built once per evaluation and
 shared by both terms.
 """
 
@@ -42,8 +45,7 @@ import numpy as np
 
 from .data import Dataset, json_text
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
-from .model import (PARAM_ORDER, ModelParams, State, jacobian_matrices,
-                    make_parameter_jacobian, make_rhs)
+from .model import PARAM_ORDER, ModelParams, State, derivative_table, feature_matrix, state_rows
 from .optimize import adam_run, bfgs_run
 from .solver import OVERFLOW_LIMIT, SolverConfig, integrate
 
@@ -277,27 +279,31 @@ def _simulate(params: ModelParams, fit: _Fit, sensitivities: bool):
 
 def _physics_data(ds: Dataset):
     """What the physics term reads of a dataset, computed once per dataset:
-    the data derivative (which checks that the grid is uniform), the observed
-    states as raw columns, and the per-component scale that maps the raw
-    right-hand side onto normalized time and values."""
-    # contiguous columns: the closures' arithmetic is elementwise +, -, * and
-    # /, so the layout changes no bit, only the cost of every operation
-    return data_derivative(ds), ds.raw_observations.T.copy(), (ds.t_end - ds.t_start) / ds.ranges
+    the data derivative (which checks that the grid is uniform), the rows
+    of the feature matrix that depend on the observed states alone, and the
+    per-component scale that maps the raw right-hand side onto normalized
+    time and values."""
+    return data_derivative(ds), state_rows(ds.raw_observations), (ds.t_end - ds.t_start) / ds.ranges
 
 
-def _physics_term(params: ModelParams, deriv, observed, scale):
+# the model derivative overflows on an extreme p (k = 1e-170 makes r/k^2
+# inf); the term is then infinite, without a warning
+@np.errstate(over="ignore", invalid="ignore")
+def _physics_term(params: ModelParams, deriv, rows, scale):
     """(pie, d pie/dp): the mean squared gap between the data derivative and
     the right-hand side at the observed states, with no integration; the
-    last three arguments are _physics_data(ds)."""
-    # the closures are elementwise, so one call on the observation columns
-    # equals one call per observed state, bit for bit
-    model_deriv = np.array(make_rhs(params)(*observed)).T * scale
-    pie_resid = deriv - model_deriv
+    last three arguments are _physics_data(ds).  f at the observed states
+    is one product of their feature matrix with the derivative table, and
+    the gradient sums the residuals over the states before the table's
+    df/dp coefficients: sum_t w_t df/dp(x_t) = sum_k (F w)_k C_k."""
+    table = derivative_table(params)
+    features = feature_matrix(rows.copy(), table.handling)
+    pie_resid = deriv - (features.T @ table.rhs) * scale
     pie = _mean_squared_norm(pie_resid)
     # d model_deriv / dp is df/dp at the observed state times the same
     # scale as the values
-    dfdp = jacobian_matrices(make_parameter_jacobian(params), *observed)
-    return pie, (-2.0 / len(deriv)) * np.einsum("tc,tcp->p", pie_resid * scale, dfdp)
+    summed = features @ (pie_resid * scale)
+    return pie, (-2.0 / len(deriv)) * (summed.reshape(-1) @ table.dfdp)
 
 
 def _loss_or_inf(term, p, *args):

@@ -47,13 +47,15 @@ accepted step, and the same interpolation weights at the t_eval points.
 That makes S the exact derivative of the computed output for its step
 sequence.  Error control never reads S, so S is computed from a log of the
 accepted steps, batched over the steps, only once the loop completes: rejected
-steps cost nothing, an integration that fails computes no S at all, and the
-steps and states are bitwise the same with or without it.  The log keeps
-each step's unclamped end, where the 7th stage and its sensitivity are
-taken.  On steps this short the pass costs numpy calls rather than
-arithmetic, so a block of logged steps becomes dx/dp in a fixed number of
-array operations (one Jacobian evaluation, the stage substitution and the
-output points) plus one matrix product per step (see _block_sensitivities).
+steps cost nothing, an integration that fails computes no S at all, nor
+builds the parameters' derivative table, and the steps and states are
+bitwise the same with or without it.  The log keeps each step's unclamped
+end, where the 7th stage and its sensitivity are taken.  On steps this
+short the pass costs numpy calls rather than arithmetic, so a block of
+logged steps becomes dx/dp in a fixed number of array operations (one
+Jacobian evaluation, a product of the states' feature matrix with the
+derivative table, then the stage substitution and the output points) plus
+one matrix product per step (see _block_sensitivities).
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ import numpy as np
 
 from .errors import (IntegrationFailed, MissingColumn, NonNumericCell, NumericalOverflow,
                      StepUnderflow)
-from .model import (JACOBIAN_COLUMNS, ModelParams, State, jacobian_matrices, make_jacobian,
-                    make_rhs)
+from .model import JACOBIAN_COLUMNS, ModelParams, State, make_rhs, table_jacobians
 
 OVERFLOW_LIMIT = 1e12
 MIN_STEP = 1e-12
@@ -328,7 +329,7 @@ def integrate(
         raise ValueError("sensitivities need the rk45 method and t_eval")
     if cfg.method == "rk4":
         return _run_rk4(rhs, x, y, z, t0, cfg)
-    return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, make_jacobian(p) if sensitivities else None)
+    return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, p if sensitivities else None)
 
 
 def _rows(vals):
@@ -363,10 +364,11 @@ def _pack(log):
     return rows
 
 
-def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajectory:
-    """The trajectory at t_eval, and dx/dp there when jac is given, from the
-    packed blocks of logged steps, turned into output in order only once the
-    step loop completes, so an integration that fails never does this work.
+def _dense_output(blocks, t_eval, dirn, clamp, p, s0, final, diag) -> Trajectory:
+    """The trajectory at t_eval, and dx/dp there when the parameters p are
+    given, from the packed blocks of logged steps, turned into output in
+    order only once the step loop completes, so an integration that fails
+    never does this work.
 
     A row of a block is one accepted step: its start time and size, its
     start state, its seven stage slopes, the last one taken at the
@@ -381,7 +383,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
     # rows for t0, the points and the last one, filled in order
     states = np.empty((len(t_eval), 3))
     S = np.zeros((3, _NP))
-    sens = np.zeros((len(t_eval), 3, _NP)) if jac is not None else None
+    sens = np.zeros((len(t_eval), 3, _NP)) if p is not None else None
     lo = 0
     for rows in blocks:
         t, hs, y0 = rows[:, 0], rows[:, 1], rows[:, 2:5]
@@ -398,8 +400,8 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
         clipped = (out < 0.0) & clamp
         out[clipped] = 0.0
         states[1 + lo:1 + hi] = out
-        if jac is not None:
-            out_s, S = _block_sensitivities(jac, hs[:, None], y0, K, rows[:, 26:], n, hn * W,
+        if p is not None:
+            out_s, S = _block_sensitivities(p, hs[:, None], y0, K, rows[:, 26:], n, hn * W,
                                             clipped, clamp, S)
             sens[1 + lo:1 + hi] = out_s
         lo = hi
@@ -407,7 +409,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
     states[1 + lo:] = final
     # the step starts and the rows: s0, every accepted end and each point
     diag.min_component = float(min([states.min(), *(rows[:, 2:5].min() for rows in blocks)]))
-    if jac is not None:
+    if p is not None:
         sens[1 + lo:] = S
     return Trajectory(t_eval, states, diag, sens)
 
@@ -415,15 +417,16 @@ def _dense_output(blocks, t_eval, dirn, clamp, jac, s0, final, diag) -> Trajecto
 # dx/dp can overflow where the trajectory stays finite; it then reads inf or
 # nan for the caller to check
 @np.errstate(over="ignore", invalid="ignore")
-def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
+def _block_sensitivities(p, h, y0, K, ends, n, hW, clipped, clamp, S):
     """dx/dp at the output points of a block of logged steps, and S at the
     block's end, from S at its start; the steps have sizes h, start states
     y0, stage slopes K and unclamped ends, and the points lie in steps n,
     with interpolation weights hW = h W, clamped to zero where clipped.
 
-    The Jacobian closure is evaluated once on the block's stage states and
-    the logged ends of the steps n.  A forward substitution over the six
-    stages, batched over the steps, gives each step's sensitivity stages
+    The Jacobians of p are evaluated once, from its derivative table, on
+    the block's stage states and the logged ends of the steps n.  A forward
+    substitution over the six stages, batched over the steps, gives each
+    step's sensitivity stages
     X_j = [dK_j/dS | dK_j/dp] as an affine function of its start value S,
     so the step maps [S; I] to its end E = G [S; I], with
     G = [I | 0] + h sum_j b_j X_j; a short loop runs that recursion, one
@@ -435,7 +438,7 @@ def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
     """
     m = len(h)
     stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
-    M = jacobian_matrices(jac, *np.concatenate([stage_states.reshape(-1, 3), ends[n]]).T)
+    M = table_jacobians(p, np.concatenate([stage_states.reshape(-1, 3), ends[n]]))
     # X[:, j] from K_j = J_j (S + hs sum_l a_jl K_l) + jp_j, by forward
     # substitution over the stages, each written over its J_j in place,
     # with hs folded into the tableau rows; the tableau is strictly lower
@@ -472,7 +475,7 @@ def _block_sensitivities(jac, h, y0, K, ends, n, hW, clipped, clamp, S):
     return out_s, T[m, :3].copy()
 
 
-def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajectory:
+def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, p=None) -> Trajectory:
     t_end = cfg.t_end
     dirn = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
@@ -612,7 +615,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, jac=None) -> Trajecto
     if log:
         blocks.append(_pack(log))
     diag = Diagnostics(steps=steps, rejected=rejected, clamped=clamped)
-    return _dense_output(blocks, t_eval, dirn, clamp, jac, s0, (x, y, z), diag)
+    return _dense_output(blocks, t_eval, dirn, clamp, p, s0, (x, y, z), diag)
 
 
 def _run_rk4(rhs, x, y, z, t0, cfg: SolverConfig) -> Trajectory:

@@ -120,6 +120,30 @@ def test_start_with_a_leading_minus_reaches_the_state_check(tmp_path, capsys, re
     assert bool(runs[0][3]) == (code == 0)
 
 
+@pytest.mark.parametrize("s0, species, run", [
+    ("0,4,6", "prey", "simulate --subsystem predscav"),
+    ("2,0,6", "predator", "simulate --subsystem scavprey"),
+    ("2,4,0", "scavenger", "simulate --subsystem predprey"),
+    ("0,4,0", "prey", "simulate"),
+])
+def test_synth_refuses_a_species_at_zero_before_integrating(tmp_path, capsys, monkeypatch,
+                                                            s0, species, run):
+    # a species that starts at zero stays there, so its column would be
+    # constant; synth says so before it integrates, and writes nothing
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr("ppsdyn.data.integrate", no_integration)
+    out = tmp_path / "data"
+    code = main(["synth", "--params", str(FIXTURES / "predscav_collapse.params"), "--s0", s0,
+                 "--t-end", "20", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: synthesized {species} column is constant: the {species} starts at zero and "
+        f"stays there, so min-max scaling is undefined; `{run}` runs the model from this start\n")
+    assert not out.exists()
+
+
 def test_missing_params_file_is_usage_error(tmp_path):
     code = main(["simulate", "--params", str(tmp_path / "nope.params"),
                  "--s0", "1,1,1", "--t-end", "5", "--out", str(tmp_path)])

@@ -10,10 +10,10 @@ import pytest
 import ppsdyn
 from conftest import INTERIOR_STABLE, rand_params
 from ppsdyn.errors import MaskViolation
-from ppsdyn.model import (JACOBIAN_COLUMNS, PARAM_ORDER, SUBSYSTEMS, Derivative,
-                          ModelParams, State, Subsystem, holling3,
-                          jacobian_matrices, make_jacobian, make_parameter_jacobian,
-                          make_rhs, rhs, rhs_subsystem)
+from ppsdyn.model import (FEATURES, JACOBIAN_COLUMNS, PARAM_ORDER, SUBSYSTEMS, Derivative,
+                          ModelParams, State, Subsystem, derivative_table, feature_matrix,
+                          holling3, make_jacobian, make_rhs, rhs, rhs_subsystem, state_rows,
+                          table_jacobians)
 from ppsdyn.stability import jacobian
 
 
@@ -215,9 +215,9 @@ def test_jacobian_closure_matches_central_differences_of_rhs():
 
 
 def test_closures_on_arrays_equal_one_call_per_state():
-    # the loss and the solver evaluate both closures once on columns of
-    # states; that must be bit for bit the per-state loop it replaces, signed
-    # zeros included, so the states include zero components
+    # the stepper's right-hand side on columns of states must be bit for bit
+    # the per-state loop, signed zeros included, so the states include zero
+    # components
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = rand_params(rng, 0.1, 3.0)
@@ -225,12 +225,56 @@ def test_closures_on_arrays_equal_one_call_per_state():
         states[:4] *= [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
         per_state = np.array([make_rhs(p)(*s) for s in states])
         assert np.array(make_rhs(p)(*states.T)).T.tobytes() == per_state.tobytes()
-        per_state = np.array([_jacobian_matrix(p, s) for s in states])
-        got = jacobian_matrices(make_jacobian(p), *states.T)
-        assert got.shape == (40, 3, JACOBIAN_COLUMNS)
-        assert got.tobytes() == per_state.tobytes()
-        # the physics term's df/dp alone is the same block, bit for bit
-        dfdp = jacobian_matrices(make_parameter_jacobian(p), *states.T)
-        assert dfdp.shape == (40, 3, len(PARAM_ORDER))
-        assert dfdp.tobytes() == per_state[:, :, 3:].tobytes()
 
+
+def test_table_rows_do_not_depend_on_the_states_evaluated_with_them():
+    # the solver evaluates the table on blocks of stage states and the
+    # physics term on the observed states; a state's matrices must be bit
+    # for bit the same whichever states share its product: in pairs, in
+    # reverse order and all at once
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        p = rand_params(rng, 0.1, 3.0)
+        states = rng.uniform(0.0, 4.0, (40, 3))
+        states[:4] *= [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        got = table_jacobians(p, states)
+        assert got.shape == (40, 3, JACOBIAN_COLUMNS)
+        assert table_jacobians(p, states[::-1])[::-1].tobytes() == got.tobytes()
+        pairs = np.array([table_jacobians(p, states[[t, t - 1]])[0] for t in range(40)])
+        assert pairs.tobytes() == got.tobytes()
+
+
+def test_table_matches_the_closures():
+    # f and make_jacobian's matrix from the table are the closures' within a
+    # few ulps of the summed magnitudes of their terms; the 25 entries of
+    # df/dp that no term reaches are exactly zero, and at a state with a
+    # species at zero every entry of that species' row but its own
+    # diagonal one is exactly zero, which keeps its row of dx/dp at zero
+    rng = np.random.default_rng(14)
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        p = rand_params(rng, 0.01, 10.0)
+        states = rng.uniform(0.0, 8.0, (40, 3))
+        states[:3] *= [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        table = derivative_table(p)
+        features = feature_matrix(state_rows(states), table.handling)
+        assert features.shape == (FEATURES, 40)
+        coef = np.concatenate([table.rhs, table.jacobian], axis=1)
+        got = features.T @ coef
+        want = np.array([(*make_rhs(p)(*s), *make_jacobian(p)(*s)) for s in states])
+        magnitude = np.abs(features.T) @ np.abs(coef)
+        assert np.all(np.abs(got - want) <= 4 * eps * magnitude)
+        jac = table_jacobians(p, states)
+        assert jac.reshape(40, -1).tobytes() == got[:, 3:].tobytes()
+        unreached = ~table.jacobian.any(axis=0).reshape(3, JACOBIAN_COLUMNS)
+        assert unreached.sum() == 25 and not unreached[:, :3].any()
+        assert np.all(jac[:, unreached] == 0.0)
+        assert np.all(want[:, 3:].reshape(40, 3, JACOBIAN_COLUMNS)[:, unreached] == 0.0)
+        for species in range(3):
+            row = jac[species, species].copy()
+            row[species] = 0.0
+            assert np.all(row == 0.0)
+        # the df/dp coefficients alone, and the table is shared read-only
+        dfdp = table.jacobian.reshape(FEATURES, 3, JACOBIAN_COLUMNS)[:, :, 3:]
+        assert table.dfdp.tobytes() == dfdp.tobytes()
+        assert not any(array.flags.writeable for array in table)

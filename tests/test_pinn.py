@@ -10,7 +10,7 @@ import pytest
 from conftest import REFERENCE
 from ppsdyn.data import synthesize
 from ppsdyn.errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
-from ppsdyn.model import ModelParams, State
+from ppsdyn.model import PARAM_ORDER, ModelParams, State
 import ppsdyn.optimize
 import ppsdyn.pinn
 import ppsdyn.solver
@@ -364,8 +364,8 @@ def test_estimate_reaches_the_noise_floor(readme_dataset):
 # operation or its order shows here.  Like the equilibria.json pins, they
 # assume the BLAS that numpy ships with.
 SHORT_ESTIMATE_DIGESTS = {
-    "report.json": "d9cc6ab2087f410f74d9f5f082a5c33cb40897e48f0ab52cf9068e713ab4d42f",
-    "trace.csv": "3c631ea7530e6ddcb7f3645e581b751f87f12579535618a8d18321ad4427eb73",
+    "report.json": "24e990887654bb6b9fc1a52c720e71287885275d1a38f51fc9020c5e22758353",
+    "trace.csv": "ab78acec8d72e2a0812a710ccc743b3ff3b0c9a0a97761c9c52a2ac068927988",
 }
 
 
@@ -502,6 +502,21 @@ def test_final_pie_is_infinite_where_exp_overflows(readme_dataset, monkeypatch):
     with np.errstate(over="ignore"):
         report = estimate(readme_dataset, seed=0, epochs=2, bfgs_iterations=5)
     assert report.final_pie == math.inf
+
+
+def test_both_terms_are_infinite_where_k_squared_underflows(readme_dataset):
+    # at k = 1e-170, k * k underflows to zero, r/k^2 is inf and the model
+    # derivative at the observed states overflows: each term comes back
+    # with an infinite value, raising nothing and warning nothing
+    p = ModelParams(**REFERENCE).as_array()
+    p[PARAM_ORDER.index("k")] = 1e-170
+    fit = ppsdyn.pinn._fit_data(readme_dataset, readme_dataset.raw_times, 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pie, _ = _loss_or_inf(ppsdyn.pinn._physics_term, p,
+                              *ppsdyn.pinn._physics_data(readme_dataset))
+        mse, _ = _loss_or_inf(ppsdyn.pinn._misfit, p, fit, True)
+    assert pie == math.inf and mse == math.inf
 
 
 def test_loss_guard_lets_a_term_error_through(readme_dataset):

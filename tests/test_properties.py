@@ -3,7 +3,7 @@ exactly, malformed or invalid parameter input is rejected, each planar
 subsystem's zero plane is invariant under the right-hand side, the
 right-hand side and its Jacobian commute with power-of-two scalings of the
 populations and of time, and so do RK45 with a scaling of time and RK4
-with the whole group, the closures' array layout changes no bit, and the
+with the whole group, the array layout of the states changes no bit, and the
 JSON writer matches the stdlib's indented, sorted output."""
 
 import json
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from conftest import COLLAPSE_CASE
 from ppsdyn.data import Dataset, json_text
 from ppsdyn.errors import IntegrationFailed, NumericalOverflow
-from ppsdyn.model import (PARAM_ORDER, ModelParams, State, Subsystem, jacobian_matrices,
-                          make_jacobian, make_parameter_jacobian, make_rhs)
+from ppsdyn.model import (PARAM_ORDER, ModelParams, State, Subsystem, derivative_table,
+                          feature_matrix, make_rhs, state_rows, table_jacobians)
 from ppsdyn.pinn import _physics_term
 from ppsdyn.solver import SolverConfig, Trajectory, integrate
 
@@ -205,30 +205,34 @@ def test_rhs_and_jacobian_commute_with_the_scaling_group(values, scales, rows):
     assert np.array(make_rhs(q)(*X)).tobytes() == want.tobytes()
     # the plain-float path the step loops take
     assert make_rhs(q)(*X[:, 0].tolist()) == tuple(want[:, 0].tolist())
-    want = (jacobian_matrices(make_jacobian(p), *x) * (tau / s)[:, None]
-            * np.concatenate([s, 1.0 / c]))
-    assert jacobian_matrices(make_jacobian(q), *X).tobytes() == want.tobytes()
+    # the derivative table: every feature and coefficient scales exactly,
+    # and so does each sum of their products
+    want = table_jacobians(p, x.T) * (tau / s)[:, None] * np.concatenate([s, 1.0 / c])
+    assert table_jacobians(q, X.T).tobytes() == want.tobytes()
 
 
 @FEW
 @given(values=st.lists(st.floats(0.1, 3.0), min_size=14, max_size=14), rows=states,
        data=st.data())
 def test_column_layout_changes_no_bit(values, rows, data):
-    # the closures use only +, -, * and /, which numpy rounds the same on
-    # strided and contiguous arrays, so the observed columns can be passed
-    # either way; rows of one state included
+    # the feature rows are built with +, -, * and /, which numpy rounds the
+    # same on strided and contiguous arrays, into a fresh array, so the
+    # states can be passed either way; rows of one state included
     p = ModelParams.from_array(values)
-    observed = np.array(rows)
-    strided, contiguous = observed.T, observed.T.copy()
-    for factory in (make_jacobian, make_parameter_jacobian):
-        want = jacobian_matrices(factory(p), *contiguous)
-        assert jacobian_matrices(factory(p), *strided).tobytes() == want.tobytes()
+    contiguous = np.array(rows)
+    strided = np.repeat(contiguous, 2, axis=0)[::2]
+    assert not strided.flags.c_contiguous or len(rows) == 1
+    handling = derivative_table(p).handling
+    want = feature_matrix(state_rows(contiguous), handling)
+    assert feature_matrix(state_rows(strided), handling).tobytes() == want.tobytes()
+    want = table_jacobians(p, contiguous)
+    assert table_jacobians(p, strided).tobytes() == want.tobytes()
     unit = st.floats(-1.0, 1.0)
     deriv = np.array(data.draw(st.lists(st.tuples(unit, unit, unit), min_size=len(rows),
                                         max_size=len(rows))))
     scale = np.array(data.draw(st.tuples(power_of_two, power_of_two, power_of_two)))
-    pie, grad = _physics_term(p, deriv, contiguous, scale)
-    pie_strided, grad_strided = _physics_term(p, deriv, strided, scale)
+    pie, grad = _physics_term(p, deriv, state_rows(contiguous), scale)
+    pie_strided, grad_strided = _physics_term(p, deriv, state_rows(strided), scale)
     assert np.float64(pie_strided).tobytes() == np.float64(pie).tobytes()
     assert grad_strided.tobytes() == grad.tobytes()
 

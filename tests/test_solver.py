@@ -8,7 +8,7 @@ import pytest
 
 from conftest import COLLAPSE_CASE, FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, rand_params
 from ppsdyn.errors import IntegrationFailed, NonNumericCell, NumericalOverflow
-from ppsdyn.model import ModelParams, State, jacobian_matrices
+from ppsdyn.model import ModelParams, State, derivative_table, table_jacobians
 from ppsdyn.solver import (_BLOCK, _ROWS, Diagnostics, SolverConfig, Trajectory,
                            detect_settling, integrate, write_rows_csv)
 
@@ -422,21 +422,24 @@ def test_sensitivities_leave_steps_and_states_bitwise_unchanged(reference_params
 def test_failed_gradient_integration_evaluates_no_jacobian(monkeypatch, reference_params):
     # dx/dp is computed only once the step loop completes, so a run that
     # overflows, here after several full blocks of logged steps, never
-    # evaluates the Jacobian closure; a run that finishes evaluates it once
-    # per block of logged steps, on all of the block's states at once
+    # evaluates the Jacobians, nor builds the derivative table they come
+    # from; a run that finishes evaluates them once per block of logged
+    # steps, on all of the block's states at once
     calls = []
 
     def counting(*args):
         calls.append(len(args[1]))
-        return jacobian_matrices(*args)
+        return table_jacobians(*args)
 
-    monkeypatch.setattr("ppsdyn.solver.jacobian_matrices", counting)
+    monkeypatch.setattr("ppsdyn.solver.table_jacobians", counting)
+    derivative_table.cache_clear()
     blow_up = ModelParams(r=1.0, k=1.0, a=1.0, a0=1.0, b=1.0, b0=1.0, d=1.0,
                           e=1e-6, f=5.0, g=1.0, h=20.0, i=1e-6, i0=1e-6, j=1e-6)
     with pytest.raises(NumericalOverflow):
         integrate(blow_up, State(1.0, 1.0, 1.0), SolverConfig(t_end=5.0), t_eval=GRID,
                   sensitivities=True)
     assert calls == []
+    assert derivative_table.cache_info().misses == 0
     long_grid = np.linspace(0.0, 40.0, 60)
     for grid, cfg in ((GRID, _loss_cfg(1e-9)), (long_grid, SolverConfig(t_end=40.0, tol=1e-10))):
         calls.clear()
@@ -612,6 +615,7 @@ def test_sensitivities_need_rk45_and_t_eval(stable_params):
 @pytest.mark.parametrize("case, s0, absent", [
     ("predscav", State(0.0, 4.0, 6.0), 0),
     ("predprey", State(2.0, 4.0, 0.0), 2),
+    ("reference", State(2.0, 0.0, 1.0), 1),
 ])
 def test_sensitivities_of_a_subsystem_start(request, case, s0, absent):
     # a species that starts at zero stays at zero for every p, so its row of
