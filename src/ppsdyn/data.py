@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from numbers import Integral
 
 import numpy as np
 
@@ -262,8 +263,10 @@ def synthesize(
         raise ValueError("t_grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError("noise_sigma must be finite and nonnegative")
+    if isinstance(noise_sigma, (bool, np.bool_)) or not math.isfinite(noise_sigma) or noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     absent = [name for name, v in zip(GROUPS, s0[:3]) if v == 0]
     if absent:
         present = tuple(int(v != 0) for v in s0[:3])

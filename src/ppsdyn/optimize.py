@@ -9,6 +9,7 @@ for it once per point.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -62,10 +63,10 @@ def adam_run(fun, theta0, alpha: float = 0.001, num_steps: int = 100):
     The loss is recorded at the pre-update iterate, so the history has
     exactly num_steps entries and history[0] is the loss at theta0.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if num_steps < 0:
-        raise ValueError("num_steps must be nonnegative")
+    if isinstance(alpha, (bool, np.bool_)) or not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
+    if isinstance(num_steps, bool) or not isinstance(num_steps, Integral) or num_steps < 0:
+        raise ValueError(f"num_steps must be an integer >= 0, got {num_steps!r}")
     theta = np.asarray(theta0, dtype=float).copy()
     state = AdamState.fresh(theta.size)
     history: list = []
@@ -117,8 +118,8 @@ def bfgs_run(fun, x0, max_iterations: int = 200):
     once; LineSearchFailed (carrying the last iterate and history) is
     raised only if that also finds no acceptable step.
     """
-    if max_iterations <= 0:
-        raise ValueError("max_iterations must be positive")
+    if isinstance(max_iterations, bool) or not isinstance(max_iterations, Integral) or max_iterations < 1:
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     B = np.eye(n)

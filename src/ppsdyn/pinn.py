@@ -1,28 +1,30 @@
 """Parameter estimation: a small MLP trained against an ODE-fit loss, then a
 quasi-Newton polish on the parameters themselves.
 
-The network maps a fixed lognormal-initialized 14-vector to a predicted
-parameter vector; its weights and biases are views of one flat vector,
-which optimize.adam_run trains on the network stage's loss, MSE + PIE
-(_network_term; total_loss is the same sum for library callers).  The MSE,
-the misfit, compares the trajectory integrated from the first observation
-against the observations; the PIE, the physics term, compares
-finite-difference data derivatives against the model right-hand side at
-the observed states.  Each term is one function that returns its
-value and exact gradient in p: the misfit's from the forward sensitivities
-dx/dp of the same integration (the solver steps freely over the data grid
-and interpolates the observation times by its continuous extension), the
-physics term's from the closed-form df/dp at the observed states, with no
-integration: f and df/dp there come from the model's derivative table, the
-one the integration's dx/dp used, and the feature matrix of the observed
-states.  Backpropagation chains d(total)/dp to the weights.  BFGS then
-polishes the log-parameters u = log p on the misfit alone, with gradient
-d mse/dp * p, so positivity holds without a projection and the polish never
-ends worse than it starts.  One guard turns a non-positive, non-finite or
-unintegrable p into an infinite value and gradient for either stage.  Every
-integration of both stages gives up on a hopeless p as soon as it shows: a
-state past a bound scaled to the data, DOPRI5's stiffness test, or the step
-cap (see simulate_on_data); `simulate` and `synth` integrate on regardless.
+Both stages work in the log-parameters u = log p.  The network maps a
+fixed lognormal-initialized 14-vector to u through a linear readout; its
+weights and biases are views of one flat vector, which optimize.adam_run
+trains on the network stage's loss, MSE + PIE (_network_term; total_loss is
+the same sum for library callers).  The MSE, the misfit, compares the
+trajectory integrated from the first observation against the observations;
+the PIE, the physics term, compares finite-difference data derivatives
+against the model right-hand side at the observed states.  Each term is one
+function that returns its value and exact gradient in p: the misfit's from
+the forward sensitivities dx/dp of the same integration (the solver steps
+freely over the data grid and interpolates the observation times by its
+continuous extension), the physics term's from the closed-form df/dp at the
+observed states, with no integration: f and df/dp there come from the
+model's derivative table, the one the integration's dx/dp used, and the
+feature matrix of the observed states.  One helper, _in_log, evaluates
+either stage's loss at p = exp(u) with its gradient in u, d/dp * p, so
+positivity holds without a projection or a floor; its guard turns an
+overflowing or underflowing exp(u), or an unintegrable p, into an infinite
+value.  Backpropagation chains the network's gradient to the weights, and
+BFGS then polishes u on the misfit alone, never ending worse than it
+starts.  Every integration of both stages gives up on a hopeless p as soon
+as it shows: a state past a bound scaled to the data, DOPRI5's stiffness
+test, or the step cap (see simulate_on_data); `simulate` and `synth`
+integrate on regardless.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
@@ -50,7 +52,6 @@ from .optimize import adam_run, bfgs_run
 from .solver import OVERFLOW_LIMIT, SolverConfig, integrate
 
 MLP_SIZES = [len(PARAM_ORDER), 32, 32, 32, len(PARAM_ORDER)]
-PARAM_FLOOR = 1e-6
 # estimation integrations give up on a hopeless parameter draw instead of
 # burning the full default budget: a tighter step cap, a runaway bound at
 # RUNAWAY_FACTOR times the largest |value| in the data (never above the
@@ -63,7 +64,7 @@ STIFF_TEST_EVERY = 1000
 
 @dataclass
 class Mlp:
-    """Dense layers; swish hidden activations, rectified output.
+    """Dense layers; swish hidden activations, linear output.
 
     The weights and biases are views of one flat vector, theta: layer by
     layer from the input side, each weight matrix row by row and then its
@@ -106,11 +107,10 @@ def init_mlp(rng: np.random.Generator, sizes=MLP_SIZES) -> Mlp:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in))
         biases.append(np.zeros(fan_out))
-    # zero weights + unit bias on the readout: through the rectifier every
-    # fresh network predicts the all-ones vector, a starting point where the
-    # integration is tame regardless of seed
+    # zero weights and bias on the readout: every fresh network reads out
+    # log p = 0, the all-ones vector, a starting point where the integration
+    # is tame regardless of seed
     weights[-1][:] = 0.0
-    biases[-1][:] = 1.0
     return Mlp(weights, biases)
 
 
@@ -127,22 +127,18 @@ def _sigmoid(u):
 def _forward_cached(net: Mlp, x):
     h = np.asarray(x, dtype=float)
     caches = []
-    last = len(net.weights) - 1
-    for li, (W, b) in enumerate(zip(net.weights, net.biases)):
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
         u = W @ h + b
-        if li < last:
-            s = _sigmoid(u)
-            out = u * s
-            caches.append((h, u, s))
-        else:
-            out = np.maximum(u, 0.0)
-            caches.append((h, u, None))
-        h = out
-    return h, caches
+        s = _sigmoid(u)
+        caches.append((h, u, s))
+        h = u * s
+    caches.append((h, None, None))
+    return net.weights[-1] @ h + net.biases[-1], caches
 
 
 def forward(net: Mlp, x) -> np.ndarray:
-    """Dense forward pass; output is elementwise nonnegative."""
+    """Dense forward pass; the output is linear in the last hidden layer,
+    and estimation reads it as u = log p."""
     return _forward_cached(net, x)[0]
 
 
@@ -152,14 +148,10 @@ def backward(net: Mlp, caches, dout) -> np.ndarray:
     grad = np.empty_like(net.theta)
     g_weights, g_biases = _layer_views(grad, net.sizes)
     d = np.asarray(dout, dtype=float)
-    last = len(net.weights) - 1
-    for li in range(last, -1, -1):
+    for li in range(len(net.weights) - 1, -1, -1):
         hin, u, s = caches[li]
-        if li == last:
-            du = d * (u > 0)
-        else:
-            # swish'(u) = s(1 + u(1 - s)) with s = sigmoid(u)
-            du = d * (s * (1.0 + u * (1.0 - s)))
+        # the readout is linear; swish'(u) = s(1 + u(1 - s)) with s = sigmoid(u)
+        du = d if s is None else d * (s * (1.0 + u * (1.0 - s)))
         # the outer product du hin^T
         np.multiply(du[:, None], hin, out=g_weights[li])
         g_biases[li][...] = du
@@ -323,6 +315,15 @@ def _loss_or_inf(term, p, *args):
     return math.inf, np.full(len(PARAM_ORDER), math.inf)
 
 
+def _in_log(term, u, *args):
+    """(value, d value/du = d value/dp * p) of term(params, *args) at
+    p = exp(u), behind _loss_or_inf and without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.exp(u)
+        value, grad = _loss_or_inf(term, p, *args)
+        return value, grad * p
+
+
 class TraceRow(NamedTuple):
     total: float
     mse: float
@@ -342,12 +343,12 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
 
     One generator, threaded: the input vector is drawn first, then the
     hidden-layer weights, so the run is reproducible from the seed alone.
-    Each epoch integrates once, at tolerance 1e-6, for the loss and its exact
-    gradient in the predicted parameters; optimize.adam_run steps by 1e-4.
-    The trace has one TraceRow per epoch.  A non-finite loss or gradient aborts with
-    NonFiniteLoss carrying the partial trace and the best finite prediction
-    seen so far.  A dataset whose time grid is not uniform raises ValueError
-    before the first epoch.
+    The network reads out u = log p.  Each epoch integrates once, at
+    tolerance 1e-6, for the loss at p = exp(u) and its exact gradient in u;
+    optimize.adam_run steps by 1e-4.  The trace has one TraceRow per epoch.
+    A non-finite loss or gradient aborts with NonFiniteLoss carrying the
+    partial trace and the best finite prediction seen so far.  A dataset
+    whose time grid is not uniform raises ValueError before the first epoch.
     """
     phys = _physics_data(ds)
     fit = _fit_data(ds, ds.raw_times, 1e-6)
@@ -355,26 +356,26 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
     inp = init_params(rng)
     net = init_mlp(rng)
     trace: list = []
-    best_total, best_p = math.inf, None
+    best_total, best_u = math.inf, None
 
     def loss(theta):
-        nonlocal best_total, best_p
+        nonlocal best_total, best_u
         net.theta[...] = theta
-        p_raw, caches = _forward_cached(net, inp)
-        pf = np.maximum(p_raw, PARAM_FLOOR)
-        row, dEdp = _loss_or_inf(_network_term, pf, fit, phys)
+        u, caches = _forward_cached(net, inp)
+        row, dEdu = _in_log(_network_term, u, fit, phys)
         # row is a TraceRow, or _loss_or_inf's bare inf
-        if not (np.isfinite(row).all() and np.isfinite(dEdp).all()):
+        if not (np.isfinite(row).all() and np.isfinite(dEdu).all()):
+            best = None if best_u is None else np.exp(best_u)
             raise NonFiniteLoss(f"training loss or gradient non-finite at epoch {len(trace)}",
-                                history=trace, best=best_p)
+                                history=trace, best=best)
         trace.append(row)
         if row.total < best_total:
-            best_total, best_p = row.total, pf
-        return row.total, backward(net, caches, dEdp)
+            best_total, best_u = row.total, u
+        return row.total, backward(net, caches, dEdu)
 
     theta, _ = adam_run(loss, net.theta, alpha=1e-4, num_steps=epochs)
     net.theta[...] = theta
-    return net, np.maximum(forward(net, inp), PARAM_FLOOR), trace
+    return net, np.exp(forward(net, inp)), trace
 
 
 @dataclass
@@ -407,10 +408,9 @@ class EstimationReport:
 
 
 def _log_mse(ds: Dataset):
-    """The polish objective over u = log p: u -> (mse, d mse/du = d mse/dp * p),
-    the misfit alone from one integration at tolerance 1e-9, behind the same
-    guard as the network stage.  An exp(u) that overflows or underflows
-    gives an infinite value, which the line search rejects.
+    """The polish objective u -> _in_log(misfit): (mse, d mse/du) from one
+    integration at tolerance 1e-9.  The line search rejects the infinite
+    value of an exp(u) that overflows or underflows.
 
     The gradients are exact forward sensitivities of the computed
     trajectory, but the line search and the curvature pairs compare nearby
@@ -418,16 +418,8 @@ def _log_mse(ds: Dataset):
     the step sequence changes with p; at 1e-9 those jumps sit far below the
     differences BFGS measures.
     """
-
     fit = _fit_data(ds, ds.raw_times, 1e-9)
-
-    def fun(u):
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.exp(u)
-            mse, g_mse = _loss_or_inf(_misfit, p, fit, True)
-            return mse, g_mse * p
-
-    return fun
+    return lambda u: _in_log(_misfit, u, fit, True)
 
 
 def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -> EstimationReport:

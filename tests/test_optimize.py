@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import REFERENCE
+import ppsdyn.data
+from ppsdyn.data import synthesize
 from ppsdyn.errors import LineSearchFailed, NonFiniteLoss
+from ppsdyn.model import ModelParams, State
 from ppsdyn.optimize import (AdamState, _update_inverse, adam_run, adam_step,
                              bfgs_run, write_loss_csv)
 
@@ -216,6 +220,48 @@ def test_inverse_update_satisfies_secant_equation():
 def test_bfgs_config_validation():
     with pytest.raises(ValueError):
         bfgs_run(sphere, np.ones(2), max_iterations=0)
+
+
+# (callee, the bad argument's name, the keyword arguments of the call)
+BAD_NUMERIC_ARGUMENTS = [
+    ("adam_run", "alpha", dict(alpha=math.nan)),
+    ("adam_run", "alpha", dict(alpha=math.inf)),
+    ("adam_run", "alpha", dict(alpha=True)),
+    ("adam_run", "num_steps", dict(num_steps=True)),
+    ("adam_run", "num_steps", dict(num_steps=2.5)),
+    ("bfgs_run", "max_iterations", dict(max_iterations=2.5)),
+    ("bfgs_run", "max_iterations", dict(max_iterations=math.nan)),
+    ("bfgs_run", "max_iterations", dict(max_iterations=True)),
+    ("synthesize", "noise_sigma", dict(noise_sigma=True)),
+    ("synthesize", "seed", dict(seed=True)),
+    ("synthesize", "seed", dict(seed=2.5)),
+    ("synthesize", "seed", dict(noise_sigma=0.02, seed=2.5)),
+    ("synthesize", "seed", dict(seed=-1)),
+]
+
+
+@pytest.mark.parametrize("callee, bad, kwargs", BAD_NUMERIC_ARGUMENTS,
+                         ids=["-".join([c] + [f"{k}={v}" for k, v in kw.items()])
+                              for c, _, kw in BAD_NUMERIC_ARGUMENTS])
+def test_bad_numeric_argument_is_rejected_before_any_work(callee, bad, kwargs, monkeypatch):
+    # a bool, NaN, inf, fraction or negative seed is a usage error at the
+    # boundary: no objective evaluation, no integration, no numerical failure
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return float(x @ x), 2.0 * x
+
+    monkeypatch.setattr(ppsdyn.data, "integrate", lambda *args, **kw: calls.append(args))
+    runs = {
+        "adam_run": lambda: adam_run(fun, np.ones(2), **kwargs),
+        "bfgs_run": lambda: bfgs_run(fun, np.ones(2), **kwargs),
+        "synthesize": lambda: synthesize(ModelParams(**REFERENCE), State(4.991, 1.178, 0.577),
+                                         np.linspace(0.0, 5.0, 10), **kwargs),
+    }
+    with pytest.raises(ValueError, match=bad):
+        runs[callee]()
+    assert calls == []
 
 
 def test_write_loss_csv(tmp_path):

@@ -35,13 +35,14 @@ def test_mlp_shapes():
 
 
 def test_readout_starts_at_one():
-    # zero readout weights with unit bias make the initial prediction
-    # identically one for every parameter channel
+    # zero readout weights and bias make the initial log-parameters zero,
+    # so the initial prediction exp(0) is exactly one for every channel
     net = init_mlp(np.random.default_rng(123))
     assert np.all(net.weights[-1] == 0.0)
-    assert np.all(net.biases[-1] == 1.0)
+    assert np.all(net.biases[-1] == 0.0)
     out = forward(net, np.random.default_rng(5).uniform(0, 1, 14))
-    assert out == pytest.approx(np.ones(14), abs=0.0)
+    assert np.array_equal(out, np.zeros(14))
+    assert np.array_equal(np.exp(out), np.ones(14))
 
 
 def test_swish_value_through_single_unit():
@@ -51,16 +52,11 @@ def test_swish_value_through_single_unit():
     assert got == pytest.approx(0.7310585786300049, abs=1e-15)
 
 
-def test_relu_readout_clips_negative():
-    net = Mlp(weights=[np.array([[1.0]]), np.array([[-5.0]])],
-              biases=[np.array([0.0]), np.array([0.0])])
-    assert forward(net, np.array([2.0]))[0] == 0.0
-
-
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(7)
     net = _tiny_net()
-    # randomize the readout so gradients flow through the ReLU
+    # randomize the readout: its zero start would pass no gradient back to
+    # the hidden layers
     net.weights[-1][:] = rng.standard_normal(net.weights[-1].shape)
     net.biases[-1][:] = rng.uniform(0.5, 1.5, net.biases[-1].shape)
     x = rng.uniform(-1.0, 1.0, 2)
@@ -349,13 +345,22 @@ def readme_dataset():
                       np.linspace(0.0, 5.0, 40), noise_sigma=0.02, seed=0)
 
 
-def test_estimate_reaches_the_noise_floor(readme_dataset):
+@pytest.mark.parametrize("seed", [0, 3])
+def test_estimate_reaches_the_noise_floor(readme_dataset, seed):
     # the log-parameter polish ends within 1.5x of the MSE the generating
-    # parameters themselves reach on the noisy data (0.00120)
+    # parameters themselves reach on the noisy data (0.00120); seed 3 is the
+    # one whose network stage ends with the smallest rate of seeds 0-19
     _, truth_mse, _ = total_loss(ModelParams(**REFERENCE).as_array(), readme_dataset)
-    report = estimate(readme_dataset, seed=0)
+    report = estimate(readme_dataset, seed=seed)
     assert report.stage_errors == []
     assert report.final_mse <= 1.5 * truth_mse
+
+
+def test_network_stage_leaves_no_parameter_near_zero(readme_dataset):
+    # near p = 0 the polish's gradient in log p, d mse/dp * p, vanishes, so
+    # a rate the network stage leaves there stays there
+    smallest = min(float(np.min(train_pinn(readme_dataset, seed=seed)[1])) for seed in range(20))
+    assert smallest > 1e-3
 
 
 # Byte pins of a short estimate on the README data: every loss evaluation of
@@ -364,8 +369,8 @@ def test_estimate_reaches_the_noise_floor(readme_dataset):
 # operation or its order shows here.  Like the equilibria.json pins, they
 # assume the BLAS that numpy ships with.
 SHORT_ESTIMATE_DIGESTS = {
-    "report.json": "24e990887654bb6b9fc1a52c720e71287885275d1a38f51fc9020c5e22758353",
-    "trace.csv": "ab78acec8d72e2a0812a710ccc743b3ff3b0c9a0a97761c9c52a2ac068927988",
+    "report.json": "5abf65d8ee9fb5cb20d54d7d062acef5cf963a21dabf1b4ba75acd2757ecd78b",
+    "trace.csv": "d1bd40967c80e67f03d53b9c359b139be0c38c53edd9f85b829bcfb1df432602",
 }
 
 
