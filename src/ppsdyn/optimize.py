@@ -4,12 +4,20 @@ Both optimizers are deterministic given their inputs and know nothing about
 the model.  An objective is one callable, fun(theta) -> (value, gradient),
 so a caller whose value and gradient come from the same computation pays
 for it once per point.
+
+BFGS's line search tries the full quasi-Newton step first.  While its
+inverse Hessian is still the identity, the step is the raw negative
+gradient, whose length has no relation to the objective's scale; a caller
+that knows a lower bound on the objective (0 for a sum of squares) passes
+it, and the first trial there is Polyak's step, where the linear model
+reaches the bound, t = (f - lower_bound)/|g|^2, when that is shorter than
+the full step (Polyak, Introduction to Optimization, 1987, 5.3).
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +29,9 @@ CURVATURE_FLOOR = 1e-12
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 # BFGS stops when the gradient norm or the accepted step falls below these
 GRADIENT_TOLERANCE, STEP_TOLERANCE = 1e-6, 1e-10
-# backtracking Armijo line search: the first trial step, the factor each
-# halving applies, the sufficient-decrease constant and the halving budget
+# backtracking Armijo line search: the longest first trial step, the factor
+# each halving applies, the sufficient-decrease constant and the halving
+# budget
 INITIAL_STEP, SHRINK, SUFFICIENT_DECREASE, MAX_HALVINGS = 1.0, 0.5, 1e-4, 60
 
 
@@ -91,12 +100,12 @@ def _update_inverse(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return V @ B @ V.T + rho * np.outer(s, s)
 
 
-def _line_search(fun, x, fx, g, p):
-    # backtracking Armijo; returns (candidate, value, gradient) or None after
-    # the halving budget is spent.  A candidate whose value or gradient is
-    # non-finite is rejected like one that fails the decrease test.
+def _line_search(fun, x, fx, g, p, t):
+    # backtracking Armijo from the first trial step t; returns (candidate,
+    # value, gradient) or None after the halving budget is spent.  A
+    # candidate whose value or gradient is non-finite is rejected like one
+    # that fails the decrease test.
     slope = float(g @ p)
-    t = INITIAL_STEP
     for _ in range(MAX_HALVINGS + 1):
         cand = x + t * p
         f_new, g_new = _evaluate(fun, cand)
@@ -107,7 +116,7 @@ def _line_search(fun, x, fx, g, p):
     return None
 
 
-def bfgs_run(fun, x0, max_iterations: int = 200):
+def bfgs_run(fun, x0, max_iterations: int = 200, lower_bound=None):
     """Quasi-Newton minimization from x0; returns (x, loss history).
 
     fun is called once per point: at x0 and at each line-search candidate.
@@ -117,15 +126,28 @@ def bfgs_run(fun, x0, max_iterations: int = 200):
     line search, B is reset to the identity and steepest descent is tried
     once; LineSearchFailed (carrying the last iterate and history) is
     raised only if that also finds no acceptable step.
+
+    lower_bound, if given, is a finite number the objective never goes
+    below.  While B is the identity (until the first curvature pair is
+    accepted, and in the steepest-descent retry after a reset) the line
+    search along p = -g then starts from Polyak's step,
+    min(1, (f - lower_bound)/|g|^2), instead of 1; an f(x0) below the bound
+    raises ValueError.  Without it every first trial is the full step.
     """
     if isinstance(max_iterations, bool) or not isinstance(max_iterations, Integral) or max_iterations < 1:
         raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    # numpy's bool is not a Real, Python's is
+    if lower_bound is not None and (isinstance(lower_bound, bool) or not isinstance(lower_bound, Real)
+                                    or not math.isfinite(lower_bound)):
+        raise ValueError(f"lower_bound must be None or a finite number, got {lower_bound!r}")
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     B = np.eye(n)
     fx, g = _evaluate(fun, x)
     if not math.isfinite(fx):
         raise NonFiniteLoss("objective non-finite at x0", history=[])
+    if lower_bound is not None and fx < lower_bound:
+        raise ValueError(f"objective at x0, {fx!r}, is below lower_bound {lower_bound!r}")
     history = [fx]
     if not np.isfinite(g).all():
         raise NonFiniteLoss("gradient non-finite at x0", history=history)
@@ -136,11 +158,14 @@ def bfgs_run(fun, x0, max_iterations: int = 200):
         p = -B @ g
         if float(g @ p) >= 0.0:
             p = -g
-        trial = _line_search(fun, x, fx, g, p)
+        # the first trial along p = -g, the direction while B is the identity
+        polyak = (INITIAL_STEP if lower_bound is None
+                  else min(INITIAL_STEP, (fx - lower_bound) / float(g @ g)))
+        trial = _line_search(fun, x, fx, g, p, polyak if await_rescale else INITIAL_STEP)
         if trial is None:
             B = np.eye(n)
             await_rescale = True
-            trial = _line_search(fun, x, fx, g, -g)
+            trial = _line_search(fun, x, fx, g, -g, polyak)
             if trial is None:
                 raise LineSearchFailed(
                     f"no acceptable step after {MAX_HALVINGS} halvings",

@@ -410,7 +410,8 @@ class EstimationReport:
 def _log_mse(ds: Dataset):
     """The polish objective u -> _in_log(misfit): (mse, d mse/du) from one
     integration at tolerance 1e-9.  The line search rejects the infinite
-    value of an exp(u) that overflows or underflows.
+    value of an exp(u) that overflows or underflows.  It is a mean of
+    squares, so 0 bounds it from below; estimate hands bfgs_run that bound.
 
     The gradients are exact forward sensitivities of the computed
     trajectory, but the line search and the curvature pairs compare nearby
@@ -428,7 +429,12 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     Stage errors are recorded in the report rather than raised: a failed
     polish stage keeps its last accepted iterate.  post_nn_mse is the MSE at
     the start of the polish, exp(log p_nn), and the final parameters are
-    the polish's last iterate, which never fits worse.
+    the polish's last iterate, which never fits worse.  The polish passes
+    bfgs_run the MSE's lower bound, 0, so that until its first curvature
+    pair each line search starts from Polyak's step, MSE/|g|^2 in u, rather
+    than the full gradient step: on this misfit the full step runs away,
+    and every candidate that does so is an integration wasted up to the
+    runaway bound.
     """
     stage_errors: list = []
     initial = init_params(seed)
@@ -443,7 +449,8 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
 
     u_polish, bfgs_trace = np.log(p_nn), []
     try:
-        u_polish, bfgs_trace = bfgs_run(_log_mse(ds), u_polish, max_iterations=bfgs_iterations)
+        u_polish, bfgs_trace = bfgs_run(_log_mse(ds), u_polish, max_iterations=bfgs_iterations,
+                                        lower_bound=0.0)
     except (LineSearchFailed, NonFiniteLoss) as exc:
         stage_errors.append(f"polish stage: {exc}")
         # a line-search failure carries its last iterate; a non-finite start has none

@@ -379,6 +379,8 @@ def _dense_output(blocks, t_eval, dirn, clamp, p, s0, final, diag) -> Trajectory
     per block, and their dx/dp from _block_sensitivities, with S = dx/dp
     carried from one block to the next.  diag takes its min_component here.
     """
+    # a species that starts at zero stays there, so its row of dx/dp is zero
+    absent = [c for c, v in enumerate(s0) if v == 0.0] if p is not None else None
     points = dirn * t_eval[1:-1]  # increasing
     # rows for t0, the points and the last one, filled in order
     states = np.empty((len(t_eval), 3))
@@ -402,7 +404,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, p, s0, final, diag) -> Trajectory
         states[1 + lo:1 + hi] = out
         if p is not None:
             out_s, S = _block_sensitivities(p, hs[:, None], y0, K, rows[:, 26:], n, hn * W,
-                                            clipped, clamp, S)
+                                            clipped, clamp, S, absent)
             sens[1 + lo:1 + hi] = out_s
         lo = hi
     states[0] = s0
@@ -417,7 +419,7 @@ def _dense_output(blocks, t_eval, dirn, clamp, p, s0, final, diag) -> Trajectory
 # dx/dp can overflow where the trajectory stays finite; it then reads inf or
 # nan for the caller to check
 @np.errstate(over="ignore", invalid="ignore")
-def _block_sensitivities(p, h, y0, K, ends, n, hW, clipped, clamp, S):
+def _block_sensitivities(p, h, y0, K, ends, n, hW, clipped, clamp, S, absent):
     """dx/dp at the output points of a block of logged steps, and S at the
     block's end, from S at its start; the steps have sizes h, start states
     y0, stage slopes K and unclamped ends, and the points lie in steps n,
@@ -435,10 +437,18 @@ def _block_sensitivities(p, h, y0, K, ends, n, hW, clipped, clamp, S):
     Z = h W_7 J(end), and the point's dx/dp is S + Y [S; I] + Z [E; I], the
     7th stage taken at the unclamped end.  The block's arrays are freed on
     return, before the next block's are made.
+
+    The rows of the components in absent, those that start at zero, are
+    zeroed in every Jacobian: such a row multiplies only zeros, but a
+    coefficient of the derivative table that overflowed (r/k^2 where k*k
+    underflows) would make it 0 * inf = nan there, and the nan would spread
+    to the other rows through their zero entries in its column.
     """
     m = len(h)
     stage_states = y0[:, None, :] + h[:, None] * (_A @ K[:, :6])
     M = table_jacobians(p, np.concatenate([stage_states.reshape(-1, 3), ends[n]]))
+    if absent:
+        M[:, absent] = 0.0
     # X[:, j] from K_j = J_j (S + hs sum_l a_jl K_l) + jp_j, by forward
     # substitution over the stages, each written over its J_j in place,
     # with hs folded into the tableau rows; the tableau is strictly lower

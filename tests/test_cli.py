@@ -578,7 +578,7 @@ def test_failed_estimate_exits_2_with_its_stage_error(tmp_path, capsys, monkeypa
     # to stderr
     dataset = _synth_dataset(tmp_path, reference_file)
 
-    def failing_polish(fun, u0, max_iterations):
+    def failing_polish(fun, u0, max_iterations, lower_bound):
         raise NonFiniteLoss("objective non-finite at the start")
 
     monkeypatch.setattr("ppsdyn.pinn.bfgs_run", failing_polish)

@@ -103,6 +103,35 @@ def test_bfgs_sphere_single_step():
     assert np.all(x == 0.0)
 
 
+def test_bfgs_first_trial_is_polyaks_step_under_a_lower_bound():
+    # at (3, 4) f = 12.5 and |g|^2 = 25, so the linear model reaches the
+    # bound 0 at t = 0.5: the first candidate is (1.5, 2), not the minimum
+    # the full step would land on; once that curvature pair is accepted the
+    # quasi-Newton step is tried in full
+    seen = []
+
+    def fun(x):
+        seen.append(x.tolist())
+        return sphere(x)
+
+    x, hist = bfgs_run(fun, np.array([3.0, 4.0]), lower_bound=0.0)
+    assert seen[:2] == [[3.0, 4.0], [1.5, 2.0]]
+    assert hist[:2] == [12.5, 3.125]
+    assert len(hist) == 3 and np.linalg.norm(x) < 1e-12
+
+
+def test_bfgs_start_below_the_lower_bound_is_rejected_before_any_line_search():
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return sphere(x)
+
+    with pytest.raises(ValueError, match="lower_bound"):
+        bfgs_run(fun, np.array([3.0, 4.0]), lower_bound=13.0)
+    assert len(calls) == 1
+
+
 def test_bfgs_benchmark_quadratics():
     for s in range(3):
         rng = np.random.default_rng(2000 + s)
@@ -232,6 +261,11 @@ BAD_NUMERIC_ARGUMENTS = [
     ("bfgs_run", "max_iterations", dict(max_iterations=2.5)),
     ("bfgs_run", "max_iterations", dict(max_iterations=math.nan)),
     ("bfgs_run", "max_iterations", dict(max_iterations=True)),
+    ("bfgs_run", "lower_bound", dict(lower_bound=True)),
+    ("bfgs_run", "lower_bound", dict(lower_bound=np.bool_(False))),
+    ("bfgs_run", "lower_bound", dict(lower_bound=math.nan)),
+    ("bfgs_run", "lower_bound", dict(lower_bound=math.inf)),
+    ("bfgs_run", "lower_bound", dict(lower_bound=-math.inf)),
     ("synthesize", "noise_sigma", dict(noise_sigma=True)),
     ("synthesize", "seed", dict(seed=True)),
     ("synthesize", "seed", dict(seed=2.5)),

@@ -369,8 +369,8 @@ def test_network_stage_leaves_no_parameter_near_zero(readme_dataset):
 # operation or its order shows here.  Like the equilibria.json pins, they
 # assume the BLAS that numpy ships with.
 SHORT_ESTIMATE_DIGESTS = {
-    "report.json": "5abf65d8ee9fb5cb20d54d7d062acef5cf963a21dabf1b4ba75acd2757ecd78b",
-    "trace.csv": "d1bd40967c80e67f03d53b9c359b139be0c38c53edd9f85b829bcfb1df432602",
+    "report.json": "5c496b78e2d09479183b7a693c74f59e284bf682ad5f5631ae56cf79358074c7",
+    "trace.csv": "9a52a6d527086acb9db142990bcf9a750468927ac599b5fe55532bb59021e3fa",
 }
 
 
@@ -429,7 +429,14 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
 def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch):
     # the candidates the data-scaled bound cuts short are runaways that the
     # line search rejects either way, so the report is the same; they used to
-    # run on to the solver's 1e12 guard (34,940 evaluations, against 23,630)
+    # run on to the solver's 1e12 guard (35,096 evaluations, against
+    # 23,792).  The polish runs without its lower bound here, from the same
+    # start, so that its first trials are the full gradient steps that run
+    # away
+    def unscaled_polish(fun, u0, max_iterations, lower_bound):
+        return bfgs_run(fun, u0, max_iterations=max_iterations)
+
+    monkeypatch.setattr(ppsdyn.pinn, "bfgs_run", unscaled_polish)
     count = _count_solver_rhs(monkeypatch)
     runs = []
     for factor in (math.inf, ppsdyn.pinn.RUNAWAY_FACTOR):
@@ -439,6 +446,27 @@ def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch
     (unbounded, unbounded_evals), (bounded, bounded_evals) = runs
     assert bounded == unbounded
     assert unbounded_evals - bounded_evals >= 11_000
+
+
+def test_polish_work_is_pinned(readme_dataset, monkeypatch):
+    # a work gate with no clock: the polish's Polyak first steps reach no
+    # runaway candidate; the full gradient steps that bfgs_run tries without
+    # a lower bound integrate 6 of them up to the runaway bound (23,792
+    # right-hand-side evaluations in all)
+    count = _count_solver_rhs(monkeypatch)
+    real_integrate, failed = ppsdyn.pinn.integrate, []
+
+    def counting_integrate(*args, **kwargs):
+        try:
+            return real_integrate(*args, **kwargs)
+        except IntegrationFailed as exc:
+            failed.append(exc)
+            raise
+
+    monkeypatch.setattr(ppsdyn.pinn, "integrate", counting_integrate)
+    estimate(readme_dataset, seed=0, bfgs_iterations=20)
+    assert failed == []
+    assert count[0] == 17_341
 
 
 def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch):
@@ -476,7 +504,7 @@ def test_polish_stage_failure_keeps_what_the_polish_reached(readme_dataset, monk
     # a polish whose start is non-finite has neither, and its final MSE is inf
     last = np.log(np.full(14, 2.0))
 
-    def line_search_fails(fun, u0, max_iterations):
+    def line_search_fails(fun, u0, max_iterations, lower_bound):
         raise LineSearchFailed("no step", x=last, history=[0.5, 0.25])
 
     monkeypatch.setattr(ppsdyn.pinn, "bfgs_run", line_search_fails)
@@ -487,7 +515,7 @@ def test_polish_stage_failure_keeps_what_the_polish_reached(readme_dataset, monk
     assert (report.post_nn_mse, report.final_mse) == (0.5, 0.25)
     assert math.isfinite(report.final_pie)
 
-    def start_not_finite(fun, u0, max_iterations):
+    def start_not_finite(fun, u0, max_iterations, lower_bound):
         raise NonFiniteLoss("non-finite start")
 
     monkeypatch.setattr(ppsdyn.pinn, "bfgs_run", start_not_finite)
@@ -500,7 +528,7 @@ def test_polish_stage_failure_keeps_what_the_polish_reached(readme_dataset, monk
 
 
 def test_final_pie_is_infinite_where_exp_overflows(readme_dataset, monkeypatch):
-    def overflowing_iterate(fun, u0, max_iterations):
+    def overflowing_iterate(fun, u0, max_iterations, lower_bound):
         raise LineSearchFailed("no step", x=np.full(14, 800.0), history=[0.5])
 
     monkeypatch.setattr(ppsdyn.pinn, "bfgs_run", overflowing_iterate)

@@ -636,6 +636,23 @@ def test_sensitivities_of_a_subsystem_start(request, case, s0, absent):
         assert np.max(np.abs(got - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
 
+@pytest.mark.parametrize("k", [1e-158, 1e-300])
+def test_absent_species_keeps_a_zero_sensitivity_row_where_the_table_overflows(k):
+    # k * k underflows, so the table's r/k^2 coefficient is inf; the prey
+    # row multiplies only zeros and must stay exactly zero, where 0 * inf
+    # would make it nan and spread the nan to the other rows through their
+    # zero entries in the prey column.  With the prey absent nothing
+    # else depends on k, so the run is bitwise the one at k = 1e-150, where
+    # r/k^2 is finite
+    base = ModelParams.load(FIXTURES / "predscav_collapse.params").to_dict()
+    s0, cfg, grid = State(0.0, 4.0, 6.0), SolverConfig(t_end=5.0, tol=1e-6), np.linspace(0.0, 5.0, 11)
+    runs = [integrate(ModelParams.from_dict({**base, "k": kk}), s0, cfg, t_eval=grid,
+                      sensitivities=True) for kk in (k, 1e-150)]
+    assert not runs[0].sensitivities[:, 0].any()
+    assert runs[0].states.tobytes() == runs[1].states.tobytes()
+    assert runs[0].sensitivities.tobytes() == runs[1].sensitivities.tobytes()
+
+
 # Bit-for-bit pins of record-every-step runs: the sha256 of the trajectory
 # CSV, and steps, rejected, clamped and min_component.  Any change to a
 # floating-point operation of a step loop or of the right-hand side, or to
