@@ -44,8 +44,11 @@ S = dx/dp of the state with respect to the 14 parameters: the same
 Dormand-Prince stages applied to the variational equations
 dS/dt = J(x) S + df/dp, with J and df/dp taken at the stage states of each
 accepted step, and the same interpolation weights at the t_eval points.
-That makes S the exact derivative of the computed output for its step
-sequence.  Error control never reads S, so S is computed from a log of the
+That makes S the derivative of the computed output for its step sequence,
+exact up to rounding in the stage states: the pass recomputes them as
+y0 + h (A @ K), a matrix product that sums in another order than the step
+loop, and about one component in six then differs in the last bits from
+the state the loop fed the right-hand side.  Error control never reads S, so S is computed from a log of the
 accepted steps, batched over the steps, only once the loop completes: rejected
 steps cost nothing, an integration that fails computes no S at all, nor
 builds the parameters' derivative table, and the steps and states are

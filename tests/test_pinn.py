@@ -252,8 +252,9 @@ def _agree(exact, fd, rel):
 
 def test_exact_loss_gradients_match_central_differences(reference_dataset):
     # the all-ones network start plus seeded log-normal perturbations of the
-    # reference parameters; tolerances as in training (1e-6, total loss) and
-    # in the polish stage (1e-9, MSE only)
+    # reference parameters; the total loss at the tolerance of both
+    # estimation stages, 1e-6, and the MSE alone at the tighter 1e-9 of
+    # fit.svg's integration
     ds = reference_dataset
     rng = np.random.default_rng(2024)
     ref = ModelParams(**REFERENCE).as_array()
@@ -345,13 +346,28 @@ def readme_dataset():
                       np.linspace(0.0, 5.0, 40), noise_sigma=0.02, seed=0)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("seed", [0, 3, 9, 14])
 def test_estimate_reaches_the_noise_floor(readme_dataset, seed):
     # the log-parameter polish ends within 1.5x of the MSE the generating
     # parameters themselves reach on the noisy data (0.00120); seed 3 is the
-    # one whose network stage ends with the smallest rate of seeds 0-19
+    # one whose network stage ends with the smallest rate of seeds 0-19, and
+    # seeds 14 and 9 are the two whose ratio rose most (0.87 -> 1.14 and
+    # 0.88 -> 0.95) when the polish moved from tolerance 1e-9 to 1e-6
     _, truth_mse, _ = total_loss(ModelParams(**REFERENCE).as_array(), readme_dataset)
     report = estimate(readme_dataset, seed=seed)
+    assert report.stage_errors == []
+    assert report.final_mse <= 1.5 * truth_mse
+
+
+def test_default_budget_polish_reaches_the_noise_floor():
+    # a fit that needs its whole budget: sigma 0.01, noise seed 2, estimate
+    # seed 3 ended at 3.17x the truth's MSE with the polish at tolerance
+    # 1e-9 and its trace still falling; at 1e-6 it ends at 1.23x
+    truth = ModelParams(**REFERENCE)
+    ds = synthesize(truth, State(4.991, 1.178, 0.577), np.linspace(0.0, 5.0, 40),
+                    noise_sigma=0.01, seed=2)
+    _, truth_mse, _ = total_loss(truth.as_array(), ds)
+    report = estimate(ds, seed=3)
     assert report.stage_errors == []
     assert report.final_mse <= 1.5 * truth_mse
 
@@ -369,8 +385,8 @@ def test_network_stage_leaves_no_parameter_near_zero(readme_dataset):
 # operation or its order shows here.  Like the equilibria.json pins, they
 # assume the BLAS that numpy ships with.
 SHORT_ESTIMATE_DIGESTS = {
-    "report.json": "5c496b78e2d09479183b7a693c74f59e284bf682ad5f5631ae56cf79358074c7",
-    "trace.csv": "9a52a6d527086acb9db142990bcf9a750468927ac599b5fe55532bb59021e3fa",
+    "report.json": "c8b7428da6874b513982cb934d8067156b80b50f629d0d4b7fc4603536379996",
+    "trace.csv": "dbf7fced13118055b47a3862c6699ba4a55a807ea3a678b127ebbcafe47d548e",
 }
 
 
@@ -384,7 +400,7 @@ def test_short_estimate_is_pinned(readme_dataset, tmp_path):
 
 def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     # each network epoch is one gradient integration at 1e-6 and one physics
-    # term; every polish evaluation is one gradient integration at 1e-9, at
+    # term; every polish evaluation is one gradient integration at 1e-6, at
     # x0 and at each line-search candidate, with no physics term; the
     # accepted point is not integrated a second time, and the final physics
     # term needs no integration at all; each stage builds its dataset
@@ -419,18 +435,18 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     report = estimate(readme_dataset, seed=0, epochs=3, bfgs_iterations=15)
     assert len(report.bfgs_trace) == 16
     assert calls[:3] == [(1e-6, True)] * 3  # the network stage
-    assert calls[3:] == [(1e-9, True)] * (1 + candidates[0])
+    assert calls[3:] == [(1e-6, True)] * (1 + candidates[0])
     assert candidates[0] >= 15
     # one physics term after each epoch's integration, then one for final_pie
     assert physics_at == [1, 2, 3, len(calls)]
-    assert built == [(1e-6, 0), (1e-9, 3)]
+    assert built == [(1e-6, 0), (1e-6, 3)]
 
 
 def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch):
     # the candidates the data-scaled bound cuts short are runaways that the
     # line search rejects either way, so the report is the same; they used to
-    # run on to the solver's 1e12 guard (35,096 evaluations, against
-    # 23,792).  The polish runs without its lower bound here, from the same
+    # run on to the solver's 1e12 guard (18,260 evaluations, against
+    # 15,536).  The polish runs without its lower bound here, from the same
     # start, so that its first trials are the full gradient steps that run
     # away
     def unscaled_polish(fun, u0, max_iterations, lower_bound):
@@ -445,14 +461,18 @@ def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch
         runs.append((estimate(readme_dataset, seed=0, bfgs_iterations=20).record(), count[0]))
     (unbounded, unbounded_evals), (bounded, bounded_evals) = runs
     assert bounded == unbounded
-    assert unbounded_evals - bounded_evals >= 11_000
+    assert (unbounded_evals, bounded_evals) == (18_260, 15_536)
 
 
-def test_polish_work_is_pinned(readme_dataset, monkeypatch):
-    # a work gate with no clock: the polish's Polyak first steps reach no
-    # runaway candidate; the full gradient steps that bfgs_run tries without
-    # a lower bound integrate 6 of them up to the runaway bound (23,792
-    # right-hand-side evaluations in all)
+@pytest.mark.parametrize("iterations, rhs_evals", [(20, 13_687), (200, 28_480)],
+                         ids=["20", "200"])
+def test_polish_work_is_pinned(readme_dataset, monkeypatch, iterations, rhs_evals):
+    # a work gate with no clock, at the benchmark's budget and at the
+    # default one, which the benchmark's fits never reach: the polish runs
+    # every iteration, and its Polyak first steps reach no runaway
+    # candidate; the full gradient steps that bfgs_run tries without a
+    # lower bound integrate 6 of them up to the runaway bound in the first
+    # 20 iterations (15,536 right-hand-side evaluations in all)
     count = _count_solver_rhs(monkeypatch)
     real_integrate, failed = ppsdyn.pinn.integrate, []
 
@@ -464,9 +484,10 @@ def test_polish_work_is_pinned(readme_dataset, monkeypatch):
             raise
 
     monkeypatch.setattr(ppsdyn.pinn, "integrate", counting_integrate)
-    estimate(readme_dataset, seed=0, bfgs_iterations=20)
+    report = estimate(readme_dataset, seed=0, bfgs_iterations=iterations)
     assert failed == []
-    assert count[0] == 17_341
+    assert len(report.bfgs_trace) == iterations + 1
+    assert count[0] == rhs_evals
 
 
 def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch):
