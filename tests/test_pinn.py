@@ -252,9 +252,8 @@ def _agree(exact, fd, rel):
 
 def test_exact_loss_gradients_match_central_differences(reference_dataset):
     # the all-ones network start plus seeded log-normal perturbations of the
-    # reference parameters; the total loss at the tolerance of both
-    # estimation stages, 1e-6, and the MSE alone at the tighter 1e-9 of
-    # fit.svg's integration
+    # reference parameters; the total loss at the polish's tolerance, 1e-6,
+    # and the MSE alone at the tighter 1e-9 of fit.svg's integration
     ds = reference_dataset
     rng = np.random.default_rng(2024)
     ref = ModelParams(**REFERENCE).as_array()
@@ -385,8 +384,8 @@ def test_network_stage_leaves_no_parameter_near_zero(readme_dataset):
 # operation or its order shows here.  Like the equilibria.json pins, they
 # assume the BLAS that numpy ships with.
 SHORT_ESTIMATE_DIGESTS = {
-    "report.json": "c8b7428da6874b513982cb934d8067156b80b50f629d0d4b7fc4603536379996",
-    "trace.csv": "dbf7fced13118055b47a3862c6699ba4a55a807ea3a678b127ebbcafe47d548e",
+    "report.json": "94b1ab3e728906f100f4f649478360140fc74f03b808e2ecf10e0efd5581b705",
+    "trace.csv": "a11ed31544aa5a6945a17b8fa75432d5761f10318f10f4590afdaf1b64268507",
 }
 
 
@@ -399,12 +398,12 @@ def test_short_estimate_is_pinned(readme_dataset, tmp_path):
 
 
 def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
-    # each network epoch is one gradient integration at 1e-6 and one physics
-    # term; every polish evaluation is one gradient integration at 1e-6, at
-    # x0 and at each line-search candidate, with no physics term; the
-    # accepted point is not integrated a second time, and the final physics
-    # term needs no integration at all; each stage builds its dataset
-    # constants once, not once per integration
+    # each network epoch is one gradient integration at NETWORK_TOL and one
+    # physics term; every polish evaluation is one gradient integration at
+    # LOSS_TOL, at x0 and at each line-search candidate, with no physics
+    # term; the accepted point is not integrated a second time, and the
+    # final physics term needs no integration at all; each stage builds its
+    # dataset constants once, not once per integration
     calls, physics_at, candidates, built = [], [], [0], []
     real_simulate, real_physics = ppsdyn.pinn._simulate, ppsdyn.pinn._physics_term
     real_line_search = ppsdyn.optimize._line_search
@@ -433,20 +432,21 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     monkeypatch.setattr(ppsdyn.pinn, "_physics_term", counting_physics)
     monkeypatch.setattr(ppsdyn.optimize, "_line_search", counting_line_search)
     report = estimate(readme_dataset, seed=0, epochs=3, bfgs_iterations=15)
+    network_tol, loss_tol = ppsdyn.pinn.NETWORK_TOL, ppsdyn.pinn.LOSS_TOL
     assert len(report.bfgs_trace) == 16
-    assert calls[:3] == [(1e-6, True)] * 3  # the network stage
-    assert calls[3:] == [(1e-6, True)] * (1 + candidates[0])
+    assert calls[:3] == [(network_tol, True)] * 3  # the network stage
+    assert calls[3:] == [(loss_tol, True)] * (1 + candidates[0])
     assert candidates[0] >= 15
     # one physics term after each epoch's integration, then one for final_pie
     assert physics_at == [1, 2, 3, len(calls)]
-    assert built == [(1e-6, 0), (1e-6, 3)]
+    assert built == [(network_tol, 0), (loss_tol, 3)]
 
 
 def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch):
     # the candidates the data-scaled bound cuts short are runaways that the
     # line search rejects either way, so the report is the same; they used to
-    # run on to the solver's 1e12 guard (18,260 evaluations, against
-    # 15,536).  The polish runs without its lower bound here, from the same
+    # run on to the solver's 1e12 guard (12,428 evaluations, against
+    # 9,704).  The polish runs without its lower bound here, from the same
     # start, so that its first trials are the full gradient steps that run
     # away
     def unscaled_polish(fun, u0, max_iterations, lower_bound):
@@ -461,10 +461,10 @@ def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch
         runs.append((estimate(readme_dataset, seed=0, bfgs_iterations=20).record(), count[0]))
     (unbounded, unbounded_evals), (bounded, bounded_evals) = runs
     assert bounded == unbounded
-    assert (unbounded_evals, bounded_evals) == (18_260, 15_536)
+    assert (unbounded_evals, bounded_evals) == (12_428, 9_704)
 
 
-@pytest.mark.parametrize("iterations, rhs_evals", [(20, 13_687), (200, 28_480)],
+@pytest.mark.parametrize("iterations, rhs_evals", [(20, 7_855), (200, 22_521)],
                          ids=["20", "200"])
 def test_polish_work_is_pinned(readme_dataset, monkeypatch, iterations, rhs_evals):
     # a work gate with no clock, at the benchmark's budget and at the
@@ -472,7 +472,8 @@ def test_polish_work_is_pinned(readme_dataset, monkeypatch, iterations, rhs_eval
     # every iteration, and its Polyak first steps reach no runaway
     # candidate; the full gradient steps that bfgs_run tries without a
     # lower bound integrate 6 of them up to the runaway bound in the first
-    # 20 iterations (15,536 right-hand-side evaluations in all)
+    # 20 iterations (9,704 right-hand-side evaluations in all); the network
+    # stage makes 6,202 of these counts (test_network_stage_work_is_pinned)
     count = _count_solver_rhs(monkeypatch)
     real_integrate, failed = ppsdyn.pinn.integrate, []
 
@@ -488,6 +489,27 @@ def test_polish_work_is_pinned(readme_dataset, monkeypatch, iterations, rhs_eval
     assert failed == []
     assert len(report.bfgs_trace) == iterations + 1
     assert count[0] == rhs_evals
+
+
+def test_network_stage_work_is_pinned(readme_dataset, monkeypatch):
+    # the network stage's own work gate, so that a change to either stage's
+    # work shows under that stage's name: 100 gradient integrations at
+    # NETWORK_TOL (12,034 right-hand-side evaluations at LOSS_TOL)
+    count = _count_solver_rhs(monkeypatch)
+    train_pinn(readme_dataset, seed=0)
+    assert count[0] == 6_202
+
+
+def test_network_output_does_not_depend_on_its_tolerance(readme_dataset, monkeypatch):
+    # Adam's step reads only gradients, never compares loss values, so the
+    # network stage ends at the same log p at either tolerance, to within
+    # 8.2e-5 over README seeds 0-19; seed 3 ends with the smallest rate of
+    # those seeds
+    seeds = (0, 3)
+    loose = [np.log(train_pinn(readme_dataset, seed=seed)[1]) for seed in seeds]
+    monkeypatch.setattr(ppsdyn.pinn, "NETWORK_TOL", ppsdyn.pinn.LOSS_TOL)
+    tight = [np.log(train_pinn(readme_dataset, seed=seed)[1]) for seed in seeds]
+    assert np.max(np.abs(np.array(loose) - np.array(tight))) < 1e-3
 
 
 def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch):

@@ -2,9 +2,10 @@
 exactly, malformed or invalid parameter input is rejected, each planar
 subsystem's zero plane is invariant under the right-hand side, the
 right-hand side and its Jacobian commute with power-of-two scalings of the
-populations and of time, and so do RK45 with a scaling of time and RK4
-with the whole group, the array layout of the states changes no bit, and the
-JSON writer matches the stdlib's indented, sorted output."""
+populations and of time, and so do RK45 with a scaling of time, RK4 with
+the whole group, and the steady states with their stability verdicts, the
+array layout of the states changes no bit, and the JSON writer matches the
+stdlib's indented, sorted output."""
 
 import json
 import math
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 
 from conftest import COLLAPSE_CASE
 from ppsdyn.data import Dataset, json_text
+from ppsdyn.equilibria import LABEL_INTERIOR, _prey_residuals, all_equilibria
 from ppsdyn.errors import IntegrationFailed, NumericalOverflow
 from ppsdyn.model import (PARAM_ORDER, ModelParams, State, Subsystem, derivative_table,
                           feature_matrix, make_rhs, state_rows, table_jacobians)
 from ppsdyn.pinn import _physics_term
 from ppsdyn.solver import SolverConfig, Trajectory, integrate
+from ppsdyn.stability import classify
 
 # derandomized, so every run of the suite draws the same examples
 FEW = settings(max_examples=30, deadline=None, derandomize=True)
@@ -314,6 +317,35 @@ def test_rk4_commutes_with_the_scaling_group(values, scales, policy):
     assert got.times.tobytes() == (ref.times / tau).tobytes()
     assert got.diagnostics.steps == ref.diagnostics.steps
     assert got.diagnostics.clamped == ref.diagnostics.clamped
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(0.1, 3.0), min_size=14, max_size=14),
+       scales=st.tuples(power_of_two, power_of_two, power_of_two, power_of_two))
+def test_equilibria_and_verdicts_commute_with_the_scaling_group(values, scales):
+    # the scaled model's steady states are the model's divided by (alpha,
+    # beta, gamma), and its Jacobian there is tau times a similarity
+    # transform of the model's, so the same candidates exist with the same
+    # flags and verdicts.  The boundary points are closed forms and scale to
+    # the bit; the interior's x is a polynomial root, rounded differently at
+    # each scale, and its y and z follow from x to the bit, so only x's
+    # rounding moves them (amplified where z^2 = N/D cancels)
+    s = np.array(scales[:3])
+    p = ModelParams.from_array(values)
+    q = ModelParams.from_array(p.as_array() * _parameter_scales(*scales))
+    ref, got = all_equilibria(p), all_equilibria(q)
+    assert [(e.label, e.exists, e.flag) for e in got] == [(e.label, e.exists, e.flag) for e in ref]
+    for want, eq in zip(ref, got):
+        if not want.exists:
+            continue
+        assert classify(q, eq).classification == classify(p, want).classification
+        point = np.array(eq.point) * s
+        if want.label != LABEL_INTERIOR:
+            assert tuple(point.tolist()) == tuple(want.point)
+            continue
+        assert abs(point[0] - want.point[0]) <= 1e-12 * want.point[0]
+        _, y, z = _prey_residuals(point[:1], p)
+        assert (y[0], z[0]) == (point[1], point[2])
 
 
 # quotes, backslashes, control characters, non-ASCII, an astral character and
