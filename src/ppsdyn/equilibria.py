@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
+from .errors import NumericalOverflow
 from .model import ModelParams, Subsystem
 
 MERGE_TOL = 1e-9
@@ -182,31 +183,43 @@ def interior_poly_coeffs(p: ModelParams) -> np.ndarray:
     the scavenger equation into the prey equation (divided by x), multiplying
     through by k(1 + b0 x^2)(h f(1 + a0 x^2) - i z D) and replacing z^2 D by N
     leaves A + B z = 0.  Squaring and substituting z^2 = N/D gives B^2 N - A^2 D.
+    Raises NumericalOverflow where a coefficient is not finite.
     """
     mul = np.convolve
     x = np.array([0.0, 1.0])
-    qa = np.array([1.0, 0.0, p.a0])  # 1 + a0 x^2
-    qb = np.array([1.0, 0.0, p.b0])  # 1 + b0 x^2
-    N = np.array([p.e, 0.0, p.a0 * p.e - p.d])
-    D = p.f * qa - p.i0 * N
-    M = p.j * qb - np.array([0.0, 0.0, p.g])  # j(1 + b0 x^2) - g x^2
-    prey = mul([p.k, -1.0], qb)  # (k - x)(1 + b0 x^2)
-    A = _add(p.r * p.h * p.f * mul(prey, qa), p.k * mul(x, p.b * p.i * N - p.a * p.f * M))
-    B = _add(-p.r * p.i * mul(prey, D), -p.k * p.b * p.h * p.f * mul(x, qa))
-    return mul(mul(B, B), N) - mul(mul(A, A), D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qa = np.array([1.0, 0.0, p.a0])  # 1 + a0 x^2
+        qb = np.array([1.0, 0.0, p.b0])  # 1 + b0 x^2
+        N = np.array([p.e, 0.0, p.a0 * p.e - p.d])
+        D = p.f * qa - p.i0 * N
+        M = p.j * qb - np.array([0.0, 0.0, p.g])  # j(1 + b0 x^2) - g x^2
+        prey = mul([p.k, -1.0], qb)  # (k - x)(1 + b0 x^2)
+        A = _add(p.r * p.h * p.f * mul(prey, qa), p.k * mul(x, p.b * p.i * N - p.a * p.f * M))
+        B = _add(-p.r * p.i * mul(prey, D), -p.k * p.b * p.h * p.f * mul(x, qa))
+        coeffs = mul(mul(B, B), N) - mul(mul(A, A), D)
+    if not np.isfinite(coeffs).all():
+        raise NumericalOverflow("the interior polynomial overflows at these parameters")
+    return coeffs
 
 
 def positive_real_roots(coeffs) -> list:
     """Positive real roots of sum(coeffs[i] * x^i) via companion-matrix eigenvalues.
 
     A root counts as positive real when its imaginary part is below
-    1e-9*max(1, |Re|) and its real part exceeds 1e-9*(1 + |Re|).
+    1e-9*max(1, |Re|) and its real part exceeds 1e-9*(1 + |Re|).  Raises
+    NumericalOverflow where eigvals refuses the companion matrix (overflow).
     """
     c = np.asarray(coeffs, dtype=float)
     if not np.any(np.abs(c) > 0):
         raise ValueError("zero polynomial")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = polyroots(c)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalOverflow("the interior polynomial's companion matrix has no"
+                                f" eigenvalues at these parameters: {exc}") from None
     out = []
-    for rt in polyroots(c):
+    for rt in roots:
         re, im = rt.real, rt.imag
         if abs(im) < 1e-9 * max(1.0, abs(re)) and re > 1e-9 * (1.0 + abs(re)):
             out.append(float(re))

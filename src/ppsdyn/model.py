@@ -11,8 +11,8 @@ h*y*z term and is itself consumed by the predator.
 
 All fourteen parameters are strictly positive.  The exponent in the type-III
 response is fixed at 2.  make_rhs gives the right-hand side on plain floats,
-the stepper's hot path, and make_jacobian its derivatives with respect to
-the state and to the parameters at one state, stability's Jacobian.
+the stepper's hot path, and state_jacobian the paper's 3 x 3 df/d(x, y, z)
+at one state, stability's Jacobian.
 
 On arrays of states, f, df/d(x, y, z) and df/dp are one matrix product: the
 right-hand side and all its derivatives are linear in 18 features of the
@@ -23,8 +23,9 @@ a, b, d, e, f, g, h, i, j and +-1 (derivative_table).  The solver takes the
 Jacobians of the variational equations from it (table_jacobians), and the
 physics term of the estimation loss f and df/dp at the observed states,
 whose state-only feature rows (state_rows) it computes once per dataset.
-The table agrees with the closures within a few ulps of the summed term
-magnitudes, and its structural zeros are exactly zero.
+The table, the only written form of df/dp, agrees with make_rhs,
+state_jacobian and the complex-step derivative of make_rhs within a few ulps
+of the summed term magnitudes; its structural zeros are exactly zero.
 """
 
 from __future__ import annotations
@@ -239,52 +240,30 @@ def make_rhs(p: ModelParams):
     return deriv
 
 
-# row length of the matrix make_jacobian's closure returns: 3 state columns,
-# then one column per parameter in PARAM_ORDER
-JACOBIAN_COLUMNS = 3 + len(PARAM_ORDER)
-
-
-def make_jacobian(p: ModelParams):
-    """Closure giving the derivatives of the full system's right-hand side at (x, y, z).
-
-    It returns the 3 x JACOBIAN_COLUMNS matrix [df/d(x, y, z) | df/dp],
-    parameters in PARAM_ORDER, flattened row-major into a tuple of plain
-    floats.  It is stability's Jacobian and the reference the derivative
-    table is tested against.
-    """
+def state_jacobian(p: ModelParams, s) -> np.ndarray:
+    """The paper's 3 x 3 Jacobian df/d(x, y, z) of the full system at s = (x, y, z[, t])."""
     r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j = _param_values(p)
+    x, y, z = (float(v) for v in s[:3])
+    x2 = x * x
+    z2 = z * z
+    qa = 1.0 + a0 * x2
+    qb = 1.0 + b0 * x2
+    qi = 1.0 + i0 * z2
+    # the three type-III shapes u^2/(1 + c u^2) and their state derivatives
+    # 2u/(1 + c u^2)^2
+    ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
+    tx = 2.0 * x
+    dua, dub, dui = tx / (qa * qa), tx / (qb * qb), 2.0 * z / (qi * qi)
+    return np.array((
+        (r * (1.0 - tx / k) - a * dua * y - b * dub * z, -a * ua, -b * ub),
+        (d * dua * y, d * ua + f * ui - e, f * dui * y),
+        (g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j),
+    ))
 
-    def jac(x: float, y: float, z: float):
-        x2 = x * x
-        z2 = z * z
-        qa = 1.0 + a0 * x2
-        qb = 1.0 + b0 * x2
-        qi = 1.0 + i0 * z2
-        # the three type-III shapes, each times the population it meets,
-        # once with and once without its handling-time derivative
-        # -u^4/(1 + c u^2)^2 = -shape^2, and the shapes' state derivatives
-        # 2u/(1 + c u^2)^2
-        ua, ub, ui = x2 / qa, x2 / qb, z2 / qi
-        uay, ubz, uiy = ua * y, ub * z, ui * y
-        ua2y, ub2z, ui2y = ua * uay, ub * ubz, ui * uiy
-        tx = 2.0 * x
-        dua, dub, dui = tx / (qa * qa), tx / (qb * qb), 2.0 * z / (qi * qi)
-        return (
-            # prey row: x, y, z, then r, k, a, a0, b, b0, d, e, f, g, h, i, i0, j
-            r * (1.0 - tx / k) - a * dua * y - b * dub * z, -a * ua, -b * ub,
-            x - x2 / k, x2 * (r / k / k), -uay, a * ua2y, -ubz, b * ub2z,
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-            # predator row
-            d * dua * y, d * ua + f * ui - e, f * dui * y,
-            0.0, 0.0, 0.0, -d * ua2y, 0.0, 0.0,
-            uay, -y, uiy, 0.0, 0.0, 0.0, -f * ui2y, 0.0,
-            # scavenger row
-            g * dub * z, h * z - i * ui, g * ub + h * y - i * y * dui - j,
-            0.0, 0.0, 0.0, 0.0, 0.0, -g * ub2z,
-            0.0, 0.0, 0.0, ubz, y * z, -uiy, i * ui2y, -z,
-        )
 
-    return jac
+# row length of the derivative matrix [df/d(x, y, z) | df/dp]: 3 state
+# columns, then one column per parameter in PARAM_ORDER
+JACOBIAN_COLUMNS = 3 + len(PARAM_ORDER)
 
 
 # The right-hand side and all its derivatives are linear in 18 features of
@@ -332,8 +311,8 @@ _TERMS = (
     ("z", "b0", UB2Z, "-g"), ("z", "g", UBZ, "1"), ("z", "h", YZ, "1"), ("z", "i", UIY, "-1"),
     ("z", "i0", UI2Y, "i"), ("z", "j", Z, "-1"),
 )
-# the columns of the coefficient matrix: f, then make_jacobian's flattened
-# matrix
+# the columns of the coefficient matrix: f, then the flattened
+# 3 x JACOBIAN_COLUMNS derivative matrix
 _COLUMNS = 3 + 3 * JACOBIAN_COLUMNS
 
 
@@ -356,10 +335,10 @@ _TERM_FLAT, _TERM_SOURCE = _term_index()
 class DerivativeTable(NamedTuple):
     """The coefficients of f and its derivatives in the features, for one
     parameter vector: at the states of a feature matrix F, f is F.T @ rhs
-    and make_jacobian's flattened matrices are F.T @ jacobian.  dfdp holds
-    the df/dp coefficients alone, a row per feature and equation, so that a
-    weighted sum of df/dp over the states, sum_t w_t df/dp(x_t) with w of
-    shape (n, 3), is (F @ w).reshape(-1) @ dfdp."""
+    and the matrices [df/d(x, y, z) | df/dp], flattened, are F.T @ jacobian.
+    dfdp holds the df/dp coefficients alone, a row per feature and equation,
+    so that a weighted sum of df/dp over the states, sum_t w_t df/dp(x_t)
+    with w of shape (n, 3), is (F @ w).reshape(-1) @ dfdp."""
 
     rhs: np.ndarray  # FEATURES x 3
     jacobian: np.ndarray  # FEATURES x 3 JACOBIAN_COLUMNS
@@ -406,8 +385,8 @@ def state_rows(states) -> np.ndarray:
 def feature_matrix(rows, handling) -> np.ndarray:
     """The FEATURES x n feature matrix of a state_rows array, its shape rows
     filled in place for the handling times (a0, b0, i0) of a derivative
-    table; the shapes and their products with the populations are formed
-    as make_jacobian forms them at one state."""
+    table; the shapes and their state derivatives are formed as
+    state_jacobian forms them at one state."""
     features, squares, meets = rows[_FEATURE_ROWS], rows[_SQUARES], rows[_MEETS]
     shapes, met, slopes = features[UA:UI + 1], features[UAY:UIY + 1], features[DUAY:DUIY + 1]
     q = handling * squares
@@ -422,13 +401,13 @@ def feature_matrix(rows, handling) -> np.ndarray:
 
 
 def table_jacobians(p: ModelParams, states) -> np.ndarray:
-    """make_jacobian's matrices at each of states, shape (n, 3), as an array
-    of shape (n, 3, JACOBIAN_COLUMNS): one product of the feature matrix
-    with the table.  Each entry is the closure's within a few ulps of its
-    summed term magnitudes, and its structural zeros are exactly zero at
-    finite states.  A state's matrix does not depend on the states it is
-    evaluated with, for n of 2 or more (numpy sums a product with one state
-    in another order)."""
+    """The derivative matrices [df/d(x, y, z) | df/dp] at each of states,
+    shape (n, 3), as an array of shape (n, 3, JACOBIAN_COLUMNS): one product
+    of the feature matrix with the table.  Each entry is the derivative of
+    make_rhs within a few ulps of its summed term magnitudes, and its
+    structural zeros are exactly zero at finite states.  A state's matrix
+    does not depend on the states it is evaluated with, for n of 2 or more
+    (numpy sums a product with one state in another order)."""
     table = derivative_table(p)
     features = feature_matrix(state_rows(states), table.handling)
     return (features.T @ table.jacobian).reshape(-1, 3, JACOBIAN_COLUMNS)

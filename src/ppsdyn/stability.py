@@ -7,7 +7,9 @@ m1*m2 - m3 > 0.  classify computes the eigenvalues, 2x2 or 3x3, from the
 Jacobian itself (np.linalg.eigvals, QR), never from m1, m2, m3, so an
 error in the coefficients cannot reach both routes; the eigenvalues are
 authoritative when the two disagree near a margin.  The predator-prey and
-scavenger-prey criteria are built from equilibria.PREY_CONSUMERS.
+scavenger-prey criteria are built from equilibria.PREY_CONSUMERS.  The
+Jacobian is model.state_jacobian; classify raises NumericalOverflow where
+eigvals refuses it, as where it is not finite.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .equilibria import (
     LABEL_PRED_SCAV,
     LABEL_PREY_ONLY,
 )
-from .errors import ExistenceViolated
-from .model import JACOBIAN_COLUMNS, ModelParams, Subsystem, make_jacobian
+from .errors import ExistenceViolated, NumericalOverflow
+from .model import ModelParams, Subsystem, state_jacobian
 
 # eigenvalues with |Re| at or below this band get a Marginal verdict instead
 # of a binary call; hyperbolicity is not decidable numerically at the margin
@@ -42,12 +44,9 @@ MARGINAL = "Marginal"
 
 
 def jacobian(p: ModelParams, s, mask: Subsystem = Subsystem.FULL) -> np.ndarray:
-    """Analytic Jacobian at s; 3x3 for the full system, 2x2 restricted to
-    the species present for a subsystem.  It is the state block of
-    make_jacobian's matrix."""
-    x, y, z = (float(v) for v in s[:3])
-    vals = make_jacobian(p)(x, y, z)
-    J = np.array([vals[row * JACOBIAN_COLUMNS:row * JACOBIAN_COLUMNS + 3] for row in range(3)])
+    """Analytic Jacobian at s; model.state_jacobian for the full system,
+    its 2x2 block of the species present for a subsystem."""
+    J = state_jacobian(p, s)
     if mask is Subsystem.FULL:
         return J
     active = [idx for idx, on in enumerate(mask.value) if on]
@@ -196,13 +195,18 @@ def classify(p: ModelParams, eq: Equilibrium) -> StabilityVerdict:
     Eigenvalue real parts decide the classification; the label's closed-form
     criteria are evaluated alongside and a disagreement is noted, not
     silently resolved.  Eigenvalues come from J itself; m1, m2, m3 or the
-    trace and determinant feed only the criteria and the report.
+    trace and determinant feed only the criteria and the report.  Raises
+    NumericalOverflow where J has no eigenvalues, as where it is not finite.
     """
     if not eq.exists:
         raise ExistenceViolated(f"{eq.label} does not exist for these parameters")
     J = jacobian(p, eq.point, eq.subsystem)
     criteria = _named_criteria(p, eq)
-    eigenvalues = _sorted_eigenvalues(J)
+    try:
+        eigenvalues = _sorted_eigenvalues(J)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalOverflow(f"the Jacobian at the {eq.label} point {eq.point}"
+                                f" has no eigenvalues: {exc}") from None
     if J.shape == (3, 3):
         m1, m2, m3 = _char_coeffs_3(J)
         if eq.label == LABEL_INTERIOR:

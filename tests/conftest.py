@@ -7,12 +7,13 @@ SCAN_MISS_CASES holds draws whose roots the cross-check's grid scan misses.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ppsdyn.data import synthesize
-from ppsdyn.model import ModelParams, State
+from ppsdyn.model import PARAM_ORDER, ModelParams, State, make_rhs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -145,6 +146,27 @@ def reference_dataset(reference_params):
 
 
 def rand_params(rng, lo=0.1, hi=2.0) -> ModelParams:
-    from ppsdyn.model import PARAM_ORDER
     return ModelParams(**{name: float(rng.uniform(lo, hi))
                           for name in PARAM_ORDER})
+
+
+# The complex step (Squire & Trapp, SIAM Rev. 40:110, 1998): for f real on
+# real arguments, f'(u) = Im f(u + i h)/h + O(h^2) with no difference to
+# cancel, so h can sit far below the rounding of u.
+COMPLEX_STEP = 1e-20
+
+
+def complex_step_derivatives(p: ModelParams, states) -> np.ndarray:
+    """[df/d(x, y, z) | df/dp] of make_rhs at states, shape (n, 3), as an
+    array of shape (n, 3, 3 + len(PARAM_ORDER)), parameters in PARAM_ORDER.
+
+    One call of make_rhs on complex arrays takes every direction at once:
+    axis 0 of each argument and parameter is the direction it is stepped in.
+    """
+    states = np.asarray(states, dtype=float)
+    step = 1j * COMPLEX_STEP * np.eye(3 + len(PARAM_ORDER))[:, :, None]
+    xyz = states.T + step[:, :3]
+    stepped = SimpleNamespace(**{name: getattr(p, name) + step[:, 3 + col]
+                                 for col, name in enumerate(PARAM_ORDER)})
+    f = np.array(make_rhs(stepped)(*xyz.transpose(1, 0, 2)))
+    return f.imag.transpose(2, 0, 1) / COMPLEX_STEP

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 import ppsdyn
-from conftest import INTERIOR_STABLE, rand_params
+from conftest import INTERIOR_STABLE, complex_step_derivatives, rand_params
 from ppsdyn.errors import MaskViolation
 from ppsdyn.model import (FEATURES, JACOBIAN_COLUMNS, PARAM_ORDER, SUBSYSTEMS, Derivative,
                           ModelParams, State, Subsystem, derivative_table, feature_matrix,
-                          holling3, make_jacobian, make_rhs, rhs, rhs_subsystem, state_rows,
+                          holling3, make_rhs, rhs, rhs_subsystem, state_jacobian, state_rows,
                           table_jacobians)
-from ppsdyn.stability import jacobian
 
 
 def test_param_order_matches_fields():
@@ -176,42 +175,16 @@ def test_make_rhs_matches_rhs():
         assert all(isinstance(v, float) and math.isfinite(v) for v in got)
 
 
-def _jacobian_matrix(p, s):
-    return np.array(make_jacobian(p)(*s)).reshape(3, JACOBIAN_COLUMNS)
-
-
-def test_jacobian_closure_state_block_matches_stability_jacobian():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        p = rand_params(rng, 0.1, 3.0)
-        s = rng.uniform(0.0, 4.0, 3)
-        assert np.allclose(_jacobian_matrix(p, s)[:, :3], jacobian(p, s),
-                           rtol=1e-12, atol=1e-12)
-
-
-def test_jacobian_closure_matches_central_differences_of_rhs():
+def test_model_derivatives_match_the_complex_step_of_rhs():
+    # the package's written derivatives, state_jacobian's 3 x 3 and the
+    # table's df/dp, against the derivative of make_rhs itself
     rng = np.random.default_rng(12)
     for _ in range(20):
         p = rand_params(rng, 0.1, 3.0)
         s = rng.uniform(0.05, 4.0, 3)
-        m = _jacobian_matrix(p, s)
-        fd = np.empty((3, JACOBIAN_COLUMNS))
-        for col in range(3):
-            h = 1e-6 * (1.0 + abs(s[col]))
-            up, dn = s.copy(), s.copy()
-            up[col] += h
-            dn[col] -= h
-            fd[:, col] = (np.array(make_rhs(p)(*up)) - np.array(make_rhs(p)(*dn))) / (2.0 * h)
-        pv = p.as_array()
-        for col in range(len(PARAM_ORDER)):
-            h = 1e-6 * pv[col]
-            up, dn = pv.copy(), pv.copy()
-            up[col] += h
-            dn[col] -= h
-            fu = make_rhs(ModelParams.from_array(up))(*s)
-            fdn = make_rhs(ModelParams.from_array(dn))(*s)
-            fd[:, 3 + col] = (np.array(fu) - np.array(fdn)) / (2.0 * h)
-        assert np.max(np.abs(m - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+        m = np.concatenate([state_jacobian(p, s), table_jacobians(p, s[None])[0, :, 3:]], axis=1)
+        cs = complex_step_derivatives(p, s[None])[0]
+        assert np.max(np.abs(m - cs)) <= 1e-7 * max(1.0, np.max(np.abs(cs)))
 
 
 def test_closures_on_arrays_equal_one_call_per_state():
@@ -245,11 +218,13 @@ def test_table_rows_do_not_depend_on_the_states_evaluated_with_them():
 
 
 def test_table_matches_the_closures():
-    # f and make_jacobian's matrix from the table are the closures' within a
-    # few ulps of the summed magnitudes of their terms; the 25 entries of
-    # df/dp that no term reaches are exactly zero, and at a state with a
-    # species at zero every entry of that species' row but its own
-    # diagonal one is exactly zero, which keeps its row of dx/dp at zero
+    # f, the state block and df/dp from the table are make_rhs, state_jacobian
+    # and the complex-step derivative of make_rhs within a few ulps of the
+    # summed magnitudes of their terms; df/dp has the complex step's zero
+    # pattern, its 25 entries that no term reaches are exactly zero, and at
+    # a state with a species at zero every entry of that species' row but
+    # its own diagonal one is exactly zero, which keeps its row of dx/dp at
+    # zero
     rng = np.random.default_rng(14)
     eps = np.finfo(float).eps
     for _ in range(50):
@@ -261,15 +236,20 @@ def test_table_matches_the_closures():
         assert features.shape == (FEATURES, 40)
         coef = np.concatenate([table.rhs, table.jacobian], axis=1)
         got = features.T @ coef
-        want = np.array([(*make_rhs(p)(*s), *make_jacobian(p)(*s)) for s in states])
         magnitude = np.abs(features.T) @ np.abs(coef)
-        assert np.all(np.abs(got - want) <= 4 * eps * magnitude)
         jac = table_jacobians(p, states)
         assert jac.reshape(40, -1).tobytes() == got[:, 3:].tobytes()
+        jac_magnitude = magnitude[:, 3:].reshape(40, 3, JACOBIAN_COLUMNS)
+        want = np.array([make_rhs(p)(*s) for s in states])
+        assert np.all(np.abs(got[:, :3] - want) <= 4 * eps * magnitude[:, :3])
+        want = np.array([state_jacobian(p, s) for s in states])
+        assert np.all(np.abs(jac[..., :3] - want) <= 4 * eps * jac_magnitude[..., :3])
+        want = complex_step_derivatives(p, states)[..., 3:]
+        assert np.all(np.abs(jac[..., 3:] - want) <= 4 * eps * jac_magnitude[..., 3:])
+        assert np.array_equal(jac[..., 3:] == 0.0, want == 0.0)
         unreached = ~table.jacobian.any(axis=0).reshape(3, JACOBIAN_COLUMNS)
         assert unreached.sum() == 25 and not unreached[:, :3].any()
         assert np.all(jac[:, unreached] == 0.0)
-        assert np.all(want[:, 3:].reshape(40, 3, JACOBIAN_COLUMNS)[:, unreached] == 0.0)
         for species in range(3):
             row = jac[species, species].copy()
             row[species] = 0.0

@@ -4,9 +4,12 @@ subsystem's zero plane is invariant under the right-hand side, the
 right-hand side and its Jacobian commute with power-of-two scalings of the
 populations and of time, and so do RK45 with a scaling of time, RK4 with
 the whole group, and the steady states with their stability verdicts, the
-array layout of the states changes no bit, and the JSON writer matches the
-stdlib's indented, sorted output."""
+array layout of the states changes no bit, `analyze` on one extreme but
+valid parameter exits 0 or 2 with its own message, and the JSON writer
+matches the stdlib's indented, sorted output."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -17,7 +20,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import COLLAPSE_CASE
+from conftest import COLLAPSE_CASE, REFERENCE
+from ppsdyn.cli import main
 from ppsdyn.data import Dataset, json_text
 from ppsdyn.equilibria import LABEL_INTERIOR, _prey_residuals, all_equilibria
 from ppsdyn.errors import IntegrationFailed, NumericalOverflow
@@ -346,6 +350,35 @@ def test_equilibria_and_verdicts_commute_with_the_scaling_group(values, scales):
         assert abs(point[0] - want.point[0]) <= 1e-12 * want.point[0]
         _, y, z = _prey_residuals(point[:1], p)
         assert (y[0], z[0]) == (point[1], point[2])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(PARAM_ORDER),
+       value=st.floats(-320.0, math.log10(1.7e308)).map(lambda u: 10.0 ** u))
+# the boundary points whose Jacobian is not finite: a coordinate or an entry
+# overflows, or a product of an overflowed one with zero is NaN
+@example(name="a", value=1e-320)
+@example(name="b", value=1e-320)
+@example(name="b", value=1e-300)
+@example(name="j", value=1e-320)
+# finite coefficients whose quotients by the leading one overflow
+@example(name="j", value=1e150)
+def test_analyze_on_an_extreme_parameter_exits_0_or_2(tmp_path_factory, name, value):
+    # the reference set with one parameter anywhere in the positive floats:
+    # valid input, so a failure is numerical, exit 2 with the package's
+    # message, never numpy's error as a usage error or a RuntimeWarning,
+    # which the suite turns into an error
+    path = tmp_path_factory.mktemp("extreme") / "p.params"
+    ModelParams(**{**REFERENCE, name: value}).save(path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["analyze", "--params", str(path), "--out", str(path.parent)])
+    if code == 2:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith("numerical failure: ") or "multiple roots" in last
+        assert ("numerical failure" in last) != (path.parent / "equilibria.json").exists()
+    else:
+        assert code == 0
 
 
 # quotes, backslashes, control characters, non-ASCII, an astral character and

@@ -4,40 +4,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import rand_params
+from conftest import complex_step_derivatives, rand_params
 from ppsdyn.equilibria import (LABEL_PRED_PREY, LABEL_SCAV_PREY, all_equilibria,
                                interior_equilibrium_direct, predprey_equilibria,
                                predscav_equilibria, scavprey_equilibria)
 from ppsdyn.errors import ExistenceViolated
-from ppsdyn.model import ModelParams, State, Subsystem, rhs_subsystem
+from ppsdyn.model import ModelParams, State, Subsystem
 from ppsdyn import stability
 from ppsdyn.stability import (MARGINAL, STABLE, UNSTABLE, classify, jacobian,
                               routh_hurwitz_cubic)
 
 
-def _fd_jacobian(p, s, mask=Subsystem.FULL, h=1e-7):
-    base = np.array(s[:3], dtype=float)
-    J = np.zeros((3, 3))
-    for col in range(3):
-        hi = base.copy()
-        lo = base.copy()
-        hi[col] += h
-        lo[col] -= h
-        f_hi = np.array(rhs_subsystem(State(*hi), p, Subsystem.FULL))
-        f_lo = np.array(rhs_subsystem(State(*lo), p, Subsystem.FULL))
-        J[:, col] = (f_hi - f_lo) / (2.0 * h)
-    idx = [i for i, m in enumerate(mask.value) if m]
-    return J[np.ix_(idx, idx)]
-
-
-def test_jacobian_matches_finite_differences():
+def test_jacobian_matches_the_complex_step_of_rhs():
     rng = np.random.default_rng(23)
     worst = 0.0
     for _ in range(100):
         p = rand_params(rng, 0.2, 2.0)
         s = State(*rng.uniform(0.2, 4.0, 3))
         J = jacobian(p, s)
-        F = _fd_jacobian(p, s)
+        F = complex_step_derivatives(p, [s[:3]])[0, :, :3]
         scale = max(1.0, float(np.max(np.abs(F))))
         worst = max(worst, float(np.max(np.abs(J - F))) / scale)
     assert worst < 1e-6
