@@ -1,7 +1,11 @@
 """Command-line front end: simulate, analyze, estimate, synth.
 
 Every command writes byte-reproducible artifacts (no timestamps, fixed float
-formatting) so reruns with identical inputs produce identical files.  Every
+formatting) so reruns with identical inputs produce identical files.  A
+rerun into the same --out rewrites each artifact in place (_files.rewrite),
+with the same bytes as a fresh run; a run that writes nothing under one of
+its command's ARTIFACTS, because it failed numerically or skipped its plot,
+removes any file of that name, so no earlier run's artifact stays.  Every
 JSON artifact is data.json_text plus a newline: the text of
 json.dumps(obj, sort_keys=True, indent=2), sorted keys and all, byte for
 byte.  Exit codes: 0 success, 1 usage or input error, 2 numerical
@@ -23,7 +27,8 @@ import sys
 
 import numpy as np
 
-from .data import GROUPS, Dataset, SpeciesMap, ingest, json_text, synthesize
+from ._files import discard, rewrite
+from .data import GROUPS, Dataset, SpeciesMap, ingest, json_text, provenance_path, synthesize
 from .equilibria import LABEL_INTERIOR, all_equilibria, interior_poly_crosscheck
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss
 from .model import SUBSYSTEMS, ModelParams, State, Subsystem
@@ -39,6 +44,14 @@ _NUMERICAL_ERRORS = (IntegrationFailed, NonFiniteLoss, LineSearchFailed)
 # start "-0,4,6", not an option; argparse's own test takes only a plain
 # negative number, and would leave --s0 without its value
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+# each command's files in --out, in the order its _artifacts paths come
+ARTIFACTS = {
+    "simulate": ("trajectory.csv", "timeseries.svg", "phase.svg"),
+    "analyze": ("equilibria.json",),
+    "estimate": ("report.json", "trace.csv", "fit.svg"),
+    "synth": ("dataset.csv", provenance_path("dataset.csv")),
+}
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 _MAX_PLOT_POINTS = 1200
@@ -151,13 +164,14 @@ def _parse_state(text) -> State:
     return State(*vals)
 
 
-def _outdir(args) -> str:
+def _artifacts(args) -> list:
+    """The paths of the command's ARTIFACTS in --out, which is made if missing."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return [os.path.join(args.out, name) for name in ARTIFACTS[args.command]]
 
 
 def _write(path, text) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with rewrite(path) as fh:
         fh.write(text)
     print(f"wrote {path}")
 
@@ -176,13 +190,12 @@ def cmd_simulate(args) -> int:
     )
     Subsystem.parse(args.subsystem).check_state(s0)
     traj = integrate(p, s0, cfg)
-    out = _outdir(args)
-    csv_path = os.path.join(out, "trajectory.csv")
+    csv_path, series_path, phase_path = _artifacts(args)
     traj.to_csv(csv_path)
     print(f"wrote {csv_path}")
     states = np.asarray(traj.states)
-    _write(os.path.join(out, "timeseries.svg"), _timeseries_svg(np.asarray(traj.times), states))
-    _write(os.path.join(out, "phase.svg"), _phase_svg(states))
+    _write(series_path, _timeseries_svg(np.asarray(traj.times), states))
+    _write(phase_path, _phase_svg(states))
     fin = traj.final_state
     print(
         f"final state t={fin.t:g}: x={fin.x:.6g} y={fin.y:.6g} z={fin.z:.6g} "
@@ -223,8 +236,8 @@ def cmd_analyze(args) -> int:
     interior = next((eq for eq in points if eq.label == LABEL_INTERIOR), None)
     check = interior_poly_crosscheck(p, interior)
     report = {"parameters": p.to_dict(), "equilibria": entries, "interior_crosscheck": check}
-    out = _outdir(args)
-    _write(os.path.join(out, "equilibria.json"), json_text(report) + "\n")
+    (report_path,) = _artifacts(args)
+    _write(report_path, json_text(report) + "\n")
     if not check["agrees"]:
         print(f"interior cross-check: the grid scan counts {check['scan_sign_changes']} sign"
               f" changes for {len(check['admissible_roots'])} admissible roots; see report",
@@ -252,11 +265,11 @@ def cmd_estimate(args) -> int:
     else:
         ds = Dataset.from_csv(args.dataset)
     report = run_estimate(ds, args.seed, epochs=args.epochs, bfgs_iterations=args.bfgs_iterations)
-    out = _outdir(args)
-    _write(os.path.join(out, "report.json"), report.to_json())
-    trace_path = os.path.join(out, "trace.csv")
+    report_path, trace_path, plot_path = _artifacts(args)
+    _write(report_path, report.to_json())
     report.write_trace_csv(trace_path)
     print(f"wrote {trace_path}")
+    plot = None
     if math.isfinite(report.final_mse):
         raw = ds.raw_times
         dense = np.linspace(raw[0], raw[-1], 201)
@@ -265,8 +278,11 @@ def cmd_estimate(args) -> int:
         except IntegrationFailed:
             pass  # the report stands without the plot
         else:
-            tn = (traj.times - raw[0]) / (raw[-1] - raw[0])
-            _write(os.path.join(out, "fit.svg"), _fit_svg(ds, tn, sn))
+            plot = _fit_svg(ds, (traj.times - raw[0]) / (raw[-1] - raw[0]), sn)
+    if plot is None:
+        discard([plot_path])
+    else:
+        _write(plot_path, plot)
     print(
         f"seed {report.seed}: post-network MSE {report.post_nn_mse:.6g}, "
         f"final MSE {report.final_mse:.6g}, final PIE {report.final_pie:.6g}"
@@ -284,8 +300,7 @@ def cmd_synth(args) -> int:
     s0 = _parse_state(args.s0)
     grid = np.linspace(args.t_start, args.t_end, args.points)
     ds = synthesize(p, s0, grid, noise_sigma=args.noise, seed=args.seed)
-    out = _outdir(args)
-    csv_path = os.path.join(out, "dataset.csv")
+    csv_path, _ = _artifacts(args)
     ds.to_csv(csv_path)
     print(f"wrote {csv_path}")
     print(f"{ds.sample_count} rows on t in [{args.t_start:g}, {args.t_end:g}], noise sigma {args.noise:g}")
@@ -356,10 +371,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        try:
+            return args.func(args)
+        except _NUMERICAL_ERRORS as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            discard(os.path.join(args.out, name) for name in ARTIFACTS[args.command])
+            return 2
+    # an artifact that cannot be removed is an error of its own
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

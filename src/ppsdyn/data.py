@@ -17,6 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
+from ._files import rewrite
 from .errors import (
     ConstantColumn,
     MissingColumn,
@@ -138,7 +139,7 @@ class Dataset:
             "maxs": [float(v) for v in self.maxs],
             "meta": self.meta,
         }
-        with open(provenance_path(path), "w", encoding="utf-8") as fh:
+        with rewrite(provenance_path(path)) as fh:
             fh.write(json_text(sidecar) + "\n")
 
     @classmethod

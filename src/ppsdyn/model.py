@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._files import rewrite
 from .errors import MaskViolation, NumericalOverflow
 
 PARAM_ORDER = ("r", "k", "a", "a0", "b", "b0", "d", "e", "f", "g", "h", "i", "i0", "j")
@@ -140,7 +141,7 @@ class ModelParams:
         return cls.from_dict(d)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with rewrite(path) as fh:
             for n in PARAM_ORDER:
                 fh.write(f"{n} = {getattr(self, n)!r}\n")
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._files import rewrite
 from .errors import LineSearchFailed, NonFiniteLoss
 
 CURVATURE_FLOOR = 1e-12
@@ -195,7 +196,7 @@ def bfgs_run(fun, x0, max_iterations: int = 200, lower_bound=None):
 
 
 def write_loss_csv(history, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with rewrite(path) as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(history):
             fh.write(f"{step},{loss!r}\n")

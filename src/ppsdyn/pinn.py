@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._files import rewrite
 from .data import Dataset, json_text
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from .model import PARAM_ORDER, ModelParams, State, derivative_table, feature_matrix, state_rows
@@ -414,7 +415,7 @@ class EstimationReport:
         return json_text(self.record()) + "\n"
 
     def write_trace_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with rewrite(path) as fh:
             fh.write("stage,step,total,mse,pie\n")
             for step, row in enumerate(self.adam_trace):
                 fh.write(f"adam,{step},{row.total!r},{row.mse!r},{row.pie!r}\n")

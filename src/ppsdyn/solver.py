@@ -71,6 +71,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._files import rewrite
 from .errors import (IntegrationFailed, MissingColumn, NonNumericCell, NumericalOverflow,
                      StepUnderflow)
 from .model import JACOBIAN_COLUMNS, ModelParams, State, make_rhs, table_jacobians
@@ -213,7 +214,7 @@ def write_rows_csv(path, times, states) -> None:
     shortest round-tripping repr, so reading the file back is exact.  The
     rows go out _ROWS at a time, so the Python floats alive at once are
     those of one chunk, whatever the length of the file."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with rewrite(path) as fh:
         fh.write("t,x,y,z\n")
         for lo in range(0, len(times), _ROWS):
             hi = lo + _ROWS

@@ -2,13 +2,14 @@ import gc
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import (FIXTURES, INTERIOR_STABLE, MULTI2_CASE, NOROOT_CASE, REFERENCE,
                       SCAN_MISS_CASES)
-from ppsdyn.cli import _fit_svg, build_parser, main
+from ppsdyn.cli import ARTIFACTS, _fit_svg, build_parser, main
 from ppsdyn.data import Dataset, synthesize
 from ppsdyn.errors import NonFiniteLoss
 from ppsdyn.model import ModelParams, State
@@ -61,6 +62,18 @@ def test_simulate_artifacts_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     for name, digest in SIMULATE_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_simulate_rerun_over_a_longer_run_writes_a_fresh_runs_bytes(tmp_path, capsys):
+    argv = ["simulate", "--params", str(FIXTURES / "interior_unstable.params"), "--s0", "4,3,2"]
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    assert main(argv + ["--t-end", "100", "--out", str(shared)]) == 0
+    longer = {p.name: p.stat().st_size for p in shared.iterdir()}
+    assert main(argv + ["--t-end", "10", "--out", str(shared)]) == 0
+    assert main(argv + ["--t-end", "10", "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert all(p.stat().st_size < longer[p.name] for p in shared.iterdir())
+    assert _sha256s(shared) == _sha256s(fresh)
 
 
 def test_fit_plot_is_pinned():
@@ -233,18 +246,73 @@ ANALYZE_CASES = {"multi2": MULTI2_CASE, "noroot": NOROOT_CASE,
                  "rng123-1137": SCAN_MISS_CASES["rng123-1137"]}
 
 
-@pytest.mark.parametrize("name", ANALYZE_PINS)
-def test_analyze_report_is_pinned(tmp_path, capsys, name):
+def _analyze_pinned(tmp_path, name, out):
+    """(sha256 of equilibria.json, exit code) of analyze on a pinned case."""
     if name in ANALYZE_CASES:
         path = tmp_path / f"{name}.params"
         ModelParams(**ANALYZE_CASES[name]).save(path)
     else:
         path = FIXTURES / f"{name}.params"
-    out = tmp_path / "analysis"
     code = main(["analyze", "--params", str(path), "--out", str(out)])
+    return hashlib.sha256((out / "equilibria.json").read_bytes()).hexdigest(), code
+
+
+@pytest.mark.parametrize("name", ANALYZE_PINS)
+def test_analyze_report_is_pinned(tmp_path, capsys, name):
+    assert _analyze_pinned(tmp_path, name, tmp_path / "analysis") == ANALYZE_PINS[name]
     capsys.readouterr()
-    digest = hashlib.sha256((out / "equilibria.json").read_bytes()).hexdigest()
-    assert (digest, code) == ANALYZE_PINS[name]
+
+
+def test_analyze_pins_hold_when_each_report_rewrites_the_last(tmp_path, capsys):
+    # one --out for every case: each report is written over a longer or a
+    # shorter one, and must still be its pin byte for byte
+    out = tmp_path / "analysis"
+    sizes = []
+    for name, pin in ANALYZE_PINS.items():
+        assert _analyze_pinned(tmp_path, name, out) == pin, name
+        sizes.append((out / "equilibria.json").stat().st_size)
+    capsys.readouterr()
+    steps = np.diff(sizes)
+    assert (steps > 0).any() and (steps < 0).any()
+
+
+def test_analyze_writes_through_a_symlink_to_the_null_device(tmp_path, capsys, reference_file):
+    # a target that cannot be cut to length is written as it stands
+    out = tmp_path / "analysis"
+    out.mkdir()
+    (out / "equilibria.json").symlink_to(os.devnull)
+    assert main(["analyze", "--params", reference_file, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert os.readlink(out / "equilibria.json") == os.devnull
+
+
+def _saved(tmp_path, base, **change):
+    path = tmp_path / "changed.params"
+    ModelParams(**{**base, **change}).save(path)
+    return str(path)
+
+
+def _failing_rerun(tmp_path, command):
+    """The argv of a run that succeeds, then of one that fails numerically."""
+    if command == "analyze":  # the interior polynomial's companion matrix overflows
+        return (["analyze", "--params", str(FIXTURES / "reference.params")],
+                ["analyze", "--params", _saved(tmp_path, REFERENCE, j=1e150)])
+    # the second start passes the overflow guard
+    argv = ["simulate", "--params", str(FIXTURES / "predscav_collapse.params"),
+            "--subsystem", "predscav", "--t-end", "200", "--s0"]
+    return argv + ["0,4,6"], argv + ["0,4,7"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_a_numerical_failure_leaves_no_earlier_artifact(tmp_path, capsys, command):
+    # into one --out: the failing run removes every artifact of the first
+    first, failing = _failing_rerun(tmp_path, command)
+    out = tmp_path / "out"
+    assert main(first + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[command])
+    assert main(failing + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("numerical failure: ")
+    assert list(out.iterdir()) == []
 
 
 def test_synth_is_byte_reproducible(tmp_path, reference_file):
@@ -294,13 +362,13 @@ def test_analyze_leaves_no_cyclic_garbage(tmp_path, reference_file, capsys):
 
 
 def test_synth_numerical_failure_exits_two(tmp_path):
-    kw = dict(INTERIOR_STABLE)
-    kw["r"] = 1e9
-    path = tmp_path / "stiff.params"
-    ModelParams(**kw).save(path)
-    code = main(["synth", "--params", str(path), "--s0", "4,3,2",
-                 "--t-end", "200", "--out", str(tmp_path)])
+    # and removes the dataset an earlier run left in --out
+    argv = ["synth", "--s0", "4,3,2", "--t-end", "200", "--out", str(tmp_path), "--params"]
+    assert main(argv + [str(FIXTURES / "interior_stable.params")]) == 0
+    assert (tmp_path / "dataset.csv").exists()
+    code = main(argv + [_saved(tmp_path, INTERIOR_STABLE, r=1e9)])
     assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["changed.params"]
 
 
 def test_estimate_rejects_short_dataset(tmp_path, reference_file):
@@ -574,8 +642,8 @@ def test_cached_parser_calls_the_patched_estimator(tmp_path, capsys, monkeypatch
 def test_failed_estimate_exits_2_with_its_stage_error(tmp_path, capsys, monkeypatch,
                                                       reference_file):
     # a polish that fails at its start leaves no finite MSE: the report and
-    # trace are still written, without a fit plot, and the stage error goes
-    # to stderr
+    # trace are still written, without a fit plot, an earlier run's plot is
+    # removed, and the stage error goes to stderr
     dataset = _synth_dataset(tmp_path, reference_file)
 
     def failing_polish(fun, u0, max_iterations, lower_bound):
@@ -583,6 +651,8 @@ def test_failed_estimate_exits_2_with_its_stage_error(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr("ppsdyn.pinn.bfgs_run", failing_polish)
     out = tmp_path / "fit"
+    out.mkdir()
+    (out / "fit.svg").write_text("<svg/>\n")
     code = main(["estimate", "--dataset", str(dataset), "--epochs", "2", "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
