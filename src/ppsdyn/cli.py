@@ -3,9 +3,10 @@
 Every command writes byte-reproducible artifacts (no timestamps, fixed float
 formatting) so reruns with identical inputs produce identical files.  A
 rerun into the same --out rewrites each artifact in place (_files.rewrite),
-with the same bytes as a fresh run; a run that writes nothing under one of
-its command's ARTIFACTS, because it failed numerically or skipped its plot,
-removes any file of that name, so no earlier run's artifact stays.  Every
+with the same bytes as a fresh run unless it is killed while it writes; a
+run that writes nothing under one of its command's ARTIFACTS, because it
+failed numerically or skipped its plot, removes any file of that name in
+--out, so no earlier run's artifact stays.  Every
 JSON artifact is data.json_text plus a newline: the text of
 json.dumps(obj, sort_keys=True, indent=2), sorted keys and all, byte for
 byte.  Exit codes: 0 success, 1 usage or input error, 2 numerical
@@ -164,10 +165,15 @@ def _parse_state(text) -> State:
     return State(*vals)
 
 
-def _artifacts(args) -> list:
-    """The paths of the command's ARTIFACTS in --out, which is made if missing."""
-    os.makedirs(args.out, exist_ok=True)
+def _paths(args) -> list:
+    """The paths of the command's ARTIFACTS in --out."""
     return [os.path.join(args.out, name) for name in ARTIFACTS[args.command]]
+
+
+def _artifacts(args) -> list:
+    """_paths(args), with --out made if missing."""
+    os.makedirs(args.out, exist_ok=True)
+    return _paths(args)
 
 
 def _write(path, text) -> None:
@@ -375,9 +381,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except _NUMERICAL_ERRORS as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
-            discard(os.path.join(args.out, name) for name in ARTIFACTS[args.command])
+            # an artifact that cannot be removed is reported below, exit 1
+            discard(_paths(args))
             return 2
-    # an artifact that cannot be removed is an error of its own
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
