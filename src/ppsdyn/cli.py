@@ -6,11 +6,12 @@ rerun into the same --out rewrites each artifact in place (_files.rewrite),
 with the same bytes as a fresh run unless it is killed while it writes; a
 run that writes nothing under one of its command's ARTIFACTS, because it
 failed numerically or skipped its plot, removes any file of that name in
---out, so no earlier run's artifact stays.  Every
-JSON artifact is data.json_text plus a newline: the text of
-json.dumps(obj, sort_keys=True, indent=2), sorted keys and all, byte for
-byte.  Exit codes: 0 success, 1 usage or input error, 2 numerical
-failure.
+--out, so no earlier run's artifact stays.  A usage or input error (exit 1)
+removes nothing, as under the default --out . those files may be the user's
+own; a failed write (OSError) leaves what the run wrote before it.  Every
+JSON artifact is data.json_text plus a newline: the text of json.dumps(obj,
+sort_keys=True, indent=2), sorted keys and all, byte for byte.  Exit codes:
+0 success, 1 usage or input error, 2 numerical failure.
 
 The argument parser is built once per process (build_parser is cached) and
 reused by every main(argv) call; each call still parses into a fresh

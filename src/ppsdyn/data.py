@@ -24,7 +24,7 @@ from .errors import (
     TooFewSamples,
     UnmappedSpecies,
 )
-from .model import ModelParams, State, Subsystem
+from .model import SUBSYSTEMS, ModelParams, State
 from .solver import SolverConfig, integrate, parse_row, read_rows_csv, write_rows_csv
 
 GROUPS = ("prey", "predator", "scavenger")
@@ -271,7 +271,7 @@ def synthesize(
     absent = [name for name, v in zip(GROUPS, s0[:3]) if v == 0]
     if absent:
         present = tuple(int(v != 0) for v in s0[:3])
-        planar = [sub.name.lower().replace("_", "") for sub in Subsystem if sub.value == present]
+        planar = [name for name, sub in SUBSYSTEMS.items() if sub.value == present]
         run = f"simulate --subsystem {planar[0]}" if planar else "simulate"
         raise ConstantColumn(f"synthesized {absent[0]} column is constant: the {absent[0]} starts "
                              f"at zero and stays there, so min-max scaling is undefined; `{run}` "

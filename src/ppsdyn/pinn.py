@@ -16,19 +16,19 @@ continuous extension), the physics term's from the closed-form df/dp at the
 observed states, with no integration: f and df/dp there come from the
 model's derivative table, the one the integration's dx/dp used, and the
 feature matrix of the observed states.  One helper, _in_log, evaluates
-either stage's loss at p = exp(u) with its gradient in u, d/dp * p, so
-positivity holds without a projection or a floor; its guard turns an
-overflowing or underflowing exp(u), or an unintegrable p, into an infinite
-value.  Backpropagation chains the network's gradient to the weights, and
-BFGS then polishes u on the misfit alone, never ending worse than it
-starts.  The network stage integrates at NETWORK_TOL = 1e-4 and the polish
-at LOSS_TOL = 1e-6, the tolerance of every MSE the report holds but the
-network stage's trace: Adam's step reads only gradients, while the polish's
-Armijo test compares loss values at nearby points, where the looser
-tolerance's jumps cost fits (see _log_mse).  Every estimation integration
-gives up on a hopeless p as soon as it shows: a state past a bound scaled to
-the data, DOPRI5's stiffness test, or the step cap (see simulate_on_data);
-`simulate` and `synth` integrate on regardless.
+either stage's loss, and estimate's final PIE, at p = exp(u) with its
+gradient in u, d/dp * p, so positivity holds without a projection or a
+floor; the one loss guard, it turns an overflowing or underflowing exp(u),
+or an unintegrable p, into an infinite value.  Backpropagation chains the
+network's gradient to the weights, and BFGS then polishes u on the misfit
+alone, never ending worse than it starts.  The network stage integrates at
+NETWORK_TOL = 1e-4 and the polish at LOSS_TOL = 1e-6, the tolerance of every
+MSE the report holds but the network stage's trace: Adam's step reads only
+gradients, while the polish's Armijo test compares loss values at nearby
+points, where the looser tolerance's jumps cost fits (see _log_mse).  Every
+estimation integration gives up on a hopeless p as soon as it shows: a state
+past a bound scaled to the data, DOPRI5's stiffness test, or the step cap
+(see simulate_on_data); `simulate` and `synth` integrate on regardless.
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
@@ -71,33 +71,22 @@ RUNAWAY_FACTOR = 1e3
 STIFF_TEST_EVERY = 1000
 
 
-@dataclass
 class Mlp:
-    """Dense layers; swish hidden activations, linear output.
+    """Dense layers of the widths sizes, input first; swish hidden
+    activations, linear output.  The weights, shape (fan_out, fan_in), and
+    biases are views of one flat vector, theta: layer by layer from the
+    input side, each weight matrix row by row and then its bias,
+    sum((fan_in + 1) * fan_out) values.  theta is a copy of the one given,
+    zeros by default; any other length, or fewer than two widths, raises
+    ValueError.  Writing theta sets every layer at once."""
 
-    The weights and biases are views of one flat vector, theta: layer by
-    layer from the input side, each weight matrix row by row and then its
-    bias.  The arrays given are copied into a fresh theta, so writing theta
-    sets every layer at once.
-    """
-
-    weights: list  # per layer, shape (fan_out, fan_in)
-    biases: list
-    theta: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must pair up")
-        for W, b in zip(self.weights, self.biases):
-            if W.shape[0] != b.shape[0]:
-                raise ValueError("bias length must match weight rows")
-        self.theta = np.concatenate([t.ravel() for pair in zip(self.weights, self.biases)
-                                     for t in pair], dtype=float)
+    def __init__(self, sizes, theta=None):
+        self.sizes = list(sizes)
+        n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.sizes, self.sizes[1:]))
+        self.theta = np.zeros(n) if theta is None else np.array(theta, dtype=float)
+        if len(self.sizes) < 2 or self.theta.shape != (n,):
+            raise ValueError(f"widths {self.sizes} take {n} values in theta, got {self.theta.shape}")
         self.weights, self.biases = _layer_views(self.theta, self.sizes)
-
-    @property
-    def sizes(self) -> list:
-        return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
 
 
 def _layer_views(flat: np.ndarray, sizes) -> tuple:
@@ -112,15 +101,16 @@ def _layer_views(flat: np.ndarray, sizes) -> tuple:
 
 
 def init_mlp(rng: np.random.Generator, sizes=MLP_SIZES) -> Mlp:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.standard_normal((fan_out, fan_in)) * math.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(fan_out))
-    # zero weights and bias on the readout: every fresh network reads out
-    # log p = 0, the all-ones vector, a starting point where the integration
-    # is tame regardless of seed
-    weights[-1][:] = 0.0
-    return Mlp(weights, biases)
+    """An Mlp of the widths sizes, each weight drawn from rng into its view
+    of theta, N(0, 2/fan_in), layer by layer from the input side, and zero
+    biases.  The readout is drawn too, so rng moves on as far, and then
+    zeroed: every fresh network reads out log p = 0, the all-ones vector, a
+    start where the integration is tame regardless of seed."""
+    net = Mlp(sizes)
+    for W in net.weights:
+        W[...] = rng.standard_normal(W.shape) * math.sqrt(2.0 / W.shape[1])
+    net.weights[-1][...] = 0.0
+    return net
 
 
 def init_params(seed) -> np.ndarray:
@@ -309,30 +299,24 @@ def _physics_term(params: ModelParams, deriv, rows, scale):
     return pie, (-2.0 / len(deriv)) * (summed.reshape(-1) @ table.dfdp)
 
 
-def _loss_or_inf(term, p, *args):
-    """term(params, *args), a (value, gradient) pair for the parameters of
-    vector p, or an infinite value and gradient where p is non-positive or
-    non-finite (ModelParams rejects it) or cannot be integrated.  A
-    ValueError that the term itself raises propagates."""
-    try:
-        params = ModelParams.from_array(p)
-    except ValueError:
-        params = None
-    if params is not None:
-        try:
-            return term(params, *args)
-        except IntegrationFailed:
-            pass
-    return math.inf, np.full(len(PARAM_ORDER), math.inf)
-
-
 def _in_log(term, u, *args):
     """(value, d value/du = d value/dp * p) of term(params, *args) at
-    p = exp(u), behind _loss_or_inf and without a warning."""
+    p = exp(u), without a warning; both infinite where ModelParams rejects p
+    (u is nan, or exp(u) overflowed or underflowed to zero) or p cannot be
+    integrated.  A ValueError that the term itself raises propagates."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.exp(u)
-        value, grad = _loss_or_inf(term, p, *args)
-        return value, grad * p
+        try:
+            params = ModelParams.from_array(p)
+        except ValueError:
+            params = None
+        if params is not None:
+            try:
+                value, grad = term(params, *args)
+                return value, grad * p
+            except IntegrationFailed:
+                pass
+    return math.inf, np.full(len(PARAM_ORDER), math.inf)
 
 
 class TraceRow(NamedTuple):
@@ -379,7 +363,7 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
         net.theta[...] = theta
         u, caches = _forward_cached(net, inp)
         row, dEdu = _in_log(_network_term, u, fit, phys)
-        # row is a TraceRow, or _loss_or_inf's bare inf
+        # row is a TraceRow, or _in_log's bare inf
         if not (np.isfinite(row).all() and np.isfinite(dEdu).all()):
             best = None if best_u is None else np.exp(best_u)
             raise NonFiniteLoss(f"training loss or gradient non-finite at epoch {len(trace)}",
@@ -484,7 +468,7 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     final = np.exp(u_polish)
     post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
     # inf where exp(u) overflowed or underflowed
-    final_pie = _loss_or_inf(_physics_term, final, *_physics_data(ds))[0]
+    final_pie = _in_log(_physics_term, u_polish, *_physics_data(ds))[0]
     return EstimationReport(
         seed=int(seed),
         initial_params=initial,

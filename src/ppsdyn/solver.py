@@ -48,24 +48,25 @@ That makes S the derivative of the computed output for its step sequence,
 exact up to rounding in the stage states: the pass recomputes them as
 y0 + h (A @ K), a matrix product that sums in another order than the step
 loop, and about one component in six then differs in the last bits from
-the state the loop fed the right-hand side.  Error control never reads S, so S is computed from a log of the
-accepted steps, batched over the steps, only once the loop completes: rejected
-steps cost nothing, an integration that fails computes no S at all, nor
-builds the parameters' derivative table, and the steps and states are
-bitwise the same with or without it.  The log keeps each step's unclamped
-end, where the 7th stage and its sensitivity are taken.  On steps this
-short the pass costs numpy calls rather than arithmetic, so a block of
-logged steps becomes dx/dp in a fixed number of array operations (one
-Jacobian evaluation, a product of the states' feature matrix with the
-derivative table, then the stage substitution and the output points) plus
-one matrix product per step (see _block_sensitivities).
+the state the loop fed the right-hand side.  Error control never reads S,
+so S is computed from a log of the accepted steps, batched over the steps,
+only once the loop completes: rejected steps cost nothing, an integration
+that fails computes no S at all, nor builds the parameters' derivative
+table, and the steps and states are bitwise the same with or without it.
+The log, a flat list like the recorded rows, packed every _BLOCK steps,
+keeps each step's unclamped end, where the 7th stage and its sensitivity
+are taken.  On steps this short the pass costs numpy calls rather than
+arithmetic, so a block of logged steps becomes dx/dp in a fixed number of
+array operations (one Jacobian evaluation, a product of the states'
+feature matrix with the derivative table, then the stage substitution and
+the output points) plus one matrix product per step (see
+_block_sensitivities).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from numbers import Integral
 from typing import Optional, Sequence
 
@@ -111,8 +112,10 @@ _D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _B7, _FIRST, _LAST = np.append(_B, 0.0), np.eye(7)[0], np.eye(7)[6]
 _P = np.stack([_FIRST, 3 * _B7 - 2 * _FIRST - _LAST + _D,
                -2 * _B7 + _FIRST + _LAST - 2 * _D, _D], axis=1)
-# accepted steps per batch of the dense-output and sensitivity pass
+# accepted steps per packed block of a t_eval run's log, and per batch of
+# the dense-output and sensitivity pass; read at call time
 _BLOCK = 128
+_LOGGED = 29  # floats per logged step, a row of _dense_output's blocks
 # t,x,y,z rows per packed block of a record-every-step run or a read CSV
 # file, and per chunk of a written one
 _ROWS = 1024
@@ -336,9 +339,9 @@ def integrate(
     return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, p if sensitivities else None)
 
 
-def _rows(vals):
-    """The flat t,x,y,z values as a (rows, 4) array; clears the list."""
-    rows = np.fromiter(vals, float, len(vals)).reshape(-1, 4)
+def _rows(vals, width=4):
+    """The flat values as a (rows, width) array, t,x,y,z by default; clears the list."""
+    rows = np.fromiter(vals, float, len(vals)).reshape(-1, width)
     vals.clear()
     return rows
 
@@ -358,14 +361,6 @@ def _recorded(blocks, record, steps, rejected, clamped) -> Trajectory:
     times, states = _columns(blocks, record)
     diag = Diagnostics(steps, rejected, float(states.min()), clamped)
     return Trajectory(times, states, diag)
-
-
-def _pack(log):
-    """The logged rows as one array, a row per step; clears the log."""
-    m, width = len(log), len(log[0])
-    rows = np.fromiter(chain.from_iterable(log), float, m * width).reshape(m, width)
-    log.clear()
-    return rows
 
 
 def _dense_output(blocks, t_eval, dirn, clamp, p, s0, final, diag) -> Trajectory:
@@ -512,8 +507,9 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, p=None) -> Trajectory
         # packed into a block every _ROWS rows
         target, log, record, full = t_end, None, [t0, x, y, z], 4 * _ROWS
     else:
-        # steps are clipped only to land on the last point
-        target, log = float(t_eval[-1]), []
+        # steps are clipped only to land on the last point; each accepted
+        # step goes onto a flat log, packed into a block every _BLOCK steps
+        target, log, full = float(t_eval[-1]), [], _LOGGED * _BLOCK
 
     t = t0
     f1x, f1y, f1z = rhs(x, y, z)
@@ -587,11 +583,10 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, p=None) -> Trajectory
                     if calm == 6:
                         stiff = 0
             if log is not None:
-                log.append((t, hs, x, y, z, f1x, f1y, f1z, f2x, f2y, f2z, f3x, f3y, f3z,
-                            f4x, f4y, f4z, f5x, f5y, f5z, f6x, f6y, f6z, f7x, f7y, f7z,
-                            xn, yn, zn))
-                if len(log) == _BLOCK:
-                    blocks.append(_pack(log))
+                log += (t, hs, x, y, z, f1x, f1y, f1z, f2x, f2y, f2z, f3x, f3y, f3z,
+                        f4x, f4y, f4z, f5x, f5y, f5z, f6x, f6y, f6z, f7x, f7y, f7z, xn, yn, zn)
+                if len(log) == full:
+                    blocks.append(_rows(log, _LOGGED))
             t = t + hs
             x, y, z = xn, yn, zn
             if clamp and (x < 0.0 or y < 0.0 or z < 0.0):
@@ -627,7 +622,7 @@ def _run_rk45(rhs, x, y, z, t0, cfg: SolverConfig, t_eval, p=None) -> Trajectory
     if log is None:
         return _recorded(blocks, record, steps, rejected, clamped)
     if log:
-        blocks.append(_pack(log))
+        blocks.append(_rows(log, _LOGGED))
     diag = Diagnostics(steps=steps, rejected=rejected, clamped=clamped)
     return _dense_output(blocks, t_eval, dirn, clamp, p, s0, (x, y, z), diag)
 

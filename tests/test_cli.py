@@ -315,6 +315,21 @@ def test_a_numerical_failure_leaves_no_earlier_artifact(tmp_path, capsys, comman
     assert list(out.iterdir()) == []
 
 
+def test_an_input_error_leaves_the_earlier_artifacts(tmp_path, capsys, reference_file):
+    # exit 1 removes nothing: under the default --out . the files of those
+    # names may be the user's own
+    out = tmp_path / "out"
+    assert main(["analyze", "--params", reference_file, "--out", str(out)]) == 0
+    report = (out / "equilibria.json").read_bytes()
+    with open(reference_file, encoding="utf-8") as fh:
+        lines = ["r = abc" if line.startswith("r =") else line for line in fh.read().splitlines()]
+    bad = tmp_path / "bad.params"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--params", str(bad), "--out", str(out)]) == 1
+    assert "non-numeric value 'abc'" in capsys.readouterr().err
+    assert (out / "equilibria.json").read_bytes() == report
+
+
 def test_synth_is_byte_reproducible(tmp_path, reference_file):
     out1 = tmp_path / "one"
     out2 = tmp_path / "two"

@@ -17,8 +17,8 @@ import ppsdyn.solver
 from ppsdyn.optimize import bfgs_run
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
-                         simulate_on_data, total_loss, train_pinn, TraceRow, _forward_cached, _log_mse,
-                         _loss_or_inf, _mean_squared_norm)
+                         simulate_on_data, total_loss, train_pinn, TraceRow, _forward_cached, _in_log,
+                         _log_mse, _mean_squared_norm)
 
 
 def _tiny_net(seed=0, sizes=(2, 3, 2)):
@@ -46,10 +46,24 @@ def test_readout_starts_at_one():
 
 
 def test_swish_value_through_single_unit():
-    net = Mlp(weights=[np.array([[1.0]]), np.array([[1.0]])],
-              biases=[np.array([0.0]), np.array([0.0])])
+    # theta is W0, b0, W1, b1
+    net = Mlp([1, 1, 1], theta=[1.0, 0.0, 1.0, 0.0])
     got = forward(net, np.array([1.0]))[0]
     assert got == pytest.approx(0.7310585786300049, abs=1e-15)
+
+
+def test_mlp_theta_must_match_its_widths():
+    # widths 2, 4, 3 take (2 + 1) * 4 + (4 + 1) * 3 = 27 values: a theta
+    # of any other length cannot be laid out and is refused
+    with pytest.raises(ValueError, match="27 values"):
+        Mlp([2, 4, 3], theta=np.zeros(30))
+    with pytest.raises(ValueError):
+        Mlp([2], theta=[])
+    net = Mlp([2, 4, 3])
+    assert np.array_equal(net.theta, np.zeros(27))
+    assert [W.shape for W in net.weights] == [(4, 2), (3, 4)]
+    assert [b.shape for b in net.biases] == [(4,), (3,)]
+    assert all(np.shares_memory(v, net.theta) for v in net.weights + net.biases)
 
 
 def test_backward_matches_finite_differences():
@@ -589,23 +603,24 @@ def test_both_terms_are_infinite_where_k_squared_underflows(readme_dataset):
     fit = ppsdyn.pinn._fit_data(readme_dataset, readme_dataset.raw_times, 1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pie, _ = _loss_or_inf(ppsdyn.pinn._physics_term, p,
-                              *ppsdyn.pinn._physics_data(readme_dataset))
-        mse, _ = _loss_or_inf(ppsdyn.pinn._misfit, p, fit, True)
+        pie, _ = _in_log(ppsdyn.pinn._physics_term, np.log(p),
+                         *ppsdyn.pinn._physics_data(readme_dataset))
+        mse, _ = _in_log(ppsdyn.pinn._misfit, np.log(p), fit, True)
     assert pie == math.inf and mse == math.inf
 
 
 def test_loss_guard_lets_a_term_error_through(readme_dataset):
-    # a p that ModelParams rejects is the infinite case; a ValueError that
-    # the term itself raises is not
+    # a p = exp(u) that ModelParams rejects is the infinite case: u = nan,
+    # u = -800 where p underflows to zero and u = 800 where it overflows; a
+    # ValueError that the term itself raises is not
     def term(params):
         raise ValueError("inside the term")
 
-    for bad in (np.full(14, math.nan), -np.ones(14), np.full(14, math.inf)):
-        value, grad = _loss_or_inf(term, bad)
+    for bad in (math.nan, -800.0, 800.0):
+        value, grad = _in_log(term, np.full(14, bad))
         assert value == math.inf and np.all(grad == math.inf)
     with pytest.raises(ValueError, match="inside the term"):
-        _loss_or_inf(term, np.ones(14))
+        _in_log(term, np.zeros(14))
 
 
 def test_log_polish_survives_overflowing_candidates(readme_dataset):
