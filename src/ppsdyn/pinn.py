@@ -34,11 +34,11 @@ All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
 so it is comparable with derivatives of the normalized series.  What each
 term reads of the dataset is computed once per stage, not once per loss
-evaluation: the misfit's start state, solver settings and normalization
-(_fit_data), and the physics term's scale, data derivative and the
-state-only feature rows of the observed states (_physics_data).  The
-parameters, and their derivative table, are built once per evaluation and
-shared by both terms.
+evaluation: the misfit's start state, solver settings, checked grid and
+normalization (_fit_data), and the physics term's scale, data derivative
+and the state-only feature rows of the observed states (_physics_data).
+The parameters, and their derivative table, are built once per evaluation
+and shared by both terms.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .data import Dataset, json_text
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from .model import PARAM_ORDER, ModelParams, State, derivative_table, feature_matrix, state_rows
 from .optimize import adam_run, bfgs_run
-from .solver import OVERFLOW_LIMIT, SolverConfig, integrate
+from .solver import OVERFLOW_LIMIT, CheckedGrid, SolverConfig, check_grid, integrate
 
 MLP_SIZES = [len(PARAM_ORDER), 32, 32, 32, len(PARAM_ORDER)]
 # the network stage integrates at NETWORK_TOL, the polish at LOSS_TOL (see
@@ -219,12 +219,16 @@ def _mean_squared_norm(rows) -> float:
 
 class _Fit(NamedTuple):
     """What an estimation run reads of a dataset at one tolerance: its start
-    state, solver settings and raw grid, and the observations with the
-    affine map into their normalized units."""
+    state, solver settings and checked grid, and the observations with the
+    affine map into their normalized units.  The grid is the raw grid as a
+    solver.CheckedGrid, checked once, by _fit_data, for s0's time and
+    cfg.t_end; integrate confirms it by two comparisons, where a raw t_eval
+    is checked, and copied, on every integration.  Each trajectory still
+    gets its own copy of the times."""
 
     s0: State
     cfg: SolverConfig
-    grid: np.ndarray
+    grid: CheckedGrid
     observations: np.ndarray
     mins: np.ndarray
     ranges: np.ndarray
@@ -232,8 +236,8 @@ class _Fit(NamedTuple):
 
 def _fit_data(ds: Dataset, raw_grid, tol: float) -> _Fit:
     """All that simulate_on_data(params, ds, raw_grid, tol) needs besides
-    params, built once per dataset and stage rather than once per
-    integration."""
+    params, built, and raw_grid checked, once per dataset and stage rather
+    than once per integration."""
     x0, y0, z0 = ds.raw_observations[0]
     scale = max(np.max(ds.maxs), -np.min(ds.mins))
     cfg = SolverConfig(t_end=raw_grid[-1], tol=tol, negativity_policy="clamp",
@@ -241,7 +245,8 @@ def _fit_data(ds: Dataset, raw_grid, tol: float) -> _Fit:
                        overflow_limit=min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale),
                        stiff_test_every=STIFF_TEST_EVERY)
     s0 = State(float(x0), float(y0), float(z0), float(raw_grid[0]))
-    return _Fit(s0, cfg, raw_grid, ds.observations, ds.mins, ds.ranges)
+    grid = check_grid(raw_grid, s0.t, cfg.t_end)
+    return _Fit(s0, cfg, grid, ds.observations, ds.mins, ds.ranges)
 
 
 def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float):
@@ -363,8 +368,9 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
         net.theta[...] = theta
         u, caches = _forward_cached(net, inp)
         row, dEdu = _in_log(_network_term, u, fit, phys)
-        # row is a TraceRow, or _in_log's bare inf
-        if not (np.isfinite(row).all() and np.isfinite(dEdu).all()):
+        # row is a TraceRow of three floats, or _in_log's bare inf
+        finite = isinstance(row, TraceRow) and all(map(math.isfinite, row))
+        if not (finite and np.isfinite(dEdu).all()):
             best = None if best_u is None else np.exp(best_u)
             raise NonFiniteLoss(f"training loss or gradient non-finite at epoch {len(trace)}",
                                 history=trace, best=best)

@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -281,12 +281,46 @@ class Trajectory:
         return cls(*read_rows_csv(path))
 
 
+class CheckedGrid(NamedTuple):
+    """A t_eval that check_grid has checked for runs from t0 to t_end: its
+    times, the first one set to t0, held read-only."""
+
+    times: np.ndarray
+    t0: float
+    t_end: float
+
+
+def check_grid(t_eval, t0: float, t_end: float) -> CheckedGrid:
+    """t_eval as a CheckedGrid, once it is one-dimensional, finite, starts
+    within 1e-12 of t0, is monotone toward t_end and ends within 1e-12 of
+    it; ValueError names the first rule it breaks.  The times are a copy of
+    t_eval.  integrate runs this on every raw t_eval, so a caller that
+    integrates on one grid many times, as estimation does, can check it
+    once and pass the CheckedGrid instead."""
+    times = np.array(t_eval, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("t_eval must be one-dimensional")
+    if not np.isfinite(times).all():
+        raise ValueError("t_eval must be finite")
+    if not len(times) or abs(times[0] - t0) > 1e-12:
+        raise ValueError("t_eval must start at the initial time")
+    dirn = 1.0 if t_end >= t0 else -1.0
+    if (np.diff(times) * dirn < 0).any():
+        raise ValueError("t_eval must be monotone toward t_end")
+    if abs(times[-1] - t_end) > 1e-12:
+        raise ValueError("t_eval must end at t_end")
+    # the first row is the initial state, at the initial time
+    times[0] = t0
+    times.flags.writeable = False
+    return CheckedGrid(times, t0, t_end)
+
+
 def integrate(
     p: ModelParams,
     s0,
     cfg: SolverConfig,
     *,
-    t_eval: Optional[Sequence[float]] = None,
+    t_eval: Optional[Sequence[float] | CheckedGrid] = None,
     sensitivities: bool = False,
 ) -> Trajectory:
     """Integrate from s0 (finite and nonnegative; time taken from s0.t if
@@ -295,11 +329,16 @@ def integrate(
     A species that starts at zero stays at zero, bit for bit, so a
     subsystem needs no mode here (Subsystem.check_state checks its start).
     Output is sampled at every accepted step, or, for rk45 only, at t_eval
-    if given (t_eval must be finite, start at the initial time, be monotone
-    toward t_end and end on it; one row per point).  rk45 interpolates the
-    t_eval points by the continuous extension; steps are not clipped.  rk4
-    has no t_eval: it records every step, the last one shortened to end on
-    t_end.
+    if given (t_eval must be one-dimensional and finite, start at the
+    initial time, be monotone toward t_end and end on it; one row per
+    point).  A raw t_eval is checked by check_grid on every call and
+    copied, so the caller's sequence is never written; a CheckedGrid
+    skips the check once its t0 and t_end equal this run's start time and
+    cfg.t_end, and raises the start or end error otherwise.  Either way
+    the trajectory holds its own copy of the times, the first one the
+    initial time.  rk45 interpolates the t_eval points by the continuous
+    extension; steps are not clipped.  rk4 has no t_eval: it records every
+    step, the last one shortened to end on t_end.
     Backward integration (t_end < t0) is supported for both methods.  With
     sensitivities=True (rk45 and t_eval only) the trajectory also carries
     dx/dp at the t_eval points, s0 taken as independent of p; the row of a
@@ -318,19 +357,16 @@ def integrate(
     if t_eval is not None:
         if cfg.method == "rk4":
             raise ValueError("t_eval needs the rk45 method; rk4 records every step")
-        # a copy, which the first row's time is written into
-        t_eval = np.array(t_eval, dtype=float)
-        if not np.isfinite(t_eval).all():
-            raise ValueError("t_eval must be finite")
-        if not len(t_eval) or abs(t_eval[0] - t0) > 1e-12:
-            raise ValueError("t_eval must start at the initial time")
-        dirn = 1.0 if cfg.t_end >= t0 else -1.0
-        if (np.diff(t_eval) * dirn < 0).any():
-            raise ValueError("t_eval must be monotone toward t_end")
-        if abs(t_eval[-1] - cfg.t_end) > 1e-12:
-            raise ValueError("t_eval must end at t_end")
-        # the first row is the initial state, at the initial time
-        t_eval[0] = t0
+        if isinstance(t_eval, CheckedGrid):
+            # checked once, for its own start time and t_end: two
+            # comparisons confirm that they are this run's
+            if t_eval.t0 != t0:
+                raise ValueError("t_eval must start at the initial time")
+            if t_eval.t_end != cfg.t_end:
+                raise ValueError("t_eval must end at t_end")
+        else:
+            t_eval = check_grid(t_eval, t0, cfg.t_end)
+        t_eval = t_eval.times.copy()  # the trajectory's own
 
     if sensitivities and t_eval is None:  # rk4 never has t_eval
         raise ValueError("sensitivities need the rk45 method and t_eval")

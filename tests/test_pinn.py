@@ -1,4 +1,6 @@
+import collections
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,6 +17,7 @@ import ppsdyn.optimize
 import ppsdyn.pinn
 import ppsdyn.solver
 from ppsdyn.optimize import bfgs_run
+from ppsdyn.solver import integrate
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
                          simulate_on_data, total_loss, train_pinn, TraceRow, _forward_cached, _in_log,
@@ -454,6 +457,64 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     # one physics term after each epoch's integration, then one for final_pie
     assert physics_at == [1, 2, 3, len(calls)]
     assert built == [(network_tol, 0), (loss_tol, 3)]
+
+
+@pytest.mark.parametrize("tol", [ppsdyn.pinn.NETWORK_TOL, ppsdyn.pinn.LOSS_TOL],
+                         ids=["network", "polish"])
+def test_a_checked_grid_changes_no_bit(readme_dataset, tol):
+    # estimation integrates on the grid _fit_data checked once; every
+    # output is bitwise the one of integrate on the raw grid, which checks
+    # and copies it on each call
+    fit = ppsdyn.pinn._fit_data(readme_dataset, readme_dataset.raw_times, tol)
+    raw = readme_dataset.raw_times
+    for params in (ModelParams.from_array(np.ones(14)), ModelParams(**REFERENCE)):
+        for sens in (False, True):
+            want = integrate(params, fit.s0, fit.cfg, t_eval=raw, sensitivities=sens)
+            for _ in range(2):
+                got = integrate(params, fit.s0, fit.cfg, t_eval=fit.grid, sensitivities=sens)
+                assert got.times.tobytes() == want.times.tobytes()
+                assert got.states.tobytes() == want.states.tobytes()
+                assert got.diagnostics == want.diagnostics
+                if sens:
+                    assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
+                else:
+                    assert got.sensitivities is None
+                # each trajectory holds its own times: writing them leaves
+                # the next integration unchanged
+                got.times[:] = -1.0
+            want.times[:] = -1.0
+    assert fit.grid.times.tolist() == raw.tolist()
+    # the grid is checked for one start time and one t_end
+    with pytest.raises(ValueError, match="must start at the initial time"):
+        integrate(params, fit.s0._replace(t=fit.s0.t + 0.5), fit.cfg, t_eval=fit.grid)
+    with pytest.raises(ValueError, match="must end at t_end"):
+        integrate(params, fit.s0, dataclasses.replace(fit.cfg, t_end=fit.cfg.t_end - 0.5),
+                  t_eval=fit.grid)
+
+
+def test_each_stage_checks_its_grid_once_and_every_integration_is_hooked(readme_dataset,
+                                                                        monkeypatch):
+    # the grid check runs once per _fit_data, one per stage, not once per
+    # integration; and every estimation integration still passes the two
+    # names that count its work: the benchmark's tracer wraps
+    # ppsdyn.pinn.integrate, and the work pins count ppsdyn.solver.make_rhs
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    check = counted("check_grid", ppsdyn.solver.check_grid)
+    monkeypatch.setattr(ppsdyn.solver, "check_grid", check)
+    monkeypatch.setattr(ppsdyn.pinn, "check_grid", check)
+    for module, name in ((ppsdyn.pinn, "_fit_data"), (ppsdyn.pinn, "integrate"),
+                         (ppsdyn.solver, "make_rhs")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    estimate(readme_dataset, seed=0, epochs=5, bfgs_iterations=3)
+    assert counts["check_grid"] == counts["_fit_data"] == 2
+    assert counts["integrate"] == counts["make_rhs"] > 2 * counts["_fit_data"]
 
 
 def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch):

@@ -155,6 +155,14 @@ def test_t_eval_must_be_finite(stable_params, grid):
         integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=grid)
 
 
+@pytest.mark.parametrize("grid", [[[0.0, 5.0]], np.array([[0.0], [5.0]])], ids=["row", "column"])
+def test_t_eval_must_be_one_dimensional(stable_params, grid):
+    # a 2-D grid reached numpy's own errors: an ambiguous truth value for a
+    # row, and a failed scalar conversion for a column
+    with pytest.raises(ValueError, match="t_eval must be one-dimensional"):
+        integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=grid)
+
+
 def test_t_eval_is_copied(stable_params):
     grid = np.array([1e-13, 1.0, 5.0])
     traj = integrate(stable_params, S0, SolverConfig(t_end=5.0), t_eval=grid)
