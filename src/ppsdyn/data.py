@@ -250,6 +250,12 @@ def ingest(csv_path, species_map: SpeciesMap) -> Dataset:
     return Dataset.from_raw(years, raw, {"source": os.path.basename(str(csv_path))})
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless seed is an integer >= 0, numpy's included, and not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def synthesize(
     p: ModelParams, s0, t_grid, noise_sigma: float = 0.0, seed: int = 0
 ) -> Dataset:
@@ -266,8 +272,7 @@ def synthesize(
         raise ValueError("t_grid must be strictly increasing")
     if isinstance(noise_sigma, (bool, np.bool_)) or not math.isfinite(noise_sigma) or noise_sigma < 0:
         raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_seed(seed)
     absent = [name for name, v in zip(GROUPS, s0[:3]) if v == 0]
     if absent:
         present = tuple(int(v != 0) for v in s0[:3])

@@ -32,25 +32,23 @@ past a bound scaled to the data, DOPRI5's stiffness test, or the step cap
 
 All losses are computed in normalized coordinates; the right-hand side is
 evaluated in raw units and rescaled by (t_end - t_start)/range per component
-so it is comparable with derivatives of the normalized series.  What each
-term reads of the dataset is computed once per stage, not once per loss
-evaluation: the misfit's start state, solver settings, checked grid and
-normalization (_fit_data), and the physics term's scale, data derivative
-and the state-only feature rows of the observed states (_physics_data).
-The parameters, and their derivative table, are built once per evaluation
-and shared by both terms.
+so it is comparable with derivatives of the normalized series.  What both
+terms read of the dataset is one _Problem, built once per estimate,
+train_pinn or total_loss call; a stage changes only its tolerance.  The
+parameters, and their derivative table, are built once per evaluation and
+shared by both terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from ._files import rewrite
-from .data import Dataset, json_text
+from .data import Dataset, _check_seed, json_text
 from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
 from .model import PARAM_ORDER, ModelParams, State, derivative_table, feature_matrix, state_rows
 from .optimize import adam_run, bfgs_run
@@ -189,24 +187,24 @@ def total_loss(p, ds: Dataset, tol: float = LOSS_TOL, gradient: bool = False):
     with the offending parameters attached, when p cannot be integrated over
     the data horizon.
     """
-    phys = _physics_data(ds)
+    prob = _problem(ds, tol=tol)
     params = ModelParams.from_array(np.asarray(p, dtype=float))
-    mse, g_mse = _misfit(params, _fit_data(ds, ds.raw_times, tol), gradient)
-    pie, g_pie = _physics_term(params, *phys)
+    mse, g_mse = _misfit(params, prob, gradient)
+    pie, g_pie = _physics_term(params, prob)
     return (mse + pie, mse, pie, g_mse, g_pie) if gradient else (mse + pie, mse, pie)
 
 
-def _misfit(params: ModelParams, fit: _Fit, gradient: bool):
+def _misfit(params: ModelParams, prob: _Problem, gradient: bool):
     """(mse, d mse/dp) of the model run from the first observation against
-    the observations, from one integration; fit = _fit_data(...), and
-    d mse/dp is None unless gradient is set."""
-    traj, pred = _simulate(params, fit, gradient)
-    resid = pred - fit.observations
+    the observations, from one integration; d mse/dp is None unless
+    gradient is set."""
+    traj, pred = _simulate(params, prob, gradient)
+    resid = pred - prob.observations
     mse = _mean_squared_norm(resid)
     if not gradient:
         return mse, None
     # d pred / dp is dx/dp over the column range
-    return mse, (2.0 / len(resid)) * np.einsum("tc,tcp->p", resid / fit.ranges, traj.sensitivities)
+    return mse, (2.0 / len(resid)) * np.einsum("tc,tcp->p", resid / prob.ranges, traj.sensitivities)
 
 
 def _mean_squared_norm(rows) -> float:
@@ -217,14 +215,12 @@ def _mean_squared_norm(rows) -> float:
     return float(norms.sum() / len(norms))
 
 
-class _Fit(NamedTuple):
-    """What an estimation run reads of a dataset at one tolerance: its start
-    state, solver settings and checked grid, and the observations with the
-    affine map into their normalized units.  The grid is the raw grid as a
-    solver.CheckedGrid, checked once, by _fit_data, for s0's time and
-    cfg.t_end; integrate confirms it by two comparisons, where a raw t_eval
-    is checked, and copied, on every integration.  Each trajectory still
-    gets its own copy of the times."""
+class _Problem(NamedTuple):
+    """What estimation reads of a dataset: the misfit's start state, solver
+    settings, grid (checked once, so no integration checks it again) and
+    the observations with their normalization; the physics term's data
+    derivative, state-only feature rows of the observed states, and the
+    scale that maps the raw right-hand side onto normalized units."""
 
     s0: State
     cfg: SolverConfig
@@ -232,21 +228,26 @@ class _Fit(NamedTuple):
     observations: np.ndarray
     mins: np.ndarray
     ranges: np.ndarray
+    deriv: np.ndarray
+    rows: np.ndarray
+    scale: np.ndarray
 
 
-def _fit_data(ds: Dataset, raw_grid, tol: float) -> _Fit:
-    """All that simulate_on_data(params, ds, raw_grid, tol) needs besides
-    params, built, and raw_grid checked, once per dataset and stage rather
-    than once per integration."""
-    x0, y0, z0 = ds.raw_observations[0]
-    scale = max(np.max(ds.maxs), -np.min(ds.mins))
+def _problem(ds: Dataset, raw_grid=None, tol: float = LOSS_TOL) -> _Problem:
+    """The _Problem of ds, its misfit integrated over raw_grid (by default
+    the data's raw times) at tol.  The data derivative comes first, so a
+    grid that is not uniform is refused before any other check."""
+    deriv = data_derivative(ds)
+    raw = ds.raw_observations
+    raw_grid = ds.raw_times if raw_grid is None else raw_grid
+    largest = max(np.max(ds.maxs), -np.min(ds.mins))
     cfg = SolverConfig(t_end=raw_grid[-1], tol=tol, negativity_policy="clamp",
                        max_steps=LOSS_MAX_STEPS,
-                       overflow_limit=min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * scale),
+                       overflow_limit=min(OVERFLOW_LIMIT, RUNAWAY_FACTOR * largest),
                        stiff_test_every=STIFF_TEST_EVERY)
-    s0 = State(float(x0), float(y0), float(z0), float(raw_grid[0]))
-    grid = check_grid(raw_grid, s0.t, cfg.t_end)
-    return _Fit(s0, cfg, grid, ds.observations, ds.mins, ds.ranges)
+    s0 = State(*(float(v) for v in raw[0]), float(raw_grid[0]))
+    return _Problem(s0, cfg, check_grid(raw_grid, s0.t, cfg.t_end), ds.observations, ds.mins,
+                    ds.ranges, deriv, state_rows(raw), (ds.t_end - ds.t_start) / ds.ranges)
 
 
 def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float):
@@ -258,50 +259,41 @@ def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float):
     RUNAWAY_FACTOR times the data's largest |value| (NumericalOverflow),
     and when DOPRI5's stiffness test fires, from the STIFF_TEST_EVERY-th
     accepted step on.  Raises IntegrationFailed, with the parameters
-    attached, when params cannot be integrated over the grid.
+    attached, when params cannot be integrated over the grid.  The dataset's
+    own time grid must be uniform, as for estimate.
     """
-    return _simulate(params, _fit_data(ds, raw_grid, tol), False)
+    return _simulate(params, _problem(ds, raw_grid, tol), False)
 
 
-def _simulate(params: ModelParams, fit: _Fit, sensitivities: bool):
-    """simulate_on_data with its dataset constants, fit = _fit_data(...), and
-    dx/dp in traj.sensitivities on request."""
+def _simulate(params: ModelParams, prob: _Problem, sensitivities: bool):
+    """simulate_on_data on a built problem, with dx/dp in
+    traj.sensitivities on request."""
     try:
-        traj = integrate(params, fit.s0, fit.cfg, t_eval=fit.grid, sensitivities=sensitivities)
+        traj = integrate(params, prob.s0, prob.cfg, t_eval=prob.grid, sensitivities=sensitivities)
     except IntegrationFailed as exc:
         if exc.params is None:
             exc.params = [float(v) for v in params.as_array()]
         raise
-    return traj, (traj.states - fit.mins) / fit.ranges
-
-
-def _physics_data(ds: Dataset):
-    """What the physics term reads of a dataset, computed once per dataset:
-    the data derivative (which checks that the grid is uniform), the rows
-    of the feature matrix that depend on the observed states alone, and the
-    per-component scale that maps the raw right-hand side onto normalized
-    time and values."""
-    return data_derivative(ds), state_rows(ds.raw_observations), (ds.t_end - ds.t_start) / ds.ranges
+    return traj, (traj.states - prob.mins) / prob.ranges
 
 
 # the model derivative overflows on an extreme p (k = 1e-170 makes r/k^2
 # inf); the term is then infinite, without a warning
 @np.errstate(over="ignore", invalid="ignore")
-def _physics_term(params: ModelParams, deriv, rows, scale):
+def _physics_term(params: ModelParams, prob: _Problem):
     """(pie, d pie/dp): the mean squared gap between the data derivative and
-    the right-hand side at the observed states, with no integration; the
-    last three arguments are _physics_data(ds).  f at the observed states
-    is one product of their feature matrix with the derivative table, and
-    the gradient sums the residuals over the states before the table's
+    the right-hand side at the observed states, with no integration.  f
+    there is one product of their feature matrix with the derivative table,
+    and the gradient sums the residuals over the states before the table's
     df/dp coefficients: sum_t w_t df/dp(x_t) = sum_k (F w)_k C_k."""
     table = derivative_table(params)
-    features = feature_matrix(rows.copy(), table.handling)
-    pie_resid = deriv - (features.T @ table.rhs) * scale
+    features = feature_matrix(prob.rows.copy(), table.handling)
+    pie_resid = prob.deriv - (features.T @ table.rhs) * prob.scale
     pie = _mean_squared_norm(pie_resid)
     # d model_deriv / dp is df/dp at the observed state times the same
     # scale as the values
-    summed = features @ (pie_resid * scale)
-    return pie, (-2.0 / len(deriv)) * (summed.reshape(-1) @ table.dfdp)
+    summed = features @ (pie_resid * prob.scale)
+    return pie, (-2.0 / len(pie_resid)) * (summed.reshape(-1) @ table.dfdp)
 
 
 def _in_log(term, u, *args):
@@ -330,11 +322,10 @@ class TraceRow(NamedTuple):
     pie: float
 
 
-def _network_term(params: ModelParams, fit: _Fit, phys):
-    """(TraceRow, d total/dp), the network stage's loss, with fit built at
-    NETWORK_TOL."""
-    mse, g_mse = _misfit(params, fit, gradient=True)
-    pie, g_pie = _physics_term(params, *phys)
+def _network_term(params: ModelParams, prob: _Problem):
+    """(TraceRow, d total/dp), the network stage's loss."""
+    mse, g_mse = _misfit(params, prob, gradient=True)
+    pie, g_pie = _physics_term(params, prob)
     return TraceRow(mse + pie, mse, pie), g_mse + g_pie
 
 
@@ -352,11 +343,18 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
     8.2e-5 of its value at 1e-6, from integrations of about 10 steps instead
     of 19.  The trace has one TraceRow per epoch, its values at NETWORK_TOL.
     A non-finite loss or gradient aborts with NonFiniteLoss carrying the
-    partial trace and the best finite prediction seen so far.  A dataset
-    whose time grid is not uniform raises ValueError before the first epoch.
+    partial trace and the best finite prediction seen so far.  A seed that
+    is not an integer >= 0, or a dataset whose time grid is not uniform,
+    raises ValueError before the first epoch.
     """
-    phys = _physics_data(ds)
-    fit = _fit_data(ds, ds.raw_times, NETWORK_TOL)
+    _check_seed(seed)
+    return _train(_problem(ds), seed, epochs)
+
+
+def _train(prob: _Problem, seed, epochs: int):
+    """train_pinn on a built problem, whose tolerance the stage replaces
+    by NETWORK_TOL."""
+    prob = prob._replace(cfg=replace(prob.cfg, tol=NETWORK_TOL))
     rng = np.random.default_rng(seed)
     inp = init_params(rng)
     net = init_mlp(rng)
@@ -367,7 +365,7 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
         nonlocal best_total, best_u
         net.theta[...] = theta
         u, caches = _forward_cached(net, inp)
-        row, dEdu = _in_log(_network_term, u, fit, phys)
+        row, dEdu = _in_log(_network_term, u, prob)
         # row is a TraceRow of three floats, or _in_log's bare inf
         finite = isinstance(row, TraceRow) and all(map(math.isfinite, row))
         if not (finite and np.isfinite(dEdu).all()):
@@ -413,10 +411,10 @@ class EstimationReport:
                 fh.write(f"bfgs,{step},{float(val)!r},{float(val)!r},\n")
 
 
-def _log_mse(ds: Dataset):
+def _log_mse(prob: _Problem):
     """The polish objective u -> _in_log(misfit): (mse, d mse/du) from one
-    integration at LOSS_TOL.  The line search rejects the infinite value of
-    an exp(u) that overflows or underflows.  It is a mean of squares, so 0
+    integration at prob's tolerance, LOSS_TOL.  The line search rejects the
+    infinite value of an exp(u) that overflows or underflows.  It is a mean of squares, so 0
     bounds it from below; estimate hands bfgs_run that bound.
 
     The gradients are exact forward sensitivities of the computed
@@ -431,8 +429,7 @@ def _log_mse(ds: Dataset):
     matrix end at or below 1.5x, against 60 at 1e-6, and two sigma 0.01
     fits end at 4.3x and 1.6x.
     """
-    fit = _fit_data(ds, ds.raw_times, LOSS_TOL)
-    return lambda u: _in_log(_misfit, u, fit, True)
+    return lambda u: _in_log(_misfit, u, prob, True)
 
 
 def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -> EstimationReport:
@@ -448,13 +445,16 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     and every candidate that does so is an integration wasted up to the
     runaway bound.  The polish integrates at LOSS_TOL, so post_nn_mse,
     bfgs_trace and final_mse are the misfit at that tolerance; the
-    adam_trace rows are the network stage's, at NETWORK_TOL.
+    adam_trace rows are the network stage's, at NETWORK_TOL.  A seed that is
+    not an integer >= 0 raises ValueError before any work, as train_pinn's.
     """
+    _check_seed(seed)
+    prob = _problem(ds)
     stage_errors: list = []
     initial = init_params(seed)
     p_nn = np.full(len(PARAM_ORDER), 1.0)
     try:
-        _, p_nn, trace = train_pinn(ds, seed, epochs=epochs)
+        _, p_nn, trace = _train(prob, seed, epochs)
     except NonFiniteLoss as exc:
         stage_errors.append(f"network stage: {exc}")
         trace = list(exc.history or [])
@@ -463,7 +463,7 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
 
     u_polish, bfgs_trace = np.log(p_nn), []
     try:
-        u_polish, bfgs_trace = bfgs_run(_log_mse(ds), u_polish, max_iterations=bfgs_iterations,
+        u_polish, bfgs_trace = bfgs_run(_log_mse(prob), u_polish, max_iterations=bfgs_iterations,
                                         lower_bound=0.0)
     except (LineSearchFailed, NonFiniteLoss) as exc:
         stage_errors.append(f"polish stage: {exc}")
@@ -474,7 +474,7 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     final = np.exp(u_polish)
     post_nn_mse, final_mse = (bfgs_trace[0], bfgs_trace[-1]) if bfgs_trace else (math.inf,) * 2
     # inf where exp(u) overflowed or underflowed
-    final_pie = _in_log(_physics_term, u_polish, *_physics_data(ds))[0]
+    final_pie = _in_log(_physics_term, u_polish, prob)[0]
     return EstimationReport(
         seed=int(seed),
         initial_params=initial,

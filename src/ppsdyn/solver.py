@@ -323,8 +323,8 @@ def integrate(
     t_eval: Optional[Sequence[float] | CheckedGrid] = None,
     sensitivities: bool = False,
 ) -> Trajectory:
-    """Integrate from s0 (finite and nonnegative; time taken from s0.t if
-    present, else 0) to cfg.t_end.
+    """Integrate from s0 (finite and nonnegative numbers, not booleans; time,
+    finite, taken from s0.t if present, else 0) to cfg.t_end.
 
     A species that starts at zero stays at zero, bit for bit, so a
     subsystem needs no mode here (Subsystem.check_state checks its start).
@@ -348,10 +348,14 @@ def integrate(
     output sample below zero is clipped to zero and its row of dx/dp
     zeroed, as after a step.
     """
+    if any(isinstance(v, (bool, np.bool_)) for v in s0[:4]):
+        raise ValueError(f"initial state must be numbers, not booleans, got {tuple(s0)}")
     x, y, z = (float(v) for v in s0[:3])
     t0 = float(s0[3]) if len(s0) > 3 else 0.0
     if not (min(x, y, z) >= 0 and math.isfinite(x + y + z)):
         raise ValueError(f"initial state must be finite and nonnegative, got {(x, y, z)}")
+    if not math.isfinite(t0):
+        raise ValueError(f"initial time must be finite, got {t0}")
     rhs = make_rhs(p)
 
     if t_eval is not None:

@@ -21,7 +21,7 @@ from ppsdyn.solver import integrate
 from ppsdyn.pinn import (MLP_SIZES, Mlp, backward, data_derivative, estimate,
                          forward, grid_derivative, init_mlp, init_params,
                          simulate_on_data, total_loss, train_pinn, TraceRow, _forward_cached, _in_log,
-                         _log_mse, _mean_squared_norm)
+                         _log_mse, _mean_squared_norm, _problem)
 
 
 def _tiny_net(seed=0, sizes=(2, 3, 2)):
@@ -211,6 +211,28 @@ def test_estimate_rejects_a_nonuniform_grid_before_integrating(reference_dataset
     with pytest.raises(ValueError, match="uniform"):
         estimate(ds, seed=0, epochs=epochs, bfgs_iterations=2)
     assert calls == []
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, np.True_, np.int64(-2), "0", None],
+                         ids=["float", "negative", "bool", "numpy-bool", "numpy-negative",
+                              "str", "none"])
+def test_estimation_refuses_a_bad_seed_before_any_work(reference_dataset, monkeypatch, seed):
+    # unchecked, numpy raises its own TypeError or ValueError for these, and
+    # True runs as seed 1; each is refused before the problem is built or
+    # anything is drawn
+    work = []
+    for name in ("_problem", "_simulate", "init_params", "init_mlp"):
+        monkeypatch.setattr(ppsdyn.pinn, name, lambda *a, name=name, **k: work.append(name))
+    for run in (lambda: estimate(reference_dataset, seed, epochs=1, bfgs_iterations=1),
+                lambda: train_pinn(reference_dataset, seed, epochs=1)):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            run()
+    assert work == []
+
+
+def test_a_numpy_integer_seed_is_a_seed(reference_dataset):
+    got = estimate(reference_dataset, np.int64(2), epochs=2, bfgs_iterations=2)
+    assert got.to_json() == estimate(reference_dataset, 2, epochs=2, bfgs_iterations=2).to_json()
 
 
 def test_total_loss_raises_with_params_attached(reference_dataset):
@@ -419,20 +441,22 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     # physics term; every polish evaluation is one gradient integration at
     # LOSS_TOL, at x0 and at each line-search candidate, with no physics
     # term; the accepted point is not integrated a second time, and the
-    # final physics term needs no integration at all; each stage builds its
-    # dataset constants once, not once per integration
+    # final physics term needs no integration at all; estimate builds its
+    # dataset constants once, before the first epoch, not once per stage or
+    # integration
     calls, physics_at, candidates, built = [], [], [0], []
     real_simulate, real_physics = ppsdyn.pinn._simulate, ppsdyn.pinn._physics_term
     real_line_search = ppsdyn.optimize._line_search
-    real_fit_data = ppsdyn.pinn._fit_data
+    real_problem = ppsdyn.pinn._problem
 
     def counting_simulate(params, fit, sensitivities):
         calls.append((fit.cfg.tol, sensitivities))
         return real_simulate(params, fit, sensitivities)
 
-    def counting_fit_data(ds, raw_grid, tol):
-        built.append((tol, len(calls)))
-        return real_fit_data(ds, raw_grid, tol)
+    def counting_problem(*args, **kwargs):
+        prob = real_problem(*args, **kwargs)
+        built.append((prob.cfg.tol, len(calls)))
+        return prob
 
     def counting_physics(*args, **kwargs):
         physics_at.append(len(calls))
@@ -445,7 +469,7 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
         return real_line_search(counted, *args)
 
     monkeypatch.setattr(ppsdyn.pinn, "_simulate", counting_simulate)
-    monkeypatch.setattr(ppsdyn.pinn, "_fit_data", counting_fit_data)
+    monkeypatch.setattr(ppsdyn.pinn, "_problem", counting_problem)
     monkeypatch.setattr(ppsdyn.pinn, "_physics_term", counting_physics)
     monkeypatch.setattr(ppsdyn.optimize, "_line_search", counting_line_search)
     report = estimate(readme_dataset, seed=0, epochs=3, bfgs_iterations=15)
@@ -456,16 +480,16 @@ def test_polish_integrates_once_per_point(readme_dataset, monkeypatch):
     assert candidates[0] >= 15
     # one physics term after each epoch's integration, then one for final_pie
     assert physics_at == [1, 2, 3, len(calls)]
-    assert built == [(network_tol, 0), (loss_tol, 3)]
+    assert built == [(loss_tol, 0)]
 
 
 @pytest.mark.parametrize("tol", [ppsdyn.pinn.NETWORK_TOL, ppsdyn.pinn.LOSS_TOL],
                          ids=["network", "polish"])
 def test_a_checked_grid_changes_no_bit(readme_dataset, tol):
-    # estimation integrates on the grid _fit_data checked once; every
+    # estimation integrates on the grid _problem checked once; every
     # output is bitwise the one of integrate on the raw grid, which checks
     # and copies it on each call
-    fit = ppsdyn.pinn._fit_data(readme_dataset, readme_dataset.raw_times, tol)
+    fit = _problem(readme_dataset, tol=tol)
     raw = readme_dataset.raw_times
     for params in (ModelParams.from_array(np.ones(14)), ModelParams(**REFERENCE)):
         for sens in (False, True):
@@ -494,9 +518,9 @@ def test_a_checked_grid_changes_no_bit(readme_dataset, tol):
 
 def test_each_stage_checks_its_grid_once_and_every_integration_is_hooked(readme_dataset,
                                                                         monkeypatch):
-    # the grid check runs once per _fit_data, one per stage, not once per
-    # integration; and every estimation integration still passes the two
-    # names that count its work: the benchmark's tracer wraps
+    # the grid check runs once per _problem, one per estimate, not once per
+    # stage or integration; and every estimation integration still passes
+    # the two names that count its work: the benchmark's tracer wraps
     # ppsdyn.pinn.integrate, and the work pins count ppsdyn.solver.make_rhs
     counts = collections.Counter()
 
@@ -509,12 +533,32 @@ def test_each_stage_checks_its_grid_once_and_every_integration_is_hooked(readme_
     check = counted("check_grid", ppsdyn.solver.check_grid)
     monkeypatch.setattr(ppsdyn.solver, "check_grid", check)
     monkeypatch.setattr(ppsdyn.pinn, "check_grid", check)
-    for module, name in ((ppsdyn.pinn, "_fit_data"), (ppsdyn.pinn, "integrate"),
+    for module, name in ((ppsdyn.pinn, "_problem"), (ppsdyn.pinn, "integrate"),
                          (ppsdyn.solver, "make_rhs")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     estimate(readme_dataset, seed=0, epochs=5, bfgs_iterations=3)
-    assert counts["check_grid"] == counts["_fit_data"] == 2
-    assert counts["integrate"] == counts["make_rhs"] > 2 * counts["_fit_data"]
+    assert counts["check_grid"] == counts["_problem"] == 1
+    assert counts["integrate"] == counts["make_rhs"] > 4
+
+
+def test_problem_is_built_once_per_call(readme_dataset, monkeypatch):
+    # one estimation problem per estimate, train_pinn or total_loss call:
+    # the stages and the final physics term share it
+    built, real_problem = [], ppsdyn.pinn._problem
+
+    def counting_problem(*args, **kwargs):
+        built.append(args[0])
+        return real_problem(*args, **kwargs)
+
+    monkeypatch.setattr(ppsdyn.pinn, "_problem", counting_problem)
+    p = ModelParams(**REFERENCE).as_array()
+    for run in (lambda: estimate(readme_dataset, seed=0, epochs=3, bfgs_iterations=3),
+                lambda: train_pinn(readme_dataset, seed=0, epochs=3),
+                lambda: total_loss(p, readme_dataset),
+                lambda: total_loss(p, readme_dataset, gradient=True)):
+        built.clear()
+        run()
+        assert built == [readme_dataset]
 
 
 def test_runaway_bound_changes_no_fit_and_saves_work(readme_dataset, monkeypatch):
@@ -614,7 +658,7 @@ def test_network_stage_failure_keeps_trace_and_best(readme_dataset, monkeypatch)
     assert report.stage_errors == [f"network stage: {info.value}"]
     assert report.adam_trace == trace
     assert np.array_equal(report.post_nn_params, best)
-    assert report.bfgs_trace[0] == _log_mse(readme_dataset)(np.log(best))[0]
+    assert report.bfgs_trace[0] == _log_mse(_problem(readme_dataset))(np.log(best))[0]
 
 
 def test_polish_stage_failure_keeps_what_the_polish_reached(readme_dataset, monkeypatch):
@@ -661,12 +705,11 @@ def test_both_terms_are_infinite_where_k_squared_underflows(readme_dataset):
     # with an infinite value, raising nothing and warning nothing
     p = ModelParams(**REFERENCE).as_array()
     p[PARAM_ORDER.index("k")] = 1e-170
-    fit = ppsdyn.pinn._fit_data(readme_dataset, readme_dataset.raw_times, 1e-6)
+    prob = _problem(readme_dataset, tol=1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pie, _ = _in_log(ppsdyn.pinn._physics_term, np.log(p),
-                         *ppsdyn.pinn._physics_data(readme_dataset))
-        mse, _ = _in_log(ppsdyn.pinn._misfit, np.log(p), fit, True)
+        pie, _ = _in_log(ppsdyn.pinn._physics_term, np.log(p), prob)
+        mse, _ = _in_log(ppsdyn.pinn._misfit, np.log(p), prob, True)
     assert pie == math.inf and mse == math.inf
 
 
@@ -689,7 +732,7 @@ def test_log_polish_survives_overflowing_candidates(readme_dataset):
     # components past log(float max); exp(u) overflows to inf there, the
     # objective must come back infinite without a warning, and the line
     # search must halve past it
-    fun = _log_mse(readme_dataset)
+    fun = _log_mse(_problem(readme_dataset))
     seen = []
 
     def recording(u):
@@ -731,3 +774,18 @@ def test_simulate_on_data_reproduces_clean_data(reference_params, reference_data
     traj, pred = simulate_on_data(reference_params, ds, ds.raw_times, 1e-9)
     assert np.array_equal(traj.times, ds.raw_times)
     assert np.max(np.abs(pred - ds.observations)) < 1e-6
+
+
+def test_simulate_on_data_needs_a_uniform_data_grid(reference_params, reference_dataset,
+                                                    monkeypatch):
+    # simulate_on_data builds the whole estimation problem, so a dataset
+    # that estimate refuses is refused here too, before any integration,
+    # whatever grid it is simulated on
+    ds = copy.deepcopy(reference_dataset)
+    ds.times[5] += 0.3 * (ds.times[6] - ds.times[5])
+    calls = []
+    monkeypatch.setattr(ppsdyn.pinn, "integrate", lambda *a, **k: calls.append(a))
+    for grid in (ds.raw_times, np.linspace(ds.t_start, ds.t_end, 201)):
+        with pytest.raises(ValueError, match="time grid must be uniform"):
+            simulate_on_data(reference_params, ds, grid, 1e-9)
+    assert calls == []

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import string
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,8 +239,12 @@ def test_column_layout_changes_no_bit(values, rows, data):
     deriv = np.array(data.draw(st.lists(st.tuples(unit, unit, unit), min_size=len(rows),
                                         max_size=len(rows))))
     scale = np.array(data.draw(st.tuples(power_of_two, power_of_two, power_of_two)))
-    pie, grad = _physics_term(p, deriv, state_rows(contiguous), scale)
-    pie_strided, grad_strided = _physics_term(p, deriv, state_rows(strided), scale)
+    # _physics_term reads these three fields of an estimation problem
+    def terms(states):
+        return SimpleNamespace(deriv=deriv, rows=state_rows(states), scale=scale)
+
+    pie, grad = _physics_term(p, terms(contiguous))
+    pie_strided, grad_strided = _physics_term(p, terms(strided))
     assert np.float64(pie_strided).tobytes() == np.float64(pie).tobytes()
     assert grad_strided.tobytes() == grad.tobytes()
 

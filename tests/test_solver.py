@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import COLLAPSE_CASE, FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, rand_params
+import ppsdyn.solver
 from ppsdyn.errors import IntegrationFailed, NonNumericCell, NumericalOverflow
 from ppsdyn.model import ModelParams, State, derivative_table, table_jacobians
 from ppsdyn.solver import (_BLOCK, _ROWS, Diagnostics, SolverConfig, Trajectory,
@@ -52,6 +53,27 @@ def test_nonzero_start_time(stable_params):
     traj = integrate(stable_params, State(4.0, 3.0, 2.0, t=2.0), SolverConfig(t_end=5.0))
     assert traj.times[0] == 2.0
     assert traj.final_state.t == pytest.approx(5.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("s0, match", [
+    (State(1.0, 1.0, 1.0, t=math.nan), "initial time must be finite"),
+    (State(1.0, 1.0, 1.0, t=math.inf), "initial time must be finite"),
+    (State(1.0, 1.0, 1.0, t=-math.inf), "initial time must be finite"),
+    (State(True, 1.0, 1.0), "not booleans"),
+    (State(1.0, np.True_, 1.0), "not booleans"),
+], ids=["t-nan", "t-inf", "t-minus-inf", "bool", "numpy-bool"])
+def test_integrate_refuses_a_start_it_cannot_run(monkeypatch, s0, match):
+    # unchecked, a nan start time gives a one-row trajectory at t = nan, inf
+    # a step underflow and -inf the step limit, and a bool runs as 1: each is
+    # an input error, refused at the entry, before the right-hand side is built
+    def no_rhs(p):
+        raise AssertionError("make_rhs ran")
+
+    monkeypatch.setattr(ppsdyn.solver, "make_rhs", no_rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            integrate(ModelParams.from_array(np.ones(14)), s0, SolverConfig(t_end=5.0))
 
 
 def test_overflow_raises(stable_params):
