@@ -3,7 +3,7 @@
 For each fixture this enumerates the candidate equilibria, prints where
 they sit, whether they exist, and the verdict of the stability analysis,
 then shows how the grid scan's sign-change count cross-checks the
-admissible polynomial roots that give the interior point.
+admissible polynomial roots that give the interior points.
 
 Run from the repository root:
 
@@ -21,10 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def describe(p: ModelParams) -> None:
     for eq in all_equilibria(p):
-        if eq.flag:
-            roots = ", ".join(f"{r:.6g}" for r in eq.aux.get("roots", []))
-            print(f"  {eq.label:<10} flagged {eq.flag} (roots: {roots})")
-            continue
         if not eq.exists:
             failed = [c.name for c in eq.existence if not c.satisfied]
             why = f" (fails: {'; '.join(failed)})" if failed else ""

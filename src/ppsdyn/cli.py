@@ -215,12 +215,9 @@ def cmd_analyze(args) -> int:
     p = ModelParams.load(args.params)
     points = all_equilibria(p)
     entries = []
-    flagged = False
     print(f"{'label':10s} {'point':-^42s} {'exists':6s} verdict")
     for eq in points:
         rec = eq.record()
-        if eq.flag == "multiple_roots":
-            flagged = True
         if eq.exists:
             verdict = classify(p, eq)
             rec["stability"] = verdict.record()
@@ -238,10 +235,10 @@ def cmd_analyze(args) -> int:
             for note in rec["stability"]["notes"]:
                 print(f"{'':10s}   note: {note}")
         entries.append(rec)
-    # the entry is missing only if it merged with a boundary point; the
-    # cross-check then solves for it again
-    interior = next((eq for eq in points if eq.label == LABEL_INTERIOR), None)
-    check = interior_poly_crosscheck(p, interior)
+    # interior entries are missing only if they merged with boundary points;
+    # the cross-check then solves for them again
+    interior = [eq for eq in points if eq.label == LABEL_INTERIOR]
+    check = interior_poly_crosscheck(p, interior or None)
     report = {"parameters": p.to_dict(), "equilibria": entries, "interior_crosscheck": check}
     (report_path,) = _artifacts(args)
     _write(report_path, json_text(report) + "\n")
@@ -249,9 +246,6 @@ def cmd_analyze(args) -> int:
         print(f"interior cross-check: the grid scan counts {check['scan_sign_changes']} sign"
               f" changes for {len(check['admissible_roots'])} admissible roots; see report",
               file=sys.stderr)
-    if flagged:
-        print("interior solve found multiple roots; see report", file=sys.stderr)
-        return 2
     return 0
 
 

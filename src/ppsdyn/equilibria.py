@@ -9,13 +9,14 @@ checks and their numeric values.
 The scavenger-prey pair is the predator-prey pair with (g, b, b0, j) in
 place of (d, a, a0, e); one routine builds both from the PREY_CONSUMERS table.
 
-The interior point has one authoritative route: the positive real roots in
+Interior points have one authoritative route: the positive real roots in
 (0, k) of a degree-12 polynomial that interior_poly_coeffs derives from the
 model equations by eliminating y and z, kept where the y and z they imply
 are positive and the prey residual vanishes, each then polished by one
-secant step on that residual.  A 4,096-point grid scan of
-that residual counts its sign changes and cross-checks the count; it never
-supplies a point.
+secant step on that residual.  Every admissible root is an interior
+equilibrium: Type III predation admits several, for example a stable and an
+unstable one.  A 4,096-point grid scan of that residual counts its sign
+changes and cross-checks the count; it never supplies a point.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ class ExistenceCheck(NamedTuple):
 
 @dataclass
 class Equilibrium:
-    """A candidate steady state.
+    """A candidate steady state.  The full system has one Interior entry per
+    admissible interior root, or one without a point when there is none.
 
     point is None when the existence conditions fail and no meaningful
     coordinates can be computed.  aux carries auxiliary solve quantities
-    (x0/z0 and the interior existence bounds).  flag marks degenerate
-    outcomes such as a non-unique interior root.
+    (x0/z0 and the interior existence bounds).
     """
 
     label: str
@@ -61,7 +62,6 @@ class Equilibrium:
     point: Optional[tuple]
     existence: list = field(default_factory=list)
     aux: dict = field(default_factory=dict)
-    flag: Optional[str] = None
 
     @property
     def exists(self) -> bool:
@@ -76,7 +76,7 @@ class Equilibrium:
             "exists": self.exists,
             "existence": [c._asdict() for c in self.existence],
             "aux": dict(self.aux),
-            "flag": self.flag,
+            "flag": None,  # constant; readers of equilibria.json look it up
         }
 
 
@@ -252,8 +252,8 @@ def _prey_residuals(xs: np.ndarray, p: ModelParams) -> tuple:
     return np.where(ok, res, np.nan), y, z
 
 
-def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
-    """Locate the interior coexistence point from the polynomial's roots.
+def interior_equilibrium_direct(p: ModelParams) -> list:
+    """The interior coexistence points, one entry per admissible root, by x.
 
     Every interior x* is a positive real root of interior_poly_coeffs in
     (0, k).  Squaring in the derivation adds roots of A - B z = 0, and some
@@ -263,9 +263,9 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
     x and x(1 + SECANT_OFFSET), kept only where the residual shrinks and
     stays finite: the eigenvalue can sit thousands of ulps off the zero
     where the residual is steep.
-    The entry has no point unless exactly one root is admissible.  With none,
-    its one check reads 0; with several, the check holds their count, aux
-    holds them as "roots" and the entry is flagged "multiple_roots".
+    Each entry's first check holds the number n of admissible roots and holds
+    only when n == 1; its second is its own z* bound.  With no admissible
+    root the list is one entry without a point whose first check reads 0.
     """
     xs = np.array([x for x in positive_real_roots(interior_poly_coeffs(p)) if x < p.k])
     if xs.size:
@@ -283,37 +283,30 @@ def interior_equilibrium_direct(p: ModelParams) -> Equilibrium:
             better = np.abs(res) < np.abs(r0)  # False at NaN
             xs, ys, zs = (np.where(better, step, xs), np.where(better, ys1, ys),
                           np.where(better, zs1, zs))
-    if xs.size == 0:
-        return Equilibrium(
-            LABEL_INTERIOR, Subsystem.FULL, None,
-            [ExistenceCheck("unique positive real root", False, 0.0)],
-        )
-    if xs.size > 1:
-        return Equilibrium(
-            LABEL_INTERIOR, Subsystem.FULL, None,
-            [ExistenceCheck("unique positive real root", False, float(xs.size))],
-            {"roots": xs.tolist()},
-            flag="multiple_roots",
-        )
-
-    x, y, z = float(xs[0]), float(ys[0]), float(zs[0])
-    bound_prey = p.r * (1.0 + p.b0 * x * x) * (p.k - x) / (p.b * x)
+    n = xs.size
+    if n == 0:
+        return [Equilibrium(LABEL_INTERIOR, Subsystem.FULL, None,
+                            [ExistenceCheck("unique positive real root", False, 0.0)])]
     bound_pred = p.i * p.e / (p.h * p.f)
-    bound = min(bound_prey, bound_pred)
-    checks = [
-        ExistenceCheck("unique positive real root", True, 1.0),
-        ExistenceCheck("z* < min(r(1+b0 x*^2)(k-x*)/(b x*), i*e/(h*f))", z < bound, bound),
-    ]
-    aux = {"x_star": x, "bound_prey": bound_prey, "bound_pred": bound_pred}
-    return Equilibrium(LABEL_INTERIOR, Subsystem.FULL, (x, y, z), checks, aux)
+    out = []
+    for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
+        bound_prey = p.r * (1.0 + p.b0 * x * x) * (p.k - x) / (p.b * x)
+        bound = min(bound_prey, bound_pred)
+        checks = [
+            ExistenceCheck("unique positive real root", n == 1, float(n)),
+            ExistenceCheck("z* < min(r(1+b0 x*^2)(k-x*)/(b x*), i*e/(h*f))", z < bound, bound),
+        ]
+        aux = {"x_star": x, "bound_prey": bound_prey, "bound_pred": bound_pred}
+        out.append(Equilibrium(LABEL_INTERIOR, Subsystem.FULL, (x, y, z), checks, aux))
+    return out
 
 
-def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = None) -> dict:
+def interior_poly_crosscheck(p: ModelParams, interior: Optional[list] = None) -> dict:
     """Cross-check the admissible polynomial roots against a grid scan.
 
-    interior is the interior entry that all_equilibria returned for p;
-    without it the interior solve runs here.  The scan evaluates the prey
-    residual at SCAN_POINTS points of (0, k) and counts the strict sign
+    interior is the list of interior entries that all_equilibria returned
+    for p; without it the interior solve runs here.  The scan evaluates the
+    prey residual at SCAN_POINTS points of (0, k) and counts the strict sign
     changes between finite neighbours plus the exact zeros.  It can miss a
     root next to a pole or an edge of the admissible domain, but every sign
     change it counts is a root.  agrees is True when the two counts are
@@ -321,10 +314,7 @@ def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = N
     """
     if interior is None:
         interior = interior_equilibrium_direct(p)
-    if interior.point is not None:
-        admissible = [interior.point[0]]
-    else:
-        admissible = list(interior.aux.get("roots", []))
+    admissible = [eq.point[0] for eq in interior if eq.point is not None]
     xs = np.linspace(0.0, p.k, SCAN_POINTS + 2)[1:-1]
     vals = _prey_residuals(xs, p)[0]
     count = int(np.count_nonzero(vals[:-1] * vals[1:] < 0) + np.count_nonzero(vals == 0))
@@ -338,8 +328,8 @@ def interior_poly_crosscheck(p: ModelParams, interior: Optional[Equilibrium] = N
 def all_equilibria(p: ModelParams) -> list:
     """Every steady-state candidate of the full system, embedded in 3-D.
 
-    Duplicate points within 1e-9 are merged.  A non-unique interior root is
-    returned as a flagged entry.
+    Duplicate points within 1e-9 are merged.  Each admissible interior root
+    is its own entry, in increasing x, after the boundary points.
     """
     # boundary points keep their label but are re-tagged FULL: in the full
     # system their verdict needs the 3x3 Jacobian, not the 2-D restriction
@@ -349,7 +339,7 @@ def all_equilibria(p: ModelParams) -> list:
         replace(predscav_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(predprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
         replace(scavprey_equilibria(p)[-1], subsystem=Subsystem.FULL),
-        interior_equilibrium_direct(p),
+        *interior_equilibrium_direct(p),
     ]
     merged = []
     for eq in out:

@@ -163,6 +163,8 @@ def grid_derivative(times, values) -> np.ndarray:
     vals = np.asarray(values, dtype=float)
     if times.size < 3:
         raise TooFewSamples("derivative estimates need at least 3 samples")
+    if not (np.isfinite(times).all() and np.isfinite(vals).all()):
+        raise ValueError("times and values must be finite")
     h = times[1] - times[0]
     if np.max(np.abs(np.diff(times) - h)) > 1e-6 * abs(h):
         raise ValueError("time grid must be uniform")

@@ -1,9 +1,10 @@
 """Shared fixtures: canonical parameter sets and the zero-noise dataset.
 
 The dicts below are regression anchors. The first five correspond to the
-.params files shipped in fixtures/; the next three are frozen draws that
-exercise the no-root and multiple-root branches of the interior solver, and
-SCAN_MISS_CASES holds draws whose roots the cross-check's grid scan misses.
+.params files shipped in fixtures/; the next three are frozen draws with no,
+two and three admissible interior roots, README_FIT_CASE is an estimate with
+two interior points, and SCAN_MISS_CASES holds draws whose roots the
+cross-check's grid scan misses.
 """
 
 from pathlib import Path
@@ -71,6 +72,17 @@ MULTI3_CASE = dict(r=3.6282469437129, k=7.686475547092399,
                    f=1.5898646931785156, g=1.521361869093817,
                    h=0.30254522884177776, i=1.7495478539062277,
                    i0=5.166254642977647, j=1.1474800371128024)
+
+# estimate seed 0 on the README data (synth of REFERENCE from (4.991, 1.178,
+# 0.577) on [0, 5], 40 points, noise 0.02, noise seed 0): an Unstable interior
+# point at x = 2.870 and a Stable one at x = 4.989, where the README start settles
+README_FIT_CASE = dict(r=1.8100533442382583, k=9.482692337399232,
+                       a=1.4972996298258263, a0=0.6778292515106998,
+                       b=2.4438057697440385, b0=0.4134043446993021,
+                       d=0.852506195467467, e=1.2567018868940347,
+                       f=0.7027032179357862, g=0.7349426774417017,
+                       h=0.057781206044362834, i=1.4012170314927352,
+                       i0=1.4032902381843568, j=1.2072264922465459)
 
 
 # Draws np.random.default_rng(seed).uniform(0.1, 3, size=(4000, 14))[n] on which

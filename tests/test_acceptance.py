@@ -53,27 +53,27 @@ def test_equilibrium_reference_points(predscav_params, predprey_params,
         (reference_params, (4.4984538, 1.161178, 0.38895175), 1e-3),
     ):
         t0 = time.perf_counter()
-        eq = interior_equilibrium_direct(params)
+        eq = interior_equilibrium_direct(params)[0]
         assert time.perf_counter() - t0 < budget
         assert eq.point == pytest.approx(expected, abs=tol)
 
 
 def test_stability_reference_m_values(unstable_params, stable_params,
                                       reference_params):
-    v = classify(unstable_params, interior_equilibrium_direct(unstable_params))
+    v = classify(unstable_params, interior_equilibrium_direct(unstable_params)[0])
     assert v.m1 == pytest.approx(0.041538, abs=1e-2)
     assert v.m2 == pytest.approx(0.4892535, abs=1e-2)
     assert v.m3 == pytest.approx(0.02166, abs=1e-2)
     assert v.classification == UNSTABLE
 
-    v = classify(stable_params, interior_equilibrium_direct(stable_params))
+    v = classify(stable_params, interior_equilibrium_direct(stable_params)[0])
     assert v.m1 == pytest.approx(0.845, abs=1e-2)
     assert v.m2 == pytest.approx(0.68, abs=1e-2)
     assert v.m3 == pytest.approx(0.052, abs=1e-2)
     assert v.classification == STABLE
 
     v = classify(reference_params,
-                 interior_equilibrium_direct(reference_params))
+                 interior_equilibrium_direct(reference_params)[0])
     assert v.classification == STABLE
     assert v.m2 == pytest.approx(0.39684137, abs=1e-2)
     assert v.m3 == pytest.approx(0.02975781, abs=1e-2)
@@ -89,7 +89,7 @@ def test_stability_reference_m_values(unstable_params, stable_params,
 
 
 def test_jacobian_reference_matrix(stable_params):
-    eq = interior_equilibrium_direct(stable_params)
+    eq = interior_equilibrium_direct(stable_params)[0]
     J = jacobian(stable_params, State(*eq.point))
     printed = np.array([[-0.79, -0.97, -0.97],
                         [0.44, 0.0, 0.11],
@@ -136,7 +136,7 @@ def test_settling_behavior_matches_reference(predscav_params, predprey_params,
     assert detect_settling(traj, window=100.0, tol=1e-2) is None
 
     # damped case settles onto the interior point
-    point = interior_equilibrium_direct(stable_params).point
+    point = interior_equilibrium_direct(stable_params)[0].point
     traj = integrate(stable_params, State(4.0, 3.0, 2.0),
                      SolverConfig(t_end=200.0))
     settled = detect_settling(traj, window=40.0, tol=1e-2)
@@ -151,7 +151,7 @@ def test_interior_crosscheck_report(unstable_params, stable_params,
                          ("damped", stable_params),
                          ("reference", reference_params)):
         report = interior_poly_crosscheck(params)
-        direct = interior_equilibrium_direct(params)
+        direct = interior_equilibrium_direct(params)[0]
         assert report["admissible_roots"] == [direct.point[0]]
         outcomes[name] = (report["agrees"], report["scan_sign_changes"])
     # agreement is documented either way; for these three sets the grid

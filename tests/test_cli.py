@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import (FIXTURES, INTERIOR_STABLE, MULTI2_CASE, NOROOT_CASE, REFERENCE,
-                      SCAN_MISS_CASES)
+from conftest import (FIXTURES, INTERIOR_STABLE, MULTI2_CASE, NOROOT_CASE,
+                      README_FIT_CASE, REFERENCE, SCAN_MISS_CASES)
 from ppsdyn.cli import ARTIFACTS, _fit_svg, build_parser, main
 from ppsdyn.data import Dataset, synthesize
 from ppsdyn.errors import NonFiniteLoss
@@ -199,17 +199,45 @@ def test_analyze_report(tmp_path, reference_file, capsys):
     assert "interior_crosscheck" in blob
 
 
+def _interior_entries(out):
+    blob = json.loads((out / "equilibria.json").read_text())
+    return [e for e in blob["equilibria"] if e["label"] == "Interior"]
+
+
 def test_analyze_flags_multiple_roots(tmp_path, capsys):
+    # several interior points are an answer: each is classified, exit 0
     path = tmp_path / "multi.params"
     ModelParams(**MULTI2_CASE).save(path)
     out = tmp_path / "analysis"
     code = main(["analyze", "--params", str(path), "--out", str(out)])
-    assert code == 2
-    assert "multiple" in capsys.readouterr().err.lower()
-    # the report is still written for inspection
-    blob = json.loads((out / "equilibria.json").read_text())
-    entries = {e["label"]: e for e in blob["equilibria"]}
-    assert entries["Interior"]["flag"] == "multiple_roots"
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    interior = _interior_entries(out)
+    assert [e["point"][0] for e in interior] == pytest.approx([0.026125, 0.657764], abs=1e-5)
+    for e in interior:
+        assert e["exists"] and e["flag"] is None and e["stability"] is not None
+        assert e["existence"][0] == {"name": "unique positive real root",
+                                     "satisfied": False, "value": 2.0}
+
+
+def test_analyze_classifies_both_interior_points_of_the_readme_fit(tmp_path, capsys):
+    # the paper's last step, the stability analysis of the estimated
+    # parameters: the fit has an Unstable and a Stable interior point, and
+    # from the README start it settles on the Stable one
+    path = tmp_path / "fit.params"
+    ModelParams(**README_FIT_CASE).save(path)
+    out = tmp_path / "analysis"
+    assert main(["analyze", "--params", str(path), "--out", str(out)]) == 0
+    interior = _interior_entries(out)
+    assert [e["stability"]["classification"] for e in interior] == ["Unstable", "Stable"]
+    assert interior[0]["point"][0] < interior[1]["point"][0]
+    run = tmp_path / "run"
+    assert main(["simulate", "--params", str(path), "--s0", "4.991,1.178,0.577",
+                 "--t-end", "2000", "--out", str(run)]) == 0
+    capsys.readouterr()
+    last = (run / "trajectory.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 2000.0
+    assert [float(v) for v in last[1:]] == pytest.approx(interior[1]["point"], rel=1e-6)
 
 
 def test_analyze_reports_a_root_the_scan_misses(tmp_path, capsys):
@@ -238,9 +266,9 @@ ANALYZE_PINS = {
     "predprey_coexist": ("eaa4b9b2e77a1c3f73db530205c3380f313722ba16da4451854be38a22b0375e", 0),
     "predscav_collapse": ("ddfec1210840f82c8b5643a03341a6439bf3f0649da697be88d397a869806b60", 0),
     "reference": ("4675fd2ec6b77962283e19d30d38795e7f8b37a5e398654199195ff3a0360042", 0),
-    "multi2": ("269e5ab1b0d90f0a768adab5e79773c2a8dc273fe40c6e798d817ad216574847", 2),
+    "multi2": ("8ae56c4ab62aaf440d0eab75437c7b4db81eeb0cd005291bfc024facb885edf7", 0),
     "noroot": ("7201d4272e138f3bb972aac428518f8bbd5193a57ae544fe1bf2f2c113d48536", 0),
-    "rng123-1137": ("485ab9dfe61335d197d95d856553df645a38d9ce4cbf4da1069b17480ecfb3d9", 2),
+    "rng123-1137": ("da391173066ed5034a97a59386499e5ff5ec5e207bc55fcd14a3b98f4d515f5d", 0),
 }
 ANALYZE_CASES = {"multi2": MULTI2_CASE, "noroot": NOROOT_CASE,
                  "rng123-1137": SCAN_MISS_CASES["rng123-1137"]}
@@ -348,7 +376,7 @@ def test_every_json_artifact_is_the_stdlib_text(tmp_path, reference_file, capsys
     multi = tmp_path / "multi.params"
     ModelParams(**MULTI2_CASE).save(multi)
     for path in sorted(FIXTURES.glob("*.params")) + [multi]:
-        assert main(["analyze", "--params", str(path), "--out", str(tmp_path / path.stem)]) in (0, 2)
+        assert main(["analyze", "--params", str(path), "--out", str(tmp_path / path.stem)]) == 0
     data = tmp_path / "data"
     assert main(["synth", "--params", reference_file, "--s0", "4.991,1.178,0.577",
                  "--t-end", "5", "--points", "40", "--noise", "0.02", "--out", str(data)]) == 0

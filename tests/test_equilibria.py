@@ -5,7 +5,7 @@ from conftest import (FIXTURES, INTERIOR_STABLE, INTERIOR_UNSTABLE, MULTI2_CASE,
                       MULTI3_CASE, NOROOT_CASE, PREDPREY_CASE, PREDSCAV_CASE,
                       REFERENCE, SCAN_MISS_CASES, rand_params)
 from ppsdyn.equilibria import (LABEL_INTERIOR, LABEL_ORIGIN, LABEL_PRED_PREY,
-                               LABEL_PRED_SCAV, LABEL_PREY_ONLY,
+                               LABEL_PRED_SCAV, LABEL_PREY_ONLY, ExistenceCheck,
                                LABEL_SCAV_PREY, SCAN_POINTS, _prey_residuals,
                                all_equilibria,
                                interior_equilibrium_direct,
@@ -70,22 +70,24 @@ def test_predscav_nonexistence_is_recorded(reference_params):
 ])
 def test_interior_fixture_points(request, fixture_name, expected):
     p = request.getfixturevalue(fixture_name)
-    eq = interior_equilibrium_direct(p)
+    (eq,) = interior_equilibrium_direct(p)
     assert eq.exists
     assert eq.point == pytest.approx(expected, abs=1e-6)
     assert _residual(p, eq.point, Subsystem.FULL) < 1e-10
 
 
 def test_interior_bound_values(stable_params):
-    eq = interior_equilibrium_direct(stable_params)
+    (eq,) = interior_equilibrium_direct(stable_params)
     assert eq.aux["bound_pred"] == pytest.approx(4.0, abs=1e-9)
     assert eq.aux["bound_prey"] == pytest.approx(1.01062, abs=1e-4)
     assert eq.point[2] < min(eq.aux["bound_pred"], eq.aux["bound_prey"])
 
 
 def test_no_admissible_root_is_an_entry_without_a_point():
-    eq = interior_equilibrium_direct(ModelParams(**NOROOT_CASE))
-    assert (eq.point, eq.flag, eq.aux) == (None, None, {})
+    (eq,) = interior_equilibrium_direct(ModelParams(**NOROOT_CASE))
+    assert (eq.point, eq.aux) == (None, {})
+    assert eq.existence == [ExistenceCheck("unique positive real root", False, 0.0)]
+    assert eq.record()["flag"] is None
 
 
 # Degenerate sets.  Tiny a0, d, i0 make N, D and qi exact constants on the
@@ -173,9 +175,7 @@ def test_secant_polish_lands_steep_roots_on_the_zero():
     # draw 3905 of rng 61: the first eigenvalue root sat 1.4e-12 short of the
     # zero of a residual with slope 7.3e4, leaving a residual of -1.0e-7
     p = ModelParams.from_array(np.random.default_rng(61).uniform(0.1, 3, size=(4000, 14))[3905])
-    eq = interior_equilibrium_direct(p)
-    assert eq.flag == "multiple_roots"
-    roots = np.array(eq.aux["roots"])
+    roots = np.array([eq.point[0] for eq in interior_equilibrium_direct(p)])
     assert roots == pytest.approx([0.5577, 0.5616, 0.5907], abs=1e-4)
     assert np.all(np.abs(_prey_residuals(roots, p)[0]) < 1e-9)
 
@@ -187,21 +187,27 @@ def test_secant_polish_moves_fixture_points_by_rounding_only(path):
     res, ys, zs = _prey_residuals(xs, p)
     keep = np.abs(res) < 1e-6
     (eigen_point,) = zip(xs[keep], ys[keep], zs[keep])
-    point = interior_equilibrium_direct(p).point
-    assert np.all(np.abs(np.subtract(point, eigen_point)) < 1e-10 * np.abs(eigen_point))
+    (eq,) = interior_equilibrium_direct(p)
+    assert np.all(np.abs(np.subtract(eq.point, eigen_point)) < 1e-10 * np.abs(eigen_point))
 
 
 def test_two_roots_are_flagged_with_locations():
-    eq = interior_equilibrium_direct(ModelParams(**MULTI2_CASE))
-    assert eq.flag == "multiple_roots"
-    assert eq.aux["roots"] == pytest.approx([0.026125, 0.657764], abs=1e-5)
+    # one entry per root, each with the root count in its first check
+    p = ModelParams(**MULTI2_CASE)
+    entries = interior_equilibrium_direct(p)
+    assert [eq.point[0] for eq in entries] == pytest.approx([0.026125, 0.657764], abs=1e-5)
+    for eq in entries:
+        assert eq.existence[0] == ExistenceCheck("unique positive real root", False, 2.0)
+        assert eq.aux["x_star"] == eq.point[0]
+        assert _residual(p, eq.point, Subsystem.FULL) <= 1e-8 * max(1.0, *eq.point)
 
 
 def test_three_roots_are_flagged_with_locations():
-    eq = interior_equilibrium_direct(ModelParams(**MULTI3_CASE))
-    assert eq.flag == "multiple_roots"
-    assert len(eq.aux["roots"]) == 3
-    assert eq.aux["roots"] == sorted(eq.aux["roots"])
+    entries = interior_equilibrium_direct(ModelParams(**MULTI3_CASE))
+    xs = [eq.point[0] for eq in entries]
+    assert len(xs) == 3
+    assert xs == sorted(xs)
+    assert all(eq.existence[0].value == 3.0 for eq in entries)
 
 
 def test_all_equilibria_order_and_retagging(stable_params):
@@ -230,13 +236,30 @@ def test_all_equilibria_merges_a_point_within_the_tolerance(gap, merged):
 
 
 def test_all_equilibria_flags_multiple_roots():
-    entries = all_equilibria(ModelParams(**MULTI2_CASE))
-    interior = entries[-1]
-    assert interior.label == LABEL_INTERIOR
-    assert interior.flag == "multiple_roots"
-    assert not interior.exists
-    assert interior.point is None
-    assert len(interior.aux["roots"]) == 2
+    # the interior entries come last, in increasing x, each with a point
+    p = ModelParams(**MULTI2_CASE)
+    entries = all_equilibria(p)
+    assert [e.label for e in entries[-2:]] == [LABEL_INTERIOR] * 2
+    assert LABEL_INTERIOR not in [e.label for e in entries[:-2]]
+    assert [e.point for e in entries[-2:]] == [e.point for e in interior_equilibrium_direct(p)]
+    assert entries[-2].point[0] < entries[-1].point[0]
+
+
+def test_interior_entries_on_seeded_draws():
+    # every admissible root is an entry of its own: on the prey residual's
+    # zero, inside (0, k) with y and z positive, in increasing x, and as many
+    # as the cross-check's own solve admits
+    several = 0
+    for values in np.random.default_rng(3).uniform(0.1, 3.0, size=(1000, 14)):
+        p = ModelParams.from_array(values)
+        entries = [eq for eq in all_equilibria(p) if eq.label == LABEL_INTERIOR and eq.exists]
+        for x, y, z in (eq.point for eq in entries):
+            assert abs(_prey_residuals(np.array([x]), p)[0][0]) < 1e-6, p
+            assert 0 < x < p.k and y > 0 and z > 0, p
+        assert np.all(np.diff([eq.point[0] for eq in entries]) > 0), p
+        assert len(entries) == len(interior_poly_crosscheck(p)["admissible_roots"]), p
+        several += len(entries) > 1
+    assert several > 20
 
 
 def test_all_equilibria_tolerates_no_root():
@@ -244,7 +267,6 @@ def test_all_equilibria_tolerates_no_root():
     interior = entries[-1]
     assert interior.label == LABEL_INTERIOR
     assert not interior.exists
-    assert interior.flag is None
 
 
 def test_residuals_vanish_on_random_draws():
@@ -259,11 +281,10 @@ def test_residuals_vanish_on_random_draws():
                 if e.exists:
                     assert _residual(p, e.point, sub) < 1e-8
                     checked += 1
-        e = interior_equilibrium_direct(p)
-        if e.point is None:
-            continue
-        assert _residual(p, e.point, Subsystem.FULL) < 1e-8
-        checked += 1
+        for e in interior_equilibrium_direct(p):
+            if e.point is not None:
+                assert _residual(p, e.point, Subsystem.FULL) < 1e-8
+                checked += 1
     assert checked > 100
 
 
@@ -324,7 +345,8 @@ def test_poly_crosscheck_agrees_on_every_unique_root():
     unique = 0
     for _ in range(300):
         p = rand_params(rng, 0.1, 3.0)
-        if interior_equilibrium_direct(p).point is None:
+        (eq, *more) = interior_equilibrium_direct(p)
+        if more or eq.point is None:
             continue
         unique += 1
         assert interior_poly_crosscheck(p)["agrees"], p
@@ -343,7 +365,7 @@ def test_poly_crosscheck_agreement(request):
         assert set(report) == {"admissible_roots", "agrees", "scan_sign_changes"}
         assert report["agrees"]
         assert report["scan_sign_changes"] == 1
-        assert report["admissible_roots"] == [interior_equilibrium_direct(p).point[0]]
+        assert report["admissible_roots"] == [interior_equilibrium_direct(p)[0].point[0]]
         coeffs = interior_poly_coeffs(p)
         assert len(coeffs) == 13
         # the admissible root is a polynomial root after one secant step
@@ -380,25 +402,23 @@ SCAN_MISS_ROOTS = {
 def test_roots_the_scan_misses_are_found_and_flagged(name):
     p = ModelParams(**SCAN_MISS_CASES[name])
     roots = SCAN_MISS_ROOTS[name]
-    entry = next(eq for eq in all_equilibria(p) if eq.label == LABEL_INTERIOR)
-    if len(roots) == 1:
-        assert entry.point[0] == pytest.approx(roots[0], abs=1e-9)
-        assert _residual(p, entry.point, Subsystem.FULL) <= 1e-8 * max(1.0, *entry.point)
-    else:
-        assert entry.flag == "multiple_roots"
-        assert entry.aux["roots"] == pytest.approx(roots, abs=1e-9)
-    report = interior_poly_crosscheck(p, entry)
+    entries = [eq for eq in all_equilibria(p) if eq.label == LABEL_INTERIOR]
+    assert [eq.point[0] for eq in entries] == pytest.approx(roots, abs=1e-9)
+    for eq in entries:
+        assert _residual(p, eq.point, Subsystem.FULL) <= 1e-8 * max(1.0, *eq.point)
+    report = interior_poly_crosscheck(p, entries)
     assert report["admissible_roots"] == pytest.approx(roots, abs=1e-9)
     assert report["scan_sign_changes"] == len(roots) - 1
     assert report["agrees"] is False
 
 
 def test_poly_crosscheck_reuses_the_interior_entry(request):
-    # analyze passes the entry all_equilibria already holds; the report must
-    # equal the one from the cross-check's own solve, flagged cases included
+    # analyze passes the entries all_equilibria already holds; the report
+    # must equal the one from the cross-check's own solve, for no root and
+    # for several included
     cases = [request.getfixturevalue(name) for name in
              ("stable_params", "unstable_params", "predscav_params")]
     cases += [ModelParams(**MULTI2_CASE), ModelParams(**NOROOT_CASE)]
     for p in cases:
-        entry = next(eq for eq in all_equilibria(p) if eq.label == LABEL_INTERIOR)
-        assert interior_poly_crosscheck(p, entry) == interior_poly_crosscheck(p)
+        entries = [eq for eq in all_equilibria(p) if eq.label == LABEL_INTERIOR]
+        assert interior_poly_crosscheck(p, entries) == interior_poly_crosscheck(p)

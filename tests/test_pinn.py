@@ -148,6 +148,15 @@ def test_grid_derivative_needs_uniform_grid():
     t = np.array([0.0, 0.1, 0.3, 0.4])
     with pytest.raises(ValueError):
         grid_derivative(t, np.zeros((4, 3)))
+    # a NaN time passes a uniformity test written as a comparison, and two
+    # infinite values two rows apart difference to NaN: both are refused
+    # before any arithmetic
+    with pytest.raises(ValueError, match="finite"):
+        grid_derivative(np.array([0.0, 1.0, 2.0, np.nan, 4.0]), np.zeros((5, 3)))
+    infinite = np.zeros((5, 3))
+    infinite[[0, 2], 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        grid_derivative(np.arange(5.0), infinite)
     with pytest.raises(TooFewSamples):
         grid_derivative(np.array([0.0, 1.0]), np.zeros((2, 3)))
 

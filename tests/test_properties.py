@@ -334,8 +334,8 @@ def test_rk4_commutes_with_the_scaling_group(values, scales, policy):
 def test_equilibria_and_verdicts_commute_with_the_scaling_group(values, scales):
     # the scaled model's steady states are the model's divided by (alpha,
     # beta, gamma), and its Jacobian there is tau times a similarity
-    # transform of the model's, so the same candidates exist with the same
-    # flags and verdicts.  The boundary points are closed forms and scale to
+    # transform of the model's, so the same candidates exist, as many interior
+    # points as at scale one, with the same verdicts.  The boundary points are closed forms and scale to
     # the bit; the interior's x is a polynomial root, rounded differently at
     # each scale, and its y and z follow from x to the bit, so only x's
     # rounding moves them (amplified where z^2 = N/D cancels)
@@ -343,7 +343,7 @@ def test_equilibria_and_verdicts_commute_with_the_scaling_group(values, scales):
     p = ModelParams.from_array(values)
     q = ModelParams.from_array(p.as_array() * _parameter_scales(*scales))
     ref, got = all_equilibria(p), all_equilibria(q)
-    assert [(e.label, e.exists, e.flag) for e in got] == [(e.label, e.exists, e.flag) for e in ref]
+    assert [(e.label, e.exists) for e in got] == [(e.label, e.exists) for e in ref]
     for want, eq in zip(ref, got):
         if not want.exists:
             continue
@@ -380,8 +380,8 @@ def test_analyze_on_an_extreme_parameter_exits_0_or_2(tmp_path_factory, name, va
         code = main(["analyze", "--params", str(path), "--out", str(path.parent)])
     if code == 2:
         last = err.getvalue().splitlines()[-1]
-        assert last.startswith("numerical failure: ") or "multiple roots" in last
-        assert ("numerical failure" in last) != (path.parent / "equilibria.json").exists()
+        assert last.startswith("numerical failure: ")
+        assert not (path.parent / "equilibria.json").exists()
     else:
         assert code == 0
 

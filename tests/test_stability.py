@@ -39,7 +39,7 @@ def test_jacobian_subsystem_restriction():
 
 
 def test_interior_m_values_oscillatory_case(unstable_params):
-    v = classify(unstable_params, interior_equilibrium_direct(unstable_params))
+    v = classify(unstable_params, interior_equilibrium_direct(unstable_params)[0])
     assert v.m1 == pytest.approx(0.04153783, abs=1e-6)
     assert v.m2 == pytest.approx(0.48925350, abs=1e-6)
     assert v.m3 == pytest.approx(0.02165935, abs=1e-6)
@@ -48,7 +48,7 @@ def test_interior_m_values_oscillatory_case(unstable_params):
 
 
 def test_interior_m_values_damped_case(stable_params):
-    v = classify(stable_params, interior_equilibrium_direct(stable_params))
+    v = classify(stable_params, interior_equilibrium_direct(stable_params)[0])
     assert v.m1 == pytest.approx(0.84484371, abs=1e-6)
     assert v.m2 == pytest.approx(0.68007944, abs=1e-6)
     assert v.m3 == pytest.approx(0.05204514, abs=1e-6)
@@ -57,7 +57,7 @@ def test_interior_m_values_damped_case(stable_params):
 
 
 def test_reference_case_is_stable_focus(reference_params):
-    v = classify(reference_params, interior_equilibrium_direct(reference_params))
+    v = classify(reference_params, interior_equilibrium_direct(reference_params)[0])
     assert v.classification == STABLE
     real_pair = [ev for ev in v.eigenvalues if abs(ev.imag) > 1e-9]
     assert len(real_pair) == 2  # damped oscillation toward the point
@@ -65,7 +65,7 @@ def test_reference_case_is_stable_focus(reference_params):
 
 
 def test_eigenvalues_satisfy_characteristic_polynomial(stable_params):
-    v = classify(stable_params, interior_equilibrium_direct(stable_params))
+    v = classify(stable_params, interior_equilibrium_direct(stable_params)[0])
     for lam in v.eigenvalues:
         residual = lam**3 + v.m1 * lam**2 + v.m2 * lam + v.m3
         assert abs(residual) < 1e-10
@@ -74,7 +74,7 @@ def test_eigenvalues_satisfy_characteristic_polynomial(stable_params):
 def test_eigenvalues_do_not_depend_on_char_coeffs(stable_params, monkeypatch):
     # the eigenvalues come from the Jacobian itself, so a wrong m1, m2, m3
     # reaches only the Routh-Hurwitz criteria, never the verdict
-    eq = interior_equilibrium_direct(stable_params)
+    eq = interior_equilibrium_direct(stable_params)[0]
     good = classify(stable_params, eq)
     monkeypatch.setattr(stability, "_char_coeffs_3", lambda J: (-1.0, -2.0, -3.0))
     bad = classify(stable_params, eq)
@@ -224,7 +224,7 @@ def test_marginal_band_on_eigenvalues(stable_params):
 
 def test_record_is_json_friendly(stable_params):
     import json
-    v = classify(stable_params, interior_equilibrium_direct(stable_params))
+    v = classify(stable_params, interior_equilibrium_direct(stable_params)[0])
     blob = json.dumps(v.record(), sort_keys=True)
     assert "Stable" in blob
     parsed = json.loads(blob)
@@ -240,7 +240,7 @@ def test_restoring_logistic_term_reproduces_reference_m1(reference_params):
     # the shipped Jacobian keeps the term; see test_acceptance for the
     # honest comparison against the quoted values.
     p = reference_params
-    eq = interior_equilibrium_direct(p)
+    eq = interior_equilibrium_direct(p)[0]
     x, y, z = eq.point
     J = jacobian(p, State(x, y, z)).copy()
     J[0, 0] += 2.0 * p.r * x / p.k  # undo the logistic term
