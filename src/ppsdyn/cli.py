@@ -297,6 +297,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_synth(args) -> int:
     _check_seed(args)
+    if args.points < 3:
+        raise ValueError(f"--points must be at least 3, got {args.points}")
     p = ModelParams.load(args.params)
     s0 = _parse_state(args.s0)
     grid = np.linspace(args.t_start, args.t_end, args.points)

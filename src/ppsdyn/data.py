@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from numbers import Integral
 
 import numpy as np
 
@@ -23,9 +21,11 @@ from .errors import (
     MissingColumn,
     TooFewSamples,
     UnmappedSpecies,
+    integer,
+    real,
 )
 from .model import SUBSYSTEMS, ModelParams, State
-from .solver import SolverConfig, integrate, parse_row, read_rows_csv, write_rows_csv
+from .solver import SolverConfig, check_start, integrate, parse_row, read_rows_csv, write_rows_csv
 
 GROUPS = ("prey", "predator", "scavenger")
 _EPS = 1e-12
@@ -88,19 +88,21 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.t_start = real("t_start", self.t_start)
+        self.t_end = real("t_end", self.t_end)
         self.times = np.asarray(self.times, dtype=float)
         self.observations = np.asarray(self.observations, dtype=float)
         self.mins = np.asarray(self.mins, dtype=float)
         self.maxs = np.asarray(self.maxs, dtype=float)
         if self.times.ndim != 1 or self.times.size < 3:
-            raise TooFewSamples(f"need at least 3 samples, got {self.times.size}")
+            raise TooFewSamples(f"need at least 3 samples, got times of shape {self.times.shape}")
         if self.observations.shape != (self.times.size, 3):
             raise ValueError("observations must have shape (T, 3)")
         if self.mins.shape != (3,) or self.maxs.shape != (3,):
             raise ValueError("mins and maxs must have 3 entries")
-        parts = (self.times, self.observations, self.mins, self.maxs, [self.t_start, self.t_end])
-        if not all(np.all(np.isfinite(v)) for v in parts):
-            raise ValueError("dataset values must be finite")
+        for name in ("times", "observations", "mins", "maxs"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"dataset {name} must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         lo = min(self.times.min(), self.observations.min())
@@ -154,11 +156,8 @@ class Dataset:
         if not (isinstance(info, dict) and all(k in info for k in keys)):
             raise MissingColumn(f"provenance sidecar {side} needs the keys {', '.join(keys)}")
         try:
-            mins, maxs = (np.array(info[k], dtype=float) for k in keys[:2])
-            t_start, t_end = (float(info[k]) for k in keys[2:])
-            leaves = np.concatenate([np.ravel(np.array(info[k], dtype=object)) for k in keys])
-            if any(isinstance(v, bool) for v in leaves):
-                raise TypeError(f"{', '.join(keys)} must be numbers, not booleans")
+            mins, maxs = ([real(k, v) for v in info[k]] for k in keys[:2])
+            t_start, t_end = (real(k, info[k]) for k in keys[2:])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"provenance sidecar {side}: {exc}") from None
         return cls(times, obs, mins, maxs, t_start, t_end, info.get("meta", {}))
@@ -250,12 +249,6 @@ def ingest(csv_path, species_map: SpeciesMap) -> Dataset:
     return Dataset.from_raw(years, raw, {"source": os.path.basename(str(csv_path))})
 
 
-def _check_seed(seed) -> None:
-    """ValueError unless seed is an integer >= 0, numpy's included, and not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def synthesize(
     p: ModelParams, s0, t_grid, noise_sigma: float = 0.0, seed: int = 0
 ) -> Dataset:
@@ -270,20 +263,19 @@ def synthesize(
         raise ValueError("t_grid must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if isinstance(noise_sigma, (bool, np.bool_)) or not math.isfinite(noise_sigma) or noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma!r}")
-    _check_seed(seed)
-    absent = [name for name, v in zip(GROUPS, s0[:3]) if v == 0]
+    noise_sigma = real("noise_sigma", noise_sigma, "nonnegative")
+    integer("seed", seed, 0)
+    x, y, z, _ = check_start(s0)
+    absent = [name for name, v in zip(GROUPS, (x, y, z)) if v == 0]
     if absent:
-        present = tuple(int(v != 0) for v in s0[:3])
+        present = tuple(int(v != 0) for v in (x, y, z))
         planar = [name for name, sub in SUBSYSTEMS.items() if sub.value == present]
         run = f"simulate --subsystem {planar[0]}" if planar else "simulate"
         raise ConstantColumn(f"synthesized {absent[0]} column is constant: the {absent[0]} starts "
                              f"at zero and stays there, so min-max scaling is undefined; `{run}` "
                              f"runs the model from this start")
     cfg = SolverConfig(t_end=grid[-1], tol=1e-9)
-    start = State(float(s0[0]), float(s0[1]), float(s0[2]), float(grid[0]))
-    traj = integrate(p, start, cfg, t_eval=grid)
+    traj = integrate(p, State(x, y, z, float(grid[0])), cfg, t_eval=grid)
     raw = np.array(traj.states, dtype=float)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -293,8 +285,8 @@ def synthesize(
     meta = {
         "generator": {
             "params": p.to_dict(),
-            "s0": [float(v) for v in s0[:3]],
-            "noise_sigma": float(noise_sigma),
+            "s0": [x, y, z],
+            "noise_sigma": noise_sigma,
             "seed": int(seed),
         }
     }

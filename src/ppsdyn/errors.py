@@ -6,7 +6,14 @@ underflowed or a state blew up.  The input errors (MaskViolation,
 TooFewSamples, MissingColumn, NonNumericCell, UnmappedSpecies,
 ConstantColumn) are also ValueErrors, so one `except ValueError` catches
 every rejected input, whether the package or numpy raised it.
+
+Two rules check every scalar argument the package takes from a caller:
+integer(name, value, least) and real(name, value, sign).  Neither takes a
+bool, Python's or numpy's, and each raises ValueError naming the argument.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class PpsdynError(Exception):
@@ -75,3 +82,25 @@ class UnmappedSpecies(PpsdynError, ValueError):
 
 class ConstantColumn(PpsdynError, ValueError):
     """A column is constant, so min-max scaling is undefined."""
+
+
+def integer(name, value, least):
+    """value, once it is an int or numpy integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def real(name, value, sign=None) -> float:
+    """value as a float, once it is a real number, numpy's included, not a
+    bool, finite as a float and, as sign asks, "positive" or "nonnegative"."""
+    try:
+        number = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        number = False
+    if number:
+        value = float(value)
+        if sign is None or value > 0 or (sign == "nonnegative" and value == 0):
+            return value
+    raise ValueError(f"{name} must be {sign + ' and finite' if sign else 'a finite number'}, "
+                     f"got {value!r}")

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._files import rewrite
-from .errors import MaskViolation, NumericalOverflow
+from .errors import MaskViolation, NumericalOverflow, real
 
 PARAM_ORDER = ("r", "k", "a", "a0", "b", "b0", "d", "e", "f", "g", "h", "i", "i0", "j")
 # the parameters of a ModelParams as a tuple in PARAM_ORDER, in one call
@@ -80,28 +80,21 @@ class ModelParams:
 
     def __post_init__(self):
         for name, v in zip(PARAM_ORDER, _param_values(self)):
-            # a plain float, the common case, needs neither the type test nor
-            # the conversion; numpy floats get both
-            plain = type(v) is float
-            ok = plain or (isinstance(v, (int, float)) and not isinstance(v, bool))
-            if not (ok and math.isfinite(v) and v > 0):
-                raise ValueError(f"parameter {name} must be a positive finite number, got {v!r}")
-            if not plain:
-                object.__setattr__(self, name, float(v))
+            # a positive finite plain float, the common case, needs neither
+            # the rule nor its conversion
+            if not (type(v) is float and 0.0 < v < math.inf):
+                object.__setattr__(self, name, real(f"parameter {name}", v, "positive"))
 
     def as_array(self):
         return np.array([getattr(self, n) for n in PARAM_ORDER], dtype=float)
 
     @classmethod
     def from_array(cls, values) -> "ModelParams":
-        # a float vector holds no bools, and its tolist() gives plain floats
+        # a float vector's tolist() gives plain floats, the constructor's fast path
         plain = isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.ndim == 1
         vals = values.tolist() if plain else list(values)
         if len(vals) != len(PARAM_ORDER):
             raise ValueError(f"expected {len(PARAM_ORDER)} parameters, got {len(vals)}")
-        if not plain:
-            # bools, Python or numpy, pass through unconverted so the constructor rejects them
-            vals = [v if isinstance(v, (bool, np.bool_)) else float(v) for v in vals]
         return cls(*vals)
 
     def to_dict(self) -> dict:

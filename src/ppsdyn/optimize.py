@@ -17,13 +17,12 @@ the full step (Polyak, Introduction to Optimization, 1987, 5.3).
 from __future__ import annotations
 
 import math
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from ._files import rewrite
-from .errors import LineSearchFailed, NonFiniteLoss
+from .errors import LineSearchFailed, NonFiniteLoss, integer, real
 
 CURVATURE_FLOOR = 1e-12
 # Adam's moment decay rates and the term inside its square root
@@ -73,10 +72,8 @@ def adam_run(fun, theta0, alpha: float = 0.001, num_steps: int = 100):
     The loss is recorded at the pre-update iterate, so the history has
     exactly num_steps entries and history[0] is the loss at theta0.
     """
-    if isinstance(alpha, (bool, np.bool_)) or not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
-    if isinstance(num_steps, bool) or not isinstance(num_steps, Integral) or num_steps < 0:
-        raise ValueError(f"num_steps must be an integer >= 0, got {num_steps!r}")
+    alpha = real("alpha", alpha, "positive")
+    integer("num_steps", num_steps, 0)
     theta = np.asarray(theta0, dtype=float).copy()
     state = AdamState.fresh(theta.size)
     history: list = []
@@ -135,12 +132,9 @@ def bfgs_run(fun, x0, max_iterations: int = 200, lower_bound=None):
     min(1, (f - lower_bound)/|g|^2), instead of 1; an f(x0) below the bound
     raises ValueError.  Without it every first trial is the full step.
     """
-    if isinstance(max_iterations, bool) or not isinstance(max_iterations, Integral) or max_iterations < 1:
-        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations!r}")
-    # numpy's bool is not a Real, Python's is
-    if lower_bound is not None and (isinstance(lower_bound, bool) or not isinstance(lower_bound, Real)
-                                    or not math.isfinite(lower_bound)):
-        raise ValueError(f"lower_bound must be None or a finite number, got {lower_bound!r}")
+    integer("max_iterations", max_iterations, 1)
+    if lower_bound is not None:
+        lower_bound = real("lower_bound", lower_bound)
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
     B = np.eye(n)

@@ -48,8 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._files import rewrite
-from .data import Dataset, _check_seed, json_text
-from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples
+from .data import Dataset, json_text
+from .errors import IntegrationFailed, LineSearchFailed, NonFiniteLoss, TooFewSamples, integer
 from .model import PARAM_ORDER, ModelParams, State, derivative_table, feature_matrix, state_rows
 from .optimize import adam_run, bfgs_run
 from .solver import OVERFLOW_LIMIT, CheckedGrid, SolverConfig, check_grid, integrate
@@ -75,11 +75,12 @@ class Mlp:
     biases are views of one flat vector, theta: layer by layer from the
     input side, each weight matrix row by row and then its bias,
     sum((fan_in + 1) * fan_out) values.  theta is a copy of the one given,
-    zeros by default; any other length, or fewer than two widths, raises
-    ValueError.  Writing theta sets every layer at once."""
+    zeros by default; any other length, fewer than two widths or a width
+    that is not an integer >= 1 raises ValueError.  Writing theta sets
+    every layer at once."""
 
     def __init__(self, sizes, theta=None):
-        self.sizes = list(sizes)
+        self.sizes = [integer("sizes", width, 1) for width in sizes]
         n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.sizes, self.sizes[1:]))
         self.theta = np.zeros(n) if theta is None else np.array(theta, dtype=float)
         if len(self.sizes) < 2 or self.theta.shape != (n,):
@@ -102,8 +103,8 @@ def init_mlp(rng: np.random.Generator, sizes=MLP_SIZES) -> Mlp:
     """An Mlp of the widths sizes, each weight drawn from rng into its view
     of theta, N(0, 2/fan_in), layer by layer from the input side, and zero
     biases.  The readout is drawn too, so rng moves on as far, and then
-    zeroed: every fresh network reads out log p = 0, the all-ones vector, a
-    start where the integration is tame regardless of seed."""
+    zeroed: every fresh network reads out its readout bias, whatever its
+    input; estimation sets that bias to the problem's start."""
     net = Mlp(sizes)
     for W in net.weights:
         W[...] = rng.standard_normal(W.shape) * math.sqrt(2.0 / W.shape[1])
@@ -114,6 +115,8 @@ def init_mlp(rng: np.random.Generator, sizes=MLP_SIZES) -> Mlp:
 def init_params(seed) -> np.ndarray:
     """Lognormal(0, 1) draw per component; strictly positive.  seed may be a
     Generator, which is drawn from in place."""
+    if not isinstance(seed, np.random.Generator):
+        integer("seed", seed, 0)
     return np.exp(np.random.default_rng(seed).standard_normal(len(PARAM_ORDER)))
 
 
@@ -161,6 +164,8 @@ def grid_derivative(times, values) -> np.ndarray:
     the interior, second-order one-sided at the ends."""
     times = np.asarray(times, dtype=float)
     vals = np.asarray(values, dtype=float)
+    if times.ndim != 1 or vals.shape[:1] != times.shape:
+        raise ValueError("times must be one-dimensional, with one row of values per time")
     if times.size < 3:
         raise TooFewSamples("derivative estimates need at least 3 samples")
     if not (np.isfinite(times).all() and np.isfinite(vals).all()):
@@ -190,7 +195,7 @@ def total_loss(p, ds: Dataset, tol: float = LOSS_TOL, gradient: bool = False):
     the data horizon.
     """
     prob = _problem(ds, tol=tol)
-    params = ModelParams.from_array(np.asarray(p, dtype=float))
+    params = ModelParams.from_array(p)
     mse, g_mse = _misfit(params, prob, gradient)
     pie, g_pie = _physics_term(params, prob)
     return (mse + pie, mse, pie, g_mse, g_pie) if gradient else (mse + pie, mse, pie)
@@ -222,7 +227,9 @@ class _Problem(NamedTuple):
     settings, grid (checked once, so no integration checks it again) and
     the observations with their normalization; the physics term's data
     derivative, state-only feature rows of the observed states, and the
-    scale that maps the raw right-hand side onto normalized units."""
+    scale that maps the raw right-hand side onto normalized units; and
+    start, the log p both stages start from, 0 (the all-ones p, where the
+    integration is tame whatever the seed)."""
 
     s0: State
     cfg: SolverConfig
@@ -233,6 +240,7 @@ class _Problem(NamedTuple):
     deriv: np.ndarray
     rows: np.ndarray
     scale: np.ndarray
+    start: np.ndarray
 
 
 def _problem(ds: Dataset, raw_grid=None, tol: float = LOSS_TOL) -> _Problem:
@@ -249,7 +257,8 @@ def _problem(ds: Dataset, raw_grid=None, tol: float = LOSS_TOL) -> _Problem:
                        stiff_test_every=STIFF_TEST_EVERY)
     s0 = State(*(float(v) for v in raw[0]), float(raw_grid[0]))
     return _Problem(s0, cfg, check_grid(raw_grid, s0.t, cfg.t_end), ds.observations, ds.mins,
-                    ds.ranges, deriv, state_rows(raw), (ds.t_end - ds.t_start) / ds.ranges)
+                    ds.ranges, deriv, state_rows(raw), (ds.t_end - ds.t_start) / ds.ranges,
+                    np.zeros(len(PARAM_ORDER)))
 
 
 def simulate_on_data(params: ModelParams, ds: Dataset, raw_grid, tol: float):
@@ -345,21 +354,23 @@ def train_pinn(ds: Dataset, seed, epochs: int = 100):
     8.2e-5 of its value at 1e-6, from integrations of about 10 steps instead
     of 19.  The trace has one TraceRow per epoch, its values at NETWORK_TOL.
     A non-finite loss or gradient aborts with NonFiniteLoss carrying the
-    partial trace and the best finite prediction seen so far.  A seed that
-    is not an integer >= 0, or a dataset whose time grid is not uniform,
-    raises ValueError before the first epoch.
+    partial trace and the best finite prediction seen so far.  A seed or
+    epochs that is not an integer >= 0, or a dataset whose time grid is not
+    uniform, raises ValueError before the first epoch.
     """
-    _check_seed(seed)
+    integer("seed", seed, 0)
+    integer("epochs", epochs, 0)
     return _train(_problem(ds), seed, epochs)
 
 
 def _train(prob: _Problem, seed, epochs: int):
     """train_pinn on a built problem, whose tolerance the stage replaces
-    by NETWORK_TOL."""
+    by NETWORK_TOL; the network starts at the problem's start."""
     prob = prob._replace(cfg=replace(prob.cfg, tol=NETWORK_TOL))
     rng = np.random.default_rng(seed)
     inp = init_params(rng)
     net = init_mlp(rng)
+    net.biases[-1][...] = prob.start
     trace: list = []
     best_total, best_u = math.inf, None
 
@@ -447,14 +458,18 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     and every candidate that does so is an integration wasted up to the
     runaway bound.  The polish integrates at LOSS_TOL, so post_nn_mse,
     bfgs_trace and final_mse are the misfit at that tolerance; the
-    adam_trace rows are the network stage's, at NETWORK_TOL.  A seed that is
-    not an integer >= 0 raises ValueError before any work, as train_pinn's.
+    adam_trace rows are the network stage's, at NETWORK_TOL.
+    initial_params is the problem's start, exp(0) = 1, the network's readout
+    before training and the polish's start if the network stage yields no
+    finite prediction.  A seed or epochs that is not an integer >= 0, or
+    bfgs_iterations not one >= 1, raises ValueError before any work.
     """
-    _check_seed(seed)
+    integer("seed", seed, 0)
+    integer("epochs", epochs, 0)
+    integer("bfgs_iterations", bfgs_iterations, 1)
     prob = _problem(ds)
     stage_errors: list = []
-    initial = init_params(seed)
-    p_nn = np.full(len(PARAM_ORDER), 1.0)
+    p_nn = np.exp(prob.start)
     try:
         _, p_nn, trace = _train(prob, seed, epochs)
     except NonFiniteLoss as exc:
@@ -479,7 +494,7 @@ def estimate(ds: Dataset, seed, epochs: int = 100, bfgs_iterations: int = 200) -
     final_pie = _in_log(_physics_term, u_polish, prob)[0]
     return EstimationReport(
         seed=int(seed),
-        initial_params=initial,
+        initial_params=np.exp(prob.start),
         post_nn_params=p_nn,
         final_params=final,
         adam_trace=trace,

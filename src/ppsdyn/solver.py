@@ -67,14 +67,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._files import rewrite
 from .errors import (IntegrationFailed, MissingColumn, NonNumericCell, NumericalOverflow,
-                     StepUnderflow)
+                     StepUnderflow, integer, real)
 from .model import JACOBIAN_COLUMNS, ModelParams, State, make_rhs, table_jacobians
 
 OVERFLOW_LIMIT = 1e12
@@ -166,36 +165,21 @@ class SolverConfig:
     stiff_test_every: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("t_end", "step", "tol", "max_steps", "overflow_limit", "stiff_test_every"):
-            value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
-        if not all(map(math.isfinite, (self.t_end, self.tol, self.step or 0.0))):
-            raise ValueError("t_end, step and tol must be finite")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "rk4" and (self.step is None or self.step <= 0):
+        if self.method == "rk4" and self.step is None:
             raise ValueError("rk4 requires a positive fixed step")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if self.negativity_policy not in ("diagnose", "clamp"):
             raise ValueError(f"unknown negativity policy {self.negativity_policy!r}")
-        if not isinstance(self.max_steps, Integral) or self.max_steps < 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        limit = self.overflow_limit
-        if not (math.isfinite(limit) and limit > 0):
-            raise ValueError(f"overflow_limit must be finite and positive, got {limit!r}")
-        every = self.stiff_test_every
-        if every is not None and (not isinstance(every, Integral) or every < 1):
-            raise ValueError(f"stiff_test_every must be None or an integer >= 1, got {every!r}")
         # the steppers compute in Python floats: a numpy scalar would run the
         # error control in numpy arithmetic, slower and, for float32, rounded
-        for name in ("t_end", "step", "tol", "overflow_limit"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, float(value))
+        for name, sign in (("t_end", None), ("step", "positive"), ("tol", "positive"),
+                           ("overflow_limit", "positive")):
+            if name != "step" or self.step is not None:
+                object.__setattr__(self, name, real(name, getattr(self, name), sign))
+        integer("max_steps", self.max_steps, 1)
+        if self.stiff_test_every is not None:
+            integer("stiff_test_every", self.stiff_test_every, 1)
 
 
 @dataclass
@@ -315,6 +299,25 @@ def check_grid(t_eval, t0: float, t_end: float) -> CheckedGrid:
     return CheckedGrid(times, t0, t_end)
 
 
+def check_start(s0) -> tuple:
+    """(x, y, z, t) as Python floats from s0: three finite, nonnegative
+    numbers and an optional finite time, 0 if absent; ValueError otherwise."""
+    start = s0 if len(s0) == 4 else (*s0, 0.0)
+    try:
+        x, y, z, t0 = start
+        # plain floats, the common case, need neither the rule nor its conversion
+        if not type(x) is type(y) is type(z) is type(t0) is float:
+            x, y, z, t0 = (real("initial state", v) for v in start)
+    except ValueError:
+        raise ValueError(f"initial state must be three finite numbers and an optional finite "
+                         f"time, not booleans or strings, got {tuple(s0)}") from None
+    if not (min(x, y, z) >= 0 and math.isfinite(x + y + z)):
+        raise ValueError(f"initial state must be finite and nonnegative, got {(x, y, z)}")
+    if not math.isfinite(t0):
+        raise ValueError(f"initial time must be finite, got {t0}")
+    return x, y, z, t0
+
+
 def integrate(
     p: ModelParams,
     s0,
@@ -323,8 +326,7 @@ def integrate(
     t_eval: Optional[Sequence[float] | CheckedGrid] = None,
     sensitivities: bool = False,
 ) -> Trajectory:
-    """Integrate from s0 (finite and nonnegative numbers, not booleans; time,
-    finite, taken from s0.t if present, else 0) to cfg.t_end.
+    """Integrate from s0 (see check_start) to cfg.t_end.
 
     A species that starts at zero stays at zero, bit for bit, so a
     subsystem needs no mode here (Subsystem.check_state checks its start).
@@ -348,16 +350,7 @@ def integrate(
     output sample below zero is clipped to zero and its row of dx/dp
     zeroed, as after a step.
     """
-    if any(isinstance(v, (bool, np.bool_)) for v in s0[:4]):
-        raise ValueError(f"initial state must be numbers, not booleans, got {tuple(s0)}")
-    x, y, z = (float(v) for v in s0[:3])
-    t0 = float(s0[3]) if len(s0) > 3 else 0.0
-    if not (min(x, y, z) >= 0 and math.isfinite(x + y + z)):
-        raise ValueError(f"initial state must be finite and nonnegative, got {(x, y, z)}")
-    if not math.isfinite(t0):
-        raise ValueError(f"initial time must be finite, got {t0}")
-    rhs = make_rhs(p)
-
+    x, y, z, t0 = check_start(s0)
     if t_eval is not None:
         if cfg.method == "rk4":
             raise ValueError("t_eval needs the rk45 method; rk4 records every step")
@@ -374,6 +367,7 @@ def integrate(
 
     if sensitivities and t_eval is None:  # rk4 never has t_eval
         raise ValueError("sensitivities need the rk45 method and t_eval")
+    rhs = make_rhs(p)
     if cfg.method == "rk4":
         return _run_rk4(rhs, x, y, z, t0, cfg)
     return _run_rk45(rhs, x, y, z, t0, cfg, t_eval, p if sensitivities else None)
@@ -717,8 +711,11 @@ def detect_settling(traj: Trajectory, window: float, tol: float) -> Optional[Sta
     """Mean state over the trailing window if the trajectory stays within tol of it.
 
     Returns None when any component wanders more than tol from its window
-    mean (oscillation, drift, or divergence).
+    mean (oscillation, drift, or divergence).  window must be finite and
+    nonnegative, tol finite and positive.
     """
+    window = real("window", window, "nonnegative")
+    tol = real("tol", tol, "positive")
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")
     t_final = traj.times[-1]

@@ -625,6 +625,23 @@ def test_negative_seed_is_usage_error_before_any_work(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", ["-1", "2"])
+def test_too_few_points_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        params_file, points):
+    # unchecked, -1 points fails in numpy's words and 2 after the parameters are read
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("ppsdyn.cli.ModelParams.load", no_work)
+    monkeypatch.setattr("ppsdyn.cli.synthesize", no_work)
+    out = tmp_path / "run"
+    code = main(["synth", "--params", params_file, "--s0", "4,3,2", "--t-end", "5",
+                 "--points", points, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --points must be at least 3, got {points}\n"
+    assert not out.exists()
+
+
 def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 

@@ -432,7 +432,7 @@ def test_network_stage_leaves_no_parameter_near_zero(readme_dataset):
 # operation or its order shows here.  Like the equilibria.json pins, they
 # assume the BLAS that numpy ships with.
 SHORT_ESTIMATE_DIGESTS = {
-    "report.json": "94b1ab3e728906f100f4f649478360140fc74f03b808e2ecf10e0efd5581b705",
+    "report.json": "89bd3a86df12089ea7fd9d418372c3291762b1099cc6af907063018d77eb53cc",
     "trace.csv": "a11ed31544aa5a6945a17b8fa75432d5761f10318f10f4590afdaf1b64268507",
 }
 
